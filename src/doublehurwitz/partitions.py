@@ -132,14 +132,6 @@ def compositions(total: int, num_parts: int, min_part: int = 0) -> Iterator[tupl
             yield (first,) + rest
 
 
-def partition_to_json(lam: Partition) -> list:
-    return list(lam)
-
-
-def partition_from_json(data) -> Partition:
-    return check_partition(data)
-
-
 def fraction_to_str(x) -> str:
     """Serialize an exact rational as "num/den" (always with denominator)."""
     f = Fraction(x)

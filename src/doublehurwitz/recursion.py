@@ -17,18 +17,34 @@ Enumerating labelled copies of R's entries absorbs all multiset-automorphism
 factors; the total lam-weight strictly drops on the right, so the recursion
 terminates at the initial conditions.  Results are memoized in an
 :class:`XTable` that can be persisted to JSON.
+
+The block sum is evaluated as a coefficient extraction rather than term by
+term.  With O = R - A written as a vector of multiplicities over its distinct
+entries, and c! = prod_i c_i!,
+
+    sum over blocks and compositions = O! * [u^a y^O] F^l,
+    F = sum over t >= 1 and c <= O of  t x_{(t,0) u c} u^t y^c / c!,
+
+and the labelled sub-multisets A are grouped by their type counts k, each
+standing for prod_i C(n_i, k_i) labelled choices.  The powers of F are built
+one block at a time over (type-count vector, u-degree) states, so a single
+correction costs O(l a^2 prod_i (O_i + 1)^2) polynomial products instead of
+2^|R| * l^|O| * C(a-1, l-1) terms, and the partial powers are shared across
+keys through the table.  The reduced engine (:mod:`.reduced`) keeps the
+term-by-term sum, so the two engines stay independent.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 from typing import Optional
 
-from .partitions import compositions, multinomial
+from .partitions import multinomial
 from .zseries import ZPoly
 
 # Stamp covering the normalization conventions baked into the table; bump it
@@ -65,6 +81,9 @@ class XTable:
     def __init__(self):
         self.entries: dict = {}
         self.provenance: dict = {}
+        # entries and partial block products used by _block_product, keyed by
+        # type tuple; derived from entries, so never counted or persisted
+        self.block_memo: dict = {}
 
     def __contains__(self, key) -> bool:
         return key in self.entries
@@ -117,33 +136,91 @@ class XTable:
         return XTable.from_json_dict(json.loads(Path(path).read_text()))
 
 
+def _sub_vectors(counts):
+    """Every count vector c with 0 <= c <= counts, componentwise."""
+    return itertools.product(*(range(n + 1) for n in counts))
+
+
 def _correction(s: int, m: int, rest: tuple, table: XTable) -> ZPoly:
-    """The subtracted sum in the recursion for pivot (s+1, m) over rest."""
+    """The subtracted sum in the recursion for pivot (s+1, m) over rest.
+
+    Consumed sub-multisets A are enumerated by type counts k <= n (n the
+    multiplicities of rest's distinct entries), standing for prod C(n, k)
+    labelled choices.  The labelled block sum over the others O = n - k is
+
+        O! * [u^a y^O] (sum_{t >= 1, c} t x_{(t,0) u c} u^t y^c / c!)^l,
+
+    with O! and c! products of factorials over types, and is read off
+    :func:`_block_product`.
+    """
+    multiplicity = Counter(rest)
+    types, counts = tuple(multiplicity), tuple(multiplicity.values())
     total = ZPoly.zero()
-    n = len(rest)
-    for mask in range(1 << n):
-        consumed = [rest[i] for i in range(n) if mask >> i & 1]
-        others = [rest[i] for i in range(n) if not mask >> i & 1]
-        nu_a = sum(p[1] for p in consumed)
-        ell = m + nu_a - len(consumed) + 2
+    for k in _sub_vectors(counts):
+        consumed_nu = [nu for (_, nu), k_i in zip(types, k) for _ in range(k_i)]
+        ell = m + sum(consumed_nu) - sum(k) + 2
         if ell < 1:
             continue
-        a = s + sum(p[0] for p in consumed)
+        a = s + sum(lam * k_i for (lam, _), k_i in zip(types, k))
         if a < ell:
             continue
-        weight = Fraction(multinomial((m, *(p[1] for p in consumed))), factorial(ell))
-        inner = ZPoly.zero()
-        for blocks in itertools.product(range(ell), repeat=len(others)):
-            groups = [[] for _ in range(ell)]
-            for entry, b in zip(others, blocks):
-                groups[b].append(entry)
-            for sigma in compositions(a, ell, min_part=1):
-                prod = ZPoly.constant(1)
-                for s_i, group in zip(sigma, groups):
-                    prod = prod * compute_x(make_xkey(group + [(s_i, 0)]), table) * s_i
-                inner = inner + prod
-        total = total + inner * weight
+        # prod C(n, k) labelled choices of A, times the O! of the block sum
+        labelled = prod(factorial(n_i) // factorial(k_i) for n_i, k_i in zip(counts, k))
+        weight = Fraction(multinomial((m, *consumed_nu)) * labelled, factorial(ell))
+        present = [i for i, (n_i, k_i) in enumerate(zip(counts, k)) if n_i > k_i]
+        others_types = tuple(types[i] for i in present)
+        others = tuple(counts[i] - k[i] for i in present)
+        total = total + _block_product(others_types, others, ell, a, table) * weight
     return total
+
+
+def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable) -> ZPoly:
+    """G_ell(others, a): the coefficient of u^a y^others in the ell-th power
+    of sum_{t >= 1, c} t x_{(t,0) u c} u^t y^c / c!, for the multiset with the
+    given distinct entries and counts, built as G_j = G_1 * G_{j-1}.
+
+    Every factor of the term-by-term sum is evaluated, even where its
+    partners vanish: all t in 1..a-ell+1 and all c <= others when ell >= 2,
+    only (a, others) when ell == 1.  So the keys stored in the table do not
+    depend on how the sum is organized.  The partial products G_j(c, t) are
+    memoized on the table per type tuple, for reuse across keys and block
+    counts; they are never persisted.
+    """
+    xs, products = table.block_memo.setdefault(types, ({}, {}))
+
+    def entry(c, t):
+        # the table's own polynomial, so the memo holds no copies of entries
+        x = xs.get((c, t))
+        if x is None:
+            group = [pair for pair, c_i in zip(types, c) for _ in range(c_i)]
+            x = xs[(c, t)] = compute_x(make_xkey(group + [(t, 0)]), table)
+        return x
+
+    def factor(c, t):
+        return entry(c, t) * Fraction(t, prod(factorial(c_i) for c_i in c))
+
+    def product(j, c, t):
+        if j == 1:
+            return factor(c, t)
+        value = products.get((j, c, t))
+        if value is None:
+            value = ZPoly.zero()
+            for head in _sub_vectors(c):
+                tail = tuple(c_i - h_i for c_i, h_i in zip(c, head))
+                for t_head in range(1, t - j + 2):
+                    f = factor(head, t_head)
+                    if f:
+                        value = value + f * product(j - 1, tail, t - t_head)
+            products[(j, c, t)] = value
+        return value
+
+    if ell > 1:
+        # the top level of product() touches exactly these factors; taking
+        # them first keeps compute_x's recursion out of the nested frames
+        for c in _sub_vectors(others):
+            for t in range(1, a - ell + 2):
+                entry(c, t)
+    return product(ell, others, a)
 
 
 def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = None) -> ZPoly:

@@ -1,10 +1,17 @@
+import itertools
 import json
 import random
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
+from doublehurwitz import recursion
 from doublehurwitz.golden import GOLDEN_H_POLYS
+from doublehurwitz.partitions import compositions, multinomial
 from doublehurwitz.recursion import (
     XTable,
+    _correction,
     check_string_dilaton,
     compute_x,
     dilaton_identity_sides,
@@ -130,3 +137,78 @@ def test_provenance_recorded():
     compute_x([(2, 0)], table)
     assert table.provenance[make_xkey([(0, 0)])] == "initial"
     assert table.provenance[make_xkey([(2, 0)])].startswith("pivot=")
+
+
+def _naive_correction(s, m, rest, table):
+    """The correction sum term by term: labelled consumed masks, labelled
+    assignments of the others to ordered blocks, and compositions."""
+    total = ZPoly.zero()
+    n = len(rest)
+    for mask in range(1 << n):
+        consumed = [rest[i] for i in range(n) if mask >> i & 1]
+        others = [rest[i] for i in range(n) if not mask >> i & 1]
+        nu_a = sum(p[1] for p in consumed)
+        ell = m + nu_a - len(consumed) + 2
+        if ell < 1:
+            continue
+        a = s + sum(p[0] for p in consumed)
+        if a < ell:
+            continue
+        weight = Fraction(multinomial((m, *(p[1] for p in consumed))), factorial(ell))
+        inner = ZPoly.zero()
+        for blocks in itertools.product(range(ell), repeat=len(others)):
+            groups = [[] for _ in range(ell)]
+            for entry, b in zip(others, blocks):
+                groups[b].append(entry)
+            for sigma in compositions(a, ell, min_part=1):
+                prod = ZPoly.constant(1)
+                for s_i, group in zip(sigma, groups):
+                    prod = prod * compute_x(make_xkey(group + [(s_i, 0)]), table) * s_i
+                inner = inner + prod
+        total = total + inner * weight
+    return total
+
+
+@pytest.mark.parametrize(
+    "rest",
+    [
+        ((2, 0), (2, 0), (1, 1), (0, 2)),
+        ((1, 0), (1, 0), (1, 0)),
+        ((1, 1), (0, 1), (0, 1), (0, 0)),
+        ((3, 1), (0, 0), (0, 0)),
+        (),
+    ],
+)
+def test_correction_matches_term_by_term_sum(rest):
+    table = XTable()
+    for s in (0, 1, 2):
+        for m in (0, 1, 2):
+            assert _correction(s, m, rest, table) == _naive_correction(s, m, rest, table), (s, m)
+
+
+def test_term_by_term_sum_builds_the_same_table(monkeypatch):
+    fast = XTable()
+    h_poly((4, 2, 2), fast)
+    monkeypatch.setattr(recursion, "_correction", _naive_correction)
+    slow = XTable()
+    h_poly((4, 2, 2), slow)
+    assert slow.entries.keys() == fast.entries.keys()
+    assert slow.entries == fast.entries
+    assert slow.provenance == fast.provenance
+
+
+def test_block_memo_stays_out_of_the_table(tmp_path):
+    table = XTable()
+    h_poly((3, 2, 2), table)
+    key = make_xkey([(2, 1), (2, 0), (1, 1), (0, 2)])
+    pivoted = [compute_x(key, table, pivot_index=i) for i in range(3)]
+    canonical = compute_x(key, table)
+    assert table.block_memo  # the memo was used
+    assert set(table.to_json_dict()) == {"version", "entries"}
+    assert len(table) == len(table.entries)
+    again = XTable.load(table.save(tmp_path / "cache.json"))
+    assert again.entries == table.entries
+    assert not again.block_memo
+    for value in pivoted:
+        diff = value - canonical
+        assert diff.is_zero() or zpoly_eval(diff, 10).is_zero()

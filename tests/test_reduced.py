@@ -4,7 +4,7 @@ import pytest
 
 from doublehurwitz.golden import GOLDEN_H_POLYS
 from doublehurwitz.partitions import aut_order, multinomial
-from doublehurwitz.recursion import XTable, compute_x, keys_up_to
+from doublehurwitz.recursion import XTable, compute_x, h_poly, keys_up_to
 from doublehurwitz.reduced import (
     ReducedRecursion,
     is_reduced_key,
@@ -39,6 +39,14 @@ def test_reduced_agrees_with_full_on_mixed_keys():
         red = rr.x_value(key)
         full = compute_x(key, table)
         assert red == full or zpoly_eval(red - full, 10).is_zero(), key
+
+
+def test_reduced_and_full_agree_exactly_at_higher_degree():
+    # the reduced engine keeps the term-by-term correction sum, the full one
+    # reads it off block products: equal polynomials, not just equal series
+    rr = ReducedRecursion()
+    for lam in [(12,), (2,) * 5]:
+        assert rr.h_poly(lam) == h_poly(lam), lam
 
 
 def test_initial_coefficient_formula():

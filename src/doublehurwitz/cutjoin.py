@@ -35,6 +35,7 @@ from .series import (
     Truncation,
     mono_adjust,
     mono_from_vars,
+    mono_mul,
     pvar,
     qvar,
 )
@@ -71,9 +72,7 @@ def cut_join_apply(series: GradedSeries) -> GradedSeries:
                     deltas[vj] = deltas.get(vj, 0) - 1
                 new = mono_adjust(mono, deltas)
                 out[new] = out.get(new, 0) + coeff * half * i * j * mult
-    result = GradedSeries(series.truncation)
-    result._terms = {m: c for m, c in out.items() if c != 0}
-    return result
+    return GradedSeries.from_terms(series.truncation, out)
 
 
 @dataclass(frozen=True)
@@ -144,21 +143,22 @@ def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> Graded
     trunc = Truncation(
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
-    total = GradedSeries.zero(trunc)
+    total: dict = {}
     for k in range(0, q_weight_bound + 1):
         chartable = CharTable.load_or_build(cache_dir, k) if cache_dir and k else None
         for lam in partitions_of(k):
             w = central_weight(lam)
-            spq = schur_in_power_sums(lam, trunc, "p", chartable) * schur_in_power_sums(
-                lam, trunc, "q", chartable
-            )
+            spq = (schur_in_power_sums(lam, trunc, "p", chartable)
+                   * schur_in_power_sums(lam, trunc, "q", chartable)).term_dict()
             for m in range(beta_bound + 1):
                 if m > 0 and w == 0:
                     break
                 coeff = Fraction(w**m, factorial(m))
                 beta_m = ((BETA_VAR, m),) if m else ()
-                total = total + spq.mul_monomial(beta_m, coeff)
-    return total
+                for mono, c in spq.items():  # spq has no beta: stays in trunc
+                    mm = mono_mul(mono, beta_m)
+                    total[mm] = total.get(mm, 0) + c * coeff
+    return GradedSeries.from_terms(trunc, total)
 
 
 def genus0_part(H: GradedSeries) -> GradedSeries:
@@ -176,9 +176,8 @@ def genus0_part(H: GradedSeries) -> GradedSeries:
                 m = e
         return m == lp + lq - 2
 
-    result = GradedSeries(H.truncation)
-    result._terms = {m: c for m, c in H.term_dict().items() if keep(m)}
-    return result
+    kept = {m: c for m, c in H.term_dict().items() if keep(m)}
+    return GradedSeries.from_terms(H.truncation, kept)
 
 
 @lru_cache(maxsize=None)

@@ -99,8 +99,7 @@ def r_from_tau(tau: GradedSeries, require_polynomial: bool = True) -> GradedSeri
             exps[PSI_VAR] = psi_e
         new = tuple(sorted(exps.items()))
         out[new] = out.get(new, 0) - coeff
-    result = GradedSeries(tau.truncation)
-    result._terms = {m: c for m, c in out.items() if c != 0}
+    result = GradedSeries.from_terms(tau.truncation, out)
     if require_polynomial:
         for mono in result.term_dict():
             if dict(mono).get(PSI_VAR, 0) < 0:
@@ -115,11 +114,10 @@ def r_series(t_weight_bound: int) -> GradedSeries:
 
 def homogeneous_part(series: GradedSeries, t_weight: int) -> GradedSeries:
     """Terms of exact total t-weight (the s-alphabet grading)."""
-    result = GradedSeries(series.truncation)
-    result._terms = {
-        m: c for m, c in series.term_dict().items() if mono_weights(m)[4] == t_weight
-    }
-    return result
+    return GradedSeries.from_terms(
+        series.truncation,
+        {m: c for m, c in series.term_dict().items() if mono_weights(m)[4] == t_weight},
+    )
 
 
 def kp_residual_of(r: GradedSeries, t_weight_bound: int) -> GradedSeries:

@@ -22,8 +22,9 @@ those bounds.  Series are immutable values: every operation returns a new
 series and two series are equal iff they have the same truncation and terms.
 
 Coefficients are ``fractions.Fraction`` by default, but any exact commutative
-ring whose elements support ``+``, ``-``, ``*`` and comparison with 0 works
-(polynomial-valued series are used by the recursion engines).
+ring whose elements support ``+``, ``-``, ``*``, comparison with 0 and ``bool``
+(false exactly at zero) works (polynomial-valued series are used by the
+recursion engines).
 """
 
 from __future__ import annotations
@@ -222,17 +223,24 @@ class GradedSeries:
 
     def __init__(self, truncation: Truncation, terms: Optional[dict] = None):
         self.truncation = truncation
-        clean: dict = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                if not truncation.admits(mono):
-                    raise ValueError(f"monomial {mono_str(mono)} violates truncation {truncation}")
-                clean[mono] = coeff
-        self._terms = clean
+        self._terms = {m: c for m, c in (terms or {}).items() if c}
+        for mono in self._terms:
+            if not truncation.admits(mono):
+                raise ValueError(f"monomial {mono_str(mono)} violates truncation {truncation}")
 
     # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def from_terms(trunc: Truncation, terms: dict) -> "GradedSeries":
+        """Series from a fresh {monomial: coefficient} dict whose monomials
+        already lie within trunc (not re-checked).  Zero coefficients are
+        dropped; without any, the series keeps terms itself, uncopied."""
+        if not all(terms.values()):
+            terms = {m: c for m, c in terms.items() if c}
+        result = GradedSeries.__new__(GradedSeries)
+        result.truncation = trunc
+        result._terms = terms
+        return result
 
     @staticmethod
     def zero(trunc: Truncation) -> "GradedSeries":
@@ -241,10 +249,6 @@ class GradedSeries:
     @staticmethod
     def one(trunc: Truncation) -> "GradedSeries":
         return GradedSeries(trunc, {(): Fraction(1)})
-
-    @staticmethod
-    def constant(trunc: Truncation, c) -> "GradedSeries":
-        return GradedSeries(trunc, {(): c})
 
     @staticmethod
     def var(trunc: Truncation, v: tuple, exp: int = 1, coeff=Fraction(1)) -> "GradedSeries":
@@ -308,62 +312,26 @@ class GradedSeries:
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
             acc = out.get(mono)
-            if acc is None:
-                out[mono] = coeff
-            else:
-                acc = acc + coeff
-                if acc == 0:
-                    del out[mono]
-                else:
-                    out[mono] = acc
-        result = GradedSeries(self.truncation)
-        result._terms = out
-        return result
+            out[mono] = coeff if acc is None else acc + coeff
+        return GradedSeries.from_terms(self.truncation, out)
 
     def __neg__(self) -> "GradedSeries":
-        result = GradedSeries(self.truncation)
-        result._terms = {m: -c for m, c in self._terms.items()}
-        return result
+        return GradedSeries.from_terms(self.truncation, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + (-other)
 
     def scalar_mul(self, c) -> "GradedSeries":
-        result = GradedSeries(self.truncation)
-        if c != 0:
-            result._terms = {m: v * c for m, v in self._terms.items()}
-        return result
+        return GradedSeries.from_terms(self.truncation, {m: v * c for m, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scalar_mul(other)
         self._require_compatible(other)
-        trunc = self.truncation
-        admits = trunc.admits_weights
-
-        # Bucket both operands by weight vector so the truncation test runs
-        # once per bucket pair; the inner loops are then unconditional.
-        left: dict = {}
-        for m, c in self._terms.items():
-            left.setdefault(mono_weights(m), []).append((m, c))
-        right: dict = {}
-        for m, c in other._terms.items():
-            right.setdefault(mono_weights(m), []).append((m, c))
-
+        caps, left = self._buckets()
         acc: dict = {}
-        for wl, lt in left.items():
-            for wr, rt in right.items():
-                if not admits(tuple(a + b for a, b in zip(wl, wr))):
-                    continue
-                for ml, cl in lt:
-                    for mr, cr in rt:
-                        m = mono_mul(ml, mr)
-                        c = cl * cr
-                        prev = acc.get(m)
-                        acc[m] = c if prev is None else prev + c
-        result = GradedSeries(trunc)
-        result._terms = {m: c for m, c in acc.items() if c != 0}
-        return result
+        self._mul_into(acc, left, other._buckets()[1], caps)
+        return GradedSeries.from_terms(self.truncation, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -377,12 +345,8 @@ class GradedSeries:
         for m, c in self._terms.items():
             mm = mono_mul(m, mono)
             if trunc.admits(mm):
-                v = c * coeff
-                if v != 0:
-                    out[mm] = out.get(mm, 0) + v
-        result = GradedSeries(trunc)
-        result._terms = {m: c for m, c in out.items() if c != 0}
-        return result
+                out[mm] = out.get(mm, 0) + c * coeff
+        return GradedSeries.from_terms(trunc, out)
 
     def diff(self, var: tuple) -> "GradedSeries":
         """Formal partial derivative with respect to one variable."""
@@ -392,32 +356,23 @@ class GradedSeries:
                 if v == var:
                     new = mono[:idx] + ((v, e - 1),) if e != 1 else mono[:idx]
                     new = new + mono[idx + 1 :]
-                    c = coeff * e
-                    if c != 0:
-                        out[new] = out.get(new, 0) + c
+                    out[new] = out.get(new, 0) + coeff * e
                     break
-        result = GradedSeries(self.truncation)
-        result._terms = {m: c for m, c in out.items() if c != 0}
-        return result
+        return GradedSeries.from_terms(self.truncation, out)
 
     # -- structure maps -----------------------------------------------------
 
     def truncate(self, new_trunc: Truncation) -> "GradedSeries":
         """Explicit re-truncation (the only sanctioned way to change bounds)."""
-        result = GradedSeries(new_trunc)
-        result._terms = {m: c for m, c in self._terms.items() if new_trunc.admits(m)}
-        return result
+        return GradedSeries.from_terms(
+            new_trunc, {m: c for m, c in self._terms.items() if new_trunc.admits(m)}
+        )
 
     def map_terms(self, fn) -> "GradedSeries":
         """New series with coefficient fn(mono, coeff); zeros are dropped."""
-        out = {}
-        for m, c in self._terms.items():
-            v = fn(m, c)
-            if v != 0:
-                out[m] = v
-        result = GradedSeries(self.truncation)
-        result._terms = out
-        return result
+        return GradedSeries.from_terms(
+            self.truncation, {m: fn(m, c) for m, c in self._terms.items()}
+        )
 
     def substitute_one(self, var: tuple) -> "GradedSeries":
         """Set one variable equal to 1 (merge terms that differ only in it)."""
@@ -426,9 +381,7 @@ class GradedSeries:
             new = tuple((v, e) for v, e in mono if v != var)
             acc = out.get(new)
             out[new] = coeff if acc is None else acc + coeff
-        result = GradedSeries(self.truncation)
-        result._terms = {m: c for m, c in out.items() if c != 0}
-        return result
+        return GradedSeries.from_terms(self.truncation, out)
 
     def substitute_p1_shift(self) -> "GradedSeries":
         """Formal substitution p_1 -> p_1 + 1 by binomial re-expansion."""
@@ -449,55 +402,107 @@ class GradedSeries:
                 continue
             for i in range(e + 1):
                 new = rest if i == 0 else mono_mul(rest, ((p1, i),))
-                c = coeff * comb(e, i)
-                out[new] = out.get(new, 0) + c
-        result = GradedSeries(self.truncation)
-        result._terms = {m: c for m, c in out.items() if c != 0}
-        return result
+                out[new] = out.get(new, 0) + coeff * comb(e, i)
+        return GradedSeries.from_terms(self.truncation, out)
 
     # -- exp / log ----------------------------------------------------------
 
-    def _check_nilpotent(self):
-        """Every monomial must gain weight in some bounded alphabet, so that
-        high powers eventually leave the truncation."""
+    def _buckets(self, items=None) -> tuple:
+        """(caps, buckets): the bounds of the truncation's bounded alphabets,
+        and the (monomial, coefficient) pairs (this series' by default)
+        listed by their weight vector over those alphabets."""
         bounds = self.truncation.bounds()
-        for mono in self._terms:
-            w = mono_weights(mono)
-            if not any(b is not None and x > 0 for b, x in zip(bounds, w)):
-                raise ValueError(
-                    f"exp/log diverges: monomial {mono_str(mono)} has no bounded positive weight"
-                )
+        idx = [i for i, b in enumerate(bounds) if b is not None]
+        full: dict = {}
+        for mono, coeff in self._terms.items() if items is None else items:
+            full.setdefault(mono_weights(mono), []).append((mono, coeff))
+        buckets: dict = {}
+        for w, pairs in full.items():  # merge vectors with equal bounded part
+            key = tuple(w[i] for i in idx)
+            buckets[key] = buckets[key] + pairs if key in buckets else pairs
+        return tuple(bounds[i] for i in idx), buckets
+
+    def _components(self) -> tuple:
+        """(top grade, caps, comps): comps[n] holds the buckets of grade n,
+        the grade being the total weight over the bounded alphabets."""
+        caps, buckets = self._buckets()
+        comps: dict = {}
+        for key, bucket in buckets.items():
+            mono = max(bucket)[0]  # () sorts first
+            if mono and (sum(key) <= 0 or min(key) < 0):
+                raise ValueError(f"exp/log diverges: {mono_str(mono)} has no positive grade")
+            comps.setdefault(sum(key), {})[key] = bucket
+        return sum(caps), caps, comps
+
+    @staticmethod
+    def _mul_into(acc: dict, left: dict, right: dict, caps: tuple):
+        """acc += left * right on buckets; the truncation test runs once per
+        bucket pair, and the inner loops are then unconditional."""
+        for kl, lt in left.items():
+            for kr, rt in right.items():
+                if any(a + b > cap for a, b, cap in zip(kl, kr, caps)):
+                    continue
+                for ml, cl in lt:
+                    for mr, cr in rt:
+                        m = mono_mul(ml, mr)
+                        c = cl * cr
+                        prev = acc.get(m)
+                        acc[m] = c if prev is None else prev + c
 
     def exp(self) -> "GradedSeries":
-        """Truncated exponential; requires zero constant term."""
+        """Truncated exponential; requires zero constant term.
+
+        Solved one homogeneous component at a time along the grade, the total
+        weight over the truncation's bounded alphabets (s for tau, q+p+beta
+        for e^H).  With S = sum S_k and E = e^S = sum E_n, the grade
+        derivation gives n E_n = sum_{k=1..n} k S_k E_{n-k}, so each step
+        multiplies small homogeneous pieces, never the whole series.
+
+        A non-constant monomial of grade <= 0, or with a negative exponent on
+        a bounded alphabet (psi), raises ValueError.  The second case is
+        stricter than sum S^j/j! needs, but there the truncation is not
+        closed under products, so no order-free answer exists; no caller
+        builds such a series.
+        """
         if self.constant_term() != 0:
             raise ValueError("series_exp requires zero constant term")
-        self._check_nilpotent()
-        result = GradedSeries.one(self.truncation)
-        power = GradedSeries.one(self.truncation)
-        j = 0
-        while True:
-            j += 1
-            power = (power * self).scalar_mul(Fraction(1, j))
-            if power.is_zero():
-                return result
-            result = result + power
+        top, caps, comps = self._components()
+        kS = {k: self._buckets((m, c * k) for b in comp.values() for m, c in b)[1]
+              for k, comp in comps.items()}
+        out = {(): Fraction(1)}
+        E = {0: self._buckets(out.items())[1]}
+        for n in range(1, top + 1):
+            acc: dict = {}
+            for k, left in kS.items():
+                if k <= n:
+                    self._mul_into(acc, left, E[n - k], caps)
+            inv = Fraction(1, n)
+            acc = {m: c * inv for m, c in acc.items() if c}
+            out.update(acc)
+            E[n] = self._buckets(acc.items())[1]
+        return GradedSeries.from_terms(self.truncation, out)
 
     def log(self) -> "GradedSeries":
-        """Truncated logarithm; requires constant term exactly 1."""
+        """Truncated logarithm; requires constant term exactly 1.
+
+        With T = 1 + sum_{n>=1} T_n and L = log T = sum L_n, the same
+        component recursion reads n L_n = n T_n - sum_{k<n} k L_k T_{n-k}.
+        T - 1 must meet the grade conditions of exp().
+        """
         if self.constant_term() != 1:
             raise ValueError("series_log requires constant term 1")
-        u = self - GradedSeries.one(self.truncation)
-        u._check_nilpotent()
-        result = GradedSeries.zero(self.truncation)
-        power = GradedSeries.one(self.truncation)
-        j = 0
-        while True:
-            j += 1
-            power = power * u
-            if power.is_zero():
-                return result
-            result = result + power.scalar_mul(Fraction((-1) ** (j + 1), j))
+        top, caps, comps = self._components()
+        neg_kL: dict = {}  # k -> -k L_k, bucketed
+        out: dict = {}
+        for n in range(1, top + 1):
+            acc = {m: c * n for b in comps.get(n, {}).values() for m, c in b}
+            for k, left in neg_kL.items():
+                if n - k in comps:
+                    self._mul_into(acc, left, comps[n - k], caps)
+            neg_kL[n] = self._buckets((m, -c) for m, c in acc.items() if c)[1]
+            inv = Fraction(1, n)
+            out.update((m, c * inv) for m, c in acc.items())
+        return GradedSeries.from_terms(self.truncation, out)
 
     # -- serialization ------------------------------------------------------
 

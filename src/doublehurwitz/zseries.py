@@ -435,11 +435,8 @@ def _t_raise(series: GradedSeries) -> GradedSeries:
                 continue
             new = mono_adjust(mono, {var: -1, tvar(var[1], var[2] + 1): +1})
             if trunc.admits(new):
-                c = coeff * e
-                out[new] = out.get(new, 0) + c
-    result = GradedSeries(trunc)
-    result._terms = {m: c for m, c in out.items() if c != 0}
-    return result
+                out[new] = out.get(new, 0) + coeff * e
+    return GradedSeries.from_terms(trunc, out)
 
 
 def _t_count(series: GradedSeries) -> GradedSeries:

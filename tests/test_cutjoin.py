@@ -78,10 +78,10 @@ def test_evolve_invariants():
 def test_frobenius_beta_zero_is_cauchy_product():
     # sum_lam s_lam(p) s_lam(q) = exp(sum p_n q_n / n)
     eH = frobenius_eH(4, 2)
-    beta0 = GradedSeries(eH.truncation)
-    beta0._terms = {
-        m: c for m, c in eH.term_dict().items() if all(v != BETA_VAR for v, _ in m)
-    }
+    beta0 = GradedSeries.from_terms(
+        eH.truncation,
+        {m: c for m, c in eH.term_dict().items() if all(v != BETA_VAR for v, _ in m)},
+    )
     diag = GradedSeries(
         eH.truncation,
         {

@@ -80,6 +80,11 @@ def test_kp_residual_vanishes():
     assert kp_residual(4).is_zero()
 
 
+def test_kp_residual_vanishes_at_benchmarked_weight():
+    # the weight `kp-check --max-t-weight 8` runs; log tau is taken at weight 12
+    assert kp_residual(8).is_zero()
+
+
 def test_log_tau_divisible_by_xi():
     tau = tau_series(4)
     r_from_tau(tau)  # would raise otherwise

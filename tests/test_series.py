@@ -155,6 +155,96 @@ def test_exp_rejects_unbounded_directions():
         s.exp()
 
 
+def test_log_rejects_unbounded_directions():
+    s = GradedSeries(
+        Truncation(q_weight=4), {(): Fraction(1), mono_from_vars([(BETA_VAR, 1)]): Fraction(1)}
+    )
+    with pytest.raises(ValueError):
+        s.log()
+
+
+def test_exp_log_reject_negative_exponent_on_bounded_psi():
+    # t_2 psi^-1 has positive grade, but with psi bounded the truncation is
+    # not closed under multiplication, so the graded recursion refuses it.
+    from doublehurwitz.series import PSI_VAR, svar
+
+    mono = mono_from_vars([(svar(2), 1), (PSI_VAR, -1)])
+    s = GradedSeries(Truncation(s_weight=4, psi_deg=3), {mono: Fraction(1)})
+    with pytest.raises(ValueError):
+        s.exp()
+    with pytest.raises(ValueError):
+        (s + GradedSeries.one(s.truncation)).log()
+    unbounded_psi = GradedSeries(Truncation(s_weight=4), {mono: Fraction(1)})
+    assert unbounded_psi.exp().log() == unbounded_psi
+
+
+def _power_exp(s):
+    """Reference exp by power iteration, sum_j s^j / j!: each step multiplies
+    the whole series (the implementation before the graded recursion)."""
+    result = GradedSeries.one(s.truncation)
+    power = GradedSeries.one(s.truncation)
+    j = 0
+    while True:
+        j += 1
+        power = (power * s).scalar_mul(Fraction(1, j))
+        if power.is_zero():
+            return result
+        result = result + power
+
+
+def _power_log(s):
+    """Reference log by power iteration, sum_j (-1)^(j+1) u^j / j, u = s - 1."""
+    u = s - GradedSeries.one(s.truncation)
+    result = GradedSeries.zero(s.truncation)
+    power = GradedSeries.one(s.truncation)
+    j = 0
+    while True:
+        j += 1
+        power = power * u
+        if power.is_zero():
+            return result
+        result = result + power.scalar_mul(Fraction((-1) ** (j + 1), j))
+
+
+def test_graded_exp_log_match_power_iteration_on_random_series():
+    rng = random.Random(99)
+    for _ in range(15):
+        s = random_series(TR, rng, zero_constant=True)
+        assert s.exp() == _power_exp(s)
+        one_plus = s + GradedSeries.one(TR)
+        assert one_plus.log() == _power_log(one_plus)
+
+
+def test_graded_exp_log_match_power_iteration_on_diagonal():
+    s = diagonal_series(TR, 8)
+    e = s.exp()
+    assert e == _power_exp(s)
+    assert e.log() == _power_log(e) == s
+
+
+def test_graded_log_matches_power_iteration_on_tau_and_frobenius():
+    from doublehurwitz.cutjoin import frobenius_eH
+    from doublehurwitz.kp import tau_series
+
+    tau = tau_series(8)
+    assert tau.log() == _power_log(tau)
+    eH = frobenius_eH(5, 3)
+    assert eH.log() == _power_log(eH)
+
+
+def test_graded_exp_matches_power_iteration_on_evolved_potential():
+    from doublehurwitz.cutjoin import evolve
+
+    H = evolve(4, 4).H
+    assert H.exp() == _power_exp(H)
+
+
+def test_from_terms_drops_zero_coefficients():
+    s = GradedSeries.from_terms(TR, {q(1): Fraction(0), q(2): Fraction(3)})
+    assert s.term_dict() == {q(2): Fraction(3)}
+    assert GradedSeries.from_terms(TR, {q(1): Fraction(0)}).is_zero()
+
+
 def test_diff_commutes():
     rng = random.Random(5)
     for _ in range(15):

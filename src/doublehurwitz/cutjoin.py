@@ -42,36 +42,66 @@ from .series import (
 from .symgroup import central_weight, schur_in_power_sums
 
 
-def cut_join_apply(series: GradedSeries) -> GradedSeries:
-    """Apply the cut-and-join operator W exactly (degree 0 in p-weight)."""
-    half = Fraction(1, 2)
+def _exact_div(n: int, d: int) -> int:
+    """n / d for integers that d must divide.
+
+    A remainder means the premise of an integer computation is broken, so it
+    raises instead of returning a rounded (wrong) number."""
+    quotient, remainder = divmod(n, d)
+    if remainder:
+        raise ArithmeticError(f"{n} is not divisible by {d}")
+    return quotient
+
+
+@lru_cache(maxsize=None)
+def _w_image(pblock: tuple) -> tuple:
+    """W applied to one canonical p-monomial, as ((p-monomial, int), ...).
+
+    2W is summed over ordered pairs, then halved exactly: for i != j the
+    ordered pairs (i, j) and (j, i) give the same monomial, a cut with i = j
+    carries (k/2) e with k even, and a join of p_i with itself carries the
+    even factor e (e - 1).  The memo holds one entry per partition met, 97
+    up to p-weight 9."""
     out: dict = {}
-    for mono, coeff in series.term_dict().items():
-        pexps = [(var, e) for var, e in mono if var[0] == P]
+    for var, e in pblock:
+        k = var[1]
         # cut: (i+j) p_i p_j d/dp_{i+j}, ordered pairs (i, j) with i+j = k
-        for var, e in pexps:
-            k = var[1]
-            base = coeff * half * k * e
-            for i in range(1, k):
-                j = k - i
-                new = mono_adjust(mono, {var: -1, pvar(i): +1, pvar(j): +1} if i != j
-                                  else {var: -1, pvar(i): +2})
-                out[new] = out.get(new, 0) + base
-        # join: i j p_{i+j} d^2/(dp_i dp_j), ordered pairs of variables in mono
-        for vi, ei in pexps:
-            for vj, ej in pexps:
-                i, j = vi[1], vj[1]
-                mult = ei * (ej - 1) if vi == vj else ei * ej
-                if mult == 0:
-                    continue
-                deltas = {pvar(i + j): +1}
-                if vi == vj:
-                    deltas[vi] = -2 + deltas.get(vi, 0)
-                else:
-                    deltas[vi] = -1
-                    deltas[vj] = deltas.get(vj, 0) - 1
-                new = mono_adjust(mono, deltas)
-                out[new] = out.get(new, 0) + coeff * half * i * j * mult
+        for i in range(1, k):
+            j = k - i
+            new = mono_adjust(pblock, {var: -1, pvar(i): +1, pvar(j): +1} if i != j
+                              else {var: -1, pvar(i): +2})
+            out[new] = out.get(new, 0) + k * e
+        # join: i j p_{i+j} d^2/(dp_i dp_j), ordered pairs of variables
+        for vj, ej in pblock:
+            j = vj[1]
+            if vj != var:
+                deltas, mult = {var: -1, vj: -1, pvar(k + j): +1}, e * ej
+            elif e > 1:
+                deltas, mult = {var: -2, pvar(2 * k): +1}, e * (e - 1)
+            else:
+                continue
+            new = mono_adjust(pblock, deltas)
+            out[new] = out.get(new, 0) + k * j * mult
+    return tuple((mono, _exact_div(c, 2)) for mono, c in out.items())
+
+
+def cut_join_apply(series: GradedSeries) -> GradedSeries:
+    """Apply the cut-and-join operator W exactly (degree 0 in p-weight).
+
+    W acts on the p-variables alone, which a canonical monomial holds in one
+    contiguous run; their image comes from a memo and is spliced back."""
+    out: dict = {}
+    for mono, coeff in series.items():
+        lo = 0
+        while lo < len(mono) and mono[lo][0][0] != P:
+            lo += 1
+        hi = lo
+        while hi < len(mono) and mono[hi][0][0] == P:
+            hi += 1
+        pre, post = mono[:lo], mono[hi:]
+        for pimage, c in _w_image(mono[lo:hi]):
+            new = pre + pimage + post
+            out[new] = out.get(new, 0) + coeff * c
     return GradedSeries.from_terms(series.truncation, out)
 
 
@@ -101,34 +131,67 @@ def evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
     e^H = sum E_m beta^m and H = sum H_m beta^m, differentiating
     e^H in beta gives m E_m = sum_{b=1}^{m} b H_b E_{m-b}, which determines
     H_m from lower slices once H_0 = sum p_n q_n / n is known.
+
+    The slices are evolved on integer numerators over one common
+    denominator D = Q! B! (Q = q_weight_bound, B = beta_bound).  The
+    coefficient of beta^m p_lam q_mu in e^H or in H is a count of
+    transposition tuples (disconnected or connected covers) over |lam|! m!,
+    which divides D; so D E_m, D H_m and D e^{-H_0} have integer
+    coefficients, and so does D (H_m E_0), whose terms are products of an
+    H-coefficient over d! m! and a 1/z_nu over |nu|!, with d + |nu| <= Q.
+    In numerators the steps read
+
+        D E_m = W(D E_{m-1}) / m,
+        D (H_m E_0) = (m D^2 E_m - sum_{b<m} b (D H_b)(D E_{m-b})) / (m D),
+        D H_m = (D (H_m E_0)) (D e^{-H_0}) / D,
+
+    every division is checked to be exact, and each coefficient becomes a
+    Fraction once, at the end.
     """
     if q_weight_bound < 1 or beta_bound < 0:
         raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
     trunc = Truncation(
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
+    D = factorial(q_weight_bound) * factorial(beta_bound)
+
+    def numerators(series: GradedSeries) -> GradedSeries:
+        return GradedSeries.from_terms(
+            trunc, {m: _exact_div(c.numerator * D, c.denominator) for m, c in series.items()}
+        )
+
+    def divided(series: GradedSeries, d: int) -> GradedSeries:
+        return GradedSeries.from_terms(trunc, {m: _exact_div(c, d) for m, c in series.items()})
+
     h0 = _diagonal_seed(trunc, q_weight_bound)
-    e0 = h0.exp()
-    e0_inv = (-h0).exp()
+    e0_inv = numerators((-h0).exp())
 
-    E = [e0]
+    E = [numerators(h0.exp())]  # E[m] = D E_m
     for m in range(1, beta_bound + 1):
-        E.append(cut_join_apply(E[m - 1]).scalar_mul(Fraction(1, m)))
+        E.append(divided(cut_join_apply(E[m - 1]), m))
 
-    Hs = [h0]
+    Hs = [numerators(h0)]  # Hs[m] = D H_m
     for m in range(1, beta_bound + 1):
-        acc = E[m]
+        acc = {mono: m * D * c for mono, c in E[m].items()}  # m D^2 E_m
         for b in range(1, m):
-            acc = acc - (Hs[b] * E[m - b]).scalar_mul(Fraction(b, m))
-        Hs.append(acc * e0_inv)
+            for mono, c in (Hs[b] * E[m - b]).items():
+                acc[mono] = acc.get(mono, 0) - b * c
+        hm_e0 = divided(GradedSeries.from_terms(trunc, acc), m * D)  # D H_m E_0
+        Hs.append(divided(hm_e0 * e0_inv, D))
 
-    eH = GradedSeries.zero(trunc)
-    H = GradedSeries.zero(trunc)
+    eH: dict = {}
+    H: dict = {}
     for m in range(beta_bound + 1):
         beta_m = ((BETA_VAR, m),) if m else ()
-        eH = eH + E[m].mul_monomial(beta_m)
-        H = H + Hs[m].mul_monomial(beta_m)
-    return HurwitzPotential(eH=eH, H=H, q_weight_bound=q_weight_bound, beta_bound=beta_bound)
+        for out, slice_ in ((eH, E[m]), (H, Hs[m])):
+            for mono, c in slice_.items():
+                out[mono_mul(beta_m, mono)] = Fraction(c, D)
+    return HurwitzPotential(
+        eH=GradedSeries.from_terms(trunc, eH),
+        H=GradedSeries.from_terms(trunc, H),
+        q_weight_bound=q_weight_bound,
+        beta_bound=beta_bound,
+    )
 
 
 def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> GradedSeries:
@@ -149,7 +212,7 @@ def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> Graded
         for lam in partitions_of(k):
             w = central_weight(lam)
             spq = (schur_in_power_sums(lam, trunc, "p", chartable)
-                   * schur_in_power_sums(lam, trunc, "q", chartable)).term_dict()
+                   * schur_in_power_sums(lam, trunc, "q", chartable))
             for m in range(beta_bound + 1):
                 if m > 0 and w == 0:
                     break
@@ -176,7 +239,7 @@ def genus0_part(H: GradedSeries) -> GradedSeries:
                 m = e
         return m == lp + lq - 2
 
-    kept = {m: c for m, c in H.term_dict().items() if keep(m)}
+    kept = {m: c for m, c in H.items() if keep(m)}
     return GradedSeries.from_terms(H.truncation, kept)
 
 
@@ -208,7 +271,7 @@ def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
     target = mono_from_vars([(pvar(part), 1) for part in lam])
     aut = aut_order(lam)
     out: dict = {}
-    for mono, coeff in shifted.term_dict().items():
+    for mono, coeff in shifted.items():
         ppart = tuple((v, e) for v, e in mono if v[0] == P)
         if ppart != target:
             continue

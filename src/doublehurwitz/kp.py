@@ -87,7 +87,7 @@ def r_from_tau(tau: GradedSeries, require_polynomial: bool = True) -> GradedSeri
     """
     log_tau = tau.log()
     out: dict = {}
-    for mono, coeff in log_tau.term_dict().items():
+    for mono, coeff in log_tau.items():
         exps = dict(mono)
         xi_e = exps.pop(XI_VAR, 0)
         if xi_e < 1:
@@ -101,7 +101,7 @@ def r_from_tau(tau: GradedSeries, require_polynomial: bool = True) -> GradedSeri
         out[new] = out.get(new, 0) - coeff
     result = GradedSeries.from_terms(tau.truncation, out)
     if require_polynomial:
-        for mono in result.term_dict():
+        for mono, _ in result.items():
             if dict(mono).get(PSI_VAR, 0) < 0:
                 raise ValueError(f"negative psi power survives in R: {mono}")
     return result
@@ -116,7 +116,7 @@ def homogeneous_part(series: GradedSeries, t_weight: int) -> GradedSeries:
     """Terms of exact total t-weight (the s-alphabet grading)."""
     return GradedSeries.from_terms(
         series.truncation,
-        {m: c for m, c in series.term_dict().items() if mono_weights(m)[4] == t_weight},
+        {m: c for m, c in series.items() if mono_weights(m)[4] == t_weight},
     )
 
 

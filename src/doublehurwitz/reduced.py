@@ -21,6 +21,12 @@ t-monomials constrained by sum(nu) = l + k + j - 3.  The window (s, m) is
 forced to the mixed entry when one is present, so the traversal differs from
 the full engine's canonical-pivot traversal; agreement of the two engines is a
 checked property, not a shared code path.
+
+The correction sum in ``ReducedRecursion._correction`` is deliberately naive:
+it loops over every labelled block assignment and every composition of a, at
+a cost exponential in the degree.  It is the independent cross-check of the
+type-count DP in ``recursion._correction``, so that DP must not be ported
+here; a shared algorithm would let one mistake pass in both engines.
 """
 
 from __future__ import annotations

@@ -261,7 +261,12 @@ class GradedSeries:
         return sorted(self._terms.items())
 
     def term_dict(self) -> dict:
+        """A fresh copy of the {monomial: coefficient} dict."""
         return dict(self._terms)
+
+    def items(self):
+        """Read-only view of the (monomial, coefficient) pairs, unsorted."""
+        return self._terms.items()
 
     def __len__(self) -> int:
         return len(self._terms)

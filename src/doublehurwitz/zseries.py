@@ -429,7 +429,7 @@ def _t_raise(series: GradedSeries) -> GradedSeries:
     """sum_{i,j >= 0} t_{i,j+1} d/dt_{i,j} (raises t-weight by one)."""
     trunc = series.truncation
     out: dict = {}
-    for mono, coeff in series.term_dict().items():
+    for mono, coeff in series.items():
         for var, e in mono:
             if var[0] != T:
                 continue

@@ -3,6 +3,10 @@ from fractions import Fraction
 import pytest
 
 from doublehurwitz.cutjoin import (
+    HurwitzPotential,
+    _diagonal_seed,
+    _exact_div,
+    _w_image,
     cut_join_apply,
     evolve,
     frobenius_eH,
@@ -15,6 +19,7 @@ from doublehurwitz.series import (
     BETA_VAR,
     GradedSeries,
     Truncation,
+    mono_adjust,
     mono_from_vars,
     pvar,
     qvar,
@@ -39,6 +44,115 @@ def test_cut_and_join_preserves_p_weight():
     s = GradedSeries(tr, {P((3, 1), (1, 2)): Fraction(1), P((2, 2)): Fraction(2)})
     for mono, _ in cut_join_apply(s).terms():
         assert sum(v[1] * e for v, e in mono) in (4, 5)
+
+
+def _loop_cut_join_apply(series: GradedSeries) -> GradedSeries:
+    """Reference: W applied monomial by monomial, over ordered pairs with the
+    factor 1/2, on the coefficients' own ring (the previous implementation)."""
+    half = Fraction(1, 2)
+    out: dict = {}
+    for mono, coeff in series.items():
+        pexps = [(var, e) for var, e in mono if var[0] == "p"]
+        for var, e in pexps:
+            k = var[1]
+            base = coeff * half * k * e
+            for i in range(1, k):
+                j = k - i
+                new = mono_adjust(mono, {var: -1, pvar(i): +1, pvar(j): +1} if i != j
+                                  else {var: -1, pvar(i): +2})
+                out[new] = out.get(new, 0) + base
+        for vi, ei in pexps:
+            for vj, ej in pexps:
+                i, j = vi[1], vj[1]
+                mult = ei * (ej - 1) if vi == vj else ei * ej
+                if mult == 0:
+                    continue
+                deltas = {pvar(i + j): +1}
+                if vi == vj:
+                    deltas[vi] = -2 + deltas.get(vi, 0)
+                else:
+                    deltas[vi] = -1
+                    deltas[vj] = deltas.get(vj, 0) - 1
+                new = mono_adjust(mono, deltas)
+                out[new] = out.get(new, 0) + coeff * half * i * j * mult
+    return GradedSeries.from_terms(series.truncation, out)
+
+
+def _fraction_evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
+    """Reference: the evolution on Fraction coefficients, slice by slice (the
+    previous implementation), driven by the reference cut-and-join loop."""
+    trunc = Truncation(
+        q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
+    )
+    h0 = _diagonal_seed(trunc, q_weight_bound)
+    e0 = h0.exp()
+    e0_inv = (-h0).exp()
+
+    E = [e0]
+    for m in range(1, beta_bound + 1):
+        E.append(_loop_cut_join_apply(E[m - 1]).scalar_mul(Fraction(1, m)))
+
+    Hs = [h0]
+    for m in range(1, beta_bound + 1):
+        acc = E[m]
+        for b in range(1, m):
+            acc = acc - (Hs[b] * E[m - b]).scalar_mul(Fraction(b, m))
+        Hs.append(acc * e0_inv)
+
+    eH = GradedSeries.zero(trunc)
+    H = GradedSeries.zero(trunc)
+    for m in range(beta_bound + 1):
+        beta_m = ((BETA_VAR, m),) if m else ()
+        eH = eH + E[m].mul_monomial(beta_m)
+        H = H + Hs[m].mul_monomial(beta_m)
+    return HurwitzPotential(eH=eH, H=H, q_weight_bound=q_weight_bound, beta_bound=beta_bound)
+
+
+@pytest.mark.parametrize("bounds", [(1, 0), (3, 0), (4, 4), (6, 6), (5, 8)])
+def test_integer_evolve_matches_fraction_evolve(bounds):
+    new, ref = evolve(*bounds), _fraction_evolve(*bounds)
+    assert new.eH == ref.eH
+    assert new.H == ref.H
+    assert all(type(c) is Fraction for _, c in new.eH.items())
+    assert all(type(c) is Fraction for _, c in new.H.items())
+
+
+def test_cut_join_apply_matches_loop():
+    tr = Truncation(q_weight=6, p_weight=6, beta_deg=3)
+    b, p, q = BETA_VAR, pvar, qvar
+    terms = {
+        mono_from_vars([(b, 2), (p(1), 3), (p(3), 1), (q(2), 3)]): Fraction(3, 7),
+        mono_from_vars([(p(2), 3), (q(6), 1)]): Fraction(-5, 2),
+        mono_from_vars([(b, 1), (p(1), 2), (p(2), 2)]): Fraction(1, 3),
+        mono_from_vars([(b, 3), (p(6), 1), (q(1), 1), (q(5), 1)]): Fraction(2),
+        mono_from_vars([(p(1), 6)]): Fraction(1, 720),
+        mono_from_vars([(q(1), 2), (b, 1)]): Fraction(9),  # no p-block: W kills it
+    }
+    fractions = GradedSeries(tr, terms)
+    assert cut_join_apply(fractions) == _loop_cut_join_apply(fractions)
+    integers = GradedSeries(tr, {m: (-1) ** i * (i + 2) for i, m in enumerate(terms)})
+    image = cut_join_apply(integers)
+    assert image == _loop_cut_join_apply(integers)
+    assert all(type(c) is int for _, c in image.items())
+
+
+def test_w_images_are_integral():
+    tr = Truncation(p_weight=10)
+    for K in range(1, 11):
+        for lam in partitions_of(K):
+            pblock = mono_from_vars([(pvar(part), 1) for part in lam])
+            image = _w_image(pblock)
+            assert all(type(c) is int for _, c in image)
+            ref = _loop_cut_join_apply(GradedSeries(tr, {pblock: Fraction(1)}))
+            assert dict(image) == ref.term_dict()
+
+
+def test_exact_div_raises_on_remainder():
+    assert _exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        _exact_div(7, 2)
+    with pytest.raises(ArithmeticError):
+        _exact_div(-1, 3)
 
 
 def test_schur_eigenvectors():

@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
+from math import factorial
 
 from .cutjoin import h_lambda_series, hurwitz_number_by_series
 from .kp import kp_residual
@@ -216,7 +218,7 @@ def _dispatch(args, out, err) -> int:
         lam = _parse_partition(args.lam)
         mu = _parse_partition(args.mu)
         raw = oracle_raw_count(args.genus, lam, mu)
-        value = oracle_count(args.genus, lam, mu)
+        value = Fraction(raw, factorial(sum(lam)))  # == oracle_count, without a second count
         out.write(f"{fraction_to_str(value)} {raw}\n")
         return 0
 

@@ -4,9 +4,16 @@ A factorization of genus g and ramification type (lam, mu) is a list
 (sigma, rho, tau_1, ..., tau_m) with sigma of cycle type lam, rho of cycle
 type mu, m = len(lam) + len(mu) + 2g - 2 transpositions, product
 rho tau_m ... tau_1 sigma = id, and the group generated by all entries
-transitive.  This module enumerates them explicitly; it is deliberately
-independent of the character-theoretic machinery it is used to validate, so it
-is exponential and guarded by a hard resource budget.
+transitive.  This module counts them directly, as paths of transpositions on
+permutations: for a fixed sigma it carries forward, one transposition at a
+time, the number of paths reaching each state (pi, C), where pi is the running
+product tau_j ... tau_1 sigma and C the partition of {0..K-1} into orbits of
+<sigma, tau_1, ..., tau_j>.  Paths that meet in the same state are added up
+instead of being walked again, but nothing else is assumed: no characters, no
+series, no formula for the count.  So the oracle stays independent of the
+character-theoretic machinery it is used to validate.  It is still
+exponential -- a layer holds up to K! * Bell(K) states -- and guarded by a hard
+resource budget.
 
 Two normalizations are exposed:
 
@@ -89,63 +96,75 @@ def oracle_raw_count(g: int, lam, mu) -> int:
     return class_size(lam) * _count_fixed_sigma(sigma, mu, m)
 
 
+def _orbit_labels(perm: tuple) -> tuple:
+    """Cycles of perm as canonical labels: i's label is the index of its cycle,
+    with cycles numbered in order of their smallest element."""
+    labels = [-1] * len(perm)
+    label = 0
+    for i in range(len(perm)):
+        if labels[i] < 0:
+            j = i
+            while labels[j] < 0:
+                labels[j] = label
+                j = perm[j]
+            label += 1
+    return tuple(labels)
+
+
+def _merged_orbits(labels: tuple, transpositions: list) -> list:
+    """For each transposition (a, b): the canonical labels after merging the
+    orbits of a and b, and the number of orbits left."""
+    components = max(labels) + 1
+    out = []
+    for a, b in transpositions:
+        lo, hi = sorted((labels[a], labels[b]))
+        if lo == hi:
+            out.append((labels, components))
+        else:
+            # hi's first occurrence follows lo's, so relabelling hi -> lo and
+            # closing the gap keeps the first-occurrence order canonical.
+            merged = tuple(lo if x == hi else x - (x > hi) for x in labels)
+            out.append((merged, components - 1))
+    return out
+
+
 def _count_fixed_sigma(sigma: tuple, mu: tuple, m: int) -> int:
     """Count factorizations with this exact sigma (conjugation makes the count
-    constant on the class)."""
+    constant on the class).
+
+    Layer j maps each state (pi, C) -- running product tau_j ... tau_1 sigma
+    and orbit labels of <sigma, tau_1..tau_j> -- to the number of transposition
+    paths that reach it.  A state is dropped once its orbits cannot be joined
+    by the transpositions left."""
     K = len(sigma)
     transpositions = [(a, b) for a in range(K) for b in range(a + 1, K)]
-
-    # Union-find over the orbits of <sigma, tau_1, ..., tau_j>, with rollback.
-    parent = list(range(K))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    comp_count = K
-    for i in range(K):
-        ra, rb = find(i), find(sigma[i])
-        if ra != rb:
-            parent[ra] = rb
-            comp_count -= 1
-
-    pi = list(sigma)  # running product tau_j ... tau_1 sigma
-    pi_inv = [0] * K
-    for i, v in enumerate(pi):
-        pi_inv[v] = i
-
-    count = 0
-
-    def leaf_ok() -> bool:
-        return comp_count == 1 and cycle_type(tuple(pi)) == mu
-
-    def dfs(remaining: int):
-        nonlocal comp_count, count
-        if remaining == 0:
-            if leaf_ok():
-                count += 1
-            return
-        if comp_count - 1 > remaining:
-            return  # too few transpositions left to reach transitivity
-        for a, b in transpositions:
-            ia, ib = pi_inv[a], pi_inv[b]
-            pi[ia], pi[ib] = b, a
-            pi_inv[a], pi_inv[b] = ib, ia
-            ra, rb = find(a), find(b)
-            merged = ra != rb
-            if merged:
-                parent[ra] = rb
-                comp_count -= 1
-            dfs(remaining - 1)
-            if merged:
-                parent[ra] = ra
-                comp_count += 1
-            pi[ia], pi[ib] = a, b
-            pi_inv[a], pi_inv[b] = ia, ib
-
-    dfs(m)
-    return count
+    labels = _orbit_labels(sigma)
+    if max(labels) > m:
+        return 0  # sigma's orbits cannot all be joined by m transpositions
+    successors: dict = {}  # labels -> _merged_orbits(labels, ...)
+    layer = {(sigma, labels): 1}
+    for remaining in range(m - 1, -1, -1):
+        nxt: dict = {}
+        for (pi, labels), paths in layer.items():
+            merges = successors.get(labels)
+            if merges is None:
+                merges = successors[labels] = _merged_orbits(labels, transpositions)
+            inv = [0] * K
+            for i, v in enumerate(pi):
+                inv[v] = i
+            for (a, b), (merged, components) in zip(transpositions, merges):
+                if components - 1 > remaining:
+                    continue  # too few transpositions left to reach transitivity
+                p = list(pi)  # (a b) o pi
+                p[inv[a]], p[inv[b]] = b, a
+                key = (tuple(p), merged)
+                nxt[key] = nxt.get(key, 0) + paths
+        layer = nxt
+    return sum(
+        paths
+        for (pi, labels), paths in layer.items()
+        if max(labels) == 0 and cycle_type(pi) == mu
+    )
 
 
 def oracle_count(g: int, lam, mu) -> Fraction:

@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from doublehurwitz.cli import run
 from doublehurwitz.partitions import partitions_of, zee
 from doublehurwitz.series import Truncation, mono_from_vars, pvar
 from doublehurwitz.symgroup import (
+    CHARTABLE_VERSION,
     CharTable,
     central_weight,
     mn_character,
@@ -61,6 +64,84 @@ def test_char_table_cache_round_trip(tmp_path):
     again = CharTable.load_or_build(tmp_path, 4)
     assert again.values == table.values
     assert again.chi((2, 1, 1), (4,)) == mn_character((2, 1, 1), (4,))
+
+
+def _edit_cache(cache_dir, K, edit):
+    path = CharTable.cache_path(cache_dir, K)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _no_build(K):
+    raise AssertionError("a valid cached table was rebuilt")
+
+
+def test_char_table_valid_cache_is_not_rebuilt(tmp_path, monkeypatch):
+    CharTable.load_or_build(tmp_path, 5)
+    assert json.loads(CharTable.cache_path(tmp_path, 5).read_text())["version"] == CHARTABLE_VERSION
+    assert [p.name for p in tmp_path.iterdir()] == ["chartable_K5.json"]  # no temp file left
+    monkeypatch.setattr(CharTable, "build", staticmethod(_no_build))
+    assert CharTable.load_or_build(tmp_path, 5).chi((3, 2), (5,)) == mn_character((3, 2), (5,))
+
+
+def _perturb_entry(data):
+    # chi^(1^K)_(1^K): read unchecked at K = 3, it turns h_0((3), (1,1,1)) into 7/2
+    data["values"][0]["chi"] += 5
+
+
+def _drop_key(data):
+    del data["values"][-1]
+
+
+def _wrong_K(data):
+    data["K"] = 3
+
+
+def _stale_version(data):
+    del data["version"]
+
+
+def _flip_row(data):
+    for e in data["values"]:
+        if e["lam"] == [2, 1, 1]:
+            e["chi"] = -e["chi"]
+
+
+def _swap_rows(data):
+    # (3,1) and (2,1,1) share dimension 3 but not central weight; read
+    # unchecked, the swap turns h_0((4), (1,1,1,1)) into 5 instead of 4
+    swap = {(3, 1): [2, 1, 1], (2, 1, 1): [3, 1]}
+    for e in data["values"]:
+        e["lam"] = swap.get(tuple(e["lam"]), e["lam"])
+
+
+@pytest.mark.parametrize(
+    "edit", [_perturb_entry, _drop_key, _wrong_K, _stale_version, _flip_row, _swap_rows]
+)
+def test_char_table_bad_cache_is_rebuilt(tmp_path, edit):
+    good = CharTable.build(4)
+    good.save(tmp_path)
+    _edit_cache(tmp_path, 4, edit)
+    assert CharTable.load_valid(CharTable.cache_path(tmp_path, 4), 4) is None
+    assert CharTable.load_or_build(tmp_path, 4).values == good.values
+    # the bad file was overwritten with the rebuilt table
+    assert CharTable.load_valid(CharTable.cache_path(tmp_path, 4), 4).values == good.values
+
+
+def test_char_table_unreadable_cache_is_rebuilt(tmp_path):
+    CharTable.cache_path(tmp_path, 3).write_text("{not json")
+    assert CharTable.load_or_build(tmp_path, 3).values == CharTable.build(3).values
+
+
+def test_corrupt_cache_never_reaches_frobenius(tmp_path, capsys):
+    args = ["--cache-dir", str(tmp_path),
+            "compute-hurwitz", "--genus", "0", "--method", "frobenius", "--lambda", "3",
+            "--mu", "1,1,1"]
+    assert run(args) == 0
+    _edit_cache(tmp_path, 3, _perturb_entry)
+    assert run(args) == 0
+    assert capsys.readouterr().out == "1/1\n1/1\n"
 
 
 def test_schur_examples():

@@ -9,14 +9,17 @@ The closed form implemented by :func:`z_series` is
 where C is the falling-factorial binomial (so tops may be negative) and
 negative powers of K are exact rationals.  Every generating function produced
 by the recursion engines is a polynomial in these series; :class:`ZPoly` is
-that polynomial ring with formal generators indexed by (d, r).
+that polynomial ring with formal generators indexed by (d, r), its rational
+coefficients stored exactly as int numerators over one common denominator in
+lowest terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
+from types import MappingProxyType
 from typing import Iterator, Optional
 
 from .partitions import (
@@ -81,24 +84,58 @@ def _as_coeff(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _poly(nums: dict, den: int) -> "ZPoly":
+    """Wrap nonzero int numerators over a positive den, already in lowest terms."""
+    poly = object.__new__(ZPoly)
+    poly.nums = nums
+    poly.den = den
+    return poly
+
+
+def _reduced(nums: dict, den: int) -> "ZPoly":
+    """The ZPoly nums / den (nonzero int numerators, den > 0) in lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {key: n // g for key, n in nums.items()}
+    return _poly(nums, den)
+
+
 class ZPoly:
     """Polynomial with rational coefficients in the generators z_{d,r}.
 
     Keys are sorted tuples of (d, r) pairs (monomials in the generators);
-    the empty tuple is the constant monomial.  Structural equality is exact
-    form equality; since the z-series satisfy polynomial relations, use
-    :func:`zpoly_eval` to decide mathematical equality of values.
+    the empty tuple is the constant monomial.  The coefficients are int
+    numerators over one common denominator: ``nums`` maps each key to a
+    nonzero int, and ``den`` is a positive int with
+    gcd(den, *nums.values()) == 1, so the zero polynomial has den 1.  This
+    lowest-terms form is unique, so a sum or product costs int arithmetic
+    plus one gcd over its result, and structural equality (exact form
+    equality) is equality of (nums, den).  ``terms`` is a read-only view of
+    the coefficients as Fractions.  Since the z-series satisfy polynomial
+    relations, use :func:`zpoly_eval` to decide mathematical equality of
+    values.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms: Optional[dict] = None):
-        self.terms = {}
+        coeffs = {}
         if terms:
             for key, coeff in terms.items():
                 c = _as_coeff(coeff)
                 if c != 0:
-                    self.terms[tuple(sorted(tuple(g) for g in key))] = c
+                    coeffs[tuple(sorted(tuple(g) for g in key))] = c
+        # over the lcm of reduced denominators the numerators are coprime to it
+        self.den = lcm(*(c.denominator for c in coeffs.values()))
+        self.nums = {key: c.numerator * (self.den // c.denominator) for key, c in coeffs.items()}
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """The coefficients as Fractions, keyed by monomial."""
+        den = self.den
+        return MappingProxyType({key: Fraction(n, den) for key, n in self.nums.items()})
 
     @staticmethod
     def zero() -> "ZPoly":
@@ -119,45 +156,51 @@ class ZPoly:
         return ZPoly({((d, r),): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ZPoly):
-            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.terms
-            return self.terms == {(): _as_coeff(other)}
+            other = ZPoly.constant(other)
+        if isinstance(other, ZPoly):
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        # a constant hashes as its value, since it compares equal to it
+        if not self.nums.keys() - {()}:
+            return hash(Fraction(self.nums.get((), 0), self.den))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __add__(self, other) -> "ZPoly":
         if isinstance(other, (int, Fraction)):
             other = ZPoly.constant(other)
         if not isinstance(other, ZPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            c = out.get(key, 0) + coeff
-            if c == 0:
-                out.pop(key, None)
-            else:
-                out[key] = c
-        result = ZPoly()
-        result.terms = out
-        return result
+        den = self.den
+        if den == other.den:
+            out = dict(self.nums)
+            get = out.get
+            for key, n in other.nums.items():
+                out[key] = get(key, 0) + n
+        else:
+            g = gcd(den, other.den)
+            scale_self, scale_other = other.den // g, den // g
+            out = {key: n * scale_self for key, n in self.nums.items()}
+            get = out.get
+            for key, n in other.nums.items():
+                out[key] = get(key, 0) + n * scale_other
+            den *= scale_self
+        if 0 in out.values():
+            out = {key: c for key, c in out.items() if c}
+        return _reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ZPoly":
-        result = ZPoly()
-        result.terms = {k: -c for k, c in self.terms.items()}
-        return result
+        return _poly({k: -n for k, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "ZPoly":
         return self + (-other if isinstance(other, ZPoly) else ZPoly.constant(-other))
@@ -166,25 +209,34 @@ class ZPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "ZPoly":
-        if isinstance(other, (int, Fraction)):
-            result = ZPoly()
-            if other != 0:
-                result.terms = {k: c * other for k, c in self.terms.items()}
-            return result
-        if not isinstance(other, ZPoly):
+        if isinstance(other, ZPoly):
+            out: dict = {}
+            get = out.get
+            for k1, c1 in self.nums.items():
+                for k2, c2 in other.nums.items():
+                    key = tuple(sorted(k1 + k2))
+                    out[key] = get(key, 0) + c1 * c2
+            if 0 in out.values():
+                out = {key: c for key, c in out.items() if c}
+            return _reduced(out, self.den * other.den)
+        if isinstance(other, int):
+            num, den = other, 1
+        elif isinstance(other, Fraction):
+            num, den = other.numerator, other.denominator
+        else:
             return NotImplemented
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                c = out.get(key, 0) + c1 * c2
-                if c == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = c
-        result = ZPoly()
-        result.terms = out
-        return result
+        if not num:
+            return ZPoly()
+        # num/den is in lowest terms and so is self, so cancelling num against
+        # self.den and den against the numerators' content leaves lowest terms
+        g = gcd(num, self.den)
+        h = gcd(den, *self.nums.values()) if den != 1 else 1
+        num //= g
+        if h == 1:
+            nums = {key: n * num for key, n in self.nums.items()}
+        else:
+            nums = {key: n // h * num for key, n in self.nums.items()}
+        return _poly(nums, self.den // g * (den // h))
 
     __rmul__ = __mul__
 
@@ -198,19 +250,20 @@ class ZPoly:
 
     def gen_degree(self) -> int:
         """Largest total degree, grading each z_{d,r} by d + r - 1."""
-        if not self.terms:
+        if not self.nums:
             return 0
-        return max(sum(d + r - 1 for d, r in key) for key in self.terms)
+        return max(sum(d + r - 1 for d, r in key) for key in self.nums)
 
     def __repr__(self) -> str:
         return f"ZPoly({self.pretty()})"
 
     def pretty(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         chunks = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
+        for key in sorted(terms):
+            coeff = terms[key]
             if not key:
                 chunks.append(str(coeff))
                 continue
@@ -233,20 +286,41 @@ class ZPoly:
     # -- JSON ----------------------------------------------------------------
 
     def to_json_list(self) -> list:
+        """One {"gens": [[d, r], ...], "coeff": "num/den"} per term, sorted by
+        key, each coefficient in lowest terms."""
         out = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            out.append({"gens": [list(g) for g in key], "coeff": f"{c.numerator}/{c.denominator}"})
+        for key in sorted(self.nums):
+            n = self.nums[key]
+            g = gcd(n, self.den)
+            out.append({"gens": [list(gen) for gen in key], "coeff": f"{n // g}/{self.den // g}"})
         return out
 
     @staticmethod
     def from_json_list(data) -> "ZPoly":
-        terms = {}
+        """Inverse of :meth:`to_json_list`.  A later entry for the same key
+        replaces an earlier one.  An entry whose generators are not pairs of
+        ints, or whose coefficient is not "num" or "num/den" with ints and
+        den > 0, raises ValueError naming the entry."""
+        pairs = {}
         for entry in data:
-            key = tuple(sorted(tuple(g) for g in entry["gens"]))
-            num, _, den = entry["coeff"].partition("/")
-            terms[key] = Fraction(int(num), int(den) if den else 1)
-        return ZPoly(terms)
+            try:
+                key = tuple(sorted(_json_gen(g) for g in entry["gens"]))
+                num, _, den = entry["coeff"].partition("/")
+                num, den = int(num), int(den) if den else 1
+            except (AttributeError, KeyError, TypeError, ValueError):
+                raise ValueError(f"malformed polynomial entry {entry!r}") from None
+            if den <= 0:
+                raise ValueError(f"polynomial entry {entry!r} needs a positive denominator")
+            pairs[key] = (num, den)
+        den = lcm(*(d for _, d in pairs.values()))
+        return _reduced({key: n * (den // d) for key, (n, d) in pairs.items() if n}, den)
+
+
+def _json_gen(g) -> ZGen:
+    d, r = g
+    if type(d) is not int or type(r) is not int:
+        raise TypeError("generator indices must be ints")
+    return (d, r)
 
 
 def zpoly_eval(poly: ZPoly, q_weight_bound: int, n_bound: Optional[int] = None) -> GradedSeries:

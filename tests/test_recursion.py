@@ -23,6 +23,7 @@ from doublehurwitz.recursion import (
     string_identity_sides,
 )
 from doublehurwitz.zseries import ZPoly, zpoly_eval
+from test_zseries import _FractionZPoly
 
 
 def test_make_xkey_canonical():
@@ -130,6 +131,40 @@ def test_xtable_version_stamp_rejected(tmp_path):
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError):
         XTable.load(path)
+
+
+@pytest.mark.parametrize("coeff", ["1/0", "1/-2", "one/2"])
+def test_xtable_malformed_coefficient_rejected(tmp_path, coeff):
+    table = populate_table(2, 1, 0)
+    path = table.save(tmp_path / "cache.json")
+    blob = json.loads(path.read_text())
+    blob["entries"][-1]["poly"][0]["coeff"] = coeff
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=coeff):
+        XTable.load(path)
+
+
+def _h_poly_on_fraction_reference(monkeypatch, lams):
+    """h_poly for each lam with the recursion running on the Fraction-valued
+    reference ring instead of ZPoly, one table for all."""
+    with monkeypatch.context() as patch:
+        patch.setattr(recursion, "ZPoly", _FractionZPoly)
+        table = XTable()
+        return {lam: h_poly(lam, table) for lam in lams}
+
+
+@pytest.mark.parametrize("lam", [(16,), (2, 2, 2, 2, 2, 2), (4, 3, 3, 2)])
+def test_h_poly_matches_fraction_reference(monkeypatch, lam):
+    reference = _h_poly_on_fraction_reference(monkeypatch, [lam])[lam]
+    assert isinstance(reference, _FractionZPoly)
+    assert h_poly(lam).terms == reference.terms
+
+
+def test_golden_polynomials_match_fraction_reference(monkeypatch):
+    reference = _h_poly_on_fraction_reference(monkeypatch, list(GOLDEN_H_POLYS))
+    table = XTable()
+    for lam, expected in GOLDEN_H_POLYS.items():
+        assert h_poly(lam, table).terms == reference[lam].terms == expected.terms, lam
 
 
 def test_provenance_recorded():

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import gcd
+from typing import Optional
 
 import pytest
 
@@ -18,6 +20,181 @@ from doublehurwitz.zseries import (
     zpoly_weighted_euler,
     _series_weighted_euler,
 )
+
+
+def _as_coeff(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+class _FractionZPoly:
+    """Reference: the ZPoly ring with one Fraction per coefficient, kept as it
+    was before ZPoly moved to int numerators over one denominator.
+
+    Polynomial with rational coefficients in the generators z_{d,r}.
+
+    Keys are sorted tuples of (d, r) pairs (monomials in the generators);
+    the empty tuple is the constant monomial.  Structural equality is exact
+    form equality; since the z-series satisfy polynomial relations, use
+    :func:`zpoly_eval` to decide mathematical equality of values.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[dict] = None):
+        self.terms = {}
+        if terms:
+            for key, coeff in terms.items():
+                c = _as_coeff(coeff)
+                if c != 0:
+                    self.terms[tuple(sorted(tuple(g) for g in key))] = c
+
+    @staticmethod
+    def zero() -> "_FractionZPoly":
+        return _FractionZPoly()
+
+    @staticmethod
+    def one() -> "_FractionZPoly":
+        return _FractionZPoly({(): 1})
+
+    @staticmethod
+    def constant(c) -> "_FractionZPoly":
+        return _FractionZPoly({(): c})
+
+    @staticmethod
+    def gen(d: int, r: int) -> "_FractionZPoly":
+        if d < 0 or r < 1:
+            raise ValueError("generator needs d >= 0, r >= 1")
+        return _FractionZPoly({((d, r),): 1})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _FractionZPoly):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                return not self.terms
+            return self.terms == {(): _as_coeff(other)}
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.terms.items())))
+
+    def __add__(self, other) -> "_FractionZPoly":
+        if isinstance(other, (int, Fraction)):
+            other = _FractionZPoly.constant(other)
+        if not isinstance(other, _FractionZPoly):
+            return NotImplemented
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            c = out.get(key, 0) + coeff
+            if c == 0:
+                out.pop(key, None)
+            else:
+                out[key] = c
+        result = _FractionZPoly()
+        result.terms = out
+        return result
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_FractionZPoly":
+        result = _FractionZPoly()
+        result.terms = {k: -c for k, c in self.terms.items()}
+        return result
+
+    def __sub__(self, other) -> "_FractionZPoly":
+        return self + (-other if isinstance(other, _FractionZPoly) else _FractionZPoly.constant(-other))
+
+    def __rsub__(self, other) -> "_FractionZPoly":
+        return (-self) + other
+
+    def __mul__(self, other) -> "_FractionZPoly":
+        if isinstance(other, (int, Fraction)):
+            result = _FractionZPoly()
+            if other != 0:
+                result.terms = {k: c * other for k, c in self.terms.items()}
+            return result
+        if not isinstance(other, _FractionZPoly):
+            return NotImplemented
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = tuple(sorted(k1 + k2))
+                c = out.get(key, 0) + c1 * c2
+                if c == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = c
+        result = _FractionZPoly()
+        result.terms = out
+        return result
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "_FractionZPoly":
+        if n < 0:
+            raise ValueError("negative power")
+        result = _FractionZPoly.one()
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def gen_degree(self) -> int:
+        """Largest total degree, grading each z_{d,r} by d + r - 1."""
+        if not self.terms:
+            return 0
+        return max(sum(d + r - 1 for d, r in key) for key in self.terms)
+
+    def __repr__(self) -> str:
+        return f"_FractionZPoly({self.pretty()})"
+
+    def pretty(self) -> str:
+        if not self.terms:
+            return "0"
+        chunks = []
+        for key in sorted(self.terms):
+            coeff = self.terms[key]
+            if not key:
+                chunks.append(str(coeff))
+                continue
+            gens: dict = {}
+            for g in key:
+                gens[g] = gens.get(g, 0) + 1
+            body = "*".join(
+                f"z_{{{d},{r}}}" + (f"^{e}" if e > 1 else "")
+                for (d, r), e in sorted(gens.items())
+            )
+            if coeff == 1:
+                chunks.append(body)
+            elif coeff == -1:
+                chunks.append(f"-{body}")
+            else:
+                cs = str(coeff) if coeff.denominator == 1 else f"({coeff})"
+                chunks.append(f"{cs}*{body}")
+        return " + ".join(chunks).replace("+ -", "- ")
+
+    # -- JSON ----------------------------------------------------------------
+
+    def to_json_list(self) -> list:
+        out = []
+        for key in sorted(self.terms):
+            c = self.terms[key]
+            out.append({"gens": [list(g) for g in key], "coeff": f"{c.numerator}/{c.denominator}"})
+        return out
+
+    @staticmethod
+    def from_json_list(data) -> "_FractionZPoly":
+        terms = {}
+        for entry in data:
+            key = tuple(sorted(tuple(g) for g in entry["gens"]))
+            num, _, den = entry["coeff"].partition("/")
+            terms[key] = Fraction(int(num), int(den) if den else 1)
+        return _FractionZPoly(terms)
 
 
 def Qm(*pairs):
@@ -73,21 +250,147 @@ def test_zpoly_eval_examples():
     assert square.coefficient(Qm((1, 2))) == 1  # (q_1-coefficient of z_{0,1})^2
 
 
+def _random_terms(rng):
+    gens = [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2)]
+    return [
+        (tuple(sorted(rng.sample(gens, rng.randint(0, 2)))), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 4))
+    ]
+
+
+def _build(cls, terms):
+    p = cls.zero()
+    for key, coeff in terms:
+        p = p + cls({key: coeff})
+    return p
+
+
 def test_zpoly_eval_is_ring_homomorphism():
     rng = random.Random(11)
-    gens = [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2)]
-
-    def rand_poly():
-        p = ZPoly.zero()
-        for _ in range(rng.randint(1, 4)):
-            key = tuple(sorted(rng.sample(gens, rng.randint(0, 2))))
-            p = p + ZPoly({key: Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
-        return p
-
     for _ in range(12):
-        a, b = rand_poly(), rand_poly()
+        ta, tb = _random_terms(rng), _random_terms(rng)
+        a, b = _build(ZPoly, ta), _build(ZPoly, tb)
         assert zpoly_eval(a * b, 6) == zpoly_eval(a, 6) * zpoly_eval(b, 6)
         assert zpoly_eval(a + b, 6) == zpoly_eval(a, 6) + zpoly_eval(b, 6)
+        fa, fb = _build(_FractionZPoly, ta), _build(_FractionZPoly, tb)
+        assert (a * b).terms == (fa * fb).terms
+        assert (a + b).terms == (fa + fb).terms
+
+
+def _ring_results(a, b, c):
+    """Every operation of the ring on a, b and a scalar c, by name."""
+    return {
+        "a+b": a + b,
+        "a-b": a - b,
+        "a*b": a * b,
+        "b*a": b * a,
+        "a*c": a * c,
+        "c*a": c * a,
+        "a*3": a * 3,
+        "a*0": a * 0,
+        "a+c": a + c,
+        "c-a": c - a,
+        "-a": -a,
+        "a**3": a**3,
+        "a-a": a - a,
+    }
+
+
+def _random_ring_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        ta, tb = _random_terms(rng), _random_terms(rng)
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 8))
+        yield ta, tb, c
+
+
+def test_int_zpoly_matches_fraction_reference():
+    for ta, tb, c in _random_ring_cases(23, 60):
+        got = _ring_results(_build(ZPoly, ta), _build(ZPoly, tb), c)
+        want = _ring_results(_build(_FractionZPoly, ta), _build(_FractionZPoly, tb), c)
+        for name in want:
+            assert got[name].terms == want[name].terms, (name, ta, tb, c)
+            assert got[name].pretty() == want[name].pretty(), name
+            assert got[name].to_json_list() == want[name].to_json_list(), name
+
+
+def _assert_lowest_terms(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n != 0 for n in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+
+
+def test_zpoly_results_are_in_lowest_terms():
+    for ta, tb, c in _random_ring_cases(29, 60):
+        a, b = _build(ZPoly, ta), _build(ZPoly, tb)
+        _assert_lowest_terms(a)
+        for name, p in _ring_results(a, b, c).items():
+            _assert_lowest_terms(p)
+            _assert_lowest_terms(ZPoly.from_json_list(p.to_json_list()))
+    assert ZPoly.zero().den == 1 and (ZPoly.gen(0, 1) * Fraction(1, 3) * 0).den == 1
+    unreduced = [{"gens": [[0, 1]], "coeff": "2/4"}, {"gens": [], "coeff": "6/4"}, {"gens": [[1, 1]], "coeff": "0/5"}]
+    p = ZPoly.from_json_list(unreduced)
+    _assert_lowest_terms(p)
+    assert p == ZPoly({((0, 1),): Fraction(1, 2), (): Fraction(3, 2)})
+
+
+def test_equal_values_built_differently_are_equal_with_equal_hashes():
+    p = ZPoly.gen(0, 1) * ZPoly.gen(1, 2) * 3 - ZPoly.constant(Fraction(5, 2)) + ZPoly.gen(2, 1)
+    q = ZPoly.gen(1, 1) * Fraction(7, 4)
+    built = [
+        (p * Fraction(1, 6)) * 6,
+        p * Fraction(2, 3) * Fraction(3, 2),
+        (p + q) - q,
+        q + p - q,
+        ZPoly.from_json_list(p.to_json_list()),
+        ZPoly(dict(p.terms)),
+        -(-p),
+    ]
+    for other in built:
+        assert other == p
+        assert hash(other) == hash(p)
+        assert (other.nums, other.den) == (p.nums, p.den)
+
+
+def test_constant_zpoly_hashes_as_its_value():
+    assert ZPoly() == 0 and hash(ZPoly()) == hash(0)
+    assert ZPoly.constant(3) == 3 and hash(ZPoly.constant(3)) == hash(3)
+    half = Fraction(-5, 2)
+    assert ZPoly.constant(half) == half and hash(ZPoly.constant(half)) == hash(half)
+    assert hash(ZPoly.gen(0, 1) - ZPoly.gen(0, 1)) == hash(0)
+    assert {3: "three", 0: "zero"}[ZPoly.constant(3)] == "three"
+    assert {0: "zero"}[ZPoly.gen(1, 1) * 0] == "zero"
+    assert len({ZPoly.constant(half), half, Fraction(-10, 4)}) == 1
+
+
+def test_terms_is_a_read_only_fraction_view():
+    p = ZPoly.gen(0, 1) * Fraction(3, 2) + 1
+    assert p.terms == {((0, 1),): Fraction(3, 2), (): Fraction(1)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    with pytest.raises(TypeError):
+        p.terms[()] = Fraction(2)
+    with pytest.raises(AttributeError):
+        p.terms = {}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"gens": [[0, 1]], "coeff": "1/0"},
+        {"gens": [[0, 1]], "coeff": "1/-2"},
+        {"gens": [[0, 1]], "coeff": "1.5"},
+        {"gens": [[0, 1]], "coeff": "x/3"},
+        {"gens": [[0, 1]], "coeff": 3},
+        {"gens": [[0, "1"]], "coeff": "1/1"},
+        {"gens": [[0, 1, 2]], "coeff": "1/1"},
+        {"gens": [[0, 1]]},
+    ],
+)
+def test_from_json_list_rejects_malformed_entries(entry):
+    good = {"gens": [[1, 1]], "coeff": "1/2"}
+    with pytest.raises(ValueError, match="entry") as excinfo:
+        ZPoly.from_json_list([good, entry])
+    assert repr(entry) in str(excinfo.value)
 
 
 def test_zpoly_json_round_trip():

@@ -4,8 +4,8 @@ Subcommands: compute-hurwitz, h-series, h-poly, x-table, z-series, kp-check,
 verify, oracle.  All numeric output is exact ("num/den" rationals, never
 floats) and byte-identical across runs with the same flags and cache state.
 
-Exit status: 0 success, 1 verification failure, 2 usage error, 3 resource
-budget exceeded.
+Exit status: 0 success, 1 verification failure, 2 usage error (including a
+cache or output path that cannot be used), 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def run(argv, out=None, err=None) -> int:
     except ResourceBudgetError as exc:
         err.write(f"resource-budget: {exc}\n")
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a path that cannot be used
         err.write(f"error: {exc}\n")
         return 2
 

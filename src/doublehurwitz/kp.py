@@ -36,12 +36,10 @@ from .series import (
 )
 
 
-def scaled_schur(k: int, trunc: Truncation = None) -> GradedSeries:
+def scaled_schur(k: int, trunc: Truncation) -> GradedSeries:
     """s~_k: sum over partitions mu of k of (-1)^len(mu) psi^{-len(mu)} t_mu / |Aut mu|."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if trunc is None:
-        trunc = Truncation(s_weight=k)
     terms: dict = {}
     if k == 0:
         return GradedSeries.one(trunc)

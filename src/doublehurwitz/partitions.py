@@ -26,10 +26,6 @@ def check_partition(parts) -> Partition:
     return lam
 
 
-def weight(lam: Partition) -> int:
-    return sum(lam)
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int, max_part: Optional[int] = None) -> tuple:
     """All partitions of n, in reverse-lexicographic order.
@@ -137,9 +133,3 @@ def fraction_to_str(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
-
-def fraction_from_str(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    if den == "":
-        den = "1"
-    return Fraction(int(num), int(den))

@@ -85,9 +85,6 @@ class XTable:
         # type tuple; derived from entries, so never counted or persisted
         self.block_memo: dict = {}
 
-    def __contains__(self, key) -> bool:
-        return key in self.entries
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -275,6 +272,8 @@ def h_poly(lam, table: Optional[XTable] = None) -> ZPoly:
 def keys_up_to(max_lam_weight: int, max_r: int, max_nu_weight: int) -> list:
     """All canonical keys with sum(lam) <= max_lam_weight, r <= max_r,
     sum(nu) <= max_nu_weight, in deterministic order."""
+    if max_r < 1 or max_lam_weight < 0 or max_nu_weight < 0:
+        raise ValueError("need max_r >= 1 and nonnegative lambda and nu weights")
     pairs = [
         (a, b)
         for a in range(max_lam_weight + 1)
@@ -348,15 +347,17 @@ def dilaton_identity_sides(rest: XKey, table: Optional[XTable] = None):
     return lhs, rhs
 
 
-def check_string_dilaton(
-    max_lam_weight: int = 3,
-    max_nu_weight: int = 2,
-    max_r: int = 3,
-    eval_q_weight: int = 8,
-    table: Optional[XTable] = None,
-):
-    """Verify both identities on every key in range; equality is decided by
-    evaluating the polynomials as q-series at eval_q_weight.
+# Key ranges of check_string_dilaton, and the q-weight of its comparison.
+STRING_DILATON_MAX_LAM_WEIGHT = 3
+STRING_DILATON_MAX_NU_WEIGHT = 2
+STRING_DILATON_MAX_R = 3
+STRING_DILATON_EVAL_Q_WEIGHT = 8
+
+
+def check_string_dilaton(table: Optional[XTable] = None):
+    """Verify both identities on every key in the STRING_DILATON_* ranges;
+    equality is decided by evaluating the polynomials as q-series at
+    STRING_DILATON_EVAL_Q_WEIGHT.
 
     Returns (ok, failures) with one entry per violated identity."""
     from .zseries import zpoly_eval
@@ -364,7 +365,10 @@ def check_string_dilaton(
     if table is None:
         table = XTable()
     failures = []
-    for rest in keys_up_to(max_lam_weight, max_r, max_nu_weight):
+    keys = keys_up_to(
+        STRING_DILATON_MAX_LAM_WEIGHT, STRING_DILATON_MAX_R, STRING_DILATON_MAX_NU_WEIGHT
+    )
+    for rest in keys:
         for name, sides in (
             ("string", string_identity_sides),
             ("dilaton", dilaton_identity_sides),
@@ -372,6 +376,6 @@ def check_string_dilaton(
             lhs, rhs = sides(rest, table)
             if lhs == rhs:
                 continue
-            if not zpoly_eval(lhs - rhs, eval_q_weight).is_zero():
+            if not zpoly_eval(lhs - rhs, STRING_DILATON_EVAL_Q_WEIGHT).is_zero():
                 failures.append((name, rest))
     return not failures, failures

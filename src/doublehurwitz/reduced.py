@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from .partitions import aut_order, check_partition, compositions, multinomial
+from .partitions import check_partition, compositions, multinomial
 from .recursion import initial_x, make_xkey
 from .zseries import ZPoly
 
@@ -108,31 +108,6 @@ class ReducedRecursion:
                 total = total + inner * weight
         return total
 
-    # -- series-coefficient views -------------------------------------------
-
-    def derivative_coefficient(self, s: int, m: int, lam, nu) -> ZPoly:
-        """Coefficient of p_lam t_nu in Xbar_{s,m} (as a polynomial in the
-        generators): the key value divided by |Aut lam| |Aut nu|."""
-        lam = check_partition(lam)
-        nu = tuple(sorted((int(v) for v in nu), reverse=True))
-        pairs = [(s, m)] + [(i, 0) for i in lam] + [(0, j) for j in nu]
-        value = self.x_value(make_xkey(pairs))
-        return value * Fraction(1, aut_order(lam) * aut_order(nu))
-
-    def xbar_coefficient(self, lam, nu) -> ZPoly:
-        """Coefficient of p_lam t_nu in Xbar itself (lam and nu not both empty).
-
-        Read through the p-window when lam is nonempty, else through the
-        t-expansion; both windows agree, which the test suite verifies.
-        """
-        lam = check_partition(lam)
-        nu = tuple(sorted((int(v) for v in nu), reverse=True))
-        if not lam and not nu:
-            return ZPoly.zero()  # the potential has no constant term
-        pairs = [(i, 0) for i in lam] + [(0, j) for j in nu]
-        value = self.x_value(make_xkey(pairs))
-        return value * Fraction(1, aut_order(lam) * aut_order(nu))
-
     def h_poly(self, lam) -> ZPoly:
         """h_lam through the reduced chain (all-zero psi-exponents)."""
         lam = check_partition(lam)
@@ -140,11 +115,3 @@ class ReducedRecursion:
             raise ValueError("lam must be nonempty")
         return self.x_value(make_xkey((i, 0) for i in lam))
 
-
-def reduced_initial_coefficient(nu) -> ZPoly:
-    """Coefficient of t_nu in Xbar at p = 0, from the closed-form initial data:
-    multinomial(|nu|; nu) z_{|nu|, r} / |Aut nu|."""
-    nu = tuple(sorted((int(v) for v in nu), reverse=True))
-    if not nu:
-        return ZPoly.zero()
-    return initial_x(nu) * Fraction(1, aut_order(nu))

@@ -16,15 +16,15 @@ xi          xi             ('xi',)                 degree counter
 
 A monomial is a tuple of (variable, exponent) pairs sorted by variable;
 exponents are nonzero, and only psi may carry negative exponents.  A
-:class:`Truncation` fixes optional upper bounds per alphabet; a series stores
+:class:`Truncation` fixes optional upper bounds on the q, p, t, beta and s
+weights (psi and xi are never bounded); a series stores
 only monomials within its truncation and all its coefficients are exact up to
 those bounds.  Series are immutable values: every operation returns a new
 series and two series are equal iff they have the same truncation and terms.
 
-Coefficients are ``fractions.Fraction`` by default, but any exact commutative
-ring whose elements support ``+``, ``-``, ``*``, comparison with 0 and ``bool``
-(false exactly at zero) works (polynomial-valued series are used by the
-recursion engines).
+Coefficients are ``fractions.Fraction``s.  The one exception is inside
+:func:`.cutjoin.evolve`, whose series hold int numerators over one common
+denominator until its result is built.
 """
 
 from __future__ import annotations
@@ -184,22 +184,13 @@ class Truncation:
     t_weight: Optional[int] = None
     beta_deg: Optional[int] = None
     s_weight: Optional[int] = None
-    psi_deg: Optional[int] = None
-    xi_deg: Optional[int] = None
 
     def bounds(self) -> tuple:
-        return (
-            self.q_weight,
-            self.p_weight,
-            self.t_weight,
-            self.beta_deg,
-            self.s_weight,
-            self.psi_deg,
-            self.xi_deg,
-        )
+        """The bounds in weight-vector order; psi and xi are never bounded."""
+        return (self.q_weight, self.p_weight, self.t_weight, self.beta_deg, self.s_weight)
 
     def admits_weights(self, w: tuple) -> bool:
-        for bound, x in zip(self.bounds(), w):
+        for bound, x in zip(self.bounds(), w):  # w's psi and xi entries go unread
             if bound is not None and x > bound:
                 return False
         return True
@@ -208,7 +199,7 @@ class Truncation:
         return self.admits_weights(mono_weights(mono))
 
     def to_json_dict(self) -> dict:
-        names = ("q_weight", "p_weight", "t_weight", "beta_deg", "s_weight", "psi_deg", "xi_deg")
+        names = ("q_weight", "p_weight", "t_weight", "beta_deg", "s_weight")
         return {n: b for n, b in zip(names, self.bounds()) if b is not None}
 
     @staticmethod
@@ -251,8 +242,8 @@ class GradedSeries:
         return GradedSeries(trunc, {(): Fraction(1)})
 
     @staticmethod
-    def var(trunc: Truncation, v: tuple, exp: int = 1, coeff=Fraction(1)) -> "GradedSeries":
-        return GradedSeries(trunc, {mono_from_vars([(v, exp)]): coeff})
+    def var(trunc: Truncation, v: tuple, exp: int = 1) -> "GradedSeries":
+        return GradedSeries(trunc, {mono_from_vars([(v, exp)]): Fraction(1)})
 
     # -- queries ------------------------------------------------------------
 
@@ -292,17 +283,11 @@ class GradedSeries:
     def __repr__(self) -> str:
         return f"GradedSeries({len(self._terms)} terms, {self.truncation})"
 
-    def pretty(self, max_terms: Optional[int] = None) -> str:
+    def pretty(self) -> str:
         items = self.terms()
         if not items:
             return "0"
-        chunks = []
-        for mono, coeff in items[: max_terms if max_terms else len(items)]:
-            c = f"({coeff})" if not isinstance(coeff, (int, Fraction)) else str(coeff)
-            chunks.append(c if not mono else f"{c}*{mono_str(mono)}")
-        if max_terms and len(items) > max_terms:
-            chunks.append("...")
-        return " + ".join(chunks)
+        return " + ".join(str(c) if not m else f"{c}*{mono_str(m)}" for m, c in items)
 
     # -- ring operations ----------------------------------------------------
 
@@ -343,14 +328,14 @@ class GradedSeries:
             return self.scalar_mul(other)
         return NotImplemented
 
-    def mul_monomial(self, mono: tuple, coeff=Fraction(1)) -> "GradedSeries":
-        """Multiply by coeff * mono, dropping terms pushed past the truncation."""
+    def mul_monomial(self, mono: tuple) -> "GradedSeries":
+        """Multiply by mono, dropping terms pushed past the truncation."""
         trunc = self.truncation
         out: dict = {}
         for m, c in self._terms.items():
             mm = mono_mul(m, mono)
             if trunc.admits(mm):
-                out[mm] = out.get(mm, 0) + c * coeff
+                out[mm] = c  # m -> m * mono is injective
         return GradedSeries.from_terms(trunc, out)
 
     def diff(self, var: tuple) -> "GradedSeries":
@@ -434,7 +419,7 @@ class GradedSeries:
         comps: dict = {}
         for key, bucket in buckets.items():
             mono = max(bucket)[0]  # () sorts first
-            if mono and (sum(key) <= 0 or min(key) < 0):
+            if mono and sum(key) <= 0:
                 raise ValueError(f"exp/log diverges: {mono_str(mono)} has no positive grade")
             comps.setdefault(sum(key), {})[key] = bucket
         return sum(caps), caps, comps
@@ -463,11 +448,7 @@ class GradedSeries:
         derivation gives n E_n = sum_{k=1..n} k S_k E_{n-k}, so each step
         multiplies small homogeneous pieces, never the whole series.
 
-        A non-constant monomial of grade <= 0, or with a negative exponent on
-        a bounded alphabet (psi), raises ValueError.  The second case is
-        stricter than sum S^j/j! needs, but there the truncation is not
-        closed under products, so no order-free answer exists; no caller
-        builds such a series.
+        A non-constant monomial of grade <= 0 raises ValueError.
         """
         if self.constant_term() != 0:
             raise ValueError("series_exp requires zero constant term")

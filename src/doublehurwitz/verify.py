@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Optional
 
 from .cutjoin import (
     cut_join_apply,
@@ -33,6 +32,9 @@ from .kp import homogeneous_part, kp_residual, r_series
 from .oracle import oracle_count, oracle_count_calibrated
 from .partitions import aut_order, partitions_of
 from .recursion import (
+    STRING_DILATON_MAX_LAM_WEIGHT,
+    STRING_DILATON_MAX_NU_WEIGHT,
+    STRING_DILATON_MAX_R,
     XTable,
     check_string_dilaton,
     compute_x,
@@ -88,9 +90,28 @@ class SuiteReport:
 
 
 # ---------------------------------------------------------------------------
+# Suite ranges.  run_suite calls every suite without arguments, so these are
+# the one place to widen a check; string-dilaton's live in .recursion.  Each
+# *_Q_WEIGHT is the q-weight up to which two sides are compared as q-series.
+
+PAPER_EVAL_Q_WEIGHT = 10
+TRIPLE_MAX_K = 4  # degree of the oracle comparison
+TRIPLE_MAX_M = 4  # branch points of the oracle comparison
+PSI_MAX_A = 3  # Psi_{a,ell} for a <= PSI_MAX_A, 1 <= ell <= PSI_MAX_ELL
+PSI_MAX_ELL = 4
+EQZRED_MAX_D = 3  # z_{d,r} for d <= EQZRED_MAX_D, 1 <= r <= EQZRED_MAX_R
+EQZRED_MAX_R = 3
+EQZRED_Q_WEIGHT = 8
+PIVOT_MAX_LAM_WEIGHT = 5  # keys_up_to(PIVOT_MAX_LAM_WEIGHT, PIVOT_MAX_R, PIVOT_MAX_NU_WEIGHT)
+PIVOT_MAX_R = 3
+PIVOT_MAX_NU_WEIGHT = 2
+PIVOT_EVAL_Q_WEIGHT = 10
+BRIDGE_MAX_WEIGHT = 6  # h_lam for |lam| <= BRIDGE_MAX_WEIGHT, len(lam) <= BRIDGE_MAX_LEN
+BRIDGE_MAX_LEN = 3
+BRIDGE_Q_WEIGHT = 8
 
 
-def suite_paper_examples(eval_q_weight: int = 10) -> SuiteReport:
+def suite_paper_examples() -> SuiteReport:
     """The seven golden h-polynomials, plus the 1/k special-degree values."""
     report = SuiteReport("paper-examples")
     table = XTable()
@@ -98,7 +119,7 @@ def suite_paper_examples(eval_q_weight: int = 10) -> SuiteReport:
         computed = h_poly(lam, table)
         expected = GOLDEN_H_POLYS[lam]
         exact = computed == expected
-        series_match = zpoly_values_equal(computed, expected, eval_q_weight)
+        series_match = zpoly_values_equal(computed, expected, PAPER_EVAL_Q_WEIGHT)
         detail = "exact polynomial match" if exact else (
             "forms differ but q-series agree" if series_match else
             f"MISMATCH: computed {computed.pretty()} vs expected {expected.pretty()}"
@@ -116,7 +137,7 @@ def suite_paper_examples(eval_q_weight: int = 10) -> SuiteReport:
     return report
 
 
-def suite_triple_agreement(max_K: int = 4, max_m: int = 4) -> SuiteReport:
+def suite_triple_agreement() -> SuiteReport:
     """Calibrated oracle vs generating-function coefficients, the sentinel,
     the two-formula identity, and the eigenbasis property."""
     report = SuiteReport("triple-agreement")
@@ -129,13 +150,13 @@ def suite_triple_agreement(max_K: int = 4, max_m: int = 4) -> SuiteReport:
         f"literal={sentinel_lit}, calibrated={sentinel_cal}",
     )
 
-    H = evolve(max_K, max_m).H
+    H = evolve(TRIPLE_MAX_K, TRIPLE_MAX_M).H
     mismatches = []
     checked = 0
-    for K in range(1, max_K + 1):
+    for K in range(1, TRIPLE_MAX_K + 1):
         for lam in partitions_of(K):
             for mu in partitions_of(K):
-                for m in range(0, max_m + 1):
+                for m in range(0, TRIPLE_MAX_M + 1):
                     two_g = m - len(lam) - len(mu) + 2
                     if two_g < 0 or two_g % 2:
                         continue
@@ -151,7 +172,7 @@ def suite_triple_agreement(max_K: int = 4, max_m: int = 4) -> SuiteReport:
                     if lhs != rhs:
                         mismatches.append((g, lam, mu, lhs, rhs))
     report.add(
-        f"H-coefficients match calibrated oracle (K<={max_K}, m<={max_m})",
+        f"H-coefficients match calibrated oracle (K<={TRIPLE_MAX_K}, m<={TRIPLE_MAX_M})",
         not mismatches,
         f"{checked} coefficients checked" if not mismatches else f"mismatches: {mismatches}",
     )
@@ -174,13 +195,14 @@ def suite_triple_agreement(max_K: int = 4, max_m: int = 4) -> SuiteReport:
     return report
 
 
-def suite_string_dilaton(table: Optional[XTable] = None) -> SuiteReport:
+def suite_string_dilaton() -> SuiteReport:
     report = SuiteReport("string-dilaton")
-    ok, failures = check_string_dilaton(3, 2, 3, eval_q_weight=8, table=table or XTable())
+    ok, failures = check_string_dilaton()
     strings = [k for n, k in failures if n == "string"]
     dilatons = [k for n, k in failures if n == "dilaton"]
     report.add(
-        "string equation on keys (sum lam<=3, sum nu<=2, r<=3)",
+        f"string equation on keys (sum lam<={STRING_DILATON_MAX_LAM_WEIGHT}, "
+        f"sum nu<={STRING_DILATON_MAX_NU_WEIGHT}, r<={STRING_DILATON_MAX_R})",
         not strings,
         str(strings) if strings else "",
     )
@@ -188,20 +210,20 @@ def suite_string_dilaton(table: Optional[XTable] = None) -> SuiteReport:
     return report
 
 
-def suite_psi_string_dilaton(max_a: int = 3, max_ell: int = 4) -> SuiteReport:
+def suite_psi_string_dilaton() -> SuiteReport:
     report = SuiteReport("psi-string-dilaton")
-    for a in range(max_a + 1):
-        for ell in range(1, max_ell + 1):
+    for a in range(PSI_MAX_A + 1):
+        for ell in range(1, PSI_MAX_ELL + 1):
             ok, detail = check_psi_string_dilaton(a, ell, a + ell + 8)
             report.add(f"Psi_({a},{ell})", ok, detail)
     return report
 
 
-def suite_eqzred(max_d: int = 3, max_r: int = 3, q_weight: int = 8) -> SuiteReport:
+def suite_eqzred() -> SuiteReport:
     report = SuiteReport("eqzred")
-    for d in range(max_d + 1):
-        for r in range(1, max_r + 1):
-            ok, detail = check_eqzred(d, r, q_weight)
+    for d in range(EQZRED_MAX_D + 1):
+        for r in range(1, EQZRED_MAX_R + 1):
+            ok, detail = check_eqzred(d, r, EQZRED_Q_WEIGHT)
             report.add(f"z_({d},{r})", ok, detail)
     return report
 
@@ -240,13 +262,11 @@ def suite_kp() -> SuiteReport:
     return report
 
 
-def suite_pivot_independence(
-    max_lam_weight: int = 5, max_r: int = 3, max_nu_weight: int = 2, eval_q_weight: int = 10
-) -> SuiteReport:
+def suite_pivot_independence() -> SuiteReport:
     """Pivot freedom of the recursion and agreement with the reduced engine."""
     report = SuiteReport("pivot-independence")
     table = XTable()
-    keys = keys_up_to(max_lam_weight, max_r, max_nu_weight)
+    keys = keys_up_to(PIVOT_MAX_LAM_WEIGHT, PIVOT_MAX_R, PIVOT_MAX_NU_WEIGHT)
 
     pivot_bad = []
     for key in keys:
@@ -255,10 +275,10 @@ def suite_pivot_independence(
             if key[i][0] < 1 or key[i] == key[0]:
                 continue
             alt = compute_x(key, table, pivot_index=i)
-            if not zpoly_values_equal(alt, base, eval_q_weight):
+            if not zpoly_values_equal(alt, base, PIVOT_EVAL_Q_WEIGHT):
                 pivot_bad.append((key, key[i]))
     report.add(
-        f"pivot independence on {len(keys)} keys (sum lam<={max_lam_weight}, r<={max_r})",
+        f"pivot independence on {len(keys)} keys (sum lam<={PIVOT_MAX_LAM_WEIGHT}, r<={PIVOT_MAX_R})",
         not pivot_bad,
         str(pivot_bad) if pivot_bad else "",
     )
@@ -275,7 +295,7 @@ def suite_pivot_independence(
         red = reduced.x_value(key)
         if red == full:
             exact_matches += 1
-        if not zpoly_values_equal(red, full, eval_q_weight):
+        if not zpoly_values_equal(red, full, PIVOT_EVAL_Q_WEIGHT):
             red_bad.append(key)
     report.add(
         f"reduced-vs-full agreement on {compared} representable keys",
@@ -285,16 +305,16 @@ def suite_pivot_independence(
     return report
 
 
-def suite_bridge(max_weight: int = 6, max_len: int = 3, q_weight: int = 8) -> SuiteReport:
+def suite_bridge() -> SuiteReport:
     """Recursion values evaluated as q-series equal the classical computation."""
     report = SuiteReport("bridge")
     table = XTable()
-    for k in range(1, max_weight + 1):
+    for k in range(1, BRIDGE_MAX_WEIGHT + 1):
         for lam in partitions_of(k):
-            if len(lam) > max_len:
+            if len(lam) > BRIDGE_MAX_LEN:
                 continue
-            classical = h_lambda_series(lam, q_weight)
-            recursive = zpoly_eval(h_poly(lam, table), q_weight)
+            classical = h_lambda_series(lam, BRIDGE_Q_WEIGHT)
+            recursive = zpoly_eval(h_poly(lam, table), BRIDGE_Q_WEIGHT)
             ok = classical == recursive
             detail = ""
             if not ok:

@@ -49,6 +49,8 @@ def z_series(
     """
     if d < 0 or r < 1 or q_weight_bound < 1:
         raise ValueError("need d >= 0, r >= 1, q_weight_bound >= 1")
+    if n_bound is not None and n_bound < 1:
+        raise ValueError("need n_bound >= 1")
     terms: dict = {}
     for K in range(1, q_weight_bound + 1):
         for mu in partitions_of(K):
@@ -121,12 +123,12 @@ class ZPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, terms: Optional[dict] = None):
-        coeffs = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = _as_coeff(coeff)
-                if c != 0:
-                    coeffs[tuple(sorted(tuple(g) for g in key))] = c
+        """Keys that sort to the same monomial have their coefficients summed."""
+        coeffs: dict = {}
+        for key, coeff in (terms or {}).items():
+            key = tuple(sorted(tuple(g) for g in key))
+            coeffs[key] = coeffs.get(key, 0) + _as_coeff(coeff)
+        coeffs = {key: c for key, c in coeffs.items() if c}
         # over the lcm of reduced denominators the numerators are coprime to it
         self.den = lcm(*(c.denominator for c in coeffs.values()))
         self.nums = {key: c.numerator * (self.den // c.denominator) for key, c in coeffs.items()}
@@ -248,12 +250,6 @@ class ZPoly:
             result = result * self
         return result
 
-    def gen_degree(self) -> int:
-        """Largest total degree, grading each z_{d,r} by d + r - 1."""
-        if not self.nums:
-            return 0
-        return max(sum(d + r - 1 for d, r in key) for key in self.nums)
-
     def __repr__(self) -> str:
         return f"ZPoly({self.pretty()})"
 
@@ -297,10 +293,10 @@ class ZPoly:
 
     @staticmethod
     def from_json_list(data) -> "ZPoly":
-        """Inverse of :meth:`to_json_list`.  A later entry for the same key
-        replaces an earlier one.  An entry whose generators are not pairs of
-        ints, or whose coefficient is not "num" or "num/den" with ints and
-        den > 0, raises ValueError naming the entry."""
+        """Inverse of :meth:`to_json_list`.  An entry whose generators are not
+        pairs of ints, whose coefficient is not "num" or "num/den" with ints
+        and den > 0, or whose generators repeat an earlier entry's (which
+        to_json_list never writes), raises ValueError naming the entry."""
         pairs = {}
         for entry in data:
             try:
@@ -311,6 +307,8 @@ class ZPoly:
                 raise ValueError(f"malformed polynomial entry {entry!r}") from None
             if den <= 0:
                 raise ValueError(f"polynomial entry {entry!r} needs a positive denominator")
+            if key in pairs:
+                raise ValueError(f"polynomial entry {entry!r} repeats the key {list(map(list, key))}")
             pairs[key] = (num, den)
         den = lcm(*(d for _, d in pairs.values()))
         return _reduced({key: n * (den // d) for key, (n, d) in pairs.items() if n}, den)
@@ -323,14 +321,14 @@ def _json_gen(g) -> ZGen:
     return (d, r)
 
 
-def zpoly_eval(poly: ZPoly, q_weight_bound: int, n_bound: Optional[int] = None) -> GradedSeries:
+def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
     """Ring homomorphism sending each generator z_{d,r} to its q-series."""
     trunc = Truncation(q_weight=q_weight_bound)
     total = GradedSeries.zero(trunc)
     for key, coeff in sorted(poly.terms.items()):
         prod = GradedSeries.one(trunc)
         for d, r in key:
-            prod = prod * z_series(d, r, q_weight_bound, n_bound)
+            prod = prod * z_series(d, r, q_weight_bound)
         total = total + prod.scalar_mul(coeff)
     return total
 

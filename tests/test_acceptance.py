@@ -124,7 +124,7 @@ def test_acceptance_05_schur_eigenbasis():
 
 
 def test_acceptance_06_string_dilaton(xtable):
-    ok, failures = check_string_dilaton(3, 2, 3, eval_q_weight=8, table=xtable)
+    ok, failures = check_string_dilaton(table=xtable)
     assert ok, failures
     for a in range(0, 4):
         for ell in range(1, 5):

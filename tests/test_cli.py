@@ -154,7 +154,7 @@ def test_verify_pretty_output_deterministic():
     assert first[0] == 0
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     code, _, _ = run_cli("no-such-command")
     assert code == 2
     code, _, err = run_cli("h-poly", "--lambda", "2,x")
@@ -162,6 +162,37 @@ def test_usage_errors_exit_2():
     assert "error:" in err
     code, _, err = run_cli("compute-hurwitz", "--genus", "0", "--lambda", "2", "--mu", "3")
     assert code == 2
+    # meaningless ranges are rejected, not answered with an empty result
+    for n_bound in ("0", "-1"):
+        code, out, err = run_cli(
+            "z-series", "--d", "1", "--r", "1", "--max-q-weight", "3", "--n-bound", n_bound
+        )
+        assert (code, out) == (2, ""), n_bound
+        assert "error:" in err
+    for flags in (
+        ("--max-lambda-weight", "2", "--max-r", "0"),
+        ("--max-lambda-weight", "-1", "--max-r", "2"),
+        ("--max-lambda-weight", "2", "--max-r", "2", "--max-nu-weight", "-1"),
+    ):
+        code, out, err = run_cli("x-table", *flags, "--out", str(tmp_path / "x.json"))
+        assert (code, out) == (2, ""), flags
+        assert "error:" in err
+
+
+def test_unusable_paths_exit_2(tmp_path):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    code, out, err = run_cli(
+        "--cache-dir", str(a_file),
+        "compute-hurwitz", "--genus", "0", "--lambda", "2,1", "--mu", "3", "--method", "frobenius",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    code, out, err = run_cli(
+        "x-table", "--max-lambda-weight", "2", "--max-r", "2", "--out", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_budget_error_exit_3():

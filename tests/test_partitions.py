@@ -9,7 +9,6 @@ from doublehurwitz.partitions import (
     check_partition,
     class_size,
     compositions,
-    fraction_from_str,
     fraction_to_str,
     gen_binomial,
     multinomial,
@@ -126,5 +125,5 @@ def test_compositions():
 
 def test_fraction_round_trip():
     for f in (Fraction(1, 2), Fraction(-5, 3), Fraction(7)):
-        assert fraction_from_str(fraction_to_str(f)) == f
+        assert Fraction(fraction_to_str(f)) == f
     assert fraction_to_str(Fraction(7)) == "7/1"

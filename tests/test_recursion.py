@@ -88,7 +88,7 @@ def test_invalid_pivot_rejected():
 
 
 def test_string_dilaton_identities():
-    ok, failures = check_string_dilaton(3, 2, 3, eval_q_weight=8)
+    ok, failures = check_string_dilaton()
     assert ok, failures
 
 

@@ -1,15 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from doublehurwitz.golden import GOLDEN_H_POLYS
-from doublehurwitz.partitions import aut_order, multinomial
-from doublehurwitz.recursion import XTable, compute_x, h_poly, keys_up_to
-from doublehurwitz.reduced import (
-    ReducedRecursion,
-    is_reduced_key,
-    reduced_initial_coefficient,
-)
+from doublehurwitz.partitions import multinomial
+from doublehurwitz.recursion import XTable, compute_x, h_poly, initial_x, keys_up_to
+from doublehurwitz.reduced import ReducedRecursion, is_reduced_key
 from doublehurwitz.zseries import ZPoly, zpoly_eval
 
 
@@ -50,34 +44,19 @@ def test_reduced_and_full_agree_exactly_at_higher_degree():
 
 
 def test_initial_coefficient_formula():
-    # coefficient of t_nu in the potential at p = 0
-    assert reduced_initial_coefficient((0,)) == ZPoly.gen(0, 1)
-    assert reduced_initial_coefficient((1, 1)) == ZPoly.gen(2, 2)  # 2 z / |Aut| = z * 2/2
-    assert reduced_initial_coefficient((2, 0)) == ZPoly.gen(2, 2)  # multinomial(2;2,0) = 1
-    assert reduced_initial_coefficient(()) == ZPoly.zero()
+    # key value at p = 0: multinomial(|nu|; nu) z_{|nu|, len(nu)}
+    assert initial_x((0,)) == ZPoly.gen(0, 1)
+    assert initial_x((1, 1)) == ZPoly.gen(2, 2) * 2
+    assert initial_x((2, 0)) == ZPoly.gen(2, 2)  # multinomial(2;2,0) = 1
+    with pytest.raises(ValueError):
+        initial_x(())
 
 
-def test_xbar_coefficient_matches_initial_data():
+def test_reduced_initial_keys_match_initial_data():
     rr = ReducedRecursion()
     for nu in [(0,), (1,), (2, 0), (1, 1), (2, 1, 0)]:
-        got = rr.xbar_coefficient((), nu)
-        expected = ZPoly.gen(sum(nu), len(nu)) * Fraction(multinomial(nu), aut_order(tuple(sorted(nu, reverse=True))))
-        assert got == expected, nu
-
-
-def test_derivative_windows_are_consistent():
-    # reading the same coefficient through the p-window and through a
-    # derivative window differs only by the multiplicity bookkeeping
-    rr = ReducedRecursion()
-    lam, nu = (2, 1), (1,)
-    via_xbar = rr.xbar_coefficient(lam, nu)
-    via_p_window = rr.derivative_coefficient(2, 0, (1,), nu)
-    assert via_p_window == via_xbar * aut_order(lam)  # |Aut (2,1)| = 1 ... kept explicit
-    lam2 = (2, 2)
-    via_xbar2 = rr.xbar_coefficient(lam2, ())
-    via_window2 = rr.derivative_coefficient(2, 0, (2,), ())
-    # d/dp_2 halves the Aut factor of (2,2): mult 2 over |Aut| 2
-    assert via_window2 == via_xbar2 * 2
+        got = rr.x_value([(0, v) for v in nu])
+        assert got == ZPoly.gen(sum(nu), len(nu)) * multinomial(nu), nu
 
 
 def test_reduced_h_chain_concrete_values():

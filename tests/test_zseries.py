@@ -144,12 +144,6 @@ class _FractionZPoly:
             result = result * self
         return result
 
-    def gen_degree(self) -> int:
-        """Largest total degree, grading each z_{d,r} by d + r - 1."""
-        if not self.terms:
-            return 0
-        return max(sum(d + r - 1 for d, r in key) for key in self.terms)
-
     def __repr__(self) -> str:
         return f"_FractionZPoly({self.pretty()})"
 
@@ -398,12 +392,22 @@ def test_zpoly_json_round_trip():
     assert ZPoly.from_json_list(p.to_json_list()) == p
 
 
-def test_zpoly_gen_degree():
-    # grading consistent with the relations among the generators: d + r - 1
-    assert ZPoly.gen(0, 1).gen_degree() == 0
-    assert ZPoly.gen(2, 3).gen_degree() == 4
-    assert (ZPoly.gen(1, 1) * ZPoly.gen(0, 2) + ZPoly.gen(0, 1)).gen_degree() == 2
-    assert ZPoly.zero().gen_degree() == 0
+def test_keys_sorting_to_one_monomial_are_summed():
+    # two spellings of z_{0,1} z_{1,1}: the coefficients add, neither wins
+    p = ZPoly({((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): 2})
+    assert p == ZPoly.gen(0, 1) * ZPoly.gen(1, 1) * 3
+    assert p.pretty() == "3*z_{0,1}*z_{1,1}"
+    assert ZPoly({((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): -1}) == ZPoly.zero()
+
+
+@pytest.mark.parametrize(
+    "first, second", [([[0, 1]], [[0, 1]]), ([[0, 1], [1, 1]], [[1, 1], [0, 1]])]
+)
+def test_from_json_list_rejects_repeated_keys(first, second):
+    # to_json_list writes each monomial once, so a repeat is a corrupt cache
+    data = [{"gens": first, "coeff": "1/1"}, {"gens": second, "coeff": "2/1"}]
+    with pytest.raises(ValueError, match="repeats the key"):
+        ZPoly.from_json_list(data)
 
 
 def test_zpoly_values_equal_detects_relations():

@@ -36,6 +36,7 @@ from .series import (
     mono_adjust,
     mono_from_vars,
     mono_mul,
+    mono_str,
     pvar,
     qvar,
 )
@@ -124,6 +125,95 @@ def _diagonal_seed(trunc: Truncation, q_weight_bound: int) -> GradedSeries:
     return GradedSeries(trunc, terms)
 
 
+class _Packer:
+    """Packs a monomial p_lam q_mu with |lam| = |mu| <= Q into one int.
+
+    Each of p_1..p_Q, q_1..q_Q owns a field of w = Q.bit_length() bits, in
+    that order, which is also canonical monomial order."""
+
+    def __init__(self, q_bound: int):
+        self.q_bound = q_bound
+        self.width = q_bound.bit_length()
+        variables = [pvar(i) for i in range(1, q_bound + 1)]
+        variables += [qvar(i) for i in range(1, q_bound + 1)]
+        self.fields = {var: (n * self.width, var[0] == Q, var[1])
+                       for n, var in enumerate(variables)}
+        # decoded monomials share these (var, e) pairs instead of fresh ones
+        self.pairs = [[(var, e) for e in range(q_bound + 1)] for var in variables]
+        self.decoded: dict = {}
+
+    def pack(self, mono: tuple) -> tuple:
+        """(q-weight, packed int); ValueError unless mono is such a p_lam q_mu."""
+        key = p_weight = q_weight = 0
+        for var, e in mono:
+            field = self.fields.get(var)
+            if field is None:
+                raise ValueError(f"cannot pack {mono_str(mono)}: {var} is not "
+                                 f"p_i or q_i with i <= {self.q_bound}")
+            shift, is_q, i = field
+            key += e << shift
+            if is_q:
+                q_weight += i * e
+            else:
+                p_weight += i * e
+        if p_weight != q_weight or q_weight > self.q_bound:
+            raise ValueError(f"cannot pack {mono_str(mono)}: p-weight must equal "
+                             f"q-weight <= {self.q_bound}")
+        return q_weight, key
+
+    def unpack(self, key: int) -> tuple:
+        """The canonical monomial packed in key, memoised."""
+        mono = self.decoded.get(key)
+        if mono is None:
+            out, mask, rest = [], (1 << self.width) - 1, key
+            for pairs in self.pairs:
+                if not rest:
+                    break
+                e = rest & mask
+                if e:
+                    out.append(pairs[e])
+                rest >>= self.width
+            mono = self.decoded[key] = tuple(out)
+        return mono
+
+    def buckets(self, items) -> list:
+        """[(q-weight, [(packed, coefficient), ...]), ...] sorted by q-weight."""
+        by_weight: dict = {}
+        for mono, c in items:
+            d, key = self.pack(mono)
+            by_weight.setdefault(d, []).append((key, c))
+        return sorted(by_weight.items())
+
+
+def _packed_mul_into(acc: list, left: list, right: list, scale: int):
+    """acc[d] += scale * left * right on q-weight buckets, for d < len(acc);
+    both bucket lists are sorted, so the pair loop stops at the first d past
+    the bound."""
+    top = len(acc) - 1
+    for dl, lterms in left:
+        for dr, rterms in right:
+            if dl + dr > top:
+                break
+            out = acc[dl + dr]
+            get = out.get
+            for kl, cl in lterms:
+                cl *= scale
+                for kr, cr in rterms:
+                    k = kl + kr
+                    out[k] = get(k, 0) + cl * cr
+
+
+def _packed_divided(acc: list, d: int) -> list:
+    """The nonzero terms of acc as sorted buckets, each coefficient divided
+    exactly by d."""
+    buckets = []
+    for weight, terms in enumerate(acc):
+        bucket = [(k, _exact_div(c, d)) for k, c in terms.items() if c]
+        if bucket:
+            buckets.append((weight, bucket))
+    return buckets
+
+
 def evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
     """Compute e^H = sum_m beta^m W^m(e^{H_0})/m! and its logarithm H.
 
@@ -147,6 +237,16 @@ def evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
 
     every division is checked to be exact, and each coefficient becomes a
     Fraction once, at the end.
+
+    The products of the logarithm run on packed exponent vectors: p_lam q_mu
+    is one int with a field of w = Q.bit_length() bits for each of p_1..p_Q
+    and q_1..q_Q (see _Packer), so multiplying two monomials adds two ints.
+    Every slice term has p-weight = q-weight = d <= Q, and a product is formed
+    only when d_l + d_r <= Q, so every exponent of a product is at most
+    Q < 2^w and no field carries into the next.  The packer raises ValueError
+    on a term off that premise.  Slices are stored once, as buckets sorted by
+    d; E_m comes from cut_join_apply on the tuple form of E_{m-1}, which is
+    the only tuple slice kept.
     """
     if q_weight_bound < 1 or beta_bound < 0:
         raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
@@ -154,38 +254,45 @@ def evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
     D = factorial(q_weight_bound) * factorial(beta_bound)
+    packer = _Packer(q_weight_bound)
 
     def numerators(series: GradedSeries) -> GradedSeries:
         return GradedSeries.from_terms(
             trunc, {m: _exact_div(c.numerator * D, c.denominator) for m, c in series.items()}
         )
 
-    def divided(series: GradedSeries, d: int) -> GradedSeries:
-        return GradedSeries.from_terms(trunc, {m: _exact_div(c, d) for m, c in series.items()})
-
     h0 = _diagonal_seed(trunc, q_weight_bound)
-    e0_inv = numerators((-h0).exp())
+    e0_inv = packer.buckets(numerators((-h0).exp()).items())
 
-    E = [numerators(h0.exp())]  # E[m] = D E_m
+    e_prev = numerators(h0.exp())  # D E_{m-1}, the input of cut_join_apply
+    E = [packer.buckets(e_prev.items())]  # E[k] = D E_k as packed buckets
+    Hs = [packer.buckets(numerators(h0).items())]  # Hs[b] = D H_b
     for m in range(1, beta_bound + 1):
-        E.append(divided(cut_join_apply(E[m - 1]), m))
+        e_prev = GradedSeries.from_terms(
+            trunc, {mono: _exact_div(c, m) for mono, c in cut_join_apply(e_prev).items()}
+        )
+        E.append(packer.buckets(e_prev.items()))
 
-    Hs = [numerators(h0)]  # Hs[m] = D H_m
-    for m in range(1, beta_bound + 1):
-        acc = {mono: m * D * c for mono, c in E[m].items()}  # m D^2 E_m
+        acc = [{} for _ in range(q_weight_bound + 1)]
+        for d, terms in E[m]:
+            acc[d].update((k, m * D * c) for k, c in terms)  # m D^2 E_m
         for b in range(1, m):
-            for mono, c in (Hs[b] * E[m - b]).items():
-                acc[mono] = acc.get(mono, 0) - b * c
-        hm_e0 = divided(GradedSeries.from_terms(trunc, acc), m * D)  # D H_m E_0
-        Hs.append(divided(hm_e0 * e0_inv, D))
+            _packed_mul_into(acc, Hs[b], E[m - b], -b)
+        hm_e0 = _packed_divided(acc, m * D)  # D H_m E_0
+        acc = [{} for _ in range(q_weight_bound + 1)]
+        _packed_mul_into(acc, hm_e0, e0_inv, 1)
+        Hs.append(_packed_divided(acc, D))
+    del e_prev  # the last tuple slice: free it before the result is built
 
     eH: dict = {}
     H: dict = {}
     for m in range(beta_bound + 1):
-        beta_m = ((BETA_VAR, m),) if m else ()
-        for out, slice_ in ((eH, E[m]), (H, Hs[m])):
-            for mono, c in slice_.items():
-                out[mono_mul(beta_m, mono)] = Fraction(c, D)
+        beta_m = ((BETA_VAR, m),) if m else ()  # sorts before every p and q
+        for out, slices in ((eH, E), (H, Hs)):
+            for _, terms in slices[m]:
+                for k, c in terms:
+                    out[beta_m + packer.unpack(k)] = Fraction(c, D)
+            slices[m] = None  # decoded: let it go before the next slice grows the dicts
     return HurwitzPotential(
         eH=GradedSeries.from_terms(trunc, eH),
         H=GradedSeries.from_terms(trunc, H),

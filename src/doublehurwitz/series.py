@@ -23,8 +23,9 @@ those bounds.  Series are immutable values: every operation returns a new
 series and two series are equal iff they have the same truncation and terms.
 
 Coefficients are ``fractions.Fraction``s.  The one exception is inside
-:func:`.cutjoin.evolve`, whose series hold int numerators over one common
-denominator until its result is built.
+:func:`.cutjoin.evolve`: the e^H slices it passes through
+:func:`.cutjoin.cut_join_apply` hold int numerators over one common
+denominator.  Its H slices are not series at all, but packed-int buckets.
 """
 
 from __future__ import annotations
@@ -201,10 +202,6 @@ class Truncation:
     def to_json_dict(self) -> dict:
         names = ("q_weight", "p_weight", "t_weight", "beta_deg", "s_weight")
         return {n: b for n, b in zip(names, self.bounds()) if b is not None}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "Truncation":
-        return Truncation(**data)
 
 
 class GradedSeries:
@@ -501,17 +498,3 @@ class GradedSeries:
             enc = [[var[0], *var[1:], e] for var, e in mono]
             terms.append({"monomial": enc, "coeff": f"{f.numerator}/{f.denominator}"})
         return {"truncation": self.truncation.to_json_dict(), "terms": terms}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "GradedSeries":
-        trunc = Truncation.from_json_dict(data["truncation"])
-        terms = {}
-        for entry in data["terms"]:
-            mono = []
-            for item in entry["monomial"]:
-                tag, *rest = item
-                var = (tag, *rest[:-1])
-                mono.append((var, rest[-1]))
-            num, _, den = entry["coeff"].partition("/")
-            terms[tuple(sorted(mono))] = Fraction(int(num), int(den) if den else 1)
-        return GradedSeries(trunc, terms)

@@ -95,13 +95,19 @@ class SuiteReport:
 # *_Q_WEIGHT is the q-weight up to which two sides are compared as q-series.
 
 PAPER_EVAL_Q_WEIGHT = 10
+PAPER_MAX_DEGREE = 6  # the 1/k degree coefficient of h_(k,) for k <= PAPER_MAX_DEGREE
 TRIPLE_MAX_K = 4  # degree of the oracle comparison
 TRIPLE_MAX_M = 4  # branch points of the oracle comparison
+TRIPLE_EVOLVE_Q_WEIGHT = 4  # evolve vs frobenius_eH up to these bounds
+TRIPLE_EVOLVE_BETA = 4
+TRIPLE_SCHUR_MAX_WEIGHT = 6  # Schur eigenvectors s_lam for |lam| <= TRIPLE_SCHUR_MAX_WEIGHT
 PSI_MAX_A = 3  # Psi_{a,ell} for a <= PSI_MAX_A, 1 <= ell <= PSI_MAX_ELL
 PSI_MAX_ELL = 4
 EQZRED_MAX_D = 3  # z_{d,r} for d <= EQZRED_MAX_D, 1 <= r <= EQZRED_MAX_R
 EQZRED_MAX_R = 3
 EQZRED_Q_WEIGHT = 8
+KP_R_T_WEIGHT = 8  # R up to this t-weight
+KP_RESIDUAL_T_WEIGHT = 6  # the KP residual up to this t-weight
 PIVOT_MAX_LAM_WEIGHT = 5  # keys_up_to(PIVOT_MAX_LAM_WEIGHT, PIVOT_MAX_R, PIVOT_MAX_NU_WEIGHT)
 PIVOT_MAX_R = 3
 PIVOT_MAX_NU_WEIGHT = 2
@@ -125,7 +131,7 @@ def suite_paper_examples() -> SuiteReport:
             f"MISMATCH: computed {computed.pretty()} vs expected {expected.pretty()}"
         )
         report.add(f"h_{lam}", series_match, detail)
-    for k in range(1, 7):
+    for k in range(1, PAPER_MAX_DEGREE + 1):
         coeff = zpoly_eval(h_poly((k,), table), k).coefficient(
             mono_from_vars([(qvar(k), 1)])
         )
@@ -177,18 +183,23 @@ def suite_triple_agreement() -> SuiteReport:
         f"{checked} coefficients checked" if not mismatches else f"mismatches: {mismatches}",
     )
 
-    same = evolve(4, 4).eH == frobenius_eH(4, 4)
-    report.add("evolution and character formula agree (q<=4, beta<=4)", same)
+    same = (evolve(TRIPLE_EVOLVE_Q_WEIGHT, TRIPLE_EVOLVE_BETA).eH
+            == frobenius_eH(TRIPLE_EVOLVE_Q_WEIGHT, TRIPLE_EVOLVE_BETA))
+    report.add(
+        "evolution and character formula agree "
+        f"(q<={TRIPLE_EVOLVE_Q_WEIGHT}, beta<={TRIPLE_EVOLVE_BETA})",
+        same,
+    )
 
     bad = []
-    for k in range(1, 7):
+    for k in range(1, TRIPLE_SCHUR_MAX_WEIGHT + 1):
         for lam in partitions_of(k):
             trunc = Truncation(p_weight=k)
             s = schur_in_power_sums(lam, trunc)
             if cut_join_apply(s) != s.scalar_mul(central_weight(lam)):
                 bad.append(lam)
     report.add(
-        "Schur polynomials are cut-and-join eigenvectors (|lam|<=6)",
+        f"Schur polynomials are cut-and-join eigenvectors (|lam|<={TRIPLE_SCHUR_MAX_WEIGHT})",
         not bad,
         str(bad) if bad else "",
     )
@@ -230,14 +241,15 @@ def suite_eqzred() -> SuiteReport:
 
 def suite_kp() -> SuiteReport:
     report = SuiteReport("kp")
+    polynomial = f"R is polynomial in psi and xi up to t-weight {KP_R_T_WEIGHT}"
     try:
-        r8 = r_series(8)
+        r = r_series(KP_R_T_WEIGHT)
     except ValueError as exc:
-        report.add("R is polynomial in psi and xi up to t-weight 8", False, str(exc))
+        report.add(polynomial, False, str(exc))
         return report
-    report.add("R is polynomial in psi and xi up to t-weight 8", True)
+    report.add(polynomial, True)
 
-    trunc = r8.truncation
+    trunc = r.truncation
     t1 = GradedSeries.var(trunc, svar(1))
     t2 = GradedSeries.var(trunc, svar(2))
     t3 = GradedSeries.var(trunc, svar(3))
@@ -250,12 +262,12 @@ def suite_kp() -> SuiteReport:
         + (xi + psi) * (xi + psi * 2) * t3,
     }
     for d, series in expected.items():
-        got = homogeneous_part(r8, d)
+        got = homogeneous_part(r, d)
         report.add(f"R degree-{d} part", got == series, got.pretty() if got != series else "")
 
-    residual = kp_residual(6)
+    residual = kp_residual(KP_RESIDUAL_T_WEIGHT)
     report.add(
-        "first scaled KP equation holds up to t-weight 6",
+        f"first scaled KP equation holds up to t-weight {KP_RESIDUAL_T_WEIGHT}",
         residual.is_zero(),
         "" if residual.is_zero() else f"first offender: {residual.terms()[0]}",
     )

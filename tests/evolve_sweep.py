@@ -1,0 +1,124 @@
+"""Exhaustive check of the packed-exponent evolve against the GradedSeries one.
+
+Runs ``cutjoin.evolve`` and ``graded_evolve`` below -- the evolution whose
+beta-slice logarithm multiplies ``GradedSeries`` slices, kept verbatim from
+before the packed kernel -- and requires equal e^H and H, as exact dicts, at
+every Q <= 9 with B = 2Q - 2 (the bounds ``shifted_genus0`` uses) and at
+(10, 6), (15, 2) and (16, 2).  Too slow for the tier-1 suite (about 7 s),
+and named without a ``test_`` prefix so pytest does not collect it.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/evolve_sweep.py
+
+Exits 1 on any mismatch.
+"""
+
+import sys
+import time
+from fractions import Fraction
+from math import factorial
+
+from doublehurwitz.cutjoin import (
+    HurwitzPotential,
+    _diagonal_seed,
+    _exact_div,
+    cut_join_apply,
+    evolve,
+)
+from doublehurwitz.series import BETA_VAR, GradedSeries, Truncation, mono_mul
+
+BOUNDS = [(q, max(0, 2 * q - 2)) for q in range(1, 10)] + [(10, 6), (15, 2), (16, 2)]
+
+
+def graded_evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
+    """Compute e^H = sum_m beta^m W^m(e^{H_0})/m! and its logarithm H.
+
+    The logarithm is taken slice-by-slice in the beta-grading: with
+    e^H = sum E_m beta^m and H = sum H_m beta^m, differentiating
+    e^H in beta gives m E_m = sum_{b=1}^{m} b H_b E_{m-b}, which determines
+    H_m from lower slices once H_0 = sum p_n q_n / n is known.
+
+    The slices are evolved on integer numerators over one common
+    denominator D = Q! B! (Q = q_weight_bound, B = beta_bound).  The
+    coefficient of beta^m p_lam q_mu in e^H or in H is a count of
+    transposition tuples (disconnected or connected covers) over |lam|! m!,
+    which divides D; so D E_m, D H_m and D e^{-H_0} have integer
+    coefficients, and so does D (H_m E_0), whose terms are products of an
+    H-coefficient over d! m! and a 1/z_nu over |nu|!, with d + |nu| <= Q.
+    In numerators the steps read
+
+        D E_m = W(D E_{m-1}) / m,
+        D (H_m E_0) = (m D^2 E_m - sum_{b<m} b (D H_b)(D E_{m-b})) / (m D),
+        D H_m = (D (H_m E_0)) (D e^{-H_0}) / D,
+
+    every division is checked to be exact, and each coefficient becomes a
+    Fraction once, at the end.
+    """
+    if q_weight_bound < 1 or beta_bound < 0:
+        raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
+    trunc = Truncation(
+        q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
+    )
+    D = factorial(q_weight_bound) * factorial(beta_bound)
+
+    def numerators(series: GradedSeries) -> GradedSeries:
+        return GradedSeries.from_terms(
+            trunc, {m: _exact_div(c.numerator * D, c.denominator) for m, c in series.items()}
+        )
+
+    def divided(series: GradedSeries, d: int) -> GradedSeries:
+        return GradedSeries.from_terms(trunc, {m: _exact_div(c, d) for m, c in series.items()})
+
+    h0 = _diagonal_seed(trunc, q_weight_bound)
+    e0_inv = numerators((-h0).exp())
+
+    E = [numerators(h0.exp())]  # E[m] = D E_m
+    for m in range(1, beta_bound + 1):
+        E.append(divided(cut_join_apply(E[m - 1]), m))
+
+    Hs = [numerators(h0)]  # Hs[m] = D H_m
+    for m in range(1, beta_bound + 1):
+        acc = {mono: m * D * c for mono, c in E[m].items()}  # m D^2 E_m
+        for b in range(1, m):
+            for mono, c in (Hs[b] * E[m - b]).items():
+                acc[mono] = acc.get(mono, 0) - b * c
+        hm_e0 = divided(GradedSeries.from_terms(trunc, acc), m * D)  # D H_m E_0
+        Hs.append(divided(hm_e0 * e0_inv, D))
+
+    eH: dict = {}
+    H: dict = {}
+    for m in range(beta_bound + 1):
+        beta_m = ((BETA_VAR, m),) if m else ()
+        for out, slice_ in ((eH, E[m]), (H, Hs[m])):
+            for mono, c in slice_.items():
+                out[mono_mul(beta_m, mono)] = Fraction(c, D)
+    return HurwitzPotential(
+        eH=GradedSeries.from_terms(trunc, eH),
+        H=GradedSeries.from_terms(trunc, H),
+        q_weight_bound=q_weight_bound,
+        beta_bound=beta_bound,
+    )
+
+
+
+def main() -> int:
+    failures = 0
+    for q, b in BOUNDS:
+        start = time.perf_counter()
+        new = evolve(q, b)
+        packed_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        ref = graded_evolve(q, b)
+        graded_seconds = time.perf_counter() - start
+        same = new.eH.term_dict() == ref.eH.term_dict() and new.H.term_dict() == ref.H.term_dict()
+        failures += not same
+        print(f"evolve({q}, {b}): {len(new.eH)} + {len(new.H)} terms, "
+              f"{'equal' if same else 'MISMATCH'} "
+              f"(packed {packed_seconds:.2f} s, graded {graded_seconds:.2f} s)")
+    print(f"{len(BOUNDS)} bounds, {failures} mismatches")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

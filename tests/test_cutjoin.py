@@ -4,6 +4,7 @@ import pytest
 
 from doublehurwitz.cutjoin import (
     HurwitzPotential,
+    _Packer,
     _diagonal_seed,
     _exact_div,
     _w_image,
@@ -108,13 +109,43 @@ def _fraction_evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
     return HurwitzPotential(eH=eH, H=H, q_weight_bound=q_weight_bound, beta_bound=beta_bound)
 
 
-@pytest.mark.parametrize("bounds", [(1, 0), (3, 0), (4, 4), (6, 6), (5, 8)])
+# (7, 4) and (8, 2) sit on the packed field-width boundary: at Q = 7 an
+# exponent of 7 fills a 3-bit field, at Q = 8 the field needs 4 bits.
+@pytest.mark.parametrize("bounds", [(1, 0), (3, 0), (4, 4), (6, 6), (5, 8), (7, 4), (8, 2)])
 def test_integer_evolve_matches_fraction_evolve(bounds):
     new, ref = evolve(*bounds), _fraction_evolve(*bounds)
     assert new.eH == ref.eH
     assert new.H == ref.H
     assert all(type(c) is Fraction for _, c in new.eH.items())
     assert all(type(c) is Fraction for _, c in new.H.items())
+
+
+def test_packer_round_trip():
+    packer = _Packer(8)
+    seen = set()
+    for d in range(9):
+        for lam in partitions_of(d):
+            for mu in partitions_of(d):
+                mono = mono_from_vars([(pvar(i), 1) for i in lam] + [(qvar(i), 1) for i in mu])
+                weight, key = packer.pack(mono)
+                assert weight == d
+                assert packer.unpack(key) == mono
+                assert packer.unpack(key) is packer.unpack(key)  # memoised
+                seen.add(key)
+    assert len(seen) == sum(len(partitions_of(d)) ** 2 for d in range(9))
+
+
+def test_packer_rejects_terms_off_the_premise():
+    packer = _Packer(4)
+    for mono in [
+        mono_from_vars([(pvar(2), 1), (qvar(1), 1)]),  # p-weight != q-weight
+        mono_from_vars([(pvar(1), 1)]),
+        mono_from_vars([(BETA_VAR, 1), (pvar(1), 1), (qvar(1), 1)]),  # carries beta
+        mono_from_vars([(pvar(5), 1), (qvar(5), 1)]),  # index past Q
+        mono_from_vars([(pvar(1), 5), (qvar(1), 5)]),  # weight past Q
+    ]:
+        with pytest.raises(ValueError):
+            packer.pack(mono)
 
 
 def test_cut_join_apply_matches_loop():

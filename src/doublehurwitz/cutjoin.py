@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
-from .partitions import aut_order, check_partition, partitions_of
+from .partitions import aut_order, check_partition, partitions_of, zee
 from .series import (
     BETA_VAR,
     GradedSeries,
@@ -35,12 +36,11 @@ from .series import (
     Truncation,
     mono_adjust,
     mono_from_vars,
-    mono_mul,
     mono_str,
     pvar,
     qvar,
 )
-from .symgroup import central_weight, schur_in_power_sums
+from .symgroup import CharTable, central_weight
 
 
 def _exact_div(n: int, d: int) -> int:
@@ -302,32 +302,38 @@ def evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
 
 
 def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> GradedSeries:
-    """Character expansion of e^H, truncated to the same bounds as evolve().
+    """Character expansion of e^H, truncated to the same bounds as evolve():
+    the coefficient of beta^m p_rho q_sigma, for rho and sigma partitions of
+    the same k, is
+
+        sum over lam |- k of chi^lam_rho chi^lam_sigma w(lam)^m / (z_rho z_sigma m!),
+
+    with w(lam) = central_weight(lam), the cut-and-join eigenvalue.
 
     When cache_dir is given, character tables are loaded from (or written to)
-    their JSON cache there, one file per symmetric-group degree."""
+    their JSON cache there, one file per symmetric-group degree k >= 1."""
     if q_weight_bound < 1 or beta_bound < 0:
         raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
-    from .symgroup import CharTable
-
     trunc = Truncation(
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
+    betas = [((BETA_VAR, m),) if m else () for m in range(beta_bound + 1)]  # sort before p, q
     total: dict = {}
-    for k in range(0, q_weight_bound + 1):
-        chartable = CharTable.load_or_build(cache_dir, k) if cache_dir and k else None
-        for lam in partitions_of(k):
-            w = central_weight(lam)
-            spq = (schur_in_power_sums(lam, trunc, "p", chartable)
-                   * schur_in_power_sums(lam, trunc, "q", chartable))
-            for m in range(beta_bound + 1):
-                if m > 0 and w == 0:
-                    break
-                coeff = Fraction(w**m, factorial(m))
-                beta_m = ((BETA_VAR, m),) if m else ()
-                for mono, c in spq.items():  # spq has no beta: stays in trunc
-                    mm = mono_mul(mono, beta_m)
-                    total[mm] = total.get(mm, 0) + c * coeff
+    for k in range(q_weight_bound + 1):
+        chi = (CharTable.load_or_build(cache_dir, k) if cache_dir and k
+               else CharTable.build(k)).values
+        parts = partitions_of(k)
+        powers = [[central_weight(lam) ** m for lam in parts] for m in range(beta_bound + 1)]
+        for rho in parts:
+            prho = mono_from_vars([(pvar(i), 1) for i in rho])
+            for sigma in parts:
+                qsigma = mono_from_vars([(qvar(i), 1) for i in sigma])
+                chichi = [chi[(lam, rho)] * chi[(lam, sigma)] for lam in parts]
+                z = zee(rho) * zee(sigma)
+                for m, wm in enumerate(powers):
+                    c = sum(map(mul, chichi, wm))
+                    if c:
+                        total[betas[m] + prho + qsigma] = Fraction(c, z * factorial(m))
     return GradedSeries.from_terms(trunc, total)
 
 

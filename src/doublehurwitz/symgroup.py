@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .partitions import check_partition, partitions_of, zee
-from .series import GradedSeries, Truncation, mono_from_vars, pvar, qvar
+from .series import GradedSeries, Truncation, mono_from_vars, pvar
 
 
 @lru_cache(maxsize=None)
@@ -74,9 +74,6 @@ class CharTable:
         parts = partitions_of(K)
         values = {(lam, mu): mn_character(lam, mu) for lam in parts for mu in parts}
         return CharTable(K, values)
-
-    def chi(self, lam: tuple, mu: tuple) -> int:
-        return self.values[(check_partition(lam), check_partition(mu))]
 
     def check_orthogonality(self) -> bool:
         """Row orthogonality, in integers:
@@ -178,43 +175,22 @@ class CharTable:
         return table
 
 
-def schur_in_power_sums(
-    lam: tuple, trunc: Truncation, alphabet: str = "p", chartable: "CharTable" = None
-) -> GradedSeries:
-    """Schur polynomial s_lam expanded in power sums:
+def schur_in_power_sums(lam: tuple, trunc: Truncation) -> GradedSeries:
+    """Schur polynomial s_lam expanded in power sums p:
     s_lam = sum over mu of chi^lam_mu p_mu / z_mu.
 
-    The alphabet may be "p" or "q"; the empty partition gives the constant 1.
-    Character values come from the given CharTable when one is supplied
-    (e.g. loaded from the JSON cache), otherwise from the recursion.
+    The empty partition gives the constant 1.
     """
     lam = check_partition(lam)
-    mk = pvar if alphabet == "p" else qvar
-    terms: dict = {}
-    for mu in partitions_of(sum(lam)):
-        if not lam:
-            chi = 1
-        elif chartable is not None:
-            chi = chartable.chi(lam, mu)
-        else:
-            chi = mn_character(lam, mu)
-        if chi == 0:
-            continue
-        mono = mono_from_vars([(mk(part), 1) for part in mu])
-        terms[mono] = terms.get(mono, 0) + Fraction(chi, zee(mu) if mu else 1)
-    return GradedSeries(trunc, terms)
+    terms = {
+        mono_from_vars([(pvar(part), 1) for part in mu]): Fraction(mn_character(lam, mu), zee(mu))
+        for mu in partitions_of(sum(lam))
+    }
+    return GradedSeries(trunc, terms)  # drops the zero characters
 
 
-def central_weight(lam: tuple) -> Fraction:
-    """Eigenvalue of the cut-and-join operator on s_lam:
-    w(lam) = (1/2) sum_i ((lam_i - i + 1/2)^2 - (-i + 1/2)^2).
-
-    Always an integer or half-integer times 2; equals the sum of the contents
-    of the diagram of lam.
-    """
+def central_weight(lam: tuple) -> int:
+    """Eigenvalue of the cut-and-join operator on s_lam: the content sum
+    w(lam) = sum over the boxes (i, j) of the diagram of lam of j - i."""
     lam = check_partition(lam)
-    half = Fraction(1, 2)
-    total = Fraction(0)
-    for i, part in enumerate(lam, start=1):
-        total += (part - i + half) ** 2 - (-i + half) ** 2
-    return total * half
+    return sum(j - i for i, part in enumerate(lam) for j in range(part))

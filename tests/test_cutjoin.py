@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -15,17 +16,18 @@ from doublehurwitz.cutjoin import (
     h_lambda_series,
     hurwitz_number_by_series,
 )
-from doublehurwitz.partitions import partitions_of
+from doublehurwitz.partitions import aut_order, partitions_of, zee
 from doublehurwitz.series import (
     BETA_VAR,
     GradedSeries,
     Truncation,
     mono_adjust,
     mono_from_vars,
+    mono_mul,
     pvar,
     qvar,
 )
-from doublehurwitz.symgroup import central_weight, schur_in_power_sums
+from doublehurwitz.symgroup import central_weight, mn_character, schur_in_power_sums
 
 
 def P(*pairs):
@@ -241,9 +243,45 @@ def test_evolution_matches_character_formula():
     assert evolve(4, 4).eH == frobenius_eH(4, 4)
 
 
+def _schur_series(lam, trunc, var):
+    return GradedSeries(trunc, {
+        mono_from_vars([(var(part), 1) for part in mu]): Fraction(mn_character(lam, mu), zee(mu))
+        for mu in partitions_of(sum(lam))
+    })
+
+
+def _schur_product_eH(q_weight_bound, beta_bound):
+    """Reference for frobenius_eH, built as it was before it summed the
+    character table directly: e^H = sum_lam e^{w(lam) beta} s_lam(p) s_lam(q),
+    one product of Schur series per lam, times beta^m w^m / m! term by term."""
+    trunc = Truncation(q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound)
+    total: dict = {}
+    for k in range(q_weight_bound + 1):
+        for lam in partitions_of(k):
+            w = central_weight(lam)
+            spq = _schur_series(lam, trunc, pvar) * _schur_series(lam, trunc, qvar)
+            for m in range(beta_bound + 1):
+                if m > 0 and w == 0:
+                    break
+                coeff = Fraction(w**m, factorial(m))
+                beta_m = ((BETA_VAR, m),) if m else ()
+                for mono, c in spq.items():
+                    mm = mono_mul(mono, beta_m)
+                    total[mm] = total.get(mm, 0) + c * coeff
+    return GradedSeries.from_terms(trunc, total).term_dict()
+
+
 def test_frobenius_uses_char_table_cache(tmp_path):
-    assert frobenius_eH(3, 2, cache_dir=tmp_path) == frobenius_eH(3, 2)
-    assert (tmp_path / "chartable_K3.json").exists()
+    # (3, 2) reaches lam = (2, 1), whose weight is 0
+    for q, b in [(1, 0), (3, 2), (4, 4), (6, 6), (7, 12)]:
+        ref = _schur_product_eH(q, b)
+        cache_dir = tmp_path / f"Q{q}B{b}"
+        assert frobenius_eH(q, b).term_dict() == ref
+        assert frobenius_eH(q, b, cache_dir=cache_dir).term_dict() == ref  # writes the tables
+        assert frobenius_eH(q, b, cache_dir=cache_dir).term_dict() == ref  # reads them
+        assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
+            f"chartable_K{k}.json" for k in range(1, q + 1)
+        )
 
 
 def test_genus0_filter():
@@ -297,6 +335,27 @@ def test_hurwitz_number_methods_agree():
         assert hurwitz_number_by_series(g, lam, mu, "frobenius") == by_oracle
 
     assert hurwitz_number_by_series(0, (2,), (2,), "cutjoin") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("method", ["cutjoin", "frobenius"])
+def test_hurwitz_number_one_part_formula(method):
+    # h_0((d), mu) = m! d^(m-1) / |Aut mu| with m = len(mu) - 1 (1/d at m = 0)
+    for d in range(1, 8):
+        for mu in partitions_of(d):
+            m = len(mu) - 1
+            expected = factorial(m) * Fraction(d) ** (m - 1) / aut_order(mu)
+            assert hurwitz_number_by_series(0, (d,), mu, method) == expected, mu
+
+
+@pytest.mark.parametrize("method", ["cutjoin", "frobenius"])
+def test_hurwitz_number_two_by_two_chamber_formula(method):
+    # genus 0, two parts on each side: h |Aut lam| |Aut mu| = 2 max(lam_1, mu_1)
+    for d in range(2, 8):
+        two_part = [lam for lam in partitions_of(d) if len(lam) == 2]
+        for lam in two_part:
+            for mu in two_part:
+                h = hurwitz_number_by_series(0, lam, mu, method)
+                assert h * aut_order(lam) * aut_order(mu) == 2 * max(lam[0], mu[0]), (lam, mu)
 
 
 def test_hurwitz_number_bad_method():

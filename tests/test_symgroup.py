@@ -31,8 +31,13 @@ def hook_length_dimension(lam):
     return dim
 
 
-def content_sum(lam):
-    return sum(j - i for i, row in enumerate(lam) for j in range(row))
+def half_integer_weight(lam):
+    """central_weight's former formula, in Fractions:
+    w(lam) = (1/2) sum_i ((lam_i - i + 1/2)^2 - (-i + 1/2)^2)."""
+    half = Fraction(1, 2)
+    return half * sum(
+        (part - i + half) ** 2 - (-i + half) ** 2 for i, part in enumerate(lam, start=1)
+    )
 
 
 def test_character_examples():
@@ -63,7 +68,7 @@ def test_char_table_cache_round_trip(tmp_path):
     assert CharTable.cache_path(tmp_path, 4).exists()
     again = CharTable.load_or_build(tmp_path, 4)
     assert again.values == table.values
-    assert again.chi((2, 1, 1), (4,)) == mn_character((2, 1, 1), (4,))
+    assert again.values[((2, 1, 1), (4,))] == mn_character((2, 1, 1), (4,))
 
 
 def _edit_cache(cache_dir, K, edit):
@@ -82,7 +87,7 @@ def test_char_table_valid_cache_is_not_rebuilt(tmp_path, monkeypatch):
     assert json.loads(CharTable.cache_path(tmp_path, 5).read_text())["version"] == CHARTABLE_VERSION
     assert [p.name for p in tmp_path.iterdir()] == ["chartable_K5.json"]  # no temp file left
     monkeypatch.setattr(CharTable, "build", staticmethod(_no_build))
-    assert CharTable.load_or_build(tmp_path, 5).chi((3, 2), (5,)) == mn_character((3, 2), (5,))
+    assert CharTable.load_or_build(tmp_path, 5).values[((3, 2), (5,))] == mn_character((3, 2), (5,))
 
 
 def _perturb_entry(data):
@@ -180,8 +185,8 @@ def test_central_weight_equals_content_sum_and_integrality():
     for K in range(1, 13):
         for lam in partitions_of(K):
             w = central_weight(lam)
-            assert w == content_sum(lam)
-            assert (2 * w).denominator == 1
+            assert type(w) is int
+            assert w == half_integer_weight(lam)
 
 
 def test_zee_matches_character_normalization():

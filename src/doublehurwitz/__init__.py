@@ -5,7 +5,6 @@ every generating series as a polynomial in explicit generators z_{d,r}(q).
 """
 
 from .cutjoin import (
-    HurwitzPotential,
     cut_join_apply,
     evolve,
     frobenius_eH,
@@ -38,7 +37,6 @@ from .zseries import ZPoly, psi_intersection, psi_series, z_series, zpoly_eval
 __all__ = [
     "CharTable",
     "GradedSeries",
-    "HurwitzPotential",
     "ReducedRecursion",
     "ResourceBudgetError",
     "SUITES",

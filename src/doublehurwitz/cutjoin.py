@@ -14,14 +14,13 @@ The same series has the character expansion ("Frobenius formula")
     e^H = sum_lam e^{w(lam) beta} s_lam(p) s_lam(q),
 
 with w(lam) the cut-and-join eigenvalue; both constructions are implemented
-and compared.  The connected function H = log e^H carries one monomial
-beta^m p_lam q_mu per factorization type; genus 0 is the slice
-m = len(lam) + len(mu) - 2.
+and compared.  The connected function H = log e^H, which evolve() returns,
+carries one monomial beta^m p_lam q_mu per factorization type; genus 0 is
+the slice m = len(lam) + len(mu) - 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -104,25 +103,6 @@ def cut_join_apply(series: GradedSeries) -> GradedSeries:
             new = pre + pimage + post
             out[new] = out.get(new, 0) + coeff * c
     return GradedSeries.from_terms(series.truncation, out)
-
-
-@dataclass(frozen=True)
-class HurwitzPotential:
-    """The pair (e^H, H) at fixed truncation bounds."""
-
-    eH: GradedSeries
-    H: GradedSeries
-    q_weight_bound: int
-    beta_bound: int
-
-
-def _diagonal_seed(trunc: Truncation, q_weight_bound: int) -> GradedSeries:
-    """H at beta = 0: sum_{n <= bound} p_n q_n / n."""
-    terms = {
-        mono_from_vars([(pvar(n), 1), (qvar(n), 1)]): Fraction(1, n)
-        for n in range(1, q_weight_bound + 1)
-    }
-    return GradedSeries(trunc, terms)
 
 
 class _Packer:
@@ -214,29 +194,36 @@ def _packed_divided(acc: list, d: int) -> list:
     return buckets
 
 
-def evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
-    """Compute e^H = sum_m beta^m W^m(e^{H_0})/m! and its logarithm H.
+def evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
+    """The connected series H = log e^H, where e^H = sum_m beta^m W^m(e^{H_0})/m!
+    and H_0 = sum_n p_n q_n / n.
 
     The logarithm is taken slice-by-slice in the beta-grading: with
     e^H = sum E_m beta^m and H = sum H_m beta^m, differentiating
     e^H in beta gives m E_m = sum_{b=1}^{m} b H_b E_{m-b}, which determines
-    H_m from lower slices once H_0 = sum p_n q_n / n is known.
+    H_m from lower slices once H_0 is known.
 
     The slices are evolved on integer numerators over one common
-    denominator D = Q! B! (Q = q_weight_bound, B = beta_bound).  The
-    coefficient of beta^m p_lam q_mu in e^H or in H is a count of
+    denominator D = Q! B! (Q = q_weight_bound, B = beta_bound).  The seeds
+    are written down directly, e^{+-H_0} by the Cauchy identity:
+
+        D H_0 = sum_{n <= Q} (D / n) p_n q_n,
+        D e^{+-H_0} = sum_{|lam| <= Q} (+-1)^{len(lam)} (D / z_lam) p_lam q_lam,
+
+    with integer D / z_lam, since z_lam divides |lam|!, which divides Q!.
+    The coefficient of beta^m p_lam q_mu in e^H or in H is a count of
     transposition tuples (disconnected or connected covers) over |lam|! m!,
-    which divides D; so D E_m, D H_m and D e^{-H_0} have integer
-    coefficients, and so does D (H_m E_0), whose terms are products of an
-    H-coefficient over d! m! and a 1/z_nu over |nu|!, with d + |nu| <= Q.
-    In numerators the steps read
+    which divides D; so D E_m and D H_m have integer coefficients, and so
+    does D (H_m E_0), whose terms are products of an H-coefficient over
+    d! m! and a 1/z_nu over |nu|!, with d + |nu| <= Q.  In numerators the
+    steps read
 
         D E_m = W(D E_{m-1}) / m,
         D (H_m E_0) = (m D^2 E_m - sum_{b<m} b (D H_b)(D E_{m-b})) / (m D),
         D H_m = (D (H_m E_0)) (D e^{-H_0}) / D,
 
-    every division is checked to be exact, and each coefficient becomes a
-    Fraction once, at the end.
+    every division is checked to be exact, and each coefficient of H becomes
+    a Fraction once, at the end.
 
     The products of the logarithm run on packed exponent vectors: p_lam q_mu
     is one int with a field of w = Q.bit_length() bits for each of p_1..p_Q
@@ -256,17 +243,20 @@ def evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
     D = factorial(q_weight_bound) * factorial(beta_bound)
     packer = _Packer(q_weight_bound)
 
-    def numerators(series: GradedSeries) -> GradedSeries:
-        return GradedSeries.from_terms(
-            trunc, {m: _exact_div(c.numerator * D, c.denominator) for m, c in series.items()}
-        )
+    e0: dict = {}  # D E_0 = D e^{H_0}
+    e0_inv_terms = []  # D e^{-H_0}
+    for d in range(q_weight_bound + 1):
+        for lam in partitions_of(d):
+            mono = mono_from_vars([(pvar(i), 1) for i in lam] + [(qvar(i), 1) for i in lam])
+            e0[mono] = c = _exact_div(D, zee(lam))
+            e0_inv_terms.append((mono, -c if len(lam) % 2 else c))
+    h0 = [(mono_from_vars([(pvar(n), 1), (qvar(n), 1)]), _exact_div(D, n))
+          for n in range(1, q_weight_bound + 1)]
 
-    h0 = _diagonal_seed(trunc, q_weight_bound)
-    e0_inv = packer.buckets(numerators((-h0).exp()).items())
-
-    e_prev = numerators(h0.exp())  # D E_{m-1}, the input of cut_join_apply
-    E = [packer.buckets(e_prev.items())]  # E[k] = D E_k as packed buckets
-    Hs = [packer.buckets(numerators(h0).items())]  # Hs[b] = D H_b
+    e_prev = GradedSeries.from_terms(trunc, e0)  # D E_{m-1}, the input of cut_join_apply
+    e0_inv = packer.buckets(e0_inv_terms)
+    E = [None]  # E[k] = D E_k as packed buckets; E_0 enters only through e^{-H_0}
+    Hs = [packer.buckets(h0)]  # Hs[b] = D H_b
     for m in range(1, beta_bound + 1):
         e_prev = GradedSeries.from_terms(
             trunc, {mono: _exact_div(c, m) for mono, c in cut_join_apply(e_prev).items()}
@@ -282,23 +272,16 @@ def evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
         acc = [{} for _ in range(q_weight_bound + 1)]
         _packed_mul_into(acc, hm_e0, e0_inv, 1)
         Hs.append(_packed_divided(acc, D))
-    del e_prev  # the last tuple slice: free it before the result is built
+    del e_prev, E  # free the e^H slices before H is built
 
-    eH: dict = {}
     H: dict = {}
     for m in range(beta_bound + 1):
         beta_m = ((BETA_VAR, m),) if m else ()  # sorts before every p and q
-        for out, slices in ((eH, E), (H, Hs)):
-            for _, terms in slices[m]:
-                for k, c in terms:
-                    out[beta_m + packer.unpack(k)] = Fraction(c, D)
-            slices[m] = None  # decoded: let it go before the next slice grows the dicts
-    return HurwitzPotential(
-        eH=GradedSeries.from_terms(trunc, eH),
-        H=GradedSeries.from_terms(trunc, H),
-        q_weight_bound=q_weight_bound,
-        beta_bound=beta_bound,
-    )
+        for _, terms in Hs[m]:
+            for k, c in terms:
+                H[beta_m + packer.unpack(k)] = Fraction(c, D)
+        Hs[m] = None  # decoded: let it go before the next slice grows the dict
+    return GradedSeries.from_terms(trunc, H)
 
 
 def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> GradedSeries:
@@ -365,8 +348,7 @@ def shifted_genus0(q_weight_bound: int) -> GradedSeries:
     |mu| <= Q has at most Q parts on each side, so m <= 2Q - 2.
     """
     beta_bound = max(0, 2 * q_weight_bound - 2)
-    pot = evolve(q_weight_bound, beta_bound)
-    g0 = genus0_part(pot.H)
+    g0 = genus0_part(evolve(q_weight_bound, beta_bound))
     return g0.substitute_one(BETA_VAR).substitute_p1_shift()
 
 
@@ -408,7 +390,7 @@ def hurwitz_number_by_series(g: int, lam, mu, method: str, cache_dir=None) -> Fr
     if m < 0:
         raise ValueError(f"no covers: m = {m} < 0")
     if method == "cutjoin":
-        H = evolve(K, m).H
+        H = evolve(K, m)
     elif method == "frobenius":
         H = frobenius_eH(K, m, cache_dir=cache_dir).log()
     else:

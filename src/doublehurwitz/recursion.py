@@ -111,15 +111,32 @@ class XTable:
 
     @staticmethod
     def from_json_dict(data: dict) -> "XTable":
+        """The table to_json_dict wrote.  Each entry needs a key of [int, int]
+        pairs (a bool is no int here), a polynomial and a string rule, and no
+        key may repeat; otherwise ValueError names the entry."""
+        if not isinstance(data, dict):
+            raise ValueError("cache is not a JSON object")
         if data.get("version") != XTABLE_VERSION:
             raise ValueError(
                 f"cache version {data.get('version')!r} does not match {XTABLE_VERSION!r}"
             )
+        if not isinstance(data.get("entries"), list):
+            raise ValueError("cache has no list of entries")
         table = XTable()
-        for item in data["entries"]:
-            key = make_xkey(item["key"])
-            table.entries[key] = ZPoly.from_json_list(item["poly"])
-            table.provenance[key] = item.get("rule", "")
+        for n, item in enumerate(data["entries"]):
+            try:
+                pairs = [(a, b) for a, b in item["key"]]
+                poly, rule = item["poly"], item["rule"]
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"table entry {n} is malformed: {item!r}") from None
+            if any(type(v) is not int for pair in pairs for v in pair):
+                raise ValueError(f"table entry {n} has a non-int key entry: {item['key']!r}")
+            if type(rule) is not str:
+                raise ValueError(f"table entry {n} has a non-string rule: {rule!r}")
+            key = make_xkey(pairs)
+            if key in table.entries:
+                raise ValueError(f"table entry {n} repeats the key {item['key']!r}")
+            table.store(key, ZPoly.from_json_list(poly), rule)
         return table
 
     def save(self, path) -> Path:

@@ -23,9 +23,10 @@ those bounds.  Series are immutable values: every operation returns a new
 series and two series are equal iff they have the same truncation and terms.
 
 Coefficients are ``fractions.Fraction``s.  The one exception is inside
-:func:`.cutjoin.evolve`: the e^H slices it passes through
-:func:`.cutjoin.cut_join_apply` hold int numerators over one common
-denominator.  Its H slices are not series at all, but packed-int buckets.
+:func:`.cutjoin.evolve`, which returns H with Fraction coefficients: the
+beta-slices of e^H that it passes through :func:`.cutjoin.cut_join_apply`
+hold int numerators over one common denominator.  Its other slices are not
+series at all, but packed-int buckets.
 """
 
 from __future__ import annotations
@@ -324,16 +325,6 @@ class GradedSeries:
         if isinstance(other, (int, Fraction)):
             return self.scalar_mul(other)
         return NotImplemented
-
-    def mul_monomial(self, mono: tuple) -> "GradedSeries":
-        """Multiply by mono, dropping terms pushed past the truncation."""
-        trunc = self.truncation
-        out: dict = {}
-        for m, c in self._terms.items():
-            mm = mono_mul(m, mono)
-            if trunc.admits(mm):
-                out[mm] = c  # m -> m * mono is injective
-        return GradedSeries.from_terms(trunc, out)
 
     def diff(self, var: tuple) -> "GradedSeries":
         """Formal partial derivative with respect to one variable."""

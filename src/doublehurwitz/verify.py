@@ -156,7 +156,7 @@ def suite_triple_agreement() -> SuiteReport:
         f"literal={sentinel_lit}, calibrated={sentinel_cal}",
     )
 
-    H = evolve(TRIPLE_MAX_K, TRIPLE_MAX_M).H
+    H = evolve(TRIPLE_MAX_K, TRIPLE_MAX_M)
     mismatches = []
     checked = 0
     for K in range(1, TRIPLE_MAX_K + 1):
@@ -183,8 +183,8 @@ def suite_triple_agreement() -> SuiteReport:
         f"{checked} coefficients checked" if not mismatches else f"mismatches: {mismatches}",
     )
 
-    same = (evolve(TRIPLE_EVOLVE_Q_WEIGHT, TRIPLE_EVOLVE_BETA).eH
-            == frobenius_eH(TRIPLE_EVOLVE_Q_WEIGHT, TRIPLE_EVOLVE_BETA))
+    same = (evolve(TRIPLE_EVOLVE_Q_WEIGHT, TRIPLE_EVOLVE_BETA)
+            == frobenius_eH(TRIPLE_EVOLVE_Q_WEIGHT, TRIPLE_EVOLVE_BETA).log())
     report.add(
         "evolution and character formula agree "
         f"(q<={TRIPLE_EVOLVE_Q_WEIGHT}, beta<={TRIPLE_EVOLVE_BETA})",

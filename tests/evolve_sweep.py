@@ -1,10 +1,13 @@
 """Exhaustive check of the packed-exponent evolve against the GradedSeries one.
 
 Runs ``cutjoin.evolve`` and ``graded_evolve`` below -- the evolution whose
-beta-slice logarithm multiplies ``GradedSeries`` slices, kept verbatim from
-before the packed kernel -- and requires equal e^H and H, as exact dicts, at
-every Q <= 9 with B = 2Q - 2 (the bounds ``shifted_genus0`` uses) and at
-(10, 6), (15, 2) and (16, 2).  Too slow for the tier-1 suite (about 7 s),
+beta-slice logarithm multiplies ``GradedSeries`` slices, kept from before
+the packed kernel, seeded by the generic ``exp()`` -- and requires equal H,
+as exact dicts, at every Q <= 9 with B = 2Q - 2 (the bounds
+``shifted_genus0`` uses) and at (10, 6), (15, 2) and (16, 2).  Equal H means
+equal e^H = exp(H).  At each bound it also requires the ``exp()`` seeds
+e^{+-H_0} to equal the Cauchy sums that ``evolve`` writes down (both seeds
+come from ``test_cutjoin.py``).  Too slow for the tier-1 suite (about 7 s),
 and named without a ``test_`` prefix so pytest does not collect it.
 
 Run from the repository root:
@@ -19,20 +22,16 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from doublehurwitz.cutjoin import (
-    HurwitzPotential,
-    _diagonal_seed,
-    _exact_div,
-    cut_join_apply,
-    evolve,
-)
+from test_cutjoin import _cauchy_seed, _diagonal_seed
+
+from doublehurwitz.cutjoin import _exact_div, cut_join_apply, evolve
 from doublehurwitz.series import BETA_VAR, GradedSeries, Truncation, mono_mul
 
 BOUNDS = [(q, max(0, 2 * q - 2)) for q in range(1, 10)] + [(10, 6), (15, 2), (16, 2)]
 
 
-def graded_evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
-    """Compute e^H = sum_m beta^m W^m(e^{H_0})/m! and its logarithm H.
+def graded_evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
+    """Compute the logarithm H of e^H = sum_m beta^m W^m(e^{H_0})/m!.
 
     The logarithm is taken slice-by-slice in the beta-grading: with
     e^H = sum E_m beta^m and H = sum H_m beta^m, differentiating
@@ -71,9 +70,12 @@ def graded_evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
         return GradedSeries.from_terms(trunc, {m: _exact_div(c, d) for m, c in series.items()})
 
     h0 = _diagonal_seed(trunc, q_weight_bound)
-    e0_inv = numerators((-h0).exp())
+    e0, e0_inv = h0.exp(), (-h0).exp()
+    if e0 != _cauchy_seed(trunc, q_weight_bound, 1) or e0_inv != _cauchy_seed(trunc, q_weight_bound, -1):
+        raise AssertionError(f"exp() seeds differ from the Cauchy sums at Q = {q_weight_bound}")
+    e0_inv = numerators(e0_inv)
 
-    E = [numerators(h0.exp())]  # E[m] = D E_m
+    E = [numerators(e0)]  # E[m] = D E_m
     for m in range(1, beta_bound + 1):
         E.append(divided(cut_join_apply(E[m - 1]), m))
 
@@ -86,19 +88,12 @@ def graded_evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
         hm_e0 = divided(GradedSeries.from_terms(trunc, acc), m * D)  # D H_m E_0
         Hs.append(divided(hm_e0 * e0_inv, D))
 
-    eH: dict = {}
     H: dict = {}
     for m in range(beta_bound + 1):
         beta_m = ((BETA_VAR, m),) if m else ()
-        for out, slice_ in ((eH, E[m]), (H, Hs[m])):
-            for mono, c in slice_.items():
-                out[mono_mul(beta_m, mono)] = Fraction(c, D)
-    return HurwitzPotential(
-        eH=GradedSeries.from_terms(trunc, eH),
-        H=GradedSeries.from_terms(trunc, H),
-        q_weight_bound=q_weight_bound,
-        beta_bound=beta_bound,
-    )
+        for mono, c in Hs[m].items():
+            H[mono_mul(beta_m, mono)] = Fraction(c, D)
+    return GradedSeries.from_terms(trunc, H)
 
 
 
@@ -111,9 +106,9 @@ def main() -> int:
         start = time.perf_counter()
         ref = graded_evolve(q, b)
         graded_seconds = time.perf_counter() - start
-        same = new.eH.term_dict() == ref.eH.term_dict() and new.H.term_dict() == ref.H.term_dict()
+        same = new.term_dict() == ref.term_dict()
         failures += not same
-        print(f"evolve({q}, {b}): {len(new.eH)} + {len(new.H)} terms, "
+        print(f"evolve({q}, {b}): {len(new)} terms, "
               f"{'equal' if same else 'MISMATCH'} "
               f"(packed {packed_seconds:.2f} s, graded {graded_seconds:.2f} s)")
     print(f"{len(BOUNDS)} bounds, {failures} mismatches")

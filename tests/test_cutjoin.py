@@ -4,9 +4,7 @@ from math import factorial
 import pytest
 
 from doublehurwitz.cutjoin import (
-    HurwitzPotential,
     _Packer,
-    _diagonal_seed,
     _exact_div,
     _w_image,
     cut_join_apply,
@@ -81,15 +79,38 @@ def _loop_cut_join_apply(series: GradedSeries) -> GradedSeries:
     return GradedSeries.from_terms(series.truncation, out)
 
 
-def _fraction_evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
-    """Reference: the evolution on Fraction coefficients, slice by slice (the
-    previous implementation), driven by the reference cut-and-join loop."""
+def _diagonal_seed(trunc: Truncation, q_weight_bound: int) -> GradedSeries:
+    """H at beta = 0: sum_{n <= bound} p_n q_n / n."""
+    terms = {
+        mono_from_vars([(pvar(n), 1), (qvar(n), 1)]): Fraction(1, n)
+        for n in range(1, q_weight_bound + 1)
+    }
+    return GradedSeries(trunc, terms)
+
+
+def _cauchy_seed(trunc: Truncation, q_weight_bound: int, sign: int) -> GradedSeries:
+    """e^{sign H_0} by the Cauchy identity: sum_lam sign^len(lam) p_lam q_lam / z_lam."""
+    terms = {}
+    for d in range(q_weight_bound + 1):
+        for lam in partitions_of(d):
+            mono = mono_from_vars([(pvar(i), 1) for i in lam] + [(qvar(i), 1) for i in lam])
+            terms[mono] = Fraction(sign ** len(lam), zee(lam))
+    return GradedSeries(trunc, terms)
+
+
+def _fraction_evolve(q_weight_bound: int, beta_bound: int) -> tuple:
+    """Reference (e^H, H): the evolution on Fraction coefficients, slice by
+    slice (the implementation before the integer one), driven by the
+    reference cut-and-join loop and seeded by the generic exp(), which must
+    agree with the Cauchy seeds that evolve writes down."""
     trunc = Truncation(
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
     h0 = _diagonal_seed(trunc, q_weight_bound)
     e0 = h0.exp()
     e0_inv = (-h0).exp()
+    assert e0 == _cauchy_seed(trunc, q_weight_bound, 1)
+    assert e0_inv == _cauchy_seed(trunc, q_weight_bound, -1)
 
     E = [e0]
     for m in range(1, beta_bound + 1):
@@ -106,20 +127,20 @@ def _fraction_evolve(q_weight_bound: int, beta_bound: int) -> HurwitzPotential:
     H = GradedSeries.zero(trunc)
     for m in range(beta_bound + 1):
         beta_m = ((BETA_VAR, m),) if m else ()
-        eH = eH + E[m].mul_monomial(beta_m)
-        H = H + Hs[m].mul_monomial(beta_m)
-    return HurwitzPotential(eH=eH, H=H, q_weight_bound=q_weight_bound, beta_bound=beta_bound)
+        eH = eH + GradedSeries(trunc, {mono_mul(mono, beta_m): c for mono, c in E[m].items()})
+        H = H + GradedSeries(trunc, {mono_mul(mono, beta_m): c for mono, c in Hs[m].items()})
+    return eH, H
 
 
 # (7, 4) and (8, 2) sit on the packed field-width boundary: at Q = 7 an
 # exponent of 7 fills a 3-bit field, at Q = 8 the field needs 4 bits.
 @pytest.mark.parametrize("bounds", [(1, 0), (3, 0), (4, 4), (6, 6), (5, 8), (7, 4), (8, 2)])
 def test_integer_evolve_matches_fraction_evolve(bounds):
-    new, ref = evolve(*bounds), _fraction_evolve(*bounds)
-    assert new.eH == ref.eH
-    assert new.H == ref.H
-    assert all(type(c) is Fraction for _, c in new.eH.items())
-    assert all(type(c) is Fraction for _, c in new.H.items())
+    H = evolve(*bounds)
+    eH_ref, H_ref = _fraction_evolve(*bounds)
+    assert H == H_ref
+    assert eH_ref.log() == H
+    assert all(type(c) is Fraction for _, c in H.items())
 
 
 def test_packer_round_trip():
@@ -197,9 +218,8 @@ def test_schur_eigenvectors():
 
 
 def test_evolve_beta_zero_slice_is_diagonal():
-    pot = evolve(4, 3)
     beta0 = {
-        m: c for m, c in pot.H.term_dict().items() if all(v != BETA_VAR for v, _ in m)
+        m: c for m, c in evolve(4, 3).term_dict().items() if all(v != BETA_VAR for v, _ in m)
     }
     expected = {
         mono_from_vars([(pvar(n), 1), (qvar(n), 1)]): Fraction(1, n) for n in range(1, 5)
@@ -208,18 +228,19 @@ def test_evolve_beta_zero_slice_is_diagonal():
 
 
 def test_evolve_first_beta_coefficients():
-    pot = evolve(3, 2)
+    H = evolve(3, 2)
     m1 = mono_from_vars([(BETA_VAR, 1), (pvar(2), 1), (qvar(1), 2)])
-    assert pot.H.coefficient(m1) == Fraction(1, 2)
+    assert H.coefficient(m1) == Fraction(1, 2)
     m2 = mono_from_vars([(BETA_VAR, 1), (pvar(1), 2), (qvar(2), 1)])
-    assert pot.H.coefficient(m2) == Fraction(1, 2)
+    assert H.coefficient(m2) == Fraction(1, 2)
 
 
 def test_evolve_invariants():
-    pot = evolve(4, 4)
-    assert pot.eH.constant_term() == 1
-    assert pot.eH.log() == pot.H  # the sliced logarithm agrees with the generic one
-    assert pot.H.exp() == pot.eH
+    H = evolve(4, 4)
+    eH, _ = _fraction_evolve(4, 4)
+    assert eH.constant_term() == 1
+    assert eH.log() == H  # the sliced logarithm agrees with the generic one
+    assert H.exp() == eH
 
 
 def test_frobenius_beta_zero_is_cauchy_product():
@@ -240,7 +261,7 @@ def test_frobenius_beta_zero_is_cauchy_product():
 
 
 def test_evolution_matches_character_formula():
-    assert evolve(4, 4).eH == frobenius_eH(4, 4)
+    assert evolve(4, 4) == frobenius_eH(4, 4).log()
 
 
 def _schur_series(lam, trunc, var):

@@ -133,6 +133,12 @@ def test_xtable_version_stamp_rejected(tmp_path):
         XTable.load(path)
 
 
+@pytest.mark.parametrize("data", [[], {"version": "xtable-v1"}, {"version": "xtable-v1", "entries": 5}])
+def test_xtable_malformed_document_rejected(data):
+    with pytest.raises(ValueError):
+        XTable.from_json_dict(data)
+
+
 @pytest.mark.parametrize("coeff", ["1/0", "1/-2", "one/2"])
 def test_xtable_malformed_coefficient_rejected(tmp_path, coeff):
     table = populate_table(2, 1, 0)
@@ -142,6 +148,50 @@ def test_xtable_malformed_coefficient_rejected(tmp_path, coeff):
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError, match=coeff):
         XTable.load(path)
+
+
+def _corrupted_table_load(tmp_path, corrupt):
+    """Save a small table, corrupt its JSON in place, and load it again."""
+    path = populate_table(2, 1, 0).save(tmp_path / "cache.json")
+    blob = json.loads(path.read_text())
+    corrupt(blob["entries"])
+    path.write_text(json.dumps(blob))
+    return XTable.load(path)
+
+
+@pytest.mark.parametrize("key", [[[1.5, 0]], [["2", 1]], [[2, True]], [[1, 0, 0]], [1], 5])
+def test_xtable_malformed_key_rejected(tmp_path, key):
+    def corrupt(entries):
+        entries[-1]["key"] = key
+
+    with pytest.raises(ValueError, match="table entry"):
+        _corrupted_table_load(tmp_path, corrupt)
+
+
+def test_xtable_repeated_key_rejected(tmp_path):
+    def corrupt(entries):
+        entries.append(dict(entries[0]))
+
+    with pytest.raises(ValueError, match="repeats the key"):
+        _corrupted_table_load(tmp_path, corrupt)
+
+
+@pytest.mark.parametrize("rule", [5, None, ["initial"]])
+def test_xtable_non_string_rule_rejected(tmp_path, rule):
+    def corrupt(entries):
+        entries[-1]["rule"] = rule
+
+    with pytest.raises(ValueError, match="non-string rule"):
+        _corrupted_table_load(tmp_path, corrupt)
+
+
+@pytest.mark.parametrize("field", ["key", "poly", "rule"])
+def test_xtable_missing_field_rejected(tmp_path, field):
+    def corrupt(entries):
+        del entries[-1][field]
+
+    with pytest.raises(ValueError, match="is malformed"):
+        _corrupted_table_load(tmp_path, corrupt)
 
 
 def _h_poly_on_fraction_reference(monkeypatch, lams):

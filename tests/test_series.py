@@ -229,7 +229,7 @@ def test_graded_log_matches_power_iteration_on_tau_and_frobenius():
 def test_graded_exp_matches_power_iteration_on_evolved_potential():
     from doublehurwitz.cutjoin import evolve
 
-    H = evolve(4, 4).H
+    H = evolve(4, 4)
     assert H.exp() == _power_exp(H)
 
 

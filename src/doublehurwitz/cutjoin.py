@@ -13,10 +13,15 @@ The same series has the character expansion ("Frobenius formula")
 
     e^H = sum_lam e^{w(lam) beta} s_lam(p) s_lam(q),
 
-with w(lam) the cut-and-join eigenvalue; both constructions are implemented
-and compared.  The connected function H = log e^H, which evolve() returns,
+with w(lam) the cut-and-join eigenvalue.  The connected function H = log e^H
 carries one monomial beta^m p_lam q_mu per factorization type; genus 0 is
-the slice m = len(lam) + len(mu) - 2.
+the slice m = len(lam) + len(mu) - 2.  evolve() builds H from its own
+cut-and-join equation
+
+    dH/dbeta = W(H) + (1/2) sum_{i,j >= 1} i j p_{i+j} dH/dp_i dH/dp_j,
+
+never forming e^H; frobenius_eH() sums the character expansion of e^H, and
+the two are compared through the generic GradedSeries.log().
 """
 
 from __future__ import annotations
@@ -118,6 +123,8 @@ class _Packer:
         variables += [qvar(i) for i in range(1, q_bound + 1)]
         self.fields = {var: (n * self.width, var[0] == Q, var[1])
                        for n, var in enumerate(variables)}
+        # unit[i] is the packed p_i: adding it multiplies by p_i
+        self.unit = [0] + [1 << (n * self.width) for n in range(q_bound)]
         # decoded monomials share these (var, e) pairs instead of fresh ones
         self.pairs = [[(var, e) for e in range(q_bound + 1)] for var in variables]
         self.decoded: dict = {}
@@ -156,84 +163,73 @@ class _Packer:
             mono = self.decoded[key] = tuple(out)
         return mono
 
-    def buckets(self, items) -> list:
-        """[(q-weight, [(packed, coefficient), ...]), ...] sorted by q-weight."""
-        by_weight: dict = {}
-        for mono, c in items:
-            d, key = self.pack(mono)
-            by_weight.setdefault(d, []).append((key, c))
-        return sorted(by_weight.items())
+
+def _derivatives(packer: _Packer, slice_terms: dict) -> list:
+    """i d/dp_i of one slice of integer numerators, as
+    [(d, [(i, keys, coefficients), ...]), ...] sorted by weight d: for each
+    term c p_lam q_mu of weight d and each p_i in it with exponent e, the
+    packed monomial p_lam q_mu / p_i joins keys and i e c joins
+    coefficients."""
+    by_weight: dict = {}
+    for mono, c in slice_terms.items():
+        d, key = packer.pack(mono)
+        by_i = by_weight.setdefault(d, {})
+        for var, e in mono:
+            if var[0] == P:
+                i = var[1]
+                keys, coefficients = by_i.setdefault(i, ([], []))
+                keys.append(key - packer.unit[i])
+                coefficients.append(i * e * c)
+    return [(d, [(i, *lists) for i, lists in sorted(by_i.items())])
+            for d, by_i in sorted(by_weight.items())]
 
 
-def _packed_mul_into(acc: list, left: list, right: list, scale: int):
-    """acc[d] += scale * left * right on q-weight buckets, for d < len(acc);
-    both bucket lists are sorted, so the pair loop stops at the first d past
-    the bound."""
-    top = len(acc) - 1
-    for dl, lterms in left:
-        for dr, rterms in right:
+def _join_into(out: dict, packer: _Packer, left: list, right: list, scale: int):
+    """out += scale J(A, B), with J(A, B) = sum_{i,j} i j p_{i+j} dA/dp_i dB/dp_j,
+    for A and B given by their _derivatives and out keyed by packed monomials.
+    Both lists are sorted by weight, so the pair loop stops at the first
+    d_l + d_r past the bound."""
+    get, unit, top = out.get, packer.unit, packer.q_bound
+    for dl, lbuckets in left:
+        for dr, rbuckets in right:
             if dl + dr > top:
                 break
-            out = acc[dl + dr]
-            get = out.get
-            for kl, cl in lterms:
-                cl *= scale
-                for kr, cr in rterms:
-                    k = kl + kr
-                    out[k] = get(k, 0) + cl * cr
-
-
-def _packed_divided(acc: list, d: int) -> list:
-    """The nonzero terms of acc as sorted buckets, each coefficient divided
-    exactly by d."""
-    buckets = []
-    for weight, terms in enumerate(acc):
-        bucket = [(k, _exact_div(c, d)) for k, c in terms.items() if c]
-        if bucket:
-            buckets.append((weight, bucket))
-    return buckets
+            for i, lkeys, lcoefficients in lbuckets:
+                for j, rkeys, rcoefficients in rbuckets:
+                    add = unit[i + j]
+                    for kl, cl in zip(lkeys, lcoefficients):
+                        kl += add
+                        cl *= scale
+                        for kr, cr in zip(rkeys, rcoefficients):
+                            k = kl + kr
+                            out[k] = get(k, 0) + cl * cr
 
 
 def evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
     """The connected series H = log e^H, where e^H = sum_m beta^m W^m(e^{H_0})/m!
     and H_0 = sum_n p_n q_n / n.
 
-    The logarithm is taken slice-by-slice in the beta-grading: with
-    e^H = sum E_m beta^m and H = sum H_m beta^m, differentiating
-    e^H in beta gives m E_m = sum_{b=1}^{m} b H_b E_{m-b}, which determines
-    H_m from lower slices once H_0 is known.
+    H solves its own cut-and-join equation (Goulden-Jackson, Proc. AMS 125,
+    1997): conjugating W by e^H gives dH/dbeta = W(H) + J(H, H) / 2, with
+    J(A, B) = sum_{i,j} i j p_{i+j} dA/dp_i dB/dp_j.  With H = sum H_m beta^m
+    it is stepped slice by slice,
 
-    The slices are evolved on integer numerators over one common
-    denominator D = Q! B! (Q = q_weight_bound, B = beta_bound).  The seeds
-    are written down directly, e^{+-H_0} by the Cauchy identity:
+        (m+1) H_{m+1} = W(H_m) + (1/2) sum_{a+b=m} J(H_a, H_b).
 
-        D H_0 = sum_{n <= Q} (D / n) p_n q_n,
-        D e^{+-H_0} = sum_{|lam| <= Q} (+-1)^{len(lam)} (D / z_lam) p_lam q_lam,
+    The slices are integer numerators over one common denominator
+    D = Q! B! (Q = q_weight_bound, B = beta_bound): the coefficient of
+    beta^m p_lam q_mu in H is a count of transposition tuples (connected
+    covers) over |lam|! m!, which divides D.  In numerators the step reads
 
-    with integer D / z_lam, since z_lam divides |lam|!, which divides Q!.
-    The coefficient of beta^m p_lam q_mu in e^H or in H is a count of
-    transposition tuples (disconnected or connected covers) over |lam|! m!,
-    which divides D; so D E_m and D H_m have integer coefficients, and so
-    does D (H_m E_0), whose terms are products of an H-coefficient over
-    d! m! and a 1/z_nu over |nu|!, with d + |nu| <= Q.  In numerators the
-    steps read
+        2 D (m+1) (D H_{m+1}) = 2 D W(D H_m) + sum_{a+b=m} J(D H_a, D H_b),
 
-        D E_m = W(D E_{m-1}) / m,
-        D (H_m E_0) = (m D^2 E_m - sum_{b<m} b (D H_b)(D E_{m-b})) / (m D),
-        D H_m = (D (H_m E_0)) (D e^{-H_0}) / D,
-
-    every division is checked to be exact, and each coefficient of H becomes
-    a Fraction once, at the end.
-
-    The products of the logarithm run on packed exponent vectors: p_lam q_mu
-    is one int with a field of w = Q.bit_length() bits for each of p_1..p_Q
-    and q_1..q_Q (see _Packer), so multiplying two monomials adds two ints.
-    Every slice term has p-weight = q-weight = d <= Q, and a product is formed
-    only when d_l + d_r <= Q, so every exponent of a product is at most
-    Q < 2^w and no field carries into the next.  The packer raises ValueError
-    on a term off that premise.  Slices are stored once, as buckets sorted by
-    d; E_m comes from cut_join_apply on the tuple form of E_{m-1}, which is
-    the only tuple slice kept.
+    its division is checked to be exact, and each coefficient becomes a
+    Fraction once, at the end.  W is cut_join_apply on the tuple form of
+    D H_m.  J runs on packed exponent vectors (see _Packer), so the monomial
+    of a product term is the sum of two ints and the field of p_{i+j}.  Every
+    slice term has p-weight = q-weight = d <= Q, and J pairs two terms only
+    when d_l + d_r <= Q, so every exponent of a product is at most Q < 2^w
+    and no field carries into the next.
     """
     if q_weight_bound < 1 or beta_bound < 0:
         raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
@@ -243,43 +239,28 @@ def evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
     D = factorial(q_weight_bound) * factorial(beta_bound)
     packer = _Packer(q_weight_bound)
 
-    e0: dict = {}  # D E_0 = D e^{H_0}
-    e0_inv_terms = []  # D e^{-H_0}
-    for d in range(q_weight_bound + 1):
-        for lam in partitions_of(d):
-            mono = mono_from_vars([(pvar(i), 1) for i in lam] + [(qvar(i), 1) for i in lam])
-            e0[mono] = c = _exact_div(D, zee(lam))
-            e0_inv_terms.append((mono, -c if len(lam) % 2 else c))
-    h0 = [(mono_from_vars([(pvar(n), 1), (qvar(n), 1)]), _exact_div(D, n))
-          for n in range(1, q_weight_bound + 1)]
-
-    e_prev = GradedSeries.from_terms(trunc, e0)  # D E_{m-1}, the input of cut_join_apply
-    e0_inv = packer.buckets(e0_inv_terms)
-    E = [None]  # E[k] = D E_k as packed buckets; E_0 enters only through e^{-H_0}
-    Hs = [packer.buckets(h0)]  # Hs[b] = D H_b
-    for m in range(1, beta_bound + 1):
-        e_prev = GradedSeries.from_terms(
-            trunc, {mono: _exact_div(c, m) for mono, c in cut_join_apply(e_prev).items()}
-        )
-        E.append(packer.buckets(e_prev.items()))
-
-        acc = [{} for _ in range(q_weight_bound + 1)]
-        for d, terms in E[m]:
-            acc[d].update((k, m * D * c) for k, c in terms)  # m D^2 E_m
-        for b in range(1, m):
-            _packed_mul_into(acc, Hs[b], E[m - b], -b)
-        hm_e0 = _packed_divided(acc, m * D)  # D H_m E_0
-        acc = [{} for _ in range(q_weight_bound + 1)]
-        _packed_mul_into(acc, hm_e0, e0_inv, 1)
-        Hs.append(_packed_divided(acc, D))
-    del e_prev, E  # free the e^H slices before H is built
+    Hs = [{mono_from_vars([(pvar(n), 1), (qvar(n), 1)]): _exact_div(D, n)
+           for n in range(1, q_weight_bound + 1)}]  # Hs[m] = D H_m
+    derivatives = []  # derivatives[m] = _derivatives of D H_m, for m < B
+    for m in range(beta_bound):
+        derivatives.append(_derivatives(packer, Hs[m]))
+        joined: dict = {}
+        for a in range((m + 2) // 2):  # J is symmetric: a < m - a twice, a = m - a once
+            _join_into(joined, packer, derivatives[a], derivatives[m - a], 1 if 2 * a == m else 2)
+        acc = {mono: 2 * D * c
+               for mono, c in cut_join_apply(GradedSeries.from_terms(trunc, Hs[m])).items()}
+        for k, c in joined.items():
+            mono = packer.unpack(k)
+            acc[mono] = acc.get(mono, 0) + c
+        step = 2 * D * (m + 1)
+        Hs.append({mono: _exact_div(c, step) for mono, c in acc.items() if c})
+    del derivatives  # free the packed lists before H is built
 
     H: dict = {}
     for m in range(beta_bound + 1):
         beta_m = ((BETA_VAR, m),) if m else ()  # sorts before every p and q
-        for _, terms in Hs[m]:
-            for k, c in terms:
-                H[beta_m + packer.unpack(k)] = Fraction(c, D)
+        for mono, c in Hs[m].items():
+            H[beta_m + mono] = Fraction(c, D)
         Hs[m] = None  # decoded: let it go before the next slice grows the dict
     return GradedSeries.from_terms(trunc, H)
 

@@ -24,9 +24,8 @@ series and two series are equal iff they have the same truncation and terms.
 
 Coefficients are ``fractions.Fraction``s.  The one exception is inside
 :func:`.cutjoin.evolve`, which returns H with Fraction coefficients: the
-beta-slices of e^H that it passes through :func:`.cutjoin.cut_join_apply`
-hold int numerators over one common denominator.  Its other slices are not
-series at all, but packed-int buckets.
+beta-slices D H_m that it passes through :func:`.cutjoin.cut_join_apply`
+hold int numerators over one common denominator D.
 """
 
 from __future__ import annotations

@@ -134,13 +134,45 @@ def _fraction_evolve(q_weight_bound: int, beta_bound: int) -> tuple:
 
 # (7, 4) and (8, 2) sit on the packed field-width boundary: at Q = 7 an
 # exponent of 7 fills a 3-bit field, at Q = 8 the field needs 4 bits.
-@pytest.mark.parametrize("bounds", [(1, 0), (3, 0), (4, 4), (6, 6), (5, 8), (7, 4), (8, 2)])
+# (1, 3) and (2, 5) test the weight bound of the J products in evolve's step:
+# at Q = 1 every product lies past it, and at Q = 2 only the product of two
+# weight-1 terms (p_1 q_1 with itself) stays within it.
+@pytest.mark.parametrize(
+    "bounds", [(1, 0), (3, 0), (1, 3), (2, 5), (4, 4), (6, 6), (5, 8), (7, 4), (8, 2)]
+)
 def test_integer_evolve_matches_fraction_evolve(bounds):
     H = evolve(*bounds)
     eH_ref, H_ref = _fraction_evolve(*bounds)
     assert H == H_ref
     assert eH_ref.log() == H
     assert all(type(c) is Fraction for _, c in H.items())
+
+
+@pytest.mark.parametrize("bounds", [(1, 3), (2, 5), (5, 8), (6, 6), (7, 4)])
+def test_evolve_solves_connected_cut_and_join(bounds):
+    # With H = sum H_m beta^m: H_0 = sum p_n q_n / n and
+    # (m+1) H_{m+1} = W(H_m) + (1/2) sum_{a+b=m} sum_{i,j} i j p_{i+j} dH_a/dp_i dH_b/dp_j,
+    # rebuilt here from GradedSeries products, with no packing.
+    q_bound, beta_bound = bounds
+    trunc = Truncation(q_weight=q_bound, p_weight=q_bound)
+    slices = [{} for _ in range(beta_bound + 1)]
+    for mono, c in evolve(q_bound, beta_bound).items():
+        m = dict(mono).get(BETA_VAR, 0)
+        slices[m][tuple((v, e) for v, e in mono if v != BETA_VAR)] = c
+    slices = [GradedSeries(trunc, terms) for terms in slices]
+    assert slices[0] == _diagonal_seed(trunc, q_bound)
+    # i dH_m/dp_i, for i <= Q
+    derivatives = [{i: s.diff(pvar(i)).scalar_mul(i) for i in range(1, q_bound + 1)}
+                   for s in slices]
+    half = Fraction(1, 2)
+    for m in range(beta_bound):
+        rhs = cut_join_apply(slices[m])
+        for a in range(m + 1):
+            for i, da in derivatives[a].items():
+                for j in range(1, q_bound + 1 - i):
+                    p_ij = GradedSeries.var(trunc, pvar(i + j))
+                    rhs = rhs + (p_ij * da * derivatives[m - a][j]).scalar_mul(half)
+        assert slices[m + 1].scalar_mul(m + 1) == rhs, m
 
 
 def test_packer_round_trip():
@@ -239,7 +271,7 @@ def test_evolve_invariants():
     H = evolve(4, 4)
     eH, _ = _fraction_evolve(4, 4)
     assert eH.constant_term() == 1
-    assert eH.log() == H  # the sliced logarithm agrees with the generic one
+    assert eH.log() == H  # H from its own equation is the generic log of e^H
     assert H.exp() == eH
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 from .partitions import aut_order, check_partition, partitions_of, zee
@@ -205,7 +205,7 @@ def _join_into(out: dict, packer: _Packer, left: list, right: list, scale: int):
                             out[k] = get(k, 0) + cl * cr
 
 
-def evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
+def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries:
     """The connected series H = log e^H, where e^H = sum_m beta^m W^m(e^{H_0})/m!
     and H_0 = sum_n p_n q_n / n.
 
@@ -230,9 +230,17 @@ def evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
     slice term has p-weight = q-weight = d <= Q, and J pairs two terms only
     when d_l + d_r <= Q, so every exponent of a product is at most Q < 2^w
     and no field carries into the next.
+
+    With max_genus = G, only the terms beta^m p_lam q_mu of genus <= G are
+    kept, those with len(lam) + len(mu) >= m + 2 - 2G.  The cap is exact, as
+    no part of the step lowers the genus: W's cut keeps it, W's join raises it
+    by one, and J(H_a, H_b) has genus g_a + g_b.  So the genus <= G terms of
+    H_{m+1} depend only on the genus <= G terms of H_0..H_m.  None keeps all.
     """
     if q_weight_bound < 1 or beta_bound < 0:
         raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
+    if max_genus is not None and max_genus < 0:
+        raise ValueError(f"need max_genus >= 0, not {max_genus}")
     trunc = Truncation(
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
@@ -253,7 +261,10 @@ def evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
             mono = packer.unpack(k)
             acc[mono] = acc.get(mono, 0) + c
         step = 2 * D * (m + 1)
-        Hs.append({mono: _exact_div(c, step) for mono, c in acc.items() if c})
+        # genus <= G in slice m + 1 takes >= m + 3 - 2G parts; every term has >= 2
+        least_parts = 2 if max_genus is None else m + 3 - 2 * max_genus
+        Hs.append({mono: _exact_div(c, step) for mono, c in acc.items()
+                   if c and (least_parts <= 2 or sum(e for _, e in mono) >= least_parts)})
     del derivatives  # free the packed lists before H is built
 
     H: dict = {}
@@ -321,16 +332,14 @@ def genus0_part(H: GradedSeries) -> GradedSeries:
 
 
 @lru_cache(maxsize=None)
-def shifted_genus0(q_weight_bound: int) -> GradedSeries:
-    """Genus-0 connected series at beta = 1 after the shift p_1 -> p_1 + 1.
+def genus0_series(q_weight_bound: int) -> GradedSeries:
+    """Genus-0 connected series at beta = 1, with its terms p_lam q_mu.
 
-    The coefficient of p_lam q_mu here is h_lam's q_mu coefficient divided by
-    |Aut lam|.  The beta bound 2*Q - 2 is forced: a genus-0 term with
-    |mu| <= Q has at most Q parts on each side, so m <= 2Q - 2.
+    The beta bound 2*Q - 2 is forced: a genus-0 term with |mu| <= Q has at
+    most Q parts on each side, so m <= 2Q - 2.
     """
     beta_bound = max(0, 2 * q_weight_bound - 2)
-    g0 = genus0_part(evolve(q_weight_bound, beta_bound))
-    return g0.substitute_one(BETA_VAR).substitute_p1_shift()
+    return evolve(q_weight_bound, beta_bound, max_genus=0).substitute_one(BETA_VAR)
 
 
 def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
@@ -338,21 +347,26 @@ def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
     zeros of orders lam, any number of extra simple zeros, arbitrary profile
     over infinity, and simple branching elsewhere.
 
+    Its q_mu coefficient is |Aut lam| times that of p_lam q_mu in the genus-0
+    series after p_1 -> p_1 + 1: with lam = (lam', 1^a), the sum over e >= a
+    of C(e, a) times the coefficient of p_lam' p_1^e q_mu.
+
     Exact up to q-weight q_weight_bound; independent of the order of lam.
     """
     lam = check_partition(lam)
     if not lam:
         raise ValueError("lam must be a nonempty partition")
-    shifted = shifted_genus0(q_weight_bound)
-    target = mono_from_vars([(pvar(part), 1) for part in lam])
+    ones, p1 = lam.count(1), pvar(1)
+    rest = mono_from_vars([(pvar(part), 1) for part in lam if part != 1])
     aut = aut_order(lam)
     out: dict = {}
-    for mono, coeff in shifted.items():
-        ppart = tuple((v, e) for v, e in mono if v[0] == P)
-        if ppart != target:
+    for mono, coeff in genus0_series(q_weight_bound).items():
+        ppart = tuple(pair for pair in mono if pair[0][0] == P)
+        e = ppart[0][1] if ppart[0][0] == p1 else 0  # p_1 sorts first
+        if e < ones or ppart[1 if e else 0:] != rest:
             continue
-        qpart = tuple((v, e) for v, e in mono if v[0] == Q)
-        out[qpart] = out.get(qpart, 0) + coeff * aut
+        qpart = tuple(pair for pair in mono if pair[0][0] == Q)
+        out[qpart] = out.get(qpart, 0) + comb(e, ones) * coeff * aut
     return GradedSeries(Truncation(q_weight=q_weight_bound), out)
 
 
@@ -360,18 +374,20 @@ def hurwitz_number_by_series(g: int, lam, mu, method: str, cache_dir=None) -> Fr
     """Literal double Hurwitz number h_{g; lam, mu} read off the generating
     function: H-coefficient of beta^m p_lam q_mu times m!.
 
-    method is "cutjoin" (evolution by W) or "frobenius" (character formula,
-    then a logarithm)."""
+    method is "cutjoin" (evolution by W, up to genus g) or "frobenius"
+    (character formula, then a logarithm)."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     K = sum(lam)
     if K != sum(mu) or K == 0:
         raise ValueError("lam and mu must partition the same positive integer")
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, not {g}")
     m = len(lam) + len(mu) + 2 * g - 2
     if m < 0:
         raise ValueError(f"no covers: m = {m} < 0")
     if method == "cutjoin":
-        H = evolve(K, m)
+        H = evolve(K, m, max_genus=g)
     elif method == "frobenius":
         H = frobenius_eH(K, m, cache_dir=cache_dir).log()
     else:

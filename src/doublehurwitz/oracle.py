@@ -71,6 +71,8 @@ def perm_of_cycle_type(lam: tuple) -> tuple:
 
 
 def _genus_m(g: int, lam: tuple, mu: tuple) -> int:
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, not {g}")
     m = len(lam) + len(mu) + 2 * g - 2
     if m < 0:
         raise ValueError(f"no covers: m = {m} < 0 for g={g}, lam={lam}, mu={mu}")

@@ -360,28 +360,6 @@ class GradedSeries:
             out[new] = coeff if acc is None else acc + coeff
         return GradedSeries.from_terms(self.truncation, out)
 
-    def substitute_p1_shift(self) -> "GradedSeries":
-        """Formal substitution p_1 -> p_1 + 1 by binomial re-expansion."""
-        from math import comb
-
-        p1 = pvar(1)
-        out: dict = {}
-        for mono, coeff in self._terms.items():
-            e = 0
-            rest = mono
-            for idx, (v, ee) in enumerate(mono):
-                if v == p1:
-                    e = ee
-                    rest = mono[:idx] + mono[idx + 1 :]
-                    break
-            if e == 0:
-                out[mono] = out.get(mono, 0) + coeff
-                continue
-            for i in range(e + 1):
-                new = rest if i == 0 else mono_mul(rest, ((p1, i),))
-                out[new] = out.get(new, 0) + coeff * comb(e, i)
-        return GradedSeries.from_terms(self.truncation, out)
-
     # -- exp / log ----------------------------------------------------------
 
     def _buckets(self, items=None) -> tuple:

@@ -1,16 +1,21 @@
-"""Exhaustive check of evolve's direct evolution against the e^H logarithm.
+"""Exhaustive check of evolve's direct evolution against the e^H logarithm,
+of its genus cap, and of h_lambda_series against the whole-series p_1 shift.
 
 ``cutjoin.evolve`` steps the connected series H by its own cut-and-join
 equation.  ``graded_evolve`` below reaches the same H the other way, as it
 was computed before: it evolves the disconnected e^H slice by slice and takes
 a beta-slice logarithm with ``GradedSeries`` products, seeded by the generic
 ``exp()``.  The sweep requires equal H, as exact dicts, at every Q <= 9 with
-B = 2Q - 2 (the bounds ``shifted_genus0`` uses) and at (10, 6), (15, 2),
+B = 2Q - 2 (the genus-0 bounds of the h-series) and at (10, 6), (15, 2),
 (16, 2), (10, 18), (11, 8) and (12, 4).  Equal H means equal
 e^H = exp(H).  At each bound it also requires the ``exp()`` seeds
 e^{+-H_0} to equal the Cauchy sums (both seeds come from
-``test_cutjoin.py``).  Too slow for the tier-1 suite (about 12 s), and
-named without a ``test_`` prefix so pytest does not collect it.
+``test_cutjoin.py``), and ``evolve(Q, B, max_genus=G)`` to equal the
+genus <= G terms of the full H for G = 0 and 1.  At every B = 2Q - 2 with
+Q <= 10 it requires ``h_lambda_series`` to equal the reference read off the
+p_1-shifted genus-0 part of the full H, for every lam with |lam| <= Q + 1.
+Too slow for the tier-1 suite (about 20 s), and named without a ``test_``
+prefix so pytest does not collect it.
 
 Run from the repository root:
 
@@ -24,9 +29,16 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from test_cutjoin import _cauchy_seed, _diagonal_seed
+from test_cutjoin import (
+    _cauchy_seed,
+    _diagonal_seed,
+    _genus,
+    _shifted_h_lambda_series,
+    substitute_p1_shift,
+)
 
-from doublehurwitz.cutjoin import _exact_div, cut_join_apply, evolve
+from doublehurwitz.cutjoin import _exact_div, cut_join_apply, evolve, genus0_part, h_lambda_series
+from doublehurwitz.partitions import partitions_of
 from doublehurwitz.series import BETA_VAR, GradedSeries, Truncation, mono_mul
 
 BOUNDS = [(q, max(0, 2 * q - 2)) for q in range(1, 10)] + [
@@ -100,6 +112,21 @@ def graded_evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
     return GradedSeries.from_terms(trunc, H)
 
 
+def genus_cap_mismatches(q: int, b: int, full: GradedSeries) -> list:
+    """The caps G in (0, 1) at which evolve(q, b, max_genus=G) is not the
+    genus <= G part of the full H."""
+    return [cap for cap in (0, 1) if evolve(q, b, max_genus=cap).term_dict()
+            != {m: c for m, c in full.items() if _genus(m) <= cap}]
+
+
+def h_series_mismatches(q: int, full: GradedSeries) -> list:
+    """The lam with |lam| <= q + 1 whose h_lambda_series differs from the
+    reference read off the p_1-shifted genus-0 part of full = evolve(q, 2q - 2)."""
+    shifted = substitute_p1_shift(genus0_part(full).substitute_one(BETA_VAR))
+    return [lam for n in range(1, q + 2) for lam in partitions_of(n)
+            if h_lambda_series(lam, q) != _shifted_h_lambda_series(shifted, lam, q)]
+
+
 def main() -> int:
     failures = 0
     for q, b in BOUNDS:
@@ -110,10 +137,14 @@ def main() -> int:
         ref = graded_evolve(q, b)
         log_seconds = time.perf_counter() - start
         same = new.term_dict() == ref.term_dict()
-        failures += not same
+        bad_caps = genus_cap_mismatches(q, b, new)
+        bad_lams = h_series_mismatches(q, new) if b == max(0, 2 * q - 2) else []
+        failures += (not same) + len(bad_caps) + len(bad_lams)
         print(f"evolve({q}, {b}): {len(new)} terms, "
               f"{'equal' if same else 'MISMATCH'} "
-              f"(direct {direct_seconds:.2f} s, e^H logarithm {log_seconds:.2f} s)")
+              f"(direct {direct_seconds:.2f} s, e^H logarithm {log_seconds:.2f} s)"
+              + (f"; genus cap MISMATCH at G = {bad_caps}" if bad_caps else "; genus caps equal")
+              + (f"; h_lambda_series MISMATCH at {bad_lams}" if bad_lams else ""))
     print(f"{len(BOUNDS)} bounds, {failures} mismatches")
     return 1 if failures else 0
 

@@ -162,6 +162,13 @@ def test_usage_errors_exit_2(tmp_path):
     assert "error:" in err
     code, _, err = run_cli("compute-hurwitz", "--genus", "0", "--lambda", "2", "--mu", "3")
     assert code == 2
+    # a negative genus has no covers to count, even where m = len(lam) + len(mu) + 2g - 2 >= 0
+    negative_genus = ("--genus", "-1", "--lambda", "3", "--mu", "1,1,1")
+    for argv in [("compute-hurwitz", *negative_genus, "--method", method)
+                 for method in ("oracle", "cutjoin", "frobenius")] + [("oracle", *negative_genus)]:
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert "genus" in err
     # meaningless ranges are rejected, not answered with an empty result
     for n_bound in ("0", "-1"):
         code, out, err = run_cli(

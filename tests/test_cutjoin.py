@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -337,6 +337,26 @@ def test_frobenius_uses_char_table_cache(tmp_path):
         )
 
 
+def _genus(mono) -> int:
+    """g of beta^m p_lam q_mu, from m = len(lam) + len(mu) + 2g - 2."""
+    parts = sum(e for v, e in mono if v != BETA_VAR)
+    return (dict(mono).get(BETA_VAR, 0) + 2 - parts) // 2
+
+
+@pytest.mark.parametrize("q_bound", range(1, 7))
+def test_evolve_genus_cap_is_exact(q_bound):
+    beta_bound = 2 * q_bound - 2
+    full = evolve(q_bound, beta_bound)
+    for cap in (0, 1, 2):
+        capped = evolve(q_bound, beta_bound, max_genus=cap)
+        assert capped.term_dict() == {m: c for m, c in full.items() if _genus(m) <= cap}, cap
+
+
+def test_evolve_rejects_negative_genus_cap():
+    with pytest.raises(ValueError):
+        evolve(3, 2, max_genus=-1)
+
+
 def test_genus0_filter():
     tr = Truncation(q_weight=4, p_weight=4, beta_deg=4)
     keep = mono_from_vars([(BETA_VAR, 1), (pvar(2), 1), (qvar(1), 2)])  # 1 = 1+2-2
@@ -348,6 +368,44 @@ def test_genus0_filter():
 
 def Qm(*pairs):
     return mono_from_vars([(qvar(k), e) for k, e in pairs])
+
+
+def substitute_p1_shift(series: GradedSeries) -> GradedSeries:
+    """Reference: the formal substitution p_1 -> p_1 + 1 by binomial
+    re-expansion, term by term (h_lambda_series reads only the coefficients
+    it needs)."""
+    p1 = pvar(1)
+    out: dict = {}
+    for mono, coeff in series.items():
+        e = dict(mono).get(p1, 0)
+        rest = tuple((v, x) for v, x in mono if v != p1)
+        for i in range(e + 1):
+            new = mono_mul(rest, ((p1, i),)) if i else rest
+            out[new] = out.get(new, 0) + coeff * comb(e, i)
+    return GradedSeries.from_terms(series.truncation, out)
+
+
+def _shifted_h_lambda_series(shifted: GradedSeries, lam, q_bound: int) -> GradedSeries:
+    """Reference h_lam: the q-series of p_lam in the p_1-shifted genus-0
+    series, times |Aut lam|."""
+    target = mono_from_vars([(pvar(part), 1) for part in lam])
+    out: dict = {}
+    for mono, coeff in shifted.items():
+        if tuple(pair for pair in mono if pair[0][0] == "p") == target:
+            qpart = tuple(pair for pair in mono if pair[0][0] == "q")
+            out[qpart] = out.get(qpart, 0) + coeff * aut_order(lam)
+    return GradedSeries(Truncation(q_weight=q_bound), out)
+
+
+@pytest.mark.parametrize("q_bound", range(1, 8))
+def test_h_series_matches_full_shift(q_bound):
+    # the whole genus-0 part of the full evolve, p_1-shifted at once
+    g0 = genus0_part(evolve(q_bound, max(0, 2 * q_bound - 2)))
+    shifted = substitute_p1_shift(g0.substitute_one(BETA_VAR))
+    for n in range(1, q_bound + 2):
+        for lam in partitions_of(n):
+            expected = _shifted_h_lambda_series(shifted, lam, q_bound)
+            assert h_lambda_series(lam, q_bound) == expected, lam
 
 
 def test_h_series_degree_one():
@@ -390,20 +448,42 @@ def test_hurwitz_number_methods_agree():
     assert hurwitz_number_by_series(0, (2,), (2,), "cutjoin") == Fraction(1, 2)
 
 
+def _sinh_ratio_coefficients(x, top: int) -> list:
+    """[t^0], [t^2], ..., [t^(2 top)] of S(x t), S(t) = sinh(t/2) / (t/2)."""
+    return [Fraction(x ** (2 * k), 4 ** k * factorial(2 * k + 1)) for k in range(top + 1)]
+
+
+def _one_part_formula(g: int, d: int, mu) -> Fraction:
+    """Goulden-Jackson-Vakil (math/0309440, Thm 3.1): h_g((d), mu) =
+    r! d^(r-1) [t^(2g)] prod_i S(mu_i t) / S(t) / |Aut mu|, r = 2g - 1 + len(mu)."""
+    r = 2 * g - 1 + len(mu)
+    series = [Fraction(1)] + [Fraction(0)] * g  # in t^2
+    for part in mu:
+        factor = _sinh_ratio_coefficients(part, g)
+        series = [sum(series[i] * factor[k - i] for i in range(k + 1)) for k in range(g + 1)]
+    inverse = [Fraction(1)]  # 1 / S(t), from S(t) inverse = 1
+    s = _sinh_ratio_coefficients(1, g)
+    for k in range(1, g + 1):
+        inverse.append(-sum(s[i] * inverse[k - i] for i in range(1, k + 1)))
+    top = sum(series[i] * inverse[g - i] for i in range(g + 1))
+    return factorial(r) * Fraction(d) ** (r - 1) * top / aut_order(mu)
+
+
 @pytest.mark.parametrize("method", ["cutjoin", "frobenius"])
 def test_hurwitz_number_one_part_formula(method):
-    # h_0((d), mu) = m! d^(m-1) / |Aut mu| with m = len(mu) - 1 (1/d at m = 0)
-    for d in range(1, 8):
-        for mu in partitions_of(d):
-            m = len(mu) - 1
-            expected = factorial(m) * Fraction(d) ** (m - 1) / aut_order(mu)
-            assert hurwitz_number_by_series(0, (d,), mu, method) == expected, mu
+    # at genus 0 the formula is m! d^(m-1) / |Aut mu| with m = len(mu) - 1 (1/d at m = 0)
+    for g in range(3) if method == "cutjoin" else (0,):
+        for d in range(1, 8):
+            for mu in partitions_of(d):
+                if 2 * g - 1 + len(mu) <= 10:
+                    expected = _one_part_formula(g, d, mu)
+                    assert hurwitz_number_by_series(g, (d,), mu, method) == expected, (g, mu)
 
 
 @pytest.mark.parametrize("method", ["cutjoin", "frobenius"])
 def test_hurwitz_number_two_by_two_chamber_formula(method):
     # genus 0, two parts on each side: h |Aut lam| |Aut mu| = 2 max(lam_1, mu_1)
-    for d in range(2, 8):
+    for d in range(2, 13 if method == "cutjoin" else 8):
         two_part = [lam for lam in partitions_of(d) if len(lam) == 2]
         for lam in two_part:
             for mu in two_part:
@@ -414,3 +494,6 @@ def test_hurwitz_number_two_by_two_chamber_formula(method):
 def test_hurwitz_number_bad_method():
     with pytest.raises(ValueError):
         hurwitz_number_by_series(0, (2,), (2,), "guess")
+    for method in ("cutjoin", "frobenius"):
+        with pytest.raises(ValueError):  # m = 0, but no genus is negative
+            hurwitz_number_by_series(-1, (3,), (1, 1, 1), method)

@@ -247,17 +247,19 @@ def test_diff_commutes():
 
 
 def test_substitute_p1_shift_examples():
+    from test_cutjoin import substitute_p1_shift
+
     tr = Truncation(q_weight=4, p_weight=4)
     p1 = pvar(1)
     sq = GradedSeries(tr, {mono_from_vars([(p1, 2)]): Fraction(1)})
-    assert sq.substitute_p1_shift() == GradedSeries(
+    assert substitute_p1_shift(sq) == GradedSeries(
         tr,
         {mono_from_vars([(p1, 2)]): Fraction(1), mono_from_vars([(p1, 1)]): Fraction(2), (): Fraction(1)},
     )
     p2q2 = GradedSeries(tr, {mono_from_vars([(pvar(2), 1), (qvar(2), 1)]): Fraction(1)})
-    assert p2q2.substitute_p1_shift() == p2q2
+    assert substitute_p1_shift(p2q2) == p2q2
     p1p2 = GradedSeries(tr, {mono_from_vars([(p1, 1), (pvar(2), 1)]): Fraction(1)})
-    assert p1p2.substitute_p1_shift() == GradedSeries(
+    assert substitute_p1_shift(p1p2) == GradedSeries(
         tr,
         {
             mono_from_vars([(p1, 1), (pvar(2), 1)]): Fraction(1),

@@ -333,13 +333,13 @@ def genus0_part(H: GradedSeries) -> GradedSeries:
 
 @lru_cache(maxsize=None)
 def genus0_series(q_weight_bound: int) -> GradedSeries:
-    """Genus-0 connected series at beta = 1, with its terms p_lam q_mu.
+    """Genus-0 connected series: its terms beta^m p_lam q_mu all have
+    m = len(lam) + len(mu) - 2, so the p- and q-letters fix beta's power.
 
     The beta bound 2*Q - 2 is forced: a genus-0 term with |mu| <= Q has at
     most Q parts on each side, so m <= 2Q - 2.
     """
-    beta_bound = max(0, 2 * q_weight_bound - 2)
-    return evolve(q_weight_bound, beta_bound, max_genus=0).substitute_one(BETA_VAR)
+    return evolve(q_weight_bound, max(0, 2 * q_weight_bound - 2), max_genus=0)
 
 
 def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
@@ -349,7 +349,8 @@ def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
 
     Its q_mu coefficient is |Aut lam| times that of p_lam q_mu in the genus-0
     series after p_1 -> p_1 + 1: with lam = (lam', 1^a), the sum over e >= a
-    of C(e, a) times the coefficient of p_lam' p_1^e q_mu.
+    of C(e, a) times the coefficient of p_lam' p_1^e q_mu, at the one power
+    of beta that genus 0 gives it.
 
     Exact up to q-weight q_weight_bound; independent of the order of lam.
     """

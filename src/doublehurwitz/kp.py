@@ -50,29 +50,18 @@ def scaled_schur(k: int, trunc: Truncation) -> GradedSeries:
     return GradedSeries(trunc, terms)
 
 
-def _rising_xi(k: int, trunc: Truncation) -> GradedSeries:
-    """xi (xi + psi) (xi + 2 psi) ... (xi + (k-1) psi)."""
-    prod = GradedSeries.one(trunc)
-    for i in range(k):
-        factor = GradedSeries(
-            trunc,
-            {
-                mono_from_vars([(XI_VAR, 1)]): Fraction(1),
-                mono_from_vars([(PSI_VAR, 1)]): Fraction(i),
-            },
-        )
-        prod = prod * factor
-    return prod
-
-
 def tau_series(t_weight_bound: int) -> GradedSeries:
     """The tau function truncated at total t-weight t_weight_bound."""
     if t_weight_bound < 1:
         raise ValueError("bound must be >= 1")
     trunc = Truncation(s_weight=t_weight_bound)
     total = GradedSeries.one(trunc)
+    xi = mono_from_vars([(XI_VAR, 1)])
+    psi = mono_from_vars([(PSI_VAR, 1)])
+    rising = GradedSeries.one(trunc)  # xi (xi + psi) ... (xi + (k-1) psi)
     for k in range(1, t_weight_bound + 1):
-        total = total + _rising_xi(k, trunc) * scaled_schur(k, trunc)
+        rising = rising * GradedSeries(trunc, {xi: Fraction(1), psi: Fraction(k - 1)})
+        total = total + rising * scaled_schur(k, trunc)
     return total
 
 

@@ -113,18 +113,18 @@ def multinomial(nu) -> int:
     return out
 
 
-def compositions(total: int, num_parts: int, min_part: int = 0) -> Iterator[tuple]:
-    """Ordered tuples of num_parts integers >= min_part summing to total."""
+def compositions(total: int, num_parts: int) -> Iterator[tuple]:
+    """Ordered tuples of num_parts integers >= 1 summing to total."""
     if num_parts == 0:
         if total == 0:
             yield ()
         return
     if num_parts == 1:
-        if total >= min_part:
+        if total >= 1:
             yield (total,)
         return
-    for first in range(min_part, total - min_part * (num_parts - 1) + 1):
-        for rest in compositions(total - first, num_parts - 1, min_part):
+    for first in range(1, total - num_parts + 2):
+        for rest in compositions(total - first, num_parts - 1):
             yield (first,) + rest
 
 

@@ -16,7 +16,9 @@ rewritten by the coefficient form of the defining differential equation:
 Enumerating labelled copies of R's entries absorbs all multiset-automorphism
 factors; the total lam-weight strictly drops on the right, so the recursion
 terminates at the initial conditions.  Results are memoized in an
-:class:`XTable` that can be persisted to JSON.
+:class:`XTable` that can be persisted to JSON.  A key determines how its
+entry was made (the closed form when every lam_i = 0, else the rewrite of
+the key's first, largest entry), so the table stores only key -> polynomial.
 
 The block sum is evaluated as a coefficient extraction rather than term by
 term.  With O = R - A written as a vector of multiplicities over its distinct
@@ -44,12 +46,12 @@ from math import factorial, prod
 from pathlib import Path
 from typing import Optional
 
-from .partitions import multinomial
-from .zseries import ZPoly
+from .partitions import check_partition, multinomial
+from .zseries import ZPoly, zpoly_euler, zpoly_weighted_euler
 
-# Stamp covering the normalization conventions baked into the table; bump it
-# whenever those change so stale caches are rejected.
-XTABLE_VERSION = "xtable-v1"
+# Stamp covering the layout and the normalization conventions baked into the
+# table; bump it whenever those change so stale files are rejected.
+XTABLE_VERSION = "xtable-v2"
 
 XKey = tuple  # sorted-descending tuple of (lam_i, nu_i) pairs
 
@@ -76,11 +78,10 @@ def initial_x(nu) -> ZPoly:
 
 
 class XTable:
-    """Memoized recursion state: canonical key -> ZPoly, with provenance."""
+    """Memoized recursion state: canonical key -> ZPoly."""
 
     def __init__(self):
         self.entries: dict = {}
-        self.provenance: dict = {}
         # entries and partial block products used by _block_product, keyed by
         # type tuple; derived from entries, so never counted or persisted
         self.block_memo: dict = {}
@@ -91,29 +92,23 @@ class XTable:
     def get(self, key) -> Optional[ZPoly]:
         return self.entries.get(key)
 
-    def store(self, key: XKey, value: ZPoly, rule: str):
+    def store(self, key: XKey, value: ZPoly):
         self.entries[key] = value
-        self.provenance[key] = rule
 
     # -- persistence ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        items = []
-        for key in sorted(self.entries):
-            items.append(
-                {
-                    "key": [list(p) for p in key],
-                    "poly": self.entries[key].to_json_list(),
-                    "rule": self.provenance.get(key, ""),
-                }
-            )
+        items = [
+            {"key": [list(p) for p in key], "poly": self.entries[key].to_json_list()}
+            for key in sorted(self.entries)
+        ]
         return {"version": XTABLE_VERSION, "entries": items}
 
     @staticmethod
     def from_json_dict(data: dict) -> "XTable":
         """The table to_json_dict wrote.  Each entry needs a key of [int, int]
-        pairs (a bool is no int here), a polynomial and a string rule, and no
-        key may repeat; otherwise ValueError names the entry."""
+        pairs (a bool is no int here) and a polynomial, and no key may
+        repeat; otherwise ValueError names the entry."""
         if not isinstance(data, dict):
             raise ValueError("cache is not a JSON object")
         if data.get("version") != XTABLE_VERSION:
@@ -126,17 +121,19 @@ class XTable:
         for n, item in enumerate(data["entries"]):
             try:
                 pairs = [(a, b) for a, b in item["key"]]
-                poly, rule = item["poly"], item["rule"]
+                poly = item["poly"]
             except (KeyError, TypeError, ValueError):
                 raise ValueError(f"table entry {n} is malformed: {item!r}") from None
             if any(type(v) is not int for pair in pairs for v in pair):
                 raise ValueError(f"table entry {n} has a non-int key entry: {item['key']!r}")
-            if type(rule) is not str:
-                raise ValueError(f"table entry {n} has a non-string rule: {rule!r}")
             key = make_xkey(pairs)
             if key in table.entries:
                 raise ValueError(f"table entry {n} repeats the key {item['key']!r}")
-            table.store(key, ZPoly.from_json_list(poly), rule)
+            try:
+                value = ZPoly.from_json_list(poly)
+            except ValueError as exc:
+                raise ValueError(f"table entry {n} has a malformed polynomial: {exc}") from None
+            table.store(key, value)
         return table
 
     def save(self, path) -> Path:
@@ -253,7 +250,7 @@ def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = 
 
     if all(a == 0 for a, _ in key):
         value = initial_x(tuple(b for _, b in key))
-        table.store(key, value, "initial")
+        table.store(key, value)
         return value
 
     if pivot_index is None:
@@ -272,14 +269,12 @@ def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = 
     value = value - _correction(s, m, rest, table)
 
     if pivot_index is None:
-        table.store(key, value, f"pivot=({lam_p},{m})")
+        table.store(key, value)
     return value
 
 
 def h_poly(lam, table: Optional[XTable] = None) -> ZPoly:
     """h_lam as a polynomial in the generators: the key with nu = 0."""
-    from .partitions import check_partition
-
     lam = check_partition(lam)
     if not lam:
         raise ValueError("lam must be nonempty")
@@ -307,12 +302,9 @@ def keys_up_to(max_lam_weight: int, max_r: int, max_nu_weight: int) -> list:
     return sorted(seen)
 
 
-def populate_table(
-    max_lam_weight: int, max_r: int, max_nu_weight: int, table: Optional[XTable] = None
-) -> XTable:
-    """Fill a table with every key in the given ranges."""
-    if table is None:
-        table = XTable()
+def populate_table(max_lam_weight: int, max_r: int, max_nu_weight: int) -> XTable:
+    """A new table holding every key in the given ranges."""
+    table = XTable()
     for key in keys_up_to(max_lam_weight, max_r, max_nu_weight):
         compute_x(key, table)
     return table
@@ -336,8 +328,6 @@ def string_identity_sides(rest: XKey, table: Optional[XTable] = None):
     Euler identities.  Returned as (lhs, rhs) ZPolys; they agree as q-series
     but not necessarily in polynomial form.
     """
-    from .zseries import zpoly_weighted_euler
-
     rest = make_xkey(rest)
     lhs = compute_x(rest + ((0, 0),), table)
     rhs = zpoly_weighted_euler(compute_x(rest, table))
@@ -355,44 +345,8 @@ def dilaton_identity_sides(rest: XKey, table: Optional[XTable] = None):
 
     the r coming from the Euler operator in the t-variables and the -2 from
     the equation itself."""
-    from .zseries import zpoly_euler
-
     rest = make_xkey(rest)
     lhs = compute_x(rest + ((0, 1),), table)
     x_rest = compute_x(rest, table)
     rhs = zpoly_euler(x_rest) + x_rest * (len(rest) - 2)
     return lhs, rhs
-
-
-# Key ranges of check_string_dilaton, and the q-weight of its comparison.
-STRING_DILATON_MAX_LAM_WEIGHT = 3
-STRING_DILATON_MAX_NU_WEIGHT = 2
-STRING_DILATON_MAX_R = 3
-STRING_DILATON_EVAL_Q_WEIGHT = 8
-
-
-def check_string_dilaton(table: Optional[XTable] = None):
-    """Verify both identities on every key in the STRING_DILATON_* ranges;
-    equality is decided by evaluating the polynomials as q-series at
-    STRING_DILATON_EVAL_Q_WEIGHT.
-
-    Returns (ok, failures) with one entry per violated identity."""
-    from .zseries import zpoly_eval
-
-    if table is None:
-        table = XTable()
-    failures = []
-    keys = keys_up_to(
-        STRING_DILATON_MAX_LAM_WEIGHT, STRING_DILATON_MAX_R, STRING_DILATON_MAX_NU_WEIGHT
-    )
-    for rest in keys:
-        for name, sides in (
-            ("string", string_identity_sides),
-            ("dilaton", dilaton_identity_sides),
-        ):
-            lhs, rhs = sides(rest, table)
-            if lhs == rhs:
-                continue
-            if not zpoly_eval(lhs - rhs, STRING_DILATON_EVAL_Q_WEIGHT).is_zero():
-                failures.append((name, rest))
-    return not failures, failures

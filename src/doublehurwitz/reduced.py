@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from .partitions import check_partition, compositions, multinomial
+from .partitions import compositions, multinomial
 from .recursion import initial_x, make_xkey
 from .zseries import ZPoly
 
@@ -100,18 +100,10 @@ class ReducedRecursion:
                     groups = [[] for _ in range(ell)]
                     for entry, b in zip(others, blocks):
                         groups[b].append(entry)
-                    for sigma in compositions(a, ell, min_part=1):
+                    for sigma in compositions(a, ell):
                         prod = ZPoly.constant(1)
                         for s_i, group in zip(sigma, groups):
                             prod = prod * self.x_value(make_xkey(group + [(s_i, 0)])) * s_i
                         inner = inner + prod
                 total = total + inner * weight
         return total
-
-    def h_poly(self, lam) -> ZPoly:
-        """h_lam through the reduced chain (all-zero psi-exponents)."""
-        lam = check_partition(lam)
-        if not lam:
-            raise ValueError("lam must be nonempty")
-        return self.x_value(make_xkey((i, 0) for i in lam))
-

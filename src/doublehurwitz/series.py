@@ -351,15 +351,6 @@ class GradedSeries:
             self.truncation, {m: fn(m, c) for m, c in self._terms.items()}
         )
 
-    def substitute_one(self, var: tuple) -> "GradedSeries":
-        """Set one variable equal to 1 (merge terms that differ only in it)."""
-        out: dict = {}
-        for mono, coeff in self._terms.items():
-            new = tuple((v, e) for v, e in mono if v != var)
-            acc = out.get(new)
-            out[new] = coeff if acc is None else acc + coeff
-        return GradedSeries.from_terms(self.truncation, out)
-
     # -- exp / log ----------------------------------------------------------
 
     def _buckets(self, items=None) -> tuple:

@@ -32,14 +32,12 @@ from .kp import homogeneous_part, kp_residual, r_series
 from .oracle import oracle_count, oracle_count_calibrated
 from .partitions import aut_order, partitions_of
 from .recursion import (
-    STRING_DILATON_MAX_LAM_WEIGHT,
-    STRING_DILATON_MAX_NU_WEIGHT,
-    STRING_DILATON_MAX_R,
     XTable,
-    check_string_dilaton,
     compute_x,
+    dilaton_identity_sides,
     h_poly,
     keys_up_to,
+    string_identity_sides,
 )
 from .reduced import ReducedRecursion, is_reduced_key
 from .series import (
@@ -91,8 +89,8 @@ class SuiteReport:
 
 # ---------------------------------------------------------------------------
 # Suite ranges.  run_suite calls every suite without arguments, so these are
-# the one place to widen a check; string-dilaton's live in .recursion.  Each
-# *_Q_WEIGHT is the q-weight up to which two sides are compared as q-series.
+# the one place to widen a check.  Each *_Q_WEIGHT is the q-weight up to which
+# two sides are compared as q-series.
 
 PAPER_EVAL_Q_WEIGHT = 10
 PAPER_MAX_DEGREE = 6  # the 1/k degree coefficient of h_(k,) for k <= PAPER_MAX_DEGREE
@@ -101,6 +99,10 @@ TRIPLE_MAX_M = 4  # branch points of the oracle comparison
 TRIPLE_EVOLVE_Q_WEIGHT = 4  # evolve vs frobenius_eH up to these bounds
 TRIPLE_EVOLVE_BETA = 4
 TRIPLE_SCHUR_MAX_WEIGHT = 6  # Schur eigenvectors s_lam for |lam| <= TRIPLE_SCHUR_MAX_WEIGHT
+STRING_DILATON_MAX_LAM_WEIGHT = 3  # keys_up_to(this, STRING_DILATON_MAX_R, ..._MAX_NU_WEIGHT)
+STRING_DILATON_MAX_R = 3
+STRING_DILATON_MAX_NU_WEIGHT = 2
+STRING_DILATON_EVAL_Q_WEIGHT = 8
 PSI_MAX_A = 3  # Psi_{a,ell} for a <= PSI_MAX_A, 1 <= ell <= PSI_MAX_ELL
 PSI_MAX_ELL = 4
 EQZRED_MAX_D = 3  # z_{d,r} for d <= EQZRED_MAX_D, 1 <= r <= EQZRED_MAX_R
@@ -115,6 +117,28 @@ PIVOT_EVAL_Q_WEIGHT = 10
 BRIDGE_MAX_WEIGHT = 6  # h_lam for |lam| <= BRIDGE_MAX_WEIGHT, len(lam) <= BRIDGE_MAX_LEN
 BRIDGE_MAX_LEN = 3
 BRIDGE_Q_WEIGHT = 8
+
+
+def check_string_dilaton():
+    """Verify the string and dilaton identities on every key in the
+    STRING_DILATON_* ranges, comparing the two sides as q-series up to
+    STRING_DILATON_EVAL_Q_WEIGHT.
+
+    Returns (ok, failures) with one (name, key) per violated identity."""
+    table = XTable()
+    failures = []
+    keys = keys_up_to(
+        STRING_DILATON_MAX_LAM_WEIGHT, STRING_DILATON_MAX_R, STRING_DILATON_MAX_NU_WEIGHT
+    )
+    for rest in keys:
+        for name, sides in (
+            ("string", string_identity_sides),
+            ("dilaton", dilaton_identity_sides),
+        ):
+            lhs, rhs = sides(rest, table)
+            if not zpoly_values_equal(lhs, rhs, STRING_DILATON_EVAL_Q_WEIGHT):
+                failures.append((name, rest))
+    return not failures, failures
 
 
 def suite_paper_examples() -> SuiteReport:

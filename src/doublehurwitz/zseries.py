@@ -293,10 +293,13 @@ class ZPoly:
 
     @staticmethod
     def from_json_list(data) -> "ZPoly":
-        """Inverse of :meth:`to_json_list`.  An entry whose generators are not
-        pairs of ints, whose coefficient is not "num" or "num/den" with ints
-        and den > 0, or whose generators repeat an earlier entry's (which
-        to_json_list never writes), raises ValueError naming the entry."""
+        """Inverse of :meth:`to_json_list`.  Anything but a list ([] is 0),
+        or an entry whose generators are not pairs of ints, whose coefficient
+        is not "num" or "num/den" with ints and den > 0, or whose generators
+        repeat an earlier entry's (which to_json_list never writes), raises
+        ValueError naming the entry."""
+        if not isinstance(data, list):
+            raise ValueError(f"a polynomial is a list of terms, not {data!r}")
         pairs = {}
         for entry in data:
             try:
@@ -333,10 +336,7 @@ def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
     return total
 
 
-DEFAULT_EQUALITY_WEIGHT = 10
-
-
-def zpoly_values_equal(a: ZPoly, b: ZPoly, q_weight: int = DEFAULT_EQUALITY_WEIGHT) -> bool:
+def zpoly_values_equal(a: ZPoly, b: ZPoly, q_weight: int) -> bool:
     """Equality of the polynomials as q-series, decided by evaluation.
 
     The generator series satisfy polynomial relations, so distinct polynomial
@@ -568,15 +568,3 @@ def check_psi_string_dilaton(a: int, ell: int, t_weight_bound: int):
         return False, f"dilaton identity fails for Psi_{{{a},{ell}}}"
     return True, f"string and dilaton identities hold for Psi_{{{a},{ell}}}"
 
-
-def psi_string_naive_residual(a: int, ell: int, t_weight_bound: int) -> GradedSeries:
-    """Residual of the over-counting variant that adds the full next series to
-    the raised sum: d Psi/d t_{0,0} - Psi_{a,ell+1} - sum t_{i,j+1} d Psi/d t_{i,j}.
-
-    Since the derivative already equals Psi_{a,ell+1}, this residual equals
-    minus the raised sum and is nonzero; it is kept as the documented record
-    of why the string identity carries the bottom-slice form above."""
-    psi = psi_series(a, ell, t_weight_bound)
-    window = Truncation(t_weight=t_weight_bound - 1)
-    lhs = psi.diff(tvar(0, 0)).truncate(window)
-    return lhs - psi_series(a, ell + 1, t_weight_bound - 1) - _t_raise(psi).truncate(window)

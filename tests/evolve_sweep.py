@@ -34,6 +34,7 @@ from test_cutjoin import (
     _diagonal_seed,
     _genus,
     _shifted_h_lambda_series,
+    set_beta_one,
     substitute_p1_shift,
 )
 
@@ -122,7 +123,7 @@ def genus_cap_mismatches(q: int, b: int, full: GradedSeries) -> list:
 def h_series_mismatches(q: int, full: GradedSeries) -> list:
     """The lam with |lam| <= q + 1 whose h_lambda_series differs from the
     reference read off the p_1-shifted genus-0 part of full = evolve(q, 2q - 2)."""
-    shifted = substitute_p1_shift(genus0_part(full).substitute_one(BETA_VAR))
+    shifted = substitute_p1_shift(set_beta_one(genus0_part(full)))
     return [lam for n in range(1, q + 2) for lam in partitions_of(n)
             if h_lambda_series(lam, q) != _shifted_h_lambda_series(shifted, lam, q)]
 

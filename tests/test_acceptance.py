@@ -20,13 +20,7 @@ from doublehurwitz.golden import GOLDEN_H_POLYS
 from doublehurwitz.kp import homogeneous_part, kp_residual, r_series
 from doublehurwitz.oracle import oracle_count, oracle_count_calibrated
 from doublehurwitz.partitions import aut_order, partitions_of
-from doublehurwitz.recursion import (
-    XTable,
-    check_string_dilaton,
-    compute_x,
-    h_poly,
-    keys_up_to,
-)
+from doublehurwitz.recursion import XTable, compute_x, h_poly, keys_up_to
 from doublehurwitz.reduced import ReducedRecursion, is_reduced_key
 from doublehurwitz.series import (
     BETA_VAR,
@@ -40,12 +34,9 @@ from doublehurwitz.series import (
     svar,
 )
 from doublehurwitz.symgroup import central_weight, schur_in_power_sums
-from doublehurwitz.zseries import (
-    check_eqzred,
-    check_psi_string_dilaton,
-    psi_string_naive_residual,
-    zpoly_eval,
-)
+from doublehurwitz.verify import check_string_dilaton
+from doublehurwitz.zseries import check_eqzred, check_psi_string_dilaton, zpoly_eval
+from test_zseries import psi_string_naive_residual
 
 
 @pytest.fixture(scope="module")
@@ -123,8 +114,8 @@ def test_acceptance_05_schur_eigenbasis():
     _report(5, "cut-and-join eigenbasis property for |lam| <= 6")
 
 
-def test_acceptance_06_string_dilaton(xtable):
-    ok, failures = check_string_dilaton(table=xtable)
+def test_acceptance_06_string_dilaton():
+    ok, failures = check_string_dilaton()
     assert ok, failures
     for a in range(0, 4):
         for ell in range(1, 5):

@@ -11,6 +11,7 @@ from doublehurwitz.cutjoin import (
     evolve,
     frobenius_eH,
     genus0_part,
+    genus0_series,
     h_lambda_series,
     hurwitz_number_by_series,
 )
@@ -357,6 +358,15 @@ def test_evolve_rejects_negative_genus_cap():
         evolve(3, 2, max_genus=-1)
 
 
+def test_genus0_series_fixes_beta_by_its_letters():
+    # h_lambda_series reads only the p- and q-letters of the genus-0 series,
+    # so each p_lam q_mu must sit at the one power m = len(lam) + len(mu) - 2
+    for q_bound in range(1, 9):
+        for mono, _ in genus0_series(q_bound).items():
+            parts = sum(e for v, e in mono if v != BETA_VAR)
+            assert dict(mono).get(BETA_VAR, 0) == parts - 2, mono
+
+
 def test_genus0_filter():
     tr = Truncation(q_weight=4, p_weight=4, beta_deg=4)
     keep = mono_from_vars([(BETA_VAR, 1), (pvar(2), 1), (qvar(1), 2)])  # 1 = 1+2-2
@@ -368,6 +378,15 @@ def test_genus0_filter():
 
 def Qm(*pairs):
     return mono_from_vars([(qvar(k), e) for k, e in pairs])
+
+
+def set_beta_one(series: GradedSeries) -> GradedSeries:
+    """Reference: beta -> 1, merging the terms that differ only in beta."""
+    out: dict = {}
+    for mono, coeff in series.items():
+        new = tuple((v, e) for v, e in mono if v != BETA_VAR)
+        out[new] = out.get(new, 0) + coeff
+    return GradedSeries.from_terms(series.truncation, out)
 
 
 def substitute_p1_shift(series: GradedSeries) -> GradedSeries:
@@ -401,7 +420,7 @@ def _shifted_h_lambda_series(shifted: GradedSeries, lam, q_bound: int) -> Graded
 def test_h_series_matches_full_shift(q_bound):
     # the whole genus-0 part of the full evolve, p_1-shifted at once
     g0 = genus0_part(evolve(q_bound, max(0, 2 * q_bound - 2)))
-    shifted = substitute_p1_shift(g0.substitute_one(BETA_VAR))
+    shifted = substitute_p1_shift(set_beta_one(g0))
     for n in range(1, q_bound + 2):
         for lam in partitions_of(n):
             expected = _shifted_h_lambda_series(shifted, lam, q_bound)

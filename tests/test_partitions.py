@@ -114,13 +114,13 @@ def test_multinomial_examples():
 
 
 def test_compositions():
-    assert list(compositions(3, 2, min_part=1)) == [(1, 2), (2, 1)]
+    assert list(compositions(3, 2)) == [(1, 2), (2, 1)]
     assert list(compositions(0, 0)) == [()]
-    assert list(compositions(2, 3, min_part=1)) == []
+    assert list(compositions(2, 3)) == []
     # number of compositions of n into k positive parts is C(n-1, k-1)
     for n in range(1, 8):
         for k in range(1, n + 1):
-            assert len(list(compositions(n, k, 1))) == comb(n - 1, k - 1)
+            assert len(list(compositions(n, k))) == comb(n - 1, k - 1)
 
 
 def test_fraction_round_trip():

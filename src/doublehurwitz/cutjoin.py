@@ -96,7 +96,7 @@ def cut_join_apply(series: GradedSeries) -> GradedSeries:
     W acts on the p-variables alone, which a canonical monomial holds in one
     contiguous run; their image comes from a memo and is spliced back."""
     out: dict = {}
-    for mono, coeff in series.items():
+    for mono, n in series.nums.items():
         lo = 0
         while lo < len(mono) and mono[lo][0][0] != P:
             lo += 1
@@ -106,8 +106,8 @@ def cut_join_apply(series: GradedSeries) -> GradedSeries:
         pre, post = mono[:lo], mono[hi:]
         for pimage, c in _w_image(mono[lo:hi]):
             new = pre + pimage + post
-            out[new] = out.get(new, 0) + coeff * c
-    return GradedSeries.from_terms(series.truncation, out)
+            out[new] = out.get(new, 0) + n * c
+    return GradedSeries.from_ints(series.truncation, out, series.den)
 
 
 class _Packer:
@@ -223,10 +223,10 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
 
         2 D (m+1) (D H_{m+1}) = 2 D W(D H_m) + sum_{a+b=m} J(D H_a, D H_b),
 
-    its division is checked to be exact, and each coefficient becomes a
-    Fraction once, at the end.  W is cut_join_apply on the tuple form of
-    D H_m.  J runs on packed exponent vectors (see _Packer), so the monomial
-    of a product term is the sum of two ints and the field of p_{i+j}.  Every
+    its division is checked to be exact, and H is handed over as these
+    numerators over D.  W is cut_join_apply on the tuple form of D H_m.
+    J runs on packed exponent vectors (see _Packer), so the monomial of a
+    product term is the sum of two ints and the field of p_{i+j}.  Every
     slice term has p-weight = q-weight = d <= Q, and J pairs two terms only
     when d_l + d_r <= Q, so every exponent of a product is at most Q < 2^w
     and no field carries into the next.
@@ -255,8 +255,8 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
         joined: dict = {}
         for a in range((m + 2) // 2):  # J is symmetric: a < m - a twice, a = m - a once
             _join_into(joined, packer, derivatives[a], derivatives[m - a], 1 if 2 * a == m else 2)
-        acc = {mono: 2 * D * c
-               for mono, c in cut_join_apply(GradedSeries.from_terms(trunc, Hs[m])).items()}
+        acc = {mono: 2 * D * c  # D H_m has den 1, and so has its W image
+               for mono, c in cut_join_apply(GradedSeries.from_ints(trunc, Hs[m])).nums.items()}
         for k, c in joined.items():
             mono = packer.unpack(k)
             acc[mono] = acc.get(mono, 0) + c
@@ -271,9 +271,9 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
     for m in range(beta_bound + 1):
         beta_m = ((BETA_VAR, m),) if m else ()  # sorts before every p and q
         for mono, c in Hs[m].items():
-            H[beta_m + mono] = Fraction(c, D)
-        Hs[m] = None  # decoded: let it go before the next slice grows the dict
-    return GradedSeries.from_terms(trunc, H)
+            H[beta_m + mono] = c
+        Hs[m] = None  # copied: let it go before the next slice grows the dict
+    return GradedSeries.from_ints(trunc, H, D)
 
 
 def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> GradedSeries:
@@ -327,8 +327,8 @@ def genus0_part(H: GradedSeries) -> GradedSeries:
                 m = e
         return m == lp + lq - 2
 
-    kept = {m: c for m, c in H.items() if keep(m)}
-    return GradedSeries.from_terms(H.truncation, kept)
+    kept = {m: n for m, n in H.nums.items() if keep(m)}
+    return GradedSeries.from_ints(H.truncation, kept, H.den)
 
 
 @lru_cache(maxsize=None)
@@ -360,15 +360,16 @@ def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
     ones, p1 = lam.count(1), pvar(1)
     rest = mono_from_vars([(pvar(part), 1) for part in lam if part != 1])
     aut = aut_order(lam)
+    series = genus0_series(q_weight_bound)
     out: dict = {}
-    for mono, coeff in genus0_series(q_weight_bound).items():
+    for mono, n in series.nums.items():
         ppart = tuple(pair for pair in mono if pair[0][0] == P)
         e = ppart[0][1] if ppart[0][0] == p1 else 0  # p_1 sorts first
         if e < ones or ppart[1 if e else 0:] != rest:
             continue
         qpart = tuple(pair for pair in mono if pair[0][0] == Q)
-        out[qpart] = out.get(qpart, 0) + comb(e, ones) * coeff * aut
-    return GradedSeries(Truncation(q_weight=q_weight_bound), out)
+        out[qpart] = out.get(qpart, 0) + comb(e, ones) * n * aut
+    return GradedSeries.from_ints(Truncation(q_weight=q_weight_bound), out, series.den)
 
 
 def hurwitz_number_by_series(g: int, lam, mu, method: str, cache_dir=None) -> Fraction:
@@ -396,4 +397,4 @@ def hurwitz_number_by_series(g: int, lam, mu, method: str, cache_dir=None) -> Fr
     mono = mono_from_vars(
         [(pvar(i), 1) for i in lam] + [(qvar(i), 1) for i in mu] + ([(BETA_VAR, m)] if m else [])
     )
-    return Fraction(H.coefficient(mono)) * factorial(m)
+    return Fraction(H.nums.get(mono, 0) * factorial(m), H.den)

@@ -74,7 +74,7 @@ def r_from_tau(tau: GradedSeries, require_polynomial: bool = True) -> GradedSeri
     """
     log_tau = tau.log()
     out: dict = {}
-    for mono, coeff in log_tau.items():
+    for mono, n in log_tau.nums.items():
         exps = dict(mono)
         xi_e = exps.pop(XI_VAR, 0)
         if xi_e < 1:
@@ -85,10 +85,10 @@ def r_from_tau(tau: GradedSeries, require_polynomial: bool = True) -> GradedSeri
         if psi_e != 0:
             exps[PSI_VAR] = psi_e
         new = tuple(sorted(exps.items()))
-        out[new] = out.get(new, 0) - coeff
-    result = GradedSeries.from_terms(tau.truncation, out)
+        out[new] = out.get(new, 0) - n
+    result = GradedSeries.from_ints(tau.truncation, out, log_tau.den)
     if require_polynomial:
-        for mono, _ in result.items():
+        for mono in result.nums:
             if dict(mono).get(PSI_VAR, 0) < 0:
                 raise ValueError(f"negative psi power survives in R: {mono}")
     return result
@@ -101,9 +101,10 @@ def r_series(t_weight_bound: int) -> GradedSeries:
 
 def homogeneous_part(series: GradedSeries, t_weight: int) -> GradedSeries:
     """Terms of exact total t-weight (the s-alphabet grading)."""
-    return GradedSeries.from_terms(
+    return GradedSeries.from_ints(
         series.truncation,
-        {m: c for m, c in series.items() if mono_weights(m)[4] == t_weight},
+        {m: n for m, n in series.nums.items() if mono_weights(m)[4] == t_weight},
+        series.den,
     )
 
 

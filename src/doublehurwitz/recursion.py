@@ -225,9 +225,10 @@ def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable)
             products[(j, c, t)] = value
         return value
 
-    if ell > 1:
+    if ell > 1 and (ell, others, a) not in products:
         # the top level of product() touches exactly these factors; taking
-        # them first keeps compute_x's recursion out of the nested frames
+        # them first keeps compute_x's recursion out of the nested frames.
+        # A memoized product touched them when it was built.
         for c in _sub_vectors(others):
             for t in range(1, a - ell + 2):
                 entry(c, t)

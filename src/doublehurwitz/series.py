@@ -22,16 +22,18 @@ only monomials within its truncation and all its coefficients are exact up to
 those bounds.  Series are immutable values: every operation returns a new
 series and two series are equal iff they have the same truncation and terms.
 
-Coefficients are ``fractions.Fraction``s.  The one exception is inside
-:func:`.cutjoin.evolve`, which returns H with Fraction coefficients: the
-beta-slices D H_m that it passes through :func:`.cutjoin.cut_join_apply`
-hold int numerators over one common denominator D.
+The coefficients are exact rationals, stored as int numerators over one
+common denominator in lowest terms, as :class:`.zseries.ZPoly` stores its
+own: a sum, product, derivative, exp or log runs on ints and takes one gcd
+over its result.  Callers read them as Fractions, or take the int form
+(``nums``, ``den``) where they run hot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, gcd, lcm
 from typing import Iterable, Optional
 
 Q, P, T, BETA, S, PSI, XI = "q", "p", "t", "b", "s", "psi", "xi"
@@ -204,81 +206,143 @@ class Truncation:
         return {n: b for n, b in zip(names, self.bounds()) if b is not None}
 
 
-class GradedSeries:
-    """A truncated formal power series in canonical form (no zero coefficients)."""
+def _exact(c):
+    """c itself if it is an int (bool excluded) or a Fraction; anything else
+    raises TypeError, so no inexact number enters a series."""
+    if type(c) is not int and type(c) is not Fraction:
+        raise TypeError(f"series coefficients must be ints or Fractions, not {c!r}")
+    return c
 
-    __slots__ = ("truncation", "_terms")
+
+def _int_form(terms: dict) -> tuple:
+    """(nums, den) for a {monomial: int or Fraction} dict: den is the lcm of
+    the coefficients' reduced denominators, so nums / den is in lowest terms."""
+    for c in terms.values():
+        _exact(c)
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _bucket(trunc: Truncation, pairs) -> tuple:
+    """(caps, buckets): the bounds of the truncation's bounded alphabets, and
+    the (monomial, coefficient) pairs listed by their weight vector over
+    those alphabets."""
+    bounds = trunc.bounds()
+    idx = [i for i, b in enumerate(bounds) if b is not None]
+    full: dict = {}
+    for mono, coeff in pairs:
+        full.setdefault(mono_weights(mono), []).append((mono, coeff))
+    buckets: dict = {}
+    for w, group in full.items():  # merge vectors with equal bounded part
+        key = tuple(w[i] for i in idx)
+        buckets[key] = buckets[key] + group if key in buckets else group
+    return tuple(bounds[i] for i in idx), buckets
+
+
+class GradedSeries:
+    """A truncated formal power series in canonical form.
+
+    The coefficients are int numerators over one common denominator:
+    ``nums`` maps each monomial to a nonzero int, and ``den`` is a positive
+    int with gcd(den, *nums.values()) == 1, so the zero series has den 1.
+    This lowest-terms form is unique, so equality is equality of
+    (truncation, nums, den).  ``items``, ``terms``, ``term_dict``,
+    ``coefficient`` and ``constant_term`` read the coefficients as Fractions.
+    """
+
+    __slots__ = ("truncation", "nums", "den", "_bucketed")
 
     def __init__(self, truncation: Truncation, terms: Optional[dict] = None):
-        self.truncation = truncation
-        self._terms = {m: c for m, c in (terms or {}).items() if c}
-        for mono in self._terms:
+        """Series from a {monomial: int or Fraction} dict; zeros are dropped
+        and every other monomial must lie within the truncation."""
+        self._store(truncation, *_int_form(terms or {}))
+        for mono in self.nums:
             if not truncation.admits(mono):
                 raise ValueError(f"monomial {mono_str(mono)} violates truncation {truncation}")
+
+    def _store(self, truncation: Truncation, nums: dict, den: int):
+        """Set the fields to nums / den (int numerators, zeros allowed, over
+        den > 0) in lowest terms.  Every series is built here."""
+        if 0 in nums.values():
+            nums = {m: n for m, n in nums.items() if n}
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: n // g for m, n in nums.items()}
+        self.truncation = truncation
+        self.nums = nums
+        self.den = den
+        self._bucketed = None  # the series' own buckets, built on first use
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_terms(trunc: Truncation, terms: dict) -> "GradedSeries":
-        """Series from a fresh {monomial: coefficient} dict whose monomials
-        already lie within trunc (not re-checked).  Zero coefficients are
-        dropped; without any, the series keeps terms itself, uncopied."""
-        if not all(terms.values()):
-            terms = {m: c for m, c in terms.items() if c}
-        result = GradedSeries.__new__(GradedSeries)
-        result.truncation = trunc
-        result._terms = terms
+    def from_ints(trunc: Truncation, nums: dict, den: int = 1) -> "GradedSeries":
+        """Series nums / den from a fresh {monomial: int} dict over a positive
+        den, whose monomials already lie within trunc (not re-checked).  The
+        dict is kept, uncopied, unless a zero or a common factor must go."""
+        result = object.__new__(GradedSeries)
+        result._store(trunc, nums, den)
         return result
 
     @staticmethod
+    def from_terms(trunc: Truncation, terms: dict) -> "GradedSeries":
+        """Series from a {monomial: int or Fraction} dict whose monomials
+        already lie within trunc (not re-checked); zeros are dropped."""
+        return GradedSeries.from_ints(trunc, *_int_form(terms))
+
+    @staticmethod
     def zero(trunc: Truncation) -> "GradedSeries":
-        return GradedSeries(trunc)
+        return GradedSeries.from_ints(trunc, {})
 
     @staticmethod
     def one(trunc: Truncation) -> "GradedSeries":
-        return GradedSeries(trunc, {(): Fraction(1)})
+        return GradedSeries.from_ints(trunc, {(): 1})
 
     @staticmethod
     def var(trunc: Truncation, v: tuple, exp: int = 1) -> "GradedSeries":
-        return GradedSeries(trunc, {mono_from_vars([(v, exp)]): Fraction(1)})
+        return GradedSeries(trunc, {mono_from_vars([(v, exp)]): 1})
 
     # -- queries ------------------------------------------------------------
 
-    def terms(self):
-        """Items sorted by monomial order (deterministic)."""
-        return sorted(self._terms.items())
-
     def term_dict(self) -> dict:
-        """A fresh copy of the {monomial: coefficient} dict."""
-        return dict(self._terms)
+        """A fresh {monomial: Fraction} dict of the coefficients."""
+        den = self.den
+        return {m: Fraction(n, den) for m, n in self.nums.items()}
 
     def items(self):
-        """Read-only view of the (monomial, coefficient) pairs, unsorted."""
-        return self._terms.items()
+        """The (monomial, Fraction) pairs, unsorted."""
+        return self.term_dict().items()
+
+    def terms(self):
+        """The (monomial, Fraction) pairs sorted by monomial (deterministic)."""
+        return sorted(self.items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.nums)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.nums
 
-    def coefficient(self, mono: tuple):
+    def coefficient(self, mono: tuple) -> Fraction:
         """Exact coefficient of a canonical monomial (0 if absent)."""
-        return self._terms.get(mono, Fraction(0))
+        return Fraction(self.nums.get(mono, 0), self.den)
 
-    def constant_term(self):
-        return self._terms.get((), Fraction(0))
+    def constant_term(self) -> Fraction:
+        return self.coefficient(())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):
             return NotImplemented
-        return self.truncation == other.truncation and self._terms == other._terms
+        return (self.truncation == other.truncation and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
         raise TypeError("GradedSeries is not hashable")
 
     def __repr__(self) -> str:
-        return f"GradedSeries({len(self._terms)} terms, {self.truncation})"
+        return f"GradedSeries({len(self.nums)} terms, {self.truncation})"
 
     def pretty(self) -> str:
         items = self.terms()
@@ -296,77 +360,83 @@ class GradedSeries:
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         self._require_compatible(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono)
-            out[mono] = coeff if acc is None else acc + coeff
-        return GradedSeries.from_terms(self.truncation, out)
+        den = self.den
+        if den == other.den:
+            out = dict(self.nums)
+            get = out.get
+            for mono, n in other.nums.items():
+                out[mono] = get(mono, 0) + n
+        else:
+            g = gcd(den, other.den)
+            scale_self, scale_other = other.den // g, den // g
+            out = {mono: n * scale_self for mono, n in self.nums.items()}
+            get = out.get
+            for mono, n in other.nums.items():
+                out[mono] = get(mono, 0) + n * scale_other
+            den *= scale_self
+        return GradedSeries.from_ints(self.truncation, out, den)
 
     def __neg__(self) -> "GradedSeries":
-        return GradedSeries.from_terms(self.truncation, {m: -c for m, c in self._terms.items()})
+        return GradedSeries.from_ints(self.truncation, {m: -n for m, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + (-other)
 
     def scalar_mul(self, c) -> "GradedSeries":
-        return GradedSeries.from_terms(self.truncation, {m: v * c for m, v in self._terms.items()})
+        """The series times an int or Fraction c; anything else raises TypeError."""
+        num = _exact(c).numerator
+        return GradedSeries.from_ints(
+            self.truncation, {m: n * num for m, n in self.nums.items()}, self.den * c.denominator
+        )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, GradedSeries):
             return self.scalar_mul(other)
         self._require_compatible(other)
         caps, left = self._buckets()
         acc: dict = {}
         self._mul_into(acc, left, other._buckets()[1], caps)
-        return GradedSeries.from_terms(self.truncation, acc)
+        return GradedSeries.from_ints(self.truncation, acc, self.den * other.den)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scalar_mul(other)
-        return NotImplemented
+        return self.scalar_mul(other)
 
     def diff(self, var: tuple) -> "GradedSeries":
         """Formal partial derivative with respect to one variable."""
         out: dict = {}
-        for mono, coeff in self._terms.items():
+        for mono, n in self.nums.items():
             for idx, (v, e) in enumerate(mono):
                 if v == var:
                     new = mono[:idx] + ((v, e - 1),) if e != 1 else mono[:idx]
                     new = new + mono[idx + 1 :]
-                    out[new] = out.get(new, 0) + coeff * e
+                    out[new] = out.get(new, 0) + n * e
                     break
-        return GradedSeries.from_terms(self.truncation, out)
+        return GradedSeries.from_ints(self.truncation, out, self.den)
 
     # -- structure maps -----------------------------------------------------
 
     def truncate(self, new_trunc: Truncation) -> "GradedSeries":
         """Explicit re-truncation (the only sanctioned way to change bounds)."""
-        return GradedSeries.from_terms(
-            new_trunc, {m: c for m, c in self._terms.items() if new_trunc.admits(m)}
+        return GradedSeries.from_ints(
+            new_trunc, {m: n for m, n in self.nums.items() if new_trunc.admits(m)}, self.den
         )
 
-    def map_terms(self, fn) -> "GradedSeries":
-        """New series with coefficient fn(mono, coeff); zeros are dropped."""
-        return GradedSeries.from_terms(
-            self.truncation, {m: fn(m, c) for m, c in self._terms.items()}
+    def scale_terms(self, factor) -> "GradedSeries":
+        """New series with each coefficient c of a monomial m replaced by
+        c * factor(m), for an int-valued factor; zeros are dropped."""
+        return GradedSeries.from_ints(
+            self.truncation, {m: n * factor(m) for m, n in self.nums.items()}, self.den
         )
 
     # -- exp / log ----------------------------------------------------------
 
-    def _buckets(self, items=None) -> tuple:
-        """(caps, buckets): the bounds of the truncation's bounded alphabets,
-        and the (monomial, coefficient) pairs (this series' by default)
-        listed by their weight vector over those alphabets."""
-        bounds = self.truncation.bounds()
-        idx = [i for i, b in enumerate(bounds) if b is not None]
-        full: dict = {}
-        for mono, coeff in self._terms.items() if items is None else items:
-            full.setdefault(mono_weights(mono), []).append((mono, coeff))
-        buckets: dict = {}
-        for w, pairs in full.items():  # merge vectors with equal bounded part
-            key = tuple(w[i] for i in idx)
-            buckets[key] = buckets[key] + pairs if key in buckets else pairs
-        return tuple(bounds[i] for i in idx), buckets
+    def _buckets(self) -> tuple:
+        """(caps, buckets) of this series' (monomial, numerator) pairs, built
+        once: a series is immutable, so its repeated products (by a cached
+        z_series, say) share them."""
+        if self._bucketed is None:
+            self._bucketed = _bucket(self.truncation, self.nums.items())
+        return self._bucketed
 
     def _components(self) -> tuple:
         """(top grade, caps, comps): comps[n] holds the buckets of grade n,
@@ -395,6 +465,14 @@ class GradedSeries:
                         prev = acc.get(m)
                         acc[m] = c if prev is None else prev + c
 
+    def _scaled_grades(self, comps: dict) -> dict:
+        """{k: buckets of D^k S_k} for the grade-k parts S_k of this series,
+        D = den: the numerators of grade k times D^(k-1), all ints."""
+        D = self.den
+        return {k: comp if k == 1 or D == 1 else
+                {key: [(m, n * D ** (k - 1)) for m, n in b] for key, b in comp.items()}
+                for k, comp in comps.items() if k}
+
     def exp(self) -> "GradedSeries":
         """Truncated exponential; requires zero constant term.
 
@@ -402,58 +480,73 @@ class GradedSeries:
         weight over the truncation's bounded alphabets (s for tau, q+p+beta
         for e^H).  With S = sum S_k and E = e^S = sum E_n, the grade
         derivation gives n E_n = sum_{k=1..n} k S_k E_{n-k}, so each step
-        multiplies small homogeneous pieces, never the whole series.
+        multiplies small homogeneous pieces, never the whole series.  It runs
+        on ints: with D = den and N the top grade, F_n = N! D^n E_n is an
+        int series (n! D^n E_n is), F_0 = N! and
+        F_n = (sum_k k (D^k S_k) F_{n-k}) / n, the division exact.
 
         A non-constant monomial of grade <= 0 raises ValueError.
         """
-        if self.constant_term() != 0:
+        if self.nums.get(()):
             raise ValueError("series_exp requires zero constant term")
         top, caps, comps = self._components()
-        kS = {k: self._buckets((m, c * k) for b in comp.values() for m, c in b)[1]
-              for k, comp in comps.items()}
-        out = {(): Fraction(1)}
-        E = {0: self._buckets(out.items())[1]}
+        trunc = self.truncation
+        kS = {k: _bucket(trunc, ((m, n * k) for b in comp.values() for m, n in b))[1]
+              for k, comp in self._scaled_grades(comps).items()}
+        grades = {0: {(): factorial(top)}}
+        F = {0: _bucket(trunc, grades[0].items())[1]}
         for n in range(1, top + 1):
             acc: dict = {}
             for k, left in kS.items():
                 if k <= n:
-                    self._mul_into(acc, left, E[n - k], caps)
-            inv = Fraction(1, n)
-            acc = {m: c * inv for m, c in acc.items() if c}
-            out.update(acc)
-            E[n] = self._buckets(acc.items())[1]
-        return GradedSeries.from_terms(self.truncation, out)
+                    self._mul_into(acc, left, F[n - k], caps)
+            grades[n] = {m: c // n for m, c in acc.items() if c}
+            F[n] = _bucket(trunc, grades[n].items())[1]
+        D = self.den
+        out = {m: c * D ** (top - n) for n, acc in grades.items() for m, c in acc.items()}
+        return GradedSeries.from_ints(trunc, out, factorial(top) * D**top)
 
     def log(self) -> "GradedSeries":
         """Truncated logarithm; requires constant term exactly 1.
 
         With T = 1 + sum_{n>=1} T_n and L = log T = sum L_n, the same
         component recursion reads n L_n = n T_n - sum_{k<n} k L_k T_{n-k}.
+        It runs on ints: with D = den, U_n = D^n T_n and A_n = n D^n L_n,
+        A_n = n U_n - sum_{k<n} A_k U_{n-k}.
         T - 1 must meet the grade conditions of exp().
         """
-        if self.constant_term() != 1:
+        if self.nums.get(()) != self.den:
             raise ValueError("series_log requires constant term 1")
         top, caps, comps = self._components()
-        neg_kL: dict = {}  # k -> -k L_k, bucketed
-        out: dict = {}
+        trunc = self.truncation
+        U = self._scaled_grades(comps)
+        neg_A: dict = {}  # k -> -A_k, bucketed
+        grades: dict = {}  # n -> A_n
         for n in range(1, top + 1):
-            acc = {m: c * n for b in comps.get(n, {}).values() for m, c in b}
-            for k, left in neg_kL.items():
-                if n - k in comps:
-                    self._mul_into(acc, left, comps[n - k], caps)
-            neg_kL[n] = self._buckets((m, -c) for m, c in acc.items() if c)[1]
-            inv = Fraction(1, n)
-            out.update((m, c * inv) for m, c in acc.items())
-        return GradedSeries.from_terms(self.truncation, out)
+            acc = {m: c * n for b in U.get(n, {}).values() for m, c in b}
+            for k, left in neg_A.items():
+                if n - k in U:
+                    self._mul_into(acc, left, U[n - k], caps)
+            acc = {m: c for m, c in acc.items() if c}
+            if acc:
+                grades[n] = acc
+                neg_A[n] = _bucket(trunc, ((m, -c) for m, c in acc.items()))[1]
+        # L_n = A_n / (n D^n), over the common denominator lcm(n) D^last
+        D, last, ns = self.den, max(grades, default=0), lcm(*grades)
+        out = {}
+        for n, acc in grades.items():
+            scale = ns // n * D ** (last - n)
+            out.update((m, c * scale) for m, c in acc.items())
+        return GradedSeries.from_ints(trunc, out, ns * D**last)
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         terms = []
-        for mono, coeff in self.terms():
-            if not isinstance(coeff, (int, Fraction)):
-                raise TypeError("JSON serialization supports rational coefficients only")
-            f = Fraction(coeff)
+        den = self.den
+        for mono in sorted(self.nums):
+            n = self.nums[mono]
+            g = gcd(n, den)
             enc = [[var[0], *var[1:], e] for var, e in mono]
-            terms.append({"monomial": enc, "coeff": f"{f.numerator}/{f.denominator}"})
+            terms.append({"monomial": enc, "coeff": f"{n // g}/{den // g}"})
         return {"truncation": self.truncation.to_json_dict(), "terms": terms}

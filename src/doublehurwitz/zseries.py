@@ -325,15 +325,35 @@ def _json_gen(g) -> ZGen:
 
 
 def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
-    """Ring homomorphism sending each generator z_{d,r} to its q-series."""
+    """Ring homomorphism sending each generator z_{d,r} to its q-series.
+
+    The monomials are taken in sorted order, and each one's product of
+    generator series extends the longest prefix it shares with the one
+    before.  The sum runs on int numerators over one running denominator."""
     trunc = Truncation(q_weight=q_weight_bound)
-    total = GradedSeries.zero(trunc)
-    for key, coeff in sorted(poly.terms.items()):
-        prod = GradedSeries.one(trunc)
-        for d, r in key:
-            prod = prod * z_series(d, r, q_weight_bound)
-        total = total + prod.scalar_mul(coeff)
-    return total
+    acc: dict = {}
+    den = 1
+    chain: list = []  # chain[i]: the product of the first i + 1 series of key
+    key = ()
+    for next_key in sorted(poly.nums):
+        shared = 0
+        while shared < min(len(key), len(next_key)) and key[shared] == next_key[shared]:
+            shared += 1
+        del chain[shared:]
+        key = next_key
+        for d, r in key[shared:]:
+            z = z_series(d, r, q_weight_bound)
+            chain.append(chain[-1] * z if chain else z)
+        nums, prod_den = (chain[-1].nums, chain[-1].den) if chain else ({(): 1}, 1)
+        if den % prod_den:
+            grow = prod_den // gcd(den, prod_den)
+            acc = {m: c * grow for m, c in acc.items()}
+            den *= grow
+        scale = den // prod_den * poly.nums[key]
+        get = acc.get
+        for m, c in nums.items():
+            acc[m] = get(m, 0) + c * scale
+    return GradedSeries.from_ints(trunc, acc, den * poly.den)
 
 
 def zpoly_values_equal(a: ZPoly, b: ZPoly, q_weight: int) -> bool:
@@ -386,12 +406,12 @@ def zpoly_euler(poly: ZPoly) -> ZPoly:
 
 def _series_weighted_euler(series: GradedSeries) -> GradedSeries:
     """sum_k k q_k d/dq_k acts on q_mu as multiplication by |mu|."""
-    return series.map_terms(lambda m, c: c * _qweight(m))
+    return series.scale_terms(_qweight)
 
 
 def _series_euler(series: GradedSeries) -> GradedSeries:
     """sum_k q_k d/dq_k acts on q_mu as multiplication by len(mu)."""
-    return series.map_terms(lambda m, c: c * _qlen(m))
+    return series.scale_terms(_qlen)
 
 
 def _qweight(mono) -> int:
@@ -501,19 +521,19 @@ def _t_raise(series: GradedSeries) -> GradedSeries:
     """sum_{i,j >= 0} t_{i,j+1} d/dt_{i,j} (raises t-weight by one)."""
     trunc = series.truncation
     out: dict = {}
-    for mono, coeff in series.items():
+    for mono, n in series.nums.items():
         for var, e in mono:
             if var[0] != T:
                 continue
             new = mono_adjust(mono, {var: -1, tvar(var[1], var[2] + 1): +1})
             if trunc.admits(new):
-                out[new] = out.get(new, 0) + coeff * e
-    return GradedSeries.from_terms(trunc, out)
+                out[new] = out.get(new, 0) + n * e
+    return GradedSeries.from_ints(trunc, out, series.den)
 
 
 def _t_count(series: GradedSeries) -> GradedSeries:
     """sum_{i,j >= 0} t_{i,j} d/dt_{i,j}: scale each term by its t-letter count."""
-    return series.map_terms(lambda m, c: c * sum(e for v, e in m if v[0] == T))
+    return series.scale_terms(lambda m: sum(e for v, e in m if v[0] == T))
 
 
 def psi_string_base(a: int, ell: int, trunc: Truncation) -> GradedSeries:

@@ -1,0 +1,143 @@
+"""Exhaustive check of the int-numerator GradedSeries against the Fraction
+reference.
+
+``GradedSeries`` holds int numerators over one common denominator, and its
+products, sums, derivatives and logarithms run on ints.  ``_FractionSeries``
+from ``test_series.py`` keeps one Fraction per coefficient, with the kernels
+as they were before.  The sweep runs the package's series pipelines both ways
+and requires the same coefficients, as exact dicts:
+
+* ``kp.r_series(b)`` for b <= 12, against the tau function built and its
+  logarithm taken on the reference, then divided by xi and multiplied by
+  -psi term by term;
+* ``frobenius_eH(K, m).log()`` for K <= 8, m <= 6;
+* ``genus0_series(Q)`` for Q <= 9, against the genus-0 slices stepped on the
+  reference by the connected cut-and-join equation
+  (m+1) H_{m+1} = W(H_m) + (1/2) sum_{a+b=m} J(H_a, H_b);
+* ``zpoly_eval(h_poly(lam), 9)`` for every lam with |lam| <= 7 and at most 4
+  parts, against a product of reference z-series per monomial.
+
+Too slow for the tier-1 suite, and named without a ``test_`` prefix so pytest
+does not collect it.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/series_sweep.py
+
+Exits 1 on any mismatch.
+"""
+
+import sys
+import time
+from fractions import Fraction
+
+from test_cutjoin import _loop_cut_join_apply
+from test_series import _FractionSeries
+
+from doublehurwitz.cutjoin import frobenius_eH, genus0_series
+from doublehurwitz.kp import r_series, scaled_schur
+from doublehurwitz.partitions import partitions_of
+from doublehurwitz.recursion import XTable, h_poly
+from doublehurwitz.series import (
+    BETA_VAR,
+    PSI_VAR,
+    XI_VAR,
+    Truncation,
+    mono_from_vars,
+    pvar,
+    qvar,
+)
+from doublehurwitz.zseries import z_series, zpoly_eval
+
+
+def reference_r_series(b: int) -> dict:
+    """R = -(psi/xi) log tau, with tau = sum_k xi (xi + psi) ... (xi + (k-1) psi) s~_k."""
+    trunc = Truncation(s_weight=b)
+    xi, psi = mono_from_vars([(XI_VAR, 1)]), mono_from_vars([(PSI_VAR, 1)])
+    tau = rising = _FractionSeries.one(trunc)
+    for k in range(1, b + 1):
+        rising = rising * _FractionSeries(trunc, {xi: 1, psi: k - 1})
+        tau = tau + rising * _FractionSeries.of(scaled_schur(k, trunc))
+    out: dict = {}
+    for mono, coeff in tau.log().items():
+        exps = dict(mono)
+        exps[XI_VAR] -= 1
+        exps[PSI_VAR] = exps.get(PSI_VAR, 0) + 1
+        new = tuple(sorted((v, e) for v, e in exps.items() if e))
+        out[new] = out.get(new, 0) - coeff
+    return out
+
+
+def reference_genus0_slices(q: int) -> list:
+    """[H_0, ..., H_{2q-2}] of the genus-0 series, beta stripped."""
+    trunc = Truncation(q_weight=q, p_weight=q)
+    half = Fraction(1, 2)
+    p = {n: _FractionSeries(trunc, {mono_from_vars([(pvar(n), 1)]): 1}) for n in range(1, q + 1)}
+    slices = [_FractionSeries(trunc, {mono_from_vars([(pvar(n), 1), (qvar(n), 1)]): Fraction(1, n)
+                                      for n in range(1, q + 1)})]
+    derivatives = []  # derivatives[a][i] = i dH_a/dp_i
+    for m in range(max(0, 2 * q - 2)):
+        derivatives.append({i: slices[m].diff(pvar(i)).scalar_mul(i) for i in range(1, q + 1)})
+        rhs = _FractionSeries.of(_loop_cut_join_apply(slices[m]))
+        for a in range(m + 1):
+            for i, da in derivatives[a].items():
+                for j in range(1, q + 1 - i):
+                    rhs = rhs + (p[i + j] * da * derivatives[m - a][j]).scalar_mul(half)
+        # genus 0 in slice m + 1 means m + 3 parts
+        kept = {mono: c for mono, c in rhs.items() if sum(e for _, e in mono) == m + 3}
+        slices.append(_FractionSeries.from_terms(trunc, kept).scalar_mul(Fraction(1, m + 1)))
+    return slices
+
+
+def genus0_slices(q: int) -> list:
+    slices = [{} for _ in range(max(1, 2 * q - 1))]
+    for mono, coeff in genus0_series(q).items():
+        slices[dict(mono).get(BETA_VAR, 0)][tuple(pair for pair in mono if pair[0] != BETA_VAR)] = coeff
+    return slices
+
+
+def reference_zpoly_eval(poly, q: int) -> dict:
+    trunc = Truncation(q_weight=q)
+    total = _FractionSeries(trunc)
+    for key, coeff in sorted(poly.terms.items()):
+        prod = _FractionSeries.one(trunc)
+        for d, r in key:
+            prod = prod * _FractionSeries.of(z_series(d, r, q))
+        total = total + prod.scalar_mul(coeff)
+    return total.term_dict()
+
+
+def main() -> int:
+    failures = 0
+
+    def report(name, same, seconds):
+        nonlocal failures
+        failures += not same
+        print(f"{name}: {'equal' if same else 'MISMATCH'} ({seconds:.2f} s)")
+
+    for b in range(1, 13):
+        start = time.perf_counter()
+        report(f"r_series({b})", r_series(b).term_dict() == reference_r_series(b),
+               time.perf_counter() - start)
+    for k in range(1, 9):
+        start = time.perf_counter()
+        same = all(frobenius_eH(k, m).log().term_dict()
+                   == _FractionSeries.of(frobenius_eH(k, m)).log().term_dict() for m in range(7))
+        report(f"frobenius_eH({k}, m).log(), m <= 6", same, time.perf_counter() - start)
+    for q in range(1, 10):
+        start = time.perf_counter()
+        same = genus0_slices(q) == [s.term_dict() for s in reference_genus0_slices(q)]
+        report(f"genus0_series({q})", same, time.perf_counter() - start)
+    table = XTable()
+    lams = [lam for n in range(1, 8) for lam in partitions_of(n) if len(lam) <= 4]
+    start = time.perf_counter()
+    bad = [lam for lam in lams if zpoly_eval(h_poly(lam, table), 9).term_dict()
+           != reference_zpoly_eval(h_poly(lam, table), 9)]
+    report(f"zpoly_eval(h_poly(lam), 9), {len(lams)} lam" + (f", at {bad}" if bad else ""),
+           not bad, time.perf_counter() - start)
+    print(f"{failures} mismatches")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -220,7 +220,7 @@ def test_cut_join_apply_matches_loop():
     integers = GradedSeries(tr, {m: (-1) ** i * (i + 2) for i, m in enumerate(terms)})
     image = cut_join_apply(integers)
     assert image == _loop_cut_join_apply(integers)
-    assert all(type(c) is int for _, c in image.items())
+    assert image.den == 1  # W keeps integer coefficients integral
 
 
 def test_w_images_are_integral():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -302,3 +303,22 @@ def test_block_memo_stays_out_of_the_table(tmp_path):
     for value in pivoted:
         diff = value - canonical
         assert diff.is_zero() or zpoly_eval(diff, 10).is_zero()
+
+
+def _key_digest(table: XTable) -> tuple:
+    keys = sorted(table.entries)
+    return len(keys), hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
+def test_table_key_sets_are_the_recorded_ones():
+    # _block_product returns a memoized product before touching its factors
+    # again; they were stored when it was built, so the key sets stay the
+    # ones recorded before that shortcut
+    assert _key_digest(populate_table(6, 3, 2)) == (
+        673, "f49a2c86305207da3af01d59aeb7ffd1b33d1ba03250a279028bf86145be1f7c"
+    )
+    table = XTable()
+    h_poly((2,) * 6, table)
+    assert _key_digest(table) == (
+        704, "b7afa9bd22545b01bcb09a425c33bac4af58eab959a1e095595f4e1d136a9add"
+    )

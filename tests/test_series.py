@@ -1,21 +1,176 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
+from typing import Optional
 
 import pytest
 
 from doublehurwitz.series import (
     BETA_VAR,
+    PSI_VAR,
+    XI_VAR,
     GradedSeries,
     Truncation,
     TruncationMismatch,
     mono_from_vars,
+    mono_mul,
     mono_str,
     mono_weights,
     pvar,
     qvar,
+    svar,
     tvar,
 )
+
+
+class _FractionSeries:
+    """Reference: GradedSeries with one Fraction per coefficient, kept as it
+    was before GradedSeries moved to int numerators over one denominator.
+
+    A truncated formal power series in canonical form (no zero coefficients).
+    """
+
+    __slots__ = ("truncation", "_terms")
+
+    def __init__(self, truncation: Truncation, terms: Optional[dict] = None):
+        self.truncation = truncation
+        self._terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
+        for mono in self._terms:
+            if not truncation.admits(mono):
+                raise ValueError(f"monomial {mono_str(mono)} violates truncation {truncation}")
+
+    @staticmethod
+    def of(series: GradedSeries) -> "_FractionSeries":
+        return _FractionSeries.from_terms(series.truncation, series.term_dict())
+
+    @staticmethod
+    def from_terms(trunc: Truncation, terms: dict) -> "_FractionSeries":
+        result = _FractionSeries.__new__(_FractionSeries)
+        result.truncation = trunc
+        result._terms = {m: c for m, c in terms.items() if c}
+        return result
+
+    @staticmethod
+    def one(trunc: Truncation) -> "_FractionSeries":
+        return _FractionSeries(trunc, {(): Fraction(1)})
+
+    def term_dict(self) -> dict:
+        return dict(self._terms)
+
+    def items(self):
+        return self._terms.items()
+
+    def constant_term(self):
+        return self._terms.get((), Fraction(0))
+
+    def __add__(self, other: "_FractionSeries") -> "_FractionSeries":
+        out = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            acc = out.get(mono)
+            out[mono] = coeff if acc is None else acc + coeff
+        return _FractionSeries.from_terms(self.truncation, out)
+
+    def __neg__(self) -> "_FractionSeries":
+        return _FractionSeries.from_terms(self.truncation, {m: -c for m, c in self._terms.items()})
+
+    def __sub__(self, other: "_FractionSeries") -> "_FractionSeries":
+        return self + (-other)
+
+    def scalar_mul(self, c) -> "_FractionSeries":
+        return _FractionSeries.from_terms(self.truncation, {m: v * c for m, v in self._terms.items()})
+
+    def __mul__(self, other: "_FractionSeries") -> "_FractionSeries":
+        caps, left = self._buckets()
+        acc: dict = {}
+        self._mul_into(acc, left, other._buckets()[1], caps)
+        return _FractionSeries.from_terms(self.truncation, acc)
+
+    def diff(self, var: tuple) -> "_FractionSeries":
+        out: dict = {}
+        for mono, coeff in self._terms.items():
+            for idx, (v, e) in enumerate(mono):
+                if v == var:
+                    new = mono[:idx] + ((v, e - 1),) if e != 1 else mono[:idx]
+                    new = new + mono[idx + 1 :]
+                    out[new] = out.get(new, 0) + coeff * e
+                    break
+        return _FractionSeries.from_terms(self.truncation, out)
+
+    def truncate(self, new_trunc: Truncation) -> "_FractionSeries":
+        return _FractionSeries.from_terms(
+            new_trunc, {m: c for m, c in self._terms.items() if new_trunc.admits(m)}
+        )
+
+    def _buckets(self, items=None) -> tuple:
+        bounds = self.truncation.bounds()
+        idx = [i for i, b in enumerate(bounds) if b is not None]
+        full: dict = {}
+        for mono, coeff in self._terms.items() if items is None else items:
+            full.setdefault(mono_weights(mono), []).append((mono, coeff))
+        buckets: dict = {}
+        for w, pairs in full.items():
+            key = tuple(w[i] for i in idx)
+            buckets[key] = buckets[key] + pairs if key in buckets else pairs
+        return tuple(bounds[i] for i in idx), buckets
+
+    def _components(self) -> tuple:
+        caps, buckets = self._buckets()
+        comps: dict = {}
+        for key, bucket in buckets.items():
+            mono = max(bucket)[0]
+            if mono and sum(key) <= 0:
+                raise ValueError(f"exp/log diverges: {mono_str(mono)} has no positive grade")
+            comps.setdefault(sum(key), {})[key] = bucket
+        return sum(caps), caps, comps
+
+    @staticmethod
+    def _mul_into(acc: dict, left: dict, right: dict, caps: tuple):
+        for kl, lt in left.items():
+            for kr, rt in right.items():
+                if any(a + b > cap for a, b, cap in zip(kl, kr, caps)):
+                    continue
+                for ml, cl in lt:
+                    for mr, cr in rt:
+                        m = mono_mul(ml, mr)
+                        c = cl * cr
+                        prev = acc.get(m)
+                        acc[m] = c if prev is None else prev + c
+
+    def exp(self) -> "_FractionSeries":
+        if self.constant_term() != 0:
+            raise ValueError("series_exp requires zero constant term")
+        top, caps, comps = self._components()
+        kS = {k: self._buckets((m, c * k) for b in comp.values() for m, c in b)[1]
+              for k, comp in comps.items()}
+        out = {(): Fraction(1)}
+        E = {0: self._buckets(out.items())[1]}
+        for n in range(1, top + 1):
+            acc: dict = {}
+            for k, left in kS.items():
+                if k <= n:
+                    self._mul_into(acc, left, E[n - k], caps)
+            inv = Fraction(1, n)
+            acc = {m: c * inv for m, c in acc.items() if c}
+            out.update(acc)
+            E[n] = self._buckets(acc.items())[1]
+        return _FractionSeries.from_terms(self.truncation, out)
+
+    def log(self) -> "_FractionSeries":
+        if self.constant_term() != 1:
+            raise ValueError("series_log requires constant term 1")
+        top, caps, comps = self._components()
+        neg_kL: dict = {}
+        out: dict = {}
+        for n in range(1, top + 1):
+            acc = {m: c * n for b in comps.get(n, {}).values() for m, c in b}
+            for k, left in neg_kL.items():
+                if n - k in comps:
+                    self._mul_into(acc, left, comps[n - k], caps)
+            neg_kL[n] = self._buckets((m, -c) for m, c in acc.items() if c)[1]
+            inv = Fraction(1, n)
+            out.update((m, c * inv) for m, c in acc.items())
+        return _FractionSeries.from_terms(self.truncation, out)
 
 TR = Truncation(q_weight=8, p_weight=8)
 
@@ -327,3 +482,92 @@ def test_truncation_admits_negative_psi():
     tr = Truncation(s_weight=4)
     laurent = mono_from_vars([(PSI_VAR, -5)])
     assert tr.admits(laurent)
+
+
+@pytest.mark.parametrize("coeff", [0.5, True, 1j, "1", None])
+def test_constructors_reject_inexact_coefficients(coeff):
+    tr = Truncation(q_weight=3)
+    with pytest.raises(TypeError):
+        GradedSeries(tr, {(): 1, q(1): coeff})
+    with pytest.raises(TypeError):
+        GradedSeries.from_terms(tr, {q(1): coeff})
+    with pytest.raises(TypeError):
+        GradedSeries(tr, {q(1): 1}).scalar_mul(coeff)
+
+
+def _assert_lowest_terms(s: GradedSeries):
+    assert type(s.den) is int and s.den > 0
+    assert all(type(n) is int and n for n in s.nums.values())
+    assert gcd(s.den, *s.nums.values()) == 1  # the zero series has den 1
+
+
+def test_views_read_the_int_form_as_fractions():
+    s = GradedSeries(TR, {(): Fraction(3, 4), q(1): Fraction(-1, 6), q(2): 2})
+    assert (s.nums, s.den) == ({(): 9, q(1): -2, q(2): 24}, 12)
+    assert s.term_dict() == {(): Fraction(3, 4), q(1): Fraction(-1, 6), q(2): 2}
+    assert all(type(c) is Fraction for _, c in s.items())
+    assert s.coefficient(q(1)) == Fraction(-1, 6) and s.coefficient(q(3)) == 0
+    assert s.constant_term() == Fraction(3, 4)
+    assert GradedSeries.from_ints(TR, {q(1): 6, q(2): 4, q(3): 0}, 8) == GradedSeries(
+        TR, {q(1): Fraction(3, 4), q(2): Fraction(1, 2)}
+    )
+    zero = s - s
+    assert zero.is_zero() and zero.den == 1
+
+
+# (truncation, bounded letters, and whether psi and xi ride along): the psi
+# exponents reach -3, as in the scaled Schur polynomials of the tau function
+_ALPHABETS = [
+    (Truncation(q_weight=5), [qvar(k) for k in (1, 2, 3)], False),
+    (Truncation(q_weight=5, p_weight=5, beta_deg=3),
+     [qvar(1), qvar(2), pvar(1), pvar(2), BETA_VAR], False),
+    (Truncation(s_weight=5), [svar(k) for k in (1, 2, 3)], True),
+    (Truncation(t_weight=4), [tvar(0, 0), tvar(1, 0), tvar(0, 1)], False),
+]
+
+
+def _drawn_series(draw, st, trunc, letters, laurent):
+    """A series with a drawn constant (possibly 0) and up to 6 more terms,
+    each with a positive grade."""
+    small = st.integers(-9, 9)
+    coeff = st.builds(Fraction, small, st.integers(1, 12))
+    letter = st.sampled_from(letters)
+    psi_xi = st.tuples(st.integers(-3, 2), st.integers(0, 2)) if laurent else st.just((0, 0))
+    term = st.tuples(st.lists(letter, min_size=1, max_size=3), psi_xi, coeff)
+    terms = {(): draw(coeff)}
+    for product, (psi_e, xi_e), c in draw(st.lists(term, max_size=6)):
+        mono = mono_from_vars([(v, 1) for v in product] + [(PSI_VAR, psi_e), (XI_VAR, xi_e)])
+        if trunc.admits(mono):
+            terms[mono] = c
+    return GradedSeries(trunc, terms)
+
+
+def test_int_kernels_match_the_fraction_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        trunc, letters, laurent = data.draw(st.sampled_from(_ALPHABETS))
+        a = _drawn_series(data.draw, st, trunc, letters, laurent)
+        b = _drawn_series(data.draw, st, trunc, letters, laurent)
+        c = data.draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7)))
+        ra, rb = _FractionSeries.of(a), _FractionSeries.of(b)
+        small = Truncation(*(None if x is None else x - 1 for x in trunc.bounds()))
+        var = data.draw(st.sampled_from(letters))
+        pairs = [
+            (a + b, ra + rb), (a - b, ra - rb), (-a, -ra), (a * b, ra * rb),
+            (a.scalar_mul(c), ra.scalar_mul(c)), (a.diff(var), ra.diff(var)),
+            (a.truncate(small), ra.truncate(small)),
+        ]
+        s = a - GradedSeries.from_ints(trunc, {(): a.nums.get((), 0)}, a.den)  # no constant
+        rs = _FractionSeries.of(s)
+        pairs += [(s.exp(), rs.exp()), ((s + GradedSeries.one(trunc)).log(),
+                                         (rs + _FractionSeries.one(trunc)).log())]
+        for got, ref in pairs:
+            _assert_lowest_terms(got)
+            assert got.truncation == ref.truncation
+            assert got.term_dict() == ref.term_dict()
+
+    check()

@@ -5,7 +5,9 @@ verify, oracle.  All numeric output is exact ("num/den" rationals, never
 floats) and byte-identical across runs with the same flags and cache state.
 
 Exit status: 0 success, 1 verification failure, 2 usage error (including a
-cache or output path that cannot be used), 3 resource budget exceeded.
+cache or output path that cannot be used), 3 resource budget exceeded,
+4 internal error (an ArithmeticError, such as a division that should be exact
+and is not).
 """
 
 from __future__ import annotations
@@ -139,6 +141,9 @@ def run(argv, out=None, err=None) -> int:
     except (ValueError, OSError) as exc:  # bad input, or a path that cannot be used
         err.write(f"error: {exc}\n")
         return 2
+    except ArithmeticError as exc:  # a bug, not bad input: no number is printed
+        err.write(f"internal error: {exc}\n")
+        return 4
 
 
 def _dispatch(args, out, err) -> int:

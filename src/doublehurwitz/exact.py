@@ -1,0 +1,88 @@
+"""Exact rational coefficients as int numerators over one common denominator.
+
+A coefficient map is a pair (nums, den): ``nums`` maps each key to a
+nonzero int, and ``den`` is a positive int with gcd(den, *nums.values()) == 1,
+so the empty map has den 1.  This lowest-terms form is unique, so two maps
+are equal iff their pairs are.  :class:`.series.GradedSeries` (keyed by
+monomial) and :class:`.zseries.ZPoly` (keyed by generator tuple) store their
+coefficients in this form, and the functions here are its only kernels.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+
+def check(c):
+    """c itself if it is an int (bool excluded) or a Fraction; anything else
+    raises TypeError, so no inexact number becomes a coefficient."""
+    if type(c) is not int and type(c) is not Fraction:
+        raise TypeError(f"coefficients must be ints or Fractions, not {c!r}")
+    return c
+
+
+def from_terms(terms: dict) -> tuple:
+    """(nums, den) in lowest terms for a {key: int or Fraction} dict; zeros
+    are dropped.  Over the lcm of the reduced denominators the numerators
+    are already coprime to it, so no gcd is taken."""
+    for c in terms.values():
+        check(c)
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}, den
+
+
+def lowest(nums: dict, den: int) -> tuple:
+    """(nums, den) in lowest terms for int numerators (zeros allowed) over a
+    positive den.  The dict is returned uncopied unless a zero or a common
+    factor must go."""
+    if 0 in nums.values():
+        nums = {k: n for k, n in nums.items() if n}
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: n // g for k, n in nums.items()}
+    return nums, den
+
+
+def add(a: dict, a_den: int, b: dict, b_den: int) -> tuple:
+    """(nums, den) of a / a_den + b / b_den, over the lcm of the two
+    denominators before it is brought to lowest terms."""
+    if a_den == b_den:
+        out = dict(a)
+        get = out.get
+        for k, n in b.items():
+            out[k] = get(k, 0) + n
+        return lowest(out, a_den)
+    g = gcd(a_den, b_den)
+    scale_a, scale_b = b_den // g, a_den // g
+    out = {k: n * scale_a for k, n in a.items()}
+    get = out.get
+    for k, n in b.items():
+        out[k] = get(k, 0) + n * scale_b
+    return lowest(out, a_den * scale_a)
+
+
+def scale(nums: dict, den: int, c) -> tuple:
+    """(nums, den) of c * nums / den for an int or Fraction c (TypeError
+    otherwise), from nums / den in lowest terms.  c is in lowest terms too,
+    so cancelling its numerator against den and its denominator against the
+    numerators' content leaves lowest terms with no gcd over the result."""
+    num, c_den = check(c).numerator, c.denominator
+    if not num:
+        return {}, 1
+    g = gcd(num, den)
+    h = gcd(c_den, *nums.values()) if c_den != 1 else 1
+    num //= g
+    if h == 1:
+        out = {k: n * num for k, n in nums.items()}
+    else:
+        out = {k: n // h * num for k, n in nums.items()}
+    return out, den // g * (c_den // h)
+
+
+def ratio(n: int, den: int) -> str:
+    """The coefficient n / den as "num/den" in lowest terms."""
+    g = gcd(n, den)
+    return f"{n // g}/{den // g}"

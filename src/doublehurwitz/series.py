@@ -22,19 +22,21 @@ only monomials within its truncation and all its coefficients are exact up to
 those bounds.  Series are immutable values: every operation returns a new
 series and two series are equal iff they have the same truncation and terms.
 
-The coefficients are exact rationals, stored as int numerators over one
-common denominator in lowest terms, as :class:`.zseries.ZPoly` stores its
-own: a sum, product, derivative, exp or log runs on ints and takes one gcd
-over its result.  Callers read them as Fractions, or take the int form
-(``nums``, ``den``) where they run hot.
+The coefficients are exact rationals in the form that :mod:`.exact` owns,
+int numerators over one common denominator in lowest terms: a sum, product,
+derivative, exp or log runs on ints and takes one gcd over its result.
+Callers read them as Fractions, or take the int form (``nums``, ``den``)
+where they run hot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from typing import Iterable, Optional
+
+from . import exact
 
 Q, P, T, BETA, S, PSI, XI = "q", "p", "t", "b", "s", "psi", "xi"
 
@@ -69,7 +71,6 @@ def svar(k: int) -> tuple:
 
 # Weight vector coordinates: (q, p, t, beta, s, psi, xi).
 _NWEIGHTS = 7
-_COORD = {Q: 0, P: 1, T: 2, BETA: 3, S: 4, PSI: 5, XI: 6}
 
 
 def mono_weights(mono: tuple) -> tuple:
@@ -206,23 +207,6 @@ class Truncation:
         return {n: b for n, b in zip(names, self.bounds()) if b is not None}
 
 
-def _exact(c):
-    """c itself if it is an int (bool excluded) or a Fraction; anything else
-    raises TypeError, so no inexact number enters a series."""
-    if type(c) is not int and type(c) is not Fraction:
-        raise TypeError(f"series coefficients must be ints or Fractions, not {c!r}")
-    return c
-
-
-def _int_form(terms: dict) -> tuple:
-    """(nums, den) for a {monomial: int or Fraction} dict: den is the lcm of
-    the coefficients' reduced denominators, so nums / den is in lowest terms."""
-    for c in terms.values():
-        _exact(c)
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
-
-
 def _bucket(trunc: Truncation, pairs) -> tuple:
     """(caps, buckets): the bounds of the truncation's bounded alphabets, and
     the (monomial, coefficient) pairs listed by their weight vector over
@@ -242,12 +226,12 @@ def _bucket(trunc: Truncation, pairs) -> tuple:
 class GradedSeries:
     """A truncated formal power series in canonical form.
 
-    The coefficients are int numerators over one common denominator:
-    ``nums`` maps each monomial to a nonzero int, and ``den`` is a positive
-    int with gcd(den, *nums.values()) == 1, so the zero series has den 1.
-    This lowest-terms form is unique, so equality is equality of
-    (truncation, nums, den).  ``items``, ``terms``, ``term_dict``,
-    ``coefficient`` and ``constant_term`` read the coefficients as Fractions.
+    The coefficients are int numerators over one common denominator in the
+    lowest-terms form of :mod:`.exact`: ``nums`` maps each monomial to a
+    nonzero int over the positive int ``den``, and the zero series has den 1.
+    The form is unique, so equality is equality of (truncation, nums, den).
+    ``items``, ``terms``, ``term_dict``, ``coefficient`` and
+    ``constant_term`` read the coefficients as Fractions.
     """
 
     __slots__ = ("truncation", "nums", "den", "_bucketed")
@@ -255,21 +239,14 @@ class GradedSeries:
     def __init__(self, truncation: Truncation, terms: Optional[dict] = None):
         """Series from a {monomial: int or Fraction} dict; zeros are dropped
         and every other monomial must lie within the truncation."""
-        self._store(truncation, *_int_form(terms or {}))
+        self._store(truncation, *exact.from_terms(terms or {}))
         for mono in self.nums:
             if not truncation.admits(mono):
                 raise ValueError(f"monomial {mono_str(mono)} violates truncation {truncation}")
 
     def _store(self, truncation: Truncation, nums: dict, den: int):
-        """Set the fields to nums / den (int numerators, zeros allowed, over
-        den > 0) in lowest terms.  Every series is built here."""
-        if 0 in nums.values():
-            nums = {m: n for m, n in nums.items() if n}
-        if den != 1:
-            g = gcd(den, *nums.values())
-            if g != 1:
-                den //= g
-                nums = {m: n // g for m, n in nums.items()}
+        """Set the fields to nums / den, already in lowest terms.  Every
+        series is built here."""
         self.truncation = truncation
         self.nums = nums
         self.den = den
@@ -282,6 +259,11 @@ class GradedSeries:
         """Series nums / den from a fresh {monomial: int} dict over a positive
         den, whose monomials already lie within trunc (not re-checked).  The
         dict is kept, uncopied, unless a zero or a common factor must go."""
+        return GradedSeries._of(trunc, *exact.lowest(nums, den))
+
+    @staticmethod
+    def _of(trunc: Truncation, nums: dict, den: int) -> "GradedSeries":
+        """Series nums / den from a form already in lowest terms."""
         result = object.__new__(GradedSeries)
         result._store(trunc, nums, den)
         return result
@@ -290,7 +272,7 @@ class GradedSeries:
     def from_terms(trunc: Truncation, terms: dict) -> "GradedSeries":
         """Series from a {monomial: int or Fraction} dict whose monomials
         already lie within trunc (not re-checked); zeros are dropped."""
-        return GradedSeries.from_ints(trunc, *_int_form(terms))
+        return GradedSeries._of(trunc, *exact.from_terms(terms))
 
     @staticmethod
     def zero(trunc: Truncation) -> "GradedSeries":
@@ -360,34 +342,17 @@ class GradedSeries:
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         self._require_compatible(other)
-        den = self.den
-        if den == other.den:
-            out = dict(self.nums)
-            get = out.get
-            for mono, n in other.nums.items():
-                out[mono] = get(mono, 0) + n
-        else:
-            g = gcd(den, other.den)
-            scale_self, scale_other = other.den // g, den // g
-            out = {mono: n * scale_self for mono, n in self.nums.items()}
-            get = out.get
-            for mono, n in other.nums.items():
-                out[mono] = get(mono, 0) + n * scale_other
-            den *= scale_self
-        return GradedSeries.from_ints(self.truncation, out, den)
+        return GradedSeries._of(self.truncation, *exact.add(self.nums, self.den, other.nums, other.den))
 
     def __neg__(self) -> "GradedSeries":
-        return GradedSeries.from_ints(self.truncation, {m: -n for m, n in self.nums.items()}, self.den)
+        return GradedSeries._of(self.truncation, {m: -n for m, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + (-other)
 
     def scalar_mul(self, c) -> "GradedSeries":
         """The series times an int or Fraction c; anything else raises TypeError."""
-        num = _exact(c).numerator
-        return GradedSeries.from_ints(
-            self.truncation, {m: n * num for m, n in self.nums.items()}, self.den * c.denominator
-        )
+        return GradedSeries._of(self.truncation, *exact.scale(self.nums, self.den, c))
 
     def __mul__(self, other):
         if not isinstance(other, GradedSeries):
@@ -543,10 +508,7 @@ class GradedSeries:
 
     def to_json_dict(self) -> dict:
         terms = []
-        den = self.den
         for mono in sorted(self.nums):
-            n = self.nums[mono]
-            g = gcd(n, den)
             enc = [[var[0], *var[1:], e] for var, e in mono]
-            terms.append({"monomial": enc, "coeff": f"{n // g}/{den // g}"})
+            terms.append({"monomial": enc, "coeff": exact.ratio(self.nums[mono], self.den)})
         return {"truncation": self.truncation.to_json_dict(), "terms": terms}

@@ -10,18 +10,18 @@ where C is the falling-factorial binomial (so tops may be negative) and
 negative powers of K are exact rationals.  Every generating function produced
 by the recursion engines is a polynomial in these series; :class:`ZPoly` is
 that polynomial ring with formal generators indexed by (d, r), its rational
-coefficients stored exactly as int numerators over one common denominator in
-lowest terms.
+coefficients stored exactly in the int-numerator form of :mod:`.exact`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from types import MappingProxyType
 from typing import Iterator, Optional
 
+from . import exact
 from .partitions import (
     aut_order,
     gen_binomial,
@@ -82,10 +82,6 @@ ZGen = tuple  # (d, r)
 ZKey = tuple  # sorted tuple of ZGen with multiplicity; () is the constant
 
 
-def _as_coeff(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _poly(nums: dict, den: int) -> "ZPoly":
     """Wrap nonzero int numerators over a positive den, already in lowest terms."""
     poly = object.__new__(ZPoly)
@@ -94,30 +90,20 @@ def _poly(nums: dict, den: int) -> "ZPoly":
     return poly
 
 
-def _reduced(nums: dict, den: int) -> "ZPoly":
-    """The ZPoly nums / den (nonzero int numerators, den > 0) in lowest terms."""
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            nums = {key: n // g for key, n in nums.items()}
-    return _poly(nums, den)
-
-
 class ZPoly:
     """Polynomial with rational coefficients in the generators z_{d,r}.
 
     Keys are sorted tuples of (d, r) pairs (monomials in the generators);
     the empty tuple is the constant monomial.  The coefficients are int
-    numerators over one common denominator: ``nums`` maps each key to a
-    nonzero int, and ``den`` is a positive int with
-    gcd(den, *nums.values()) == 1, so the zero polynomial has den 1.  This
-    lowest-terms form is unique, so a sum or product costs int arithmetic
-    plus one gcd over its result, and structural equality (exact form
-    equality) is equality of (nums, den).  ``terms`` is a read-only view of
-    the coefficients as Fractions.  Since the z-series satisfy polynomial
-    relations, use :func:`zpoly_eval` to decide mathematical equality of
-    values.
+    numerators over one common denominator in the lowest-terms form of
+    :mod:`.exact`: ``nums`` maps each key to a nonzero int over the positive
+    int ``den``, and the zero polynomial has den 1.  The form is unique, so a
+    sum or product costs int arithmetic plus one gcd over its result, and
+    structural equality (exact form equality) is equality of (nums, den).
+    A coefficient that is not an int or a Fraction raises TypeError.
+    ``terms`` is a read-only view of the coefficients as Fractions.  Since
+    the z-series satisfy polynomial relations, use :func:`zpoly_eval` to
+    decide mathematical equality of values.
     """
 
     __slots__ = ("nums", "den")
@@ -127,11 +113,8 @@ class ZPoly:
         coeffs: dict = {}
         for key, coeff in (terms or {}).items():
             key = tuple(sorted(tuple(g) for g in key))
-            coeffs[key] = coeffs.get(key, 0) + _as_coeff(coeff)
-        coeffs = {key: c for key, c in coeffs.items() if c}
-        # over the lcm of reduced denominators the numerators are coprime to it
-        self.den = lcm(*(c.denominator for c in coeffs.values()))
-        self.nums = {key: c.numerator * (self.den // c.denominator) for key, c in coeffs.items()}
+            coeffs[key] = coeffs.get(key, 0) + exact.check(coeff)
+        self.nums, self.den = exact.from_terms(coeffs)
 
     @property
     def terms(self) -> MappingProxyType:
@@ -142,10 +125,6 @@ class ZPoly:
     @staticmethod
     def zero() -> "ZPoly":
         return ZPoly()
-
-    @staticmethod
-    def one() -> "ZPoly":
-        return ZPoly({(): 1})
 
     @staticmethod
     def constant(c) -> "ZPoly":
@@ -164,7 +143,7 @@ class ZPoly:
         return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or type(other) is Fraction:
             other = ZPoly.constant(other)
         if isinstance(other, ZPoly):
             return self.den == other.den and self.nums == other.nums
@@ -181,23 +160,7 @@ class ZPoly:
             other = ZPoly.constant(other)
         if not isinstance(other, ZPoly):
             return NotImplemented
-        den = self.den
-        if den == other.den:
-            out = dict(self.nums)
-            get = out.get
-            for key, n in other.nums.items():
-                out[key] = get(key, 0) + n
-        else:
-            g = gcd(den, other.den)
-            scale_self, scale_other = other.den // g, den // g
-            out = {key: n * scale_self for key, n in self.nums.items()}
-            get = out.get
-            for key, n in other.nums.items():
-                out[key] = get(key, 0) + n * scale_other
-            den *= scale_self
-        if 0 in out.values():
-            out = {key: c for key, c in out.items() if c}
-        return _reduced(out, den)
+        return _poly(*exact.add(self.nums, self.den, other.nums, other.den))
 
     __radd__ = __add__
 
@@ -207,9 +170,6 @@ class ZPoly:
     def __sub__(self, other) -> "ZPoly":
         return self + (-other if isinstance(other, ZPoly) else ZPoly.constant(-other))
 
-    def __rsub__(self, other) -> "ZPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "ZPoly":
         if isinstance(other, ZPoly):
             out: dict = {}
@@ -218,37 +178,10 @@ class ZPoly:
                 for k2, c2 in other.nums.items():
                     key = tuple(sorted(k1 + k2))
                     out[key] = get(key, 0) + c1 * c2
-            if 0 in out.values():
-                out = {key: c for key, c in out.items() if c}
-            return _reduced(out, self.den * other.den)
-        if isinstance(other, int):
-            num, den = other, 1
-        elif isinstance(other, Fraction):
-            num, den = other.numerator, other.denominator
-        else:
-            return NotImplemented
-        if not num:
-            return ZPoly()
-        # num/den is in lowest terms and so is self, so cancelling num against
-        # self.den and den against the numerators' content leaves lowest terms
-        g = gcd(num, self.den)
-        h = gcd(den, *self.nums.values()) if den != 1 else 1
-        num //= g
-        if h == 1:
-            nums = {key: n * num for key, n in self.nums.items()}
-        else:
-            nums = {key: n // h * num for key, n in self.nums.items()}
-        return _poly(nums, self.den // g * (den // h))
+            return _poly(*exact.lowest(out, self.den * other.den))
+        return _poly(*exact.scale(self.nums, self.den, other))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "ZPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = ZPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __repr__(self) -> str:
         return f"ZPoly({self.pretty()})"
@@ -284,12 +217,8 @@ class ZPoly:
     def to_json_list(self) -> list:
         """One {"gens": [[d, r], ...], "coeff": "num/den"} per term, sorted by
         key, each coefficient in lowest terms."""
-        out = []
-        for key in sorted(self.nums):
-            n = self.nums[key]
-            g = gcd(n, self.den)
-            out.append({"gens": [list(gen) for gen in key], "coeff": f"{n // g}/{self.den // g}"})
-        return out
+        return [{"gens": [list(gen) for gen in key], "coeff": exact.ratio(self.nums[key], self.den)}
+                for key in sorted(self.nums)]
 
     @staticmethod
     def from_json_list(data) -> "ZPoly":
@@ -300,7 +229,7 @@ class ZPoly:
         ValueError naming the entry."""
         if not isinstance(data, list):
             raise ValueError(f"a polynomial is a list of terms, not {data!r}")
-        pairs = {}
+        coeffs = {}
         for entry in data:
             try:
                 key = tuple(sorted(_json_gen(g) for g in entry["gens"]))
@@ -310,11 +239,10 @@ class ZPoly:
                 raise ValueError(f"malformed polynomial entry {entry!r}") from None
             if den <= 0:
                 raise ValueError(f"polynomial entry {entry!r} needs a positive denominator")
-            if key in pairs:
+            if key in coeffs:
                 raise ValueError(f"polynomial entry {entry!r} repeats the key {list(map(list, key))}")
-            pairs[key] = (num, den)
-        den = lcm(*(d for _, d in pairs.values()))
-        return _reduced({key: n * (den // d) for key, (n, d) in pairs.items() if n}, den)
+            coeffs[key] = Fraction(num, den)
+        return _poly(*exact.from_terms(coeffs))
 
 
 def _json_gen(g) -> ZGen:

@@ -14,8 +14,11 @@ e^{+-H_0} to equal the Cauchy sums (both seeds come from
 genus <= G terms of the full H for G = 0 and 1.  At every B = 2Q - 2 with
 Q <= 10 it requires ``h_lambda_series`` to equal the reference read off the
 p_1-shifted genus-0 part of the full H, for every lam with |lam| <= Q + 1.
-Too slow for the tier-1 suite (about 20 s), and named without a ``test_``
-prefix so pytest does not collect it.
+Last, it runs ``compute-hurwitz --genus 0 --lambda 16 --mu 1^16 --method
+cutjoin`` through the CLI and requires 16^13 (about 7 s): at Q = 16 the
+q_1-exponent of ``_Packer`` fills all five bits of its field, so a field one
+bit short shows here.  Too slow for the tier-1 suite (about 35 s in all), and
+named without a ``test_`` prefix so pytest does not collect it.
 
 Run from the repository root:
 
@@ -24,7 +27,9 @@ Run from the repository root:
 Exits 1 on any mismatch.
 """
 
+import io
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from math import factorial
@@ -38,6 +43,7 @@ from test_cutjoin import (
     substitute_p1_shift,
 )
 
+from doublehurwitz.cli import run
 from doublehurwitz.cutjoin import _exact_div, cut_join_apply, evolve, genus0_part, h_lambda_series
 from doublehurwitz.partitions import partitions_of
 from doublehurwitz.series import BETA_VAR, GradedSeries, Truncation, mono_mul
@@ -128,6 +134,20 @@ def h_series_mismatches(q: int, full: GradedSeries) -> list:
             if h_lambda_series(lam, q) != _shifted_h_lambda_series(shifted, lam, q)]
 
 
+def one_part_k16_mismatch() -> bool:
+    """Whether compute-hurwitz at genus 0, lam = (16), mu = 1^16 by cutjoin
+    misses 16^13, the one-part count K^(K-3) at K = 16."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as cache_dir:
+        code = run(["--cache-dir", cache_dir, "compute-hurwitz", "--genus", "0", "--lambda", "16",
+                    "--mu", ",".join(["1"] * 16), "--method", "cutjoin"], out=out, err=err)
+    got = out.getvalue().strip() if code == 0 else f"exit {code}: {err.getvalue().strip()}"
+    bad = got != f"{16**13}/1"
+    print(f"compute-hurwitz --lambda 16 --mu 1^16 --method cutjoin: {got}"
+          f" ({'MISMATCH' if bad else 'equal'} to 16^13)")
+    return bad
+
+
 def main() -> int:
     failures = 0
     for q, b in BOUNDS:
@@ -146,7 +166,8 @@ def main() -> int:
               f"(direct {direct_seconds:.2f} s, e^H logarithm {log_seconds:.2f} s)"
               + (f"; genus cap MISMATCH at G = {bad_caps}" if bad_caps else "; genus caps equal")
               + (f"; h_lambda_series MISMATCH at {bad_lams}" if bad_lams else ""))
-    print(f"{len(BOUNDS)} bounds, {failures} mismatches")
+    failures += one_part_k16_mismatch()
+    print(f"{len(BOUNDS)} bounds and one CLI check, {failures} mismatches")
     return 1 if failures else 0
 
 

@@ -231,6 +231,21 @@ def test_kp_check_failure_exit_code(monkeypatch):
     assert out.startswith("fail:") and "t_1" in out
 
 
+def test_internal_arithmetic_error_exit_4(monkeypatch, tmp_path):
+    import doublehurwitz.cutjoin as cutjoin
+
+    def inexact_div(n, d):
+        raise ArithmeticError(f"{n} is not divisible by {d}")
+
+    monkeypatch.setattr(cutjoin, "_exact_div", inexact_div)
+    code, out, err = run_cli(
+        "--cache-dir", str(tmp_path), "compute-hurwitz", "--genus", "1",
+        "--lambda", "2,1", "--mu", "3", "--method", "cutjoin",
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ") and "not divisible" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "doublehurwitz", "h-poly", "--lambda", "3"],

@@ -5,7 +5,9 @@ import pytest
 
 from doublehurwitz.cutjoin import (
     _Packer,
+    _derivatives,
     _exact_div,
+    _join_into,
     _w_image,
     cut_join_apply,
     evolve,
@@ -189,6 +191,26 @@ def test_packer_round_trip():
                 assert packer.unpack(key) is packer.unpack(key)  # memoised
                 seen.add(key)
     assert len(seen) == sum(len(partitions_of(d)) ** 2 for d in range(9))
+
+
+@pytest.mark.parametrize("q_bound", [8, 16])
+def test_packer_fields_hold_exponent_q(q_bound):
+    """At Q = 2^k an exponent Q needs every bit of its w = Q.bit_length()-bit
+    field: the extreme monomials round-trip, and a join whose q_1-exponent
+    reaches Q does not carry into the next field."""
+    packer = _Packer(q_bound)
+    joined = mono_from_vars([(pvar(q_bound), 1), (qvar(1), q_bound)])
+    for mono in (joined, mono_from_vars([(pvar(1), q_bound), (qvar(q_bound), 1)])):
+        weight, key = packer.pack(mono)
+        assert weight == q_bound
+        assert packer.unpack(key) == mono
+    for i in range(1, q_bound):
+        j = q_bound - i
+        left = _derivatives(packer, {mono_from_vars([(pvar(i), 1), (qvar(1), i)]): 1})
+        right = _derivatives(packer, {mono_from_vars([(pvar(j), 1), (qvar(1), j)]): 1})
+        out: dict = {}
+        _join_into(out, packer, left, right, 1)  # J(p_i q_1^i, p_j q_1^j) = ij p_Q q_1^Q
+        assert {packer.unpack(k): c for k, c in out.items()} == {joined: i * j}
 
 
 def test_packer_rejects_terms_off_the_premise():

@@ -16,13 +16,13 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import factorial
 
 from .cutjoin import h_lambda_series, hurwitz_number_by_series
+from .exact import ratio
 from .kp import kp_residual
 from .oracle import ResourceBudgetError, oracle_count, oracle_raw_count
-from .partitions import check_partition, fraction_to_str
+from .partitions import check_partition
 from .recursion import XTable, h_poly, populate_table
 from .series import GradedSeries, mono_str, mono_weights
 from .verify import SUITES, run_suite
@@ -46,11 +46,10 @@ def _parse_partition(text: str) -> tuple:
 
 
 def _series_rows(series: GradedSeries):
-    """(rendered monomial, coeff) rows ordered by weight, then letter count,
-    then monomial order."""
-    items = series.terms()
-    items.sort(key=lambda mc: (sum(mono_weights(mc[0])), sum(e for _, e in mc[0]), mc[0]))
-    return [(mono_str(mono), coeff) for mono, coeff in items]
+    """(rendered monomial, rendered coeff) rows ordered by weight, then letter
+    count, then monomial order."""
+    monos = sorted(series.nums, key=lambda m: (sum(mono_weights(m)), sum(e for _, e in m), m))
+    return [(mono_str(mono), ratio(series.nums[mono], series.den)) for mono in monos]
 
 
 def _emit_series(series: GradedSeries, fmt: str, out) -> None:
@@ -60,13 +59,13 @@ def _emit_series(series: GradedSeries, fmt: str, out) -> None:
     elif fmt == "csv":
         out.write("monomial,coeff\n")
         for name, coeff in _series_rows(series):
-            out.write(f"{name},{fraction_to_str(coeff)}\n")
+            out.write(f"{name},{coeff}\n")
     else:
         rows = _series_rows(series)
         if not rows:
             out.write("0\n")
         for name, coeff in rows:
-            out.write(f"{fraction_to_str(coeff)} * {name}\n")
+            out.write(f"{coeff} * {name}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,7 +154,7 @@ def _dispatch(args, out, err) -> int:
         else:
             cache_dir = resolve_cache_dir(args.cache_dir)
             value = hurwitz_number_by_series(args.genus, lam, mu, args.method, cache_dir)
-        out.write(fraction_to_str(value) + "\n")
+        out.write(ratio(value.numerator, value.denominator) + "\n")
         return 0
 
     if args.command == "h-series":
@@ -200,8 +199,8 @@ def _dispatch(args, out, err) -> int:
         if residual.is_zero():
             out.write(f"pass: residual vanishes up to t-weight {args.max_t_weight}\n")
             return 0
-        mono, coeff = residual.terms()[0]
-        out.write(f"fail: residual has {fraction_to_str(coeff)} * {mono_str(mono)}\n")
+        mono = min(residual.nums)
+        out.write(f"fail: residual has {ratio(residual.nums[mono], residual.den)} * {mono_str(mono)}\n")
         return 1
 
     if args.command == "verify":
@@ -223,8 +222,8 @@ def _dispatch(args, out, err) -> int:
         lam = _parse_partition(args.lam)
         mu = _parse_partition(args.mu)
         raw = oracle_raw_count(args.genus, lam, mu)
-        value = Fraction(raw, factorial(sum(lam)))  # == oracle_count, without a second count
-        out.write(f"{fraction_to_str(value)} {raw}\n")
+        # the value oracle_count returns, without a second count
+        out.write(f"{ratio(raw, factorial(sum(lam)))} {raw}\n")
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")

@@ -309,7 +309,7 @@ def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> Graded
                     c = sum(map(mul, chichi, wm))
                     if c:
                         total[betas[m] + prho + qsigma] = Fraction(c, z * factorial(m))
-    return GradedSeries.from_terms(trunc, total)
+    return GradedSeries(trunc, total)
 
 
 def genus0_part(H: GradedSeries) -> GradedSeries:

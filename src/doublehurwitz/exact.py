@@ -6,6 +6,7 @@ so the empty map has den 1.  This lowest-terms form is unique, so two maps
 are equal iff their pairs are.  :class:`.series.GradedSeries` (keyed by
 monomial) and :class:`.zseries.ZPoly` (keyed by generator tuple) store their
 coefficients in this form, and the functions here are its only kernels.
+:func:`ratio` also renders every rational the CLI prints.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .series import (
     XI_VAR,
     GradedSeries,
     Truncation,
+    mono_adjust,
     mono_from_vars,
     mono_weights,
     svar,
@@ -75,17 +76,11 @@ def r_from_tau(tau: GradedSeries, require_polynomial: bool = True) -> GradedSeri
     log_tau = tau.log()
     out: dict = {}
     for mono, n in log_tau.nums.items():
-        exps = dict(mono)
-        xi_e = exps.pop(XI_VAR, 0)
-        if xi_e < 1:
-            raise ValueError(f"log tau term {mono} is not divisible by xi")
-        psi_e = exps.pop(PSI_VAR, 0) + 1  # the -psi prefactor
-        if xi_e > 1:
-            exps[XI_VAR] = xi_e - 1
-        if psi_e != 0:
-            exps[PSI_VAR] = psi_e
-        new = tuple(sorted(exps.items()))
-        out[new] = out.get(new, 0) - n
+        try:  # the division by xi, and the psi of the -psi prefactor
+            new = mono_adjust(mono, {XI_VAR: -1, PSI_VAR: +1})
+        except ValueError:
+            raise ValueError(f"log tau term {mono} is not divisible by xi") from None
+        out[new] = -n  # the surgery is injective, so no two terms meet
     result = GradedSeries.from_ints(tau.truncation, out, log_tau.den)
     if require_polynomial:
         for mono in result.nums:

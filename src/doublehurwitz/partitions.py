@@ -59,6 +59,7 @@ def multiplicities(lam: Partition) -> dict:
 
 def aut_order(lam: Partition) -> int:
     """Order of the group permuting equal parts: product of multiplicity factorials.
+    Any tuple of hashable entries is read as a multiset the same way.
 
     >>> aut_order((4, 3, 3, 1, 1, 1))
     12
@@ -126,10 +127,3 @@ def compositions(total: int, num_parts: int) -> Iterator[tuple]:
     for first in range(1, total - num_parts + 2):
         for rest in compositions(total - first, num_parts - 1):
             yield (first,) + rest
-
-
-def fraction_to_str(x) -> str:
-    """Serialize an exact rational as "num/den" (always with denominator)."""
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-

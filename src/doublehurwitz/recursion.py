@@ -89,12 +89,6 @@ class XTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def get(self, key) -> Optional[ZPoly]:
-        return self.entries.get(key)
-
-    def store(self, key: XKey, value: ZPoly):
-        self.entries[key] = value
-
     # -- persistence ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -133,7 +127,7 @@ class XTable:
                 value = ZPoly.from_json_list(poly)
             except ValueError as exc:
                 raise ValueError(f"table entry {n} has a malformed polynomial: {exc}") from None
-            table.store(key, value)
+            table.entries[key] = value
         return table
 
     def save(self, path) -> Path:
@@ -166,7 +160,7 @@ def _correction(s: int, m: int, rest: tuple, table: XTable) -> ZPoly:
     """
     multiplicity = Counter(rest)
     types, counts = tuple(multiplicity), tuple(multiplicity.values())
-    total = ZPoly.zero()
+    total = ZPoly()
     for k in _sub_vectors(counts):
         consumed_nu = [nu for (_, nu), k_i in zip(types, k) for _ in range(k_i)]
         ell = m + sum(consumed_nu) - sum(k) + 2
@@ -215,7 +209,7 @@ def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable)
             return factor(c, t)
         value = products.get((j, c, t))
         if value is None:
-            value = ZPoly.zero()
+            value = ZPoly()
             for head in _sub_vectors(c):
                 tail = tuple(c_i - h_i for c_i, h_i in zip(c, head))
                 for t_head in range(1, t - j + 2):
@@ -245,13 +239,13 @@ def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = 
     key = make_xkey(key)
     if table is None:
         table = XTable()
-    cached = table.get(key)
+    cached = table.entries.get(key)
     if cached is not None and pivot_index is None:
         return cached
 
     if all(a == 0 for a, _ in key):
         value = initial_x(tuple(b for _, b in key))
-        table.store(key, value)
+        table.entries[key] = value
         return value
 
     if pivot_index is None:
@@ -270,7 +264,7 @@ def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = 
     value = value - _correction(s, m, rest, table)
 
     if pivot_index is None:
-        table.store(key, value)
+        table.entries[key] = value
     return value
 
 

@@ -78,7 +78,7 @@ class ReducedRecursion:
         p_letters = [a for a, b in rest if a >= 1]  # orders of marked zeros: (i, 0)
         t_letters = [b for a, b in rest if a == 0]  # psi-exponents: (0, j)
         np_, nt = len(p_letters), len(t_letters)
-        total = ZPoly.zero()
+        total = ZPoly()
         for pmask in range(1 << np_):
             p_in = [p_letters[i] for i in range(np_) if pmask >> i & 1]
             p_out = [p_letters[i] for i in range(np_) if not pmask >> i & 1]
@@ -95,7 +95,7 @@ class ReducedRecursion:
                     continue
                 weight = Fraction(multinomial((m, *t_in)), factorial(ell))
                 others = [(v, 0) for v in p_out] + [(0, v) for v in t_out]
-                inner = ZPoly.zero()
+                inner = ZPoly()
                 for blocks in itertools.product(range(ell), repeat=len(others)):
                     groups = [[] for _ in range(ell)]
                     for entry, b in zip(others, blocks):

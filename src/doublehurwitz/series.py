@@ -232,6 +232,11 @@ class GradedSeries:
     The form is unique, so equality is equality of (truncation, nums, den).
     ``items``, ``terms``, ``term_dict``, ``coefficient`` and
     ``constant_term`` read the coefficients as Fractions.
+
+    A series is built by the constructor, from a {monomial: int or Fraction}
+    dict whose monomials it checks against the truncation; by ``from_ints``,
+    from int numerators already within it; or as ``zero``, ``one`` or
+    ``var``.
     """
 
     __slots__ = ("truncation", "nums", "den", "_bucketed")
@@ -267,12 +272,6 @@ class GradedSeries:
         result = object.__new__(GradedSeries)
         result._store(trunc, nums, den)
         return result
-
-    @staticmethod
-    def from_terms(trunc: Truncation, terms: dict) -> "GradedSeries":
-        """Series from a {monomial: int or Fraction} dict whose monomials
-        already lie within trunc (not re-checked); zeros are dropped."""
-        return GradedSeries._of(trunc, *exact.from_terms(terms))
 
     @staticmethod
     def zero(trunc: Truncation) -> "GradedSeries":
@@ -319,9 +318,6 @@ class GradedSeries:
             return NotImplemented
         return (self.truncation == other.truncation and self.den == other.den
                 and self.nums == other.nums)
-
-    def __hash__(self):
-        raise TypeError("GradedSeries is not hashable")
 
     def __repr__(self) -> str:
         return f"GradedSeries({len(self.nums)} terms, {self.truncation})"

@@ -28,7 +28,7 @@ from .partitions import (
     multinomial,
     partitions_of,
 )
-from .series import GradedSeries, Q, T, Truncation, mono_adjust, mono_from_vars, qvar, tvar
+from .series import GradedSeries, T, Truncation, mono_adjust, mono_from_vars, mono_weights, qvar, tvar
 
 
 @lru_cache(maxsize=None)
@@ -123,10 +123,6 @@ class ZPoly:
         return MappingProxyType({key: Fraction(n, den) for key, n in self.nums.items()})
 
     @staticmethod
-    def zero() -> "ZPoly":
-        return ZPoly()
-
-    @staticmethod
     def constant(c) -> "ZPoly":
         return ZPoly({(): c})
 
@@ -135,9 +131,6 @@ class ZPoly:
         if d < 0 or r < 1:
             raise ValueError("generator needs d >= 0, r >= 1")
         return ZPoly({((d, r),): 1})
-
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -222,23 +215,27 @@ class ZPoly:
 
     @staticmethod
     def from_json_list(data) -> "ZPoly":
-        """Inverse of :meth:`to_json_list`.  Anything but a list ([] is 0),
-        or an entry whose generators are not pairs of ints, whose coefficient
-        is not "num" or "num/den" with ints and den > 0, or whose generators
-        repeat an earlier entry's (which to_json_list never writes), raises
-        ValueError naming the entry."""
+        """Inverse of :meth:`to_json_list`, accepting only what it writes.
+        Anything but a list ([] is 0) raises ValueError, and so does an entry
+        whose generators are not pairs (d, r) of ints with d >= 0 and r >= 1,
+        whose coefficient is not the string exact.ratio writes for a nonzero
+        value ("num/den" in lowest terms with den > 0, so not a bare "num",
+        "2/4", "0/1", "+1/2" or " 1/2"), or whose generators repeat an
+        earlier entry's; the message names the entry."""
         if not isinstance(data, list):
             raise ValueError(f"a polynomial is a list of terms, not {data!r}")
         coeffs = {}
         for entry in data:
             try:
                 key = tuple(sorted(_json_gen(g) for g in entry["gens"]))
-                num, _, den = entry["coeff"].partition("/")
-                num, den = int(num), int(den) if den else 1
+                coeff = entry["coeff"]
+                num, _, den = coeff.partition("/")
+                num, den = int(num), int(den)
             except (AttributeError, KeyError, TypeError, ValueError):
                 raise ValueError(f"malformed polynomial entry {entry!r}") from None
-            if den <= 0:
-                raise ValueError(f"polynomial entry {entry!r} needs a positive denominator")
+            if not num or den <= 0 or coeff != exact.ratio(num, den):
+                raise ValueError(f"polynomial entry {entry!r} needs a nonzero \"num/den\" "
+                                 "in lowest terms with den > 0")
             if key in coeffs:
                 raise ValueError(f"polynomial entry {entry!r} repeats the key {list(map(list, key))}")
             coeffs[key] = Fraction(num, den)
@@ -247,8 +244,8 @@ class ZPoly:
 
 def _json_gen(g) -> ZGen:
     d, r = g
-    if type(d) is not int or type(r) is not int:
-        raise TypeError("generator indices must be ints")
+    if type(d) is not int or type(r) is not int or d < 0 or r < 1:
+        raise ValueError("a generator needs ints d >= 0, r >= 1")
     return (d, r)
 
 
@@ -316,7 +313,7 @@ def zgen_euler(d: int, r: int) -> ZPoly:
 
 def _zpoly_derivation(poly: ZPoly, gen_image) -> ZPoly:
     """Extend a map on generators to a derivation of the polynomial ring."""
-    total = ZPoly.zero()
+    total = ZPoly()
     for key, coeff in poly.terms.items():
         for i, g in enumerate(key):
             rest = key[:i] + key[i + 1 :]
@@ -332,24 +329,6 @@ def zpoly_euler(poly: ZPoly) -> ZPoly:
     return _zpoly_derivation(poly, zgen_euler)
 
 
-def _series_weighted_euler(series: GradedSeries) -> GradedSeries:
-    """sum_k k q_k d/dq_k acts on q_mu as multiplication by |mu|."""
-    return series.scale_terms(_qweight)
-
-
-def _series_euler(series: GradedSeries) -> GradedSeries:
-    """sum_k q_k d/dq_k acts on q_mu as multiplication by len(mu)."""
-    return series.scale_terms(_qlen)
-
-
-def _qweight(mono) -> int:
-    return sum(var[1] * e for var, e in mono if var[0] == Q)
-
-
-def _qlen(mono) -> int:
-    return sum(e for var, e in mono if var[0] == Q)
-
-
 def check_eqzred(d: int, r: int, q_weight_bound: int):
     """Verify both Euler-operator identities for one generator, exactly.
 
@@ -357,11 +336,13 @@ def check_eqzred(d: int, r: int, q_weight_bound: int):
     the stated z-combinations coefficient for coefficient up to the bound.
     """
     z = z_series(d, r, q_weight_bound)
-    lhs1 = _series_weighted_euler(z)
+    # z_{d,r} holds only q-letters, so sum_k k q_k d/dq_k scales q_mu by
+    # |mu|, its q-weight, and sum_k q_k d/dq_k by len(mu), its letter count
+    lhs1 = z.scale_terms(lambda mono: mono_weights(mono)[0])
     rhs1 = zpoly_eval(zgen_weighted_euler(d, r), q_weight_bound)
     if lhs1 != rhs1:
         return False, f"weighted Euler identity fails for z_{{{d},{r}}}"
-    lhs2 = _series_euler(z)
+    lhs2 = z.scale_terms(lambda mono: sum(e for _, e in mono))
     rhs2 = zpoly_eval(zgen_euler(d, r), q_weight_bound)
     if lhs2 != rhs2:
         return False, f"Euler identity fails for z_{{{d},{r}}}"
@@ -406,19 +387,6 @@ def _pair_multisets(k: int, lam_sum: int, nu_sum: int, max_pair=None) -> Iterato
         first_lam -= 1
 
 
-def _pair_aut(ms: tuple) -> int:
-    """Product of factorials of run lengths in a sorted multiset."""
-    out = 1
-    i = 0
-    while i < len(ms):
-        j = i
-        while j < len(ms) and ms[j] == ms[i]:
-            j += 1
-        out *= factorial(j - i)
-        i = j
-    return out
-
-
 def psi_series(a: int, ell: int, t_weight_bound: int) -> GradedSeries:
     """The series Psi_{a,ell} in the t_{i,j} variables, truncated by t-weight.
 
@@ -438,7 +406,7 @@ def psi_series(a: int, ell: int, t_weight_bound: int) -> GradedSeries:
         nu_sum = ell + k - 3
         if nu_sum >= 0:
             for ms in _pair_multisets(k, a, nu_sum):
-                coeff = Fraction(multinomial([p[1] for p in ms]), _pair_aut(ms))
+                coeff = Fraction(multinomial([p[1] for p in ms]), aut_order(ms))
                 mono = mono_from_vars([(tvar(i, j), 1) for i, j in ms])
                 terms[mono] = terms.get(mono, 0) + coeff
         k += 1

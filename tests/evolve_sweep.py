@@ -85,12 +85,12 @@ def graded_evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
     D = factorial(q_weight_bound) * factorial(beta_bound)
 
     def numerators(series: GradedSeries) -> GradedSeries:
-        return GradedSeries.from_terms(
+        return GradedSeries(
             trunc, {m: _exact_div(c.numerator * D, c.denominator) for m, c in series.items()}
         )
 
     def divided(series: GradedSeries, d: int) -> GradedSeries:
-        return GradedSeries.from_terms(trunc, {m: _exact_div(c, d) for m, c in series.items()})
+        return GradedSeries(trunc, {m: _exact_div(c, d) for m, c in series.items()})
 
     h0 = _diagonal_seed(trunc, q_weight_bound)
     e0, e0_inv = h0.exp(), (-h0).exp()
@@ -108,7 +108,7 @@ def graded_evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
         for b in range(1, m):
             for mono, c in (Hs[b] * E[m - b]).items():
                 acc[mono] = acc.get(mono, 0) - b * c
-        hm_e0 = divided(GradedSeries.from_terms(trunc, acc), m * D)  # D H_m E_0
+        hm_e0 = divided(GradedSeries(trunc, acc), m * D)  # D H_m E_0
         Hs.append(divided(hm_e0 * e0_inv, D))
 
     H: dict = {}
@@ -116,7 +116,7 @@ def graded_evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
         beta_m = ((BETA_VAR, m),) if m else ()
         for mono, c in Hs[m].items():
             H[mono_mul(beta_m, mono)] = Fraction(c, D)
-    return GradedSeries.from_terms(trunc, H)
+    return GradedSeries(trunc, H)
 
 
 def genus_cap_mismatches(q: int, b: int, full: GradedSeries) -> list:

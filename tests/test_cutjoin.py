@@ -79,7 +79,7 @@ def _loop_cut_join_apply(series: GradedSeries) -> GradedSeries:
                     deltas[vj] = deltas.get(vj, 0) - 1
                 new = mono_adjust(mono, deltas)
                 out[new] = out.get(new, 0) + coeff * half * i * j * mult
-    return GradedSeries.from_terms(series.truncation, out)
+    return GradedSeries(series.truncation, out)
 
 
 def _diagonal_seed(trunc: Truncation, q_weight_bound: int) -> GradedSeries:
@@ -301,7 +301,7 @@ def test_evolve_invariants():
 def test_frobenius_beta_zero_is_cauchy_product():
     # sum_lam s_lam(p) s_lam(q) = exp(sum p_n q_n / n)
     eH = frobenius_eH(4, 2)
-    beta0 = GradedSeries.from_terms(
+    beta0 = GradedSeries(
         eH.truncation,
         {m: c for m, c in eH.term_dict().items() if all(v != BETA_VAR for v, _ in m)},
     )
@@ -344,7 +344,7 @@ def _schur_product_eH(q_weight_bound, beta_bound):
                 for mono, c in spq.items():
                     mm = mono_mul(mono, beta_m)
                     total[mm] = total.get(mm, 0) + c * coeff
-    return GradedSeries.from_terms(trunc, total).term_dict()
+    return GradedSeries(trunc, total).term_dict()
 
 
 def test_frobenius_uses_char_table_cache(tmp_path):
@@ -408,7 +408,7 @@ def set_beta_one(series: GradedSeries) -> GradedSeries:
     for mono, coeff in series.items():
         new = tuple((v, e) for v, e in mono if v != BETA_VAR)
         out[new] = out.get(new, 0) + coeff
-    return GradedSeries.from_terms(series.truncation, out)
+    return GradedSeries(series.truncation, out)
 
 
 def substitute_p1_shift(series: GradedSeries) -> GradedSeries:
@@ -423,7 +423,7 @@ def substitute_p1_shift(series: GradedSeries) -> GradedSeries:
         for i in range(e + 1):
             new = mono_mul(rest, ((p1, i),)) if i else rest
             out[new] = out.get(new, 0) + coeff * comb(e, i)
-    return GradedSeries.from_terms(series.truncation, out)
+    return GradedSeries(series.truncation, out)
 
 
 def _shifted_h_lambda_series(shifted: GradedSeries, lam, q_bound: int) -> GradedSeries:

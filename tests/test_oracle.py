@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from doublehurwitz import cli, oracle
+from doublehurwitz.exact import ratio
 from doublehurwitz.oracle import (
     ResourceBudgetError,
     _count_fixed_sigma,
@@ -16,7 +17,7 @@ from doublehurwitz.oracle import (
     oracle_raw_count,
     perm_of_cycle_type,
 )
-from doublehurwitz.partitions import class_size, fraction_to_str, partitions_of
+from doublehurwitz.partitions import class_size, partitions_of
 
 
 def _dfs_count_fixed_sigma(sigma: tuple, mu, m: int) -> int:
@@ -261,7 +262,7 @@ def test_cli_oracle_counts_once(monkeypatch):
     assert cli.run(["oracle", "--genus", "0", "--lambda", "3,1,1", "--mu", "2,2,1"], out, err) == 0
     assert len(calls) == 1
     raw = class_size(lam) * _dfs_count_fixed_sigma(perm_of_cycle_type(lam), mu, 4)
-    assert out.getvalue() == f"{fraction_to_str(Fraction(raw, factorial(5)))} {raw}\n"
+    assert out.getvalue() == f"{ratio(raw, factorial(5))} {raw}\n"
     assert err.getvalue() == ""
 
 

@@ -4,12 +4,12 @@ from math import comb, factorial
 
 import pytest
 
+from doublehurwitz.exact import ratio
 from doublehurwitz.partitions import (
     aut_order,
     check_partition,
     class_size,
     compositions,
-    fraction_to_str,
     gen_binomial,
     multinomial,
     partitions_of,
@@ -125,5 +125,5 @@ def test_compositions():
 
 def test_fraction_round_trip():
     for f in (Fraction(1, 2), Fraction(-5, 3), Fraction(7)):
-        assert Fraction(fraction_to_str(f)) == f
-    assert fraction_to_str(Fraction(7)) == "7/1"
+        assert Fraction(ratio(f.numerator, f.denominator)) == f
+    assert ratio(7, 1) == "7/1"

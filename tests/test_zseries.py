@@ -5,7 +5,7 @@ from typing import Optional
 
 import pytest
 
-from doublehurwitz.series import GradedSeries, Truncation, mono_from_vars, qvar, tvar
+from doublehurwitz.series import GradedSeries, Truncation, mono_from_vars, mono_weights, qvar, tvar
 from doublehurwitz.zseries import (
     ZPoly,
     check_eqzred,
@@ -18,7 +18,6 @@ from doublehurwitz.zseries import (
     zpoly_euler,
     zpoly_values_equal,
     zpoly_weighted_euler,
-    _series_weighted_euler,
     _t_raise,
 )
 
@@ -50,14 +49,6 @@ class _FractionZPoly:
                     self.terms[tuple(sorted(tuple(g) for g in key))] = c
 
     @staticmethod
-    def zero() -> "_FractionZPoly":
-        return _FractionZPoly()
-
-    @staticmethod
-    def one() -> "_FractionZPoly":
-        return _FractionZPoly({(): 1})
-
-    @staticmethod
     def constant(c) -> "_FractionZPoly":
         return _FractionZPoly({(): c})
 
@@ -66,9 +57,6 @@ class _FractionZPoly:
         if d < 0 or r < 1:
             raise ValueError("generator needs d >= 0, r >= 1")
         return _FractionZPoly({((d, r),): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -81,9 +69,6 @@ class _FractionZPoly:
                 return not self.terms
             return self.terms == {(): _as_coeff(other)}
         return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other) -> "_FractionZPoly":
         if isinstance(other, (int, Fraction)):
@@ -111,9 +96,6 @@ class _FractionZPoly:
     def __sub__(self, other) -> "_FractionZPoly":
         return self + (-other if isinstance(other, _FractionZPoly) else _FractionZPoly.constant(-other))
 
-    def __rsub__(self, other) -> "_FractionZPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "_FractionZPoly":
         if isinstance(other, (int, Fraction)):
             result = _FractionZPoly()
@@ -136,14 +118,6 @@ class _FractionZPoly:
         return result
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "_FractionZPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = _FractionZPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __repr__(self) -> str:
         return f"_FractionZPoly({self.pretty()})"
@@ -181,15 +155,6 @@ class _FractionZPoly:
             c = self.terms[key]
             out.append({"gens": [list(g) for g in key], "coeff": f"{c.numerator}/{c.denominator}"})
         return out
-
-    @staticmethod
-    def from_json_list(data) -> "_FractionZPoly":
-        terms = {}
-        for entry in data:
-            key = tuple(sorted(tuple(g) for g in entry["gens"]))
-            num, _, den = entry["coeff"].partition("/")
-            terms[key] = Fraction(int(num), int(den) if den else 1)
-        return _FractionZPoly(terms)
 
 
 def Qm(*pairs):
@@ -230,7 +195,7 @@ def test_z_series_n_bound():
 def test_zpoly_ring_basics():
     one = ZPoly.constant(1)
     z = ZPoly.gen(0, 1)
-    assert (z - z).is_zero()
+    assert not (z - z)
     assert one * z == z
     assert (z + 1) * (z - 1) == z * z - 1
     assert ZPoly({}) == 0
@@ -254,7 +219,7 @@ def _random_terms(rng):
 
 
 def _build(cls, terms):
-    p = cls.zero()
+    p = cls()
     for key, coeff in terms:
         p = p + cls({key: coeff})
     return p
@@ -321,11 +286,10 @@ def test_zpoly_results_are_in_lowest_terms():
         for name, p in _ring_results(a, b, c).items():
             _assert_lowest_terms(p)
             _assert_lowest_terms(ZPoly.from_json_list(p.to_json_list()))
-    assert ZPoly.zero().den == 1 and (ZPoly.gen(0, 1) * Fraction(1, 3) * 0).den == 1
-    unreduced = [{"gens": [[0, 1]], "coeff": "2/4"}, {"gens": [], "coeff": "6/4"}, {"gens": [[1, 1]], "coeff": "0/5"}]
-    p = ZPoly.from_json_list(unreduced)
-    _assert_lowest_terms(p)
-    assert p == ZPoly({((0, 1),): Fraction(1, 2), (): Fraction(3, 2)})
+    assert ZPoly().den == 1 and (ZPoly.gen(0, 1) * Fraction(1, 3) * 0).den == 1
+    for unreduced in ({"gens": [[0, 1]], "coeff": "2/4"}, {"gens": [], "coeff": "6/4"}, {"gens": [[1, 1]], "coeff": "0/5"}):
+        with pytest.raises(ValueError, match="lowest terms"):
+            ZPoly.from_json_list([unreduced])
 
 
 def test_equal_values_built_differently_are_equal_with_equal_hashes():
@@ -402,7 +366,7 @@ def test_from_json_list_rejects_malformed_entries(entry):
 def test_zpoly_json_round_trip():
     p = ZPoly.gen(0, 1) * ZPoly.gen(1, 2) * 3 - ZPoly.constant(Fraction(5, 2))
     assert ZPoly.from_json_list(p.to_json_list()) == p
-    assert ZPoly.zero().to_json_list() == [] and ZPoly.from_json_list([]) == ZPoly.zero()
+    assert ZPoly().to_json_list() == [] and ZPoly.from_json_list([]) == ZPoly()
 
 
 def test_keys_sorting_to_one_monomial_are_summed():
@@ -410,7 +374,7 @@ def test_keys_sorting_to_one_monomial_are_summed():
     p = ZPoly({((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): 2})
     assert p == ZPoly.gen(0, 1) * ZPoly.gen(1, 1) * 3
     assert p.pretty() == "3*z_{0,1}*z_{1,1}"
-    assert ZPoly({((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): -1}) == ZPoly.zero()
+    assert ZPoly({((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): -1}) == ZPoly()
 
 
 @pytest.mark.parametrize(
@@ -443,7 +407,7 @@ def test_eqzred_detector_catches_perturbation():
     z = z_series(0, 1, 6)
     perturbed = z + z_series(0, 2, 6).scalar_mul(Fraction(1, 7))
     rhs = zpoly_eval(zgen_weighted_euler(0, 1), 6)
-    assert _series_weighted_euler(perturbed) != rhs
+    assert perturbed.scale_terms(lambda m: mono_weights(m)[0]) != rhs
 
 
 def test_zpoly_derivations_are_derivations():
@@ -451,7 +415,7 @@ def test_zpoly_derivations_are_derivations():
     b = ZPoly.gen(1, 2)
     for D in (zpoly_weighted_euler, zpoly_euler):
         assert D(a * b) == D(a) * b + a * D(b)
-        assert D(ZPoly.constant(1)).is_zero()
+        assert not D(ZPoly.constant(1))
 
 
 def independent_psi_value(nu, n):

@@ -342,6 +342,24 @@ def genus0_series(q_weight_bound: int) -> GradedSeries:
     return evolve(q_weight_bound, max(0, 2 * q_weight_bound - 2), max_genus=0)
 
 
+@lru_cache(maxsize=None)
+def _genus0_by_p_part(q_weight_bound: int) -> dict:
+    """The terms of genus0_series(q_weight_bound) split by p-part: {p-part
+    without p_1: [(power of p_1, q-part, numerator), ...]}, each list in the
+    series' order.  The den is the series' own."""
+    p1 = pvar(1)
+    split: dict = {}
+    for mono, n in genus0_series(q_weight_bound).nums.items():
+        # beta sorts first, then the p-letters (p_1 first), then the q-letters,
+        # and every term has both p- and q-letters
+        lo = hi = 1 if mono[0][0] == BETA_VAR else 0
+        while mono[hi][0][0] == P:
+            hi += 1
+        e = mono[lo][1] if mono[lo][0] == p1 else 0
+        split.setdefault(mono[lo + 1 if e else lo:hi], []).append((e, mono[hi:], n))
+    return split
+
+
 def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
     """The series h_lam(q): generating function of genus-0 covers with marked
     zeros of orders lam, any number of extra simple zeros, arbitrary profile
@@ -357,19 +375,15 @@ def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
     lam = check_partition(lam)
     if not lam:
         raise ValueError("lam must be a nonempty partition")
-    ones, p1 = lam.count(1), pvar(1)
+    ones = lam.count(1)
     rest = mono_from_vars([(pvar(part), 1) for part in lam if part != 1])
     aut = aut_order(lam)
-    series = genus0_series(q_weight_bound)
     out: dict = {}
-    for mono, n in series.nums.items():
-        ppart = tuple(pair for pair in mono if pair[0][0] == P)
-        e = ppart[0][1] if ppart[0][0] == p1 else 0  # p_1 sorts first
-        if e < ones or ppart[1 if e else 0:] != rest:
-            continue
-        qpart = tuple(pair for pair in mono if pair[0][0] == Q)
-        out[qpart] = out.get(qpart, 0) + comb(e, ones) * n * aut
-    return GradedSeries.from_ints(Truncation(q_weight=q_weight_bound), out, series.den)
+    for e, qpart, n in _genus0_by_p_part(q_weight_bound).get(rest, ()):
+        if e >= ones:
+            out[qpart] = out.get(qpart, 0) + comb(e, ones) * n * aut
+    return GradedSeries.from_ints(Truncation(q_weight=q_weight_bound), out,
+                                  genus0_series(q_weight_bound).den)
 
 
 def hurwitz_number_by_series(g: int, lam, mu, method: str, cache_dir=None) -> Fraction:

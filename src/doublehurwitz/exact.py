@@ -29,8 +29,16 @@ def from_terms(terms: dict) -> tuple:
     are already coprime to it, so no gcd is taken."""
     for c in terms.values():
         check(c)
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}, den
+    return over_lcm({k: (c.numerator, c.denominator) for k, c in terms.items() if c})
+
+
+def over_lcm(ratios: dict) -> tuple:
+    """(nums, den) for a {key: (int num, positive int den)} dict, over the lcm
+    of the dens.  When every ratio is nonzero and in lowest terms, so is the
+    result: the den holding the lcm's full power of a prime leaves its
+    scaled numerator free of that prime.  Otherwise lowest() finishes it."""
+    den = lcm(*(d for _, d in ratios.values()))
+    return {k: n * (den // d) for k, (n, d) in ratios.items()}, den
 
 
 def lowest(nums: dict, den: int) -> tuple:

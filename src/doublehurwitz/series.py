@@ -27,6 +27,16 @@ int numerators over one common denominator in lowest terms: a sum, product,
 derivative, exp or log runs on ints and takes one gcd over its result.
 Callers read them as Fractions, or take the int form (``nums``, ``den``)
 where they run hot.
+
+Products (``*``, and the steps of ``exp`` and ``log``) run on packed
+monomials.  A process-wide registry gives each variable a fixed index, and a
+monomial packs to the int sum of e * 2^(W * index) over its (variable,
+exponent) pairs, so the packed product of two monomials is the sum of their
+ints.  The kernel accumulates coefficients by that int and renders each
+distinct product back into a tuple with :func:`mono_mul` once.  An exponent
+is range-checked when it is packed, and one too large for its field raises
+OverflowError rather than carry into the next.  Everything else, the keys of
+``nums`` included, stays on tuple monomials.
 """
 
 from __future__ import annotations
@@ -207,20 +217,58 @@ class Truncation:
         return {n: b for n, b in zip(names, self.bounds()) if b is not None}
 
 
+# -- the multiply kernel: monomials packed as ints ---------------------------
+
+# Each variable owns a field of _FIELD_BITS bits in a packed monomial, at the
+# index the registry gave it when it was first packed; an index never changes.
+_FIELD_BITS = 16
+_EXP_LIMIT = 1 << (_FIELD_BITS - 2)  # a packed exponent e has |e| < _EXP_LIMIT
+_SHIFTS: dict = {}  # variable -> _FIELD_BITS * its index
+
+
+def _pack(mono: tuple) -> int:
+    """The monomial as the int sum of e * 2^(W * index(var)), W = _FIELD_BITS.
+
+    The map is linear, so a product of monomials packs to the sum of their
+    ints.  Every exponent must satisfy |e| < 2^(W-2), or OverflowError is
+    raised: a field of the sum of two packed monomials then lies strictly
+    inside (-2^(W-1), 2^(W-1)), and an int has one expansion with all its
+    fields (digits in base 2^W) in that range, so distinct products have
+    distinct ints."""
+    key = 0
+    for var, e in mono:
+        if not -_EXP_LIMIT < e < _EXP_LIMIT:
+            raise OverflowError(f"exponent {e} of {mono_str(((var, 1),))} is outside "
+                                f"the packed range |e| < {_EXP_LIMIT}")
+        shift = _SHIFTS.get(var)
+        if shift is None:
+            shift = _SHIFTS[var] = _FIELD_BITS * len(_SHIFTS)
+        key += e << shift
+    return key
+
+
 def _bucket(trunc: Truncation, pairs) -> tuple:
     """(caps, buckets): the bounds of the truncation's bounded alphabets, and
-    the (monomial, coefficient) pairs listed by their weight vector over
-    those alphabets."""
+    the (packed, monomial, coefficient) triples of the (monomial,
+    coefficient) pairs, listed by their weight vector over those
+    alphabets."""
     bounds = trunc.bounds()
     idx = [i for i, b in enumerate(bounds) if b is not None]
     full: dict = {}
     for mono, coeff in pairs:
-        full.setdefault(mono_weights(mono), []).append((mono, coeff))
+        full.setdefault(mono_weights(mono), []).append((_pack(mono), mono, coeff))
     buckets: dict = {}
     for w, group in full.items():  # merge vectors with equal bounded part
         key = tuple(w[i] for i in idx)
         buckets[key] = buckets[key] + group if key in buckets else group
     return tuple(bounds[i] for i in idx), buckets
+
+
+def _render(acc: dict, src: dict) -> dict:
+    """{monomial: coefficient} of the nonzero entries of a packed-key acc;
+    src[key] is a factor pair whose product is that key's monomial, so each
+    distinct product goes through mono_mul once."""
+    return {mono_mul(*src[key]): c for key, c in acc.items() if c}
 
 
 class GradedSeries:
@@ -356,8 +404,9 @@ class GradedSeries:
         self._require_compatible(other)
         caps, left = self._buckets()
         acc: dict = {}
-        self._mul_into(acc, left, other._buckets()[1], caps)
-        return GradedSeries.from_ints(self.truncation, acc, self.den * other.den)
+        src: dict = {}
+        self._mul_into(acc, src, left, other._buckets()[1], caps)
+        return GradedSeries.from_ints(self.truncation, _render(acc, src), self.den * other.den)
 
     def __rmul__(self, other):
         return self.scalar_mul(other)
@@ -392,9 +441,9 @@ class GradedSeries:
     # -- exp / log ----------------------------------------------------------
 
     def _buckets(self) -> tuple:
-        """(caps, buckets) of this series' (monomial, numerator) pairs, built
-        once: a series is immutable, so its repeated products (by a cached
-        z_series, say) share them."""
+        """(caps, buckets) of this series' (monomial, numerator) pairs,
+        packed and built once: a series is immutable, so its repeated
+        products (by a cached z_series, say) share them."""
         if self._bucketed is None:
             self._bucketed = _bucket(self.truncation, self.nums.items())
         return self._bucketed
@@ -405,33 +454,43 @@ class GradedSeries:
         caps, buckets = self._buckets()
         comps: dict = {}
         for key, bucket in buckets.items():
-            mono = max(bucket)[0]  # () sorts first
+            mono = max(m for _, m, _ in bucket)  # () sorts first
             if mono and sum(key) <= 0:
                 raise ValueError(f"exp/log diverges: {mono_str(mono)} has no positive grade")
             comps.setdefault(sum(key), {})[key] = bucket
         return sum(caps), caps, comps
 
     @staticmethod
-    def _mul_into(acc: dict, left: dict, right: dict, caps: tuple):
-        """acc += left * right on buckets; the truncation test runs once per
-        bucket pair, and the inner loops are then unconditional."""
+    def _mul_into(acc: dict, src: dict, left: dict, right: dict, caps: tuple):
+        """acc += left * right on buckets of (packed, monomial, coefficient)
+        triples.  The truncation test runs once per bucket pair, and the inner
+        loops are then unconditional.
+
+        acc is keyed by packed monomial: a term pair's product is the sum of
+        its two ints, so the inner loop adds ints where a tuple merge would
+        run.  A key's first term pair goes into src, and _render turns each
+        distinct key back into a tuple monomial with one mono_mul."""
+        get = acc.get
         for kl, lt in left.items():
             for kr, rt in right.items():
                 if any(a + b > cap for a, b, cap in zip(kl, kr, caps)):
                     continue
-                for ml, cl in lt:
-                    for mr, cr in rt:
-                        m = mono_mul(ml, mr)
-                        c = cl * cr
-                        prev = acc.get(m)
-                        acc[m] = c if prev is None else prev + c
+                for pl, ml, cl in lt:
+                    for pr, mr, cr in rt:
+                        key = pl + pr
+                        prev = get(key)
+                        if prev is None:
+                            acc[key] = cl * cr
+                            src[key] = ml, mr
+                        else:
+                            acc[key] = prev + cl * cr
 
     def _scaled_grades(self, comps: dict) -> dict:
         """{k: buckets of D^k S_k} for the grade-k parts S_k of this series,
         D = den: the numerators of grade k times D^(k-1), all ints."""
         D = self.den
         return {k: comp if k == 1 or D == 1 else
-                {key: [(m, n * D ** (k - 1)) for m, n in b] for key, b in comp.items()}
+                {key: [(p, m, n * D ** (k - 1)) for p, m, n in b] for key, b in comp.items()}
                 for k, comp in comps.items() if k}
 
     def exp(self) -> "GradedSeries":
@@ -452,16 +511,17 @@ class GradedSeries:
             raise ValueError("series_exp requires zero constant term")
         top, caps, comps = self._components()
         trunc = self.truncation
-        kS = {k: _bucket(trunc, ((m, n * k) for b in comp.values() for m, n in b))[1]
+        kS = {k: {key: [(p, m, n * k) for p, m, n in b] for key, b in comp.items()}
               for k, comp in self._scaled_grades(comps).items()}
         grades = {0: {(): factorial(top)}}
         F = {0: _bucket(trunc, grades[0].items())[1]}
         for n in range(1, top + 1):
             acc: dict = {}
+            src: dict = {}
             for k, left in kS.items():
                 if k <= n:
-                    self._mul_into(acc, left, F[n - k], caps)
-            grades[n] = {m: c // n for m, c in acc.items() if c}
+                    self._mul_into(acc, src, left, F[n - k], caps)
+            grades[n] = {m: c // n for m, c in _render(acc, src).items()}
             F[n] = _bucket(trunc, grades[n].items())[1]
         D = self.den
         out = {m: c * D ** (top - n) for n, acc in grades.items() for m, c in acc.items()}
@@ -484,11 +544,16 @@ class GradedSeries:
         neg_A: dict = {}  # k -> -A_k, bucketed
         grades: dict = {}  # n -> A_n
         for n in range(1, top + 1):
-            acc = {m: c * n for b in U.get(n, {}).values() for m, c in b}
+            acc: dict = {}
+            src: dict = {}
+            for b in U.get(n, {}).values():
+                for p, m, c in b:
+                    acc[p] = c * n
+                    src[p] = m, ()
             for k, left in neg_A.items():
                 if n - k in U:
-                    self._mul_into(acc, left, U[n - k], caps)
-            acc = {m: c for m, c in acc.items() if c}
+                    self._mul_into(acc, src, left, U[n - k], caps)
+            acc = _render(acc, src)
             if acc:
                 grades[n] = acc
                 neg_A[n] = _bucket(trunc, ((m, -c) for m, c in acc.items()))[1]

@@ -51,7 +51,7 @@ def z_series(
         raise ValueError("need d >= 0, r >= 1, q_weight_bound >= 1")
     if n_bound is not None and n_bound < 1:
         raise ValueError("need n_bound >= 1")
-    terms: dict = {}
+    terms: dict = {}  # monomial -> (num, den) of its coefficient
     for K in range(1, q_weight_bound + 1):
         for mu in partitions_of(K):
             n = len(mu)
@@ -63,15 +63,16 @@ def z_series(
             binom = gen_binomial(e, d)
             if binom == 0:
                 continue
-            kpow = Fraction(K) ** (e - d)
-            coeff = Fraction(binom, aut_order(mu)) * kpow
+            num, den = binom.numerator, binom.denominator * aut_order(mu)
+            if e >= d:
+                num *= K ** (e - d)
+            else:
+                den *= K ** (d - e)
             for part in mu:
-                coeff *= Fraction(part**part, factorial(part))
-            if coeff == 0:
-                continue
-            mono = mono_from_vars([(qvar(part), 1) for part in mu])
-            terms[mono] = terms.get(mono, 0) + coeff
-    return GradedSeries(Truncation(q_weight=q_weight_bound), terms)
+                num *= part**part
+                den *= factorial(part)
+            terms[mono_from_vars([(qvar(part), 1) for part in mu])] = num, den
+    return GradedSeries.from_ints(Truncation(q_weight=q_weight_bound), *exact.over_lcm(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ class ZPoly:
         earlier entry's; the message names the entry."""
         if not isinstance(data, list):
             raise ValueError(f"a polynomial is a list of terms, not {data!r}")
-        coeffs = {}
+        coeffs = {}  # key -> (num, den), each in lowest terms
         for entry in data:
             try:
                 key = tuple(sorted(_json_gen(g) for g in entry["gens"]))
@@ -233,13 +234,13 @@ class ZPoly:
                 num, den = int(num), int(den)
             except (AttributeError, KeyError, TypeError, ValueError):
                 raise ValueError(f"malformed polynomial entry {entry!r}") from None
-            if not num or den <= 0 or coeff != exact.ratio(num, den):
+            if not num or den <= 0 or gcd(num, den) != 1 or coeff != f"{num}/{den}":
                 raise ValueError(f"polynomial entry {entry!r} needs a nonzero \"num/den\" "
                                  "in lowest terms with den > 0")
             if key in coeffs:
                 raise ValueError(f"polynomial entry {entry!r} repeats the key {list(map(list, key))}")
-            coeffs[key] = Fraction(num, den)
-        return _poly(*exact.from_terms(coeffs))
+            coeffs[key] = num, den
+        return _poly(*exact.over_lcm(coeffs))
 
 
 def _json_gen(g) -> ZGen:

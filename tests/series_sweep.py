@@ -15,7 +15,12 @@ and requires the same coefficients, as exact dicts:
   reference by the connected cut-and-join equation
   (m+1) H_{m+1} = W(H_m) + (1/2) sum_{a+b=m} J(H_a, H_b);
 * ``zpoly_eval(h_poly(lam), 9)`` for every lam with |lam| <= 7 and at most 4
-  parts, against a product of reference z-series per monomial.
+  parts, against a product of reference z-series per monomial;
+* ``evolve(K, m).exp()`` for K <= 8, m <= 6, against the reference exp;
+* products, squares, exps and logs of seeded random series over one
+  truncation that bounds q, p, t, beta and s at once, each term also
+  carrying psi (down to psi^-4) and xi, so that one product meets all seven
+  alphabets.
 
 Too slow for the tier-1 suite, and named without a ``test_`` prefix so pytest
 does not collect it.
@@ -27,6 +32,7 @@ Run from the repository root:
 Exits 1 on any mismatch.
 """
 
+import random
 import sys
 import time
 from fractions import Fraction
@@ -34,7 +40,7 @@ from fractions import Fraction
 from test_cutjoin import _loop_cut_join_apply
 from test_series import _FractionSeries
 
-from doublehurwitz.cutjoin import frobenius_eH, genus0_series
+from doublehurwitz.cutjoin import evolve, frobenius_eH, genus0_series
 from doublehurwitz.kp import r_series, scaled_schur
 from doublehurwitz.partitions import partitions_of
 from doublehurwitz.recursion import XTable, h_poly
@@ -42,10 +48,13 @@ from doublehurwitz.series import (
     BETA_VAR,
     PSI_VAR,
     XI_VAR,
+    GradedSeries,
     Truncation,
     mono_from_vars,
     pvar,
     qvar,
+    svar,
+    tvar,
 )
 from doublehurwitz.zseries import z_series, zpoly_eval
 
@@ -107,6 +116,39 @@ def reference_zpoly_eval(poly, q: int) -> dict:
     return total.term_dict()
 
 
+MIXED_TRUNCATION = Truncation(q_weight=3, p_weight=3, t_weight=3, beta_deg=2, s_weight=3)
+MIXED_LETTERS = [qvar(1), qvar(2), pvar(1), pvar(2), tvar(0, 0), tvar(1, 0), tvar(0, 1), BETA_VAR,
+                 svar(1), svar(2)]
+
+
+def mixed_series(rng, n_terms: int) -> GradedSeries:
+    """n_terms random terms over MIXED_TRUNCATION, no constant: one to three
+    bounded letters times psi^a xi^b with -4 <= a <= 2 and 0 <= b <= 2."""
+    terms: dict = {}
+    while len(terms) < n_terms:
+        letters = [(rng.choice(MIXED_LETTERS), 1) for _ in range(rng.randint(1, 3))]
+        mono = mono_from_vars(letters + [(PSI_VAR, rng.randint(-4, 2)), (XI_VAR, rng.randint(0, 2))])
+        if MIXED_TRUNCATION.admits(mono):
+            terms[mono] = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 12))
+    return GradedSeries(MIXED_TRUNCATION, terms)
+
+
+def mixed_cases(seed: int) -> list:
+    """(name, int-form result, reference result) for one seed."""
+    rng = random.Random(seed)
+    a, b = mixed_series(rng, 24), mixed_series(rng, 24)
+    ra, rb = _FractionSeries.of(a), _FractionSeries.of(b)
+    one, ref_one = GradedSeries.one(MIXED_TRUNCATION), _FractionSeries.one(MIXED_TRUNCATION)
+    small = mixed_series(rng, 5)
+    rsmall = _FractionSeries.of(small)
+    return [
+        ("a * b", a * b, ra * rb),
+        ("(a * b) * a", (a * b) * a, (ra * rb) * ra),
+        ("exp(small)", small.exp(), rsmall.exp()),
+        ("log(1 + small)", (one + small).log(), (ref_one + rsmall).log()),
+    ]
+
+
 def main() -> int:
     failures = 0
 
@@ -135,6 +177,16 @@ def main() -> int:
            != reference_zpoly_eval(h_poly(lam, table), 9)]
     report(f"zpoly_eval(h_poly(lam), 9), {len(lams)} lam" + (f", at {bad}" if bad else ""),
            not bad, time.perf_counter() - start)
+    for k in range(1, 9):
+        start = time.perf_counter()
+        same = all(evolve(k, m).exp().term_dict() == _FractionSeries.of(evolve(k, m)).exp().term_dict()
+                   for m in range(7))
+        report(f"evolve({k}, m).exp(), m <= 6", same, time.perf_counter() - start)
+    for seed in range(1, 9):
+        start = time.perf_counter()
+        bad = [name for name, got, ref in mixed_cases(seed) if got.term_dict() != ref.term_dict()]
+        report(f"mixed-alphabet series, seed {seed}" + (f", at {bad}" if bad else ""),
+               not bad, time.perf_counter() - start)
     print(f"{failures} mismatches")
     return 1 if failures else 0
 

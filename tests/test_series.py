@@ -7,12 +7,15 @@ from typing import Optional
 import pytest
 
 from doublehurwitz.series import (
+    _EXP_LIMIT,
+    _FIELD_BITS,
     BETA_VAR,
     PSI_VAR,
     XI_VAR,
     GradedSeries,
     Truncation,
     TruncationMismatch,
+    _pack,
     mono_from_vars,
     mono_mul,
     mono_str,
@@ -571,3 +574,72 @@ def test_int_kernels_match_the_fraction_reference():
             assert got.term_dict() == ref.term_dict()
 
     check()
+
+
+# One letter of each of the seven alphabets per entry, with the exponents a
+# random monomial may give it: psi goes negative, as in the tau function.
+_PACK_LETTERS = (
+    [(qvar(k), range(1, 13)) for k in range(1, 7)]
+    + [(pvar(i), range(1, 13)) for i in range(1, 7)]
+    + [(tvar(i, j), range(1, 13)) for i in range(3) for j in range(3)]
+    + [(BETA_VAR, range(1, 13))]
+    + [(svar(k), range(1, 13)) for k in range(1, 7)]
+    + [(PSI_VAR, [e for e in range(-12, 13) if e]), (XI_VAR, range(1, 13))]
+)
+
+
+def _random_mono(rng):
+    letters = rng.sample(_PACK_LETTERS, rng.randint(0, 6))
+    return mono_from_vars([(var, rng.choice(exps)) for var, exps in letters])
+
+
+def test_packing_is_linear_and_injective_on_products():
+    rng = random.Random(1618)
+    seen: dict = {}  # packed product -> monomial
+    for _ in range(3000):
+        a, b = _random_mono(rng), _random_mono(rng)
+        prod = mono_mul(a, b)
+        assert _pack(prod) == _pack(a) + _pack(b)
+        assert seen.setdefault(_pack(prod), prod) == prod
+    assert _pack(()) == 0
+
+
+def test_psi_powers_cancel_in_the_packed_kernel():
+    tr = Truncation(s_weight=4)
+    t1 = svar(1)
+    for k in range(1, 13):
+        up = GradedSeries(tr, {mono_from_vars([(PSI_VAR, k), (t1, 1)]): 1})
+        down = GradedSeries(tr, {mono_from_vars([(PSI_VAR, -k)]): 1})
+        assert mono_mul(((PSI_VAR, k),), ((PSI_VAR, -k),)) == ()
+        assert _pack(((PSI_VAR, k),)) + _pack(((PSI_VAR, -k),)) == 0
+        assert (up * down).nums == {((t1, 1),): 1}
+
+
+def test_packing_refuses_an_exponent_at_the_limit():
+    # a field of a sum of two packed monomials stays inside the balanced
+    # digit range [-2^(W-1), 2^(W-1)), where an int's expansion is unique
+    assert 2 * (_EXP_LIMIT - 1) < 1 << (_FIELD_BITS - 1)
+    for e in (_EXP_LIMIT - 1, 1 - _EXP_LIMIT):
+        _pack(((PSI_VAR, e),))
+    for e in (_EXP_LIMIT, -_EXP_LIMIT, 2 * _EXP_LIMIT):
+        with pytest.raises(OverflowError):
+            _pack(((PSI_VAR, e),))
+    with pytest.raises(OverflowError):
+        _pack(mono_from_vars([(qvar(1), 1), (qvar(2), _EXP_LIMIT)]))
+    assert issubclass(OverflowError, ArithmeticError)  # so the CLI exits 4
+
+
+def test_series_product_refuses_an_exponent_at_the_limit():
+    tr = Truncation()
+    big = GradedSeries(tr, {mono_from_vars([(qvar(1), _EXP_LIMIT)]): 1})
+    small = GradedSeries(tr, {mono_from_vars([(qvar(2), 1)]): 1})
+    with pytest.raises(OverflowError):
+        small * big
+    with pytest.raises(OverflowError):
+        GradedSeries(tr, {mono_from_vars([(PSI_VAR, -_EXP_LIMIT)]): 1}) * small
+    # a product of two in-range exponents is exact, and packs no further
+    top = GradedSeries(tr, {mono_from_vars([(qvar(1), _EXP_LIMIT - 1)]): 2})
+    square = top * top
+    assert square.nums == {mono_from_vars([(qvar(1), 2 * _EXP_LIMIT - 2)]): 4}
+    with pytest.raises(OverflowError):
+        square * top

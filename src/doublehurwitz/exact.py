@@ -6,7 +6,11 @@ so the empty map has den 1.  This lowest-terms form is unique, so two maps
 are equal iff their pairs are.  :class:`.series.GradedSeries` (keyed by
 monomial) and :class:`.zseries.ZPoly` (keyed by generator tuple) store their
 coefficients in this form, and the functions here are its only kernels.
-:func:`ratio` also renders every rational the CLI prints.
+A sum of many parts runs on one accumulator of int numerators over a
+running denominator: :func:`widen` rescales it in place so that the next
+part's denominator divides the running one, each part is added as ints, and
+:func:`lowest` normalises once at the end.  :func:`ratio` also renders every
+rational the CLI prints.
 """
 
 from __future__ import annotations
@@ -53,6 +57,18 @@ def lowest(nums: dict, den: int) -> tuple:
             den //= g
             nums = {k: n // g for k, n in nums.items()}
     return nums, den
+
+
+def widen(acc: dict, den: int, part_den: int) -> int:
+    """The running denominator of the accumulator acc / den grown so that
+    part_den divides it, with acc's numerators rescaled in place to match;
+    den itself when part_den already divides it."""
+    if den % part_den:
+        grow = part_den // gcd(den, part_den)
+        for k in acc:
+            acc[k] *= grow
+        den *= grow
+    return den
 
 
 def add(a: dict, a_den: int, b: dict, b_den: int) -> tuple:

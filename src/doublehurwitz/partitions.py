@@ -15,12 +15,21 @@ from typing import Iterator, Optional
 Partition = tuple
 
 
+def check_int(v) -> int:
+    """v itself if it is an int (bool excluded); anything else raises
+    TypeError, so no float, string or bool is truncated into an index."""
+    if type(v) is not int:
+        raise TypeError(f"expected an int, not {v!r}")
+    return v
+
+
 def check_partition(parts) -> Partition:
     """Validate and canonicalize a partition given as any iterable of ints.
 
-    Parts must be positive; the result is sorted weakly decreasing.
+    Parts must be ints (TypeError otherwise) and positive (ValueError); the
+    result is sorted weakly decreasing.
     """
-    lam = tuple(sorted((int(p) for p in parts), reverse=True))
+    lam = tuple(sorted((check_int(p) for p in parts), reverse=True))
     if any(p < 1 for p in lam):
         raise ValueError(f"partition parts must be positive, got {lam}")
     return lam

@@ -34,6 +34,14 @@ correction costs O(l a^2 prod_i (O_i + 1)^2) polynomial products instead of
 2^|R| * l^|O| * C(a-1, l-1) terms, and the partial powers are shared across
 keys through the table.  The reduced engine (:mod:`.reduced`) keeps the
 term-by-term sum, so the two engines stay independent.
+
+Each correction and each partial power is one fused sum
+(:meth:`.ZPoly.combine`): its terms are accumulated once, as int numerators
+over a running denominator, with the scalars t / c! and the weights riding
+along as coefficients, so no term or partial sum is built as a ZPoly.  The
+correction's bookkeeping per type-count vector (nu(A), |A|, lam(A), the
+factorials and the others' types) depends on rest alone and is computed
+once per rest; per (s, m) only l, a and the weight are left.
 """
 
 from __future__ import annotations
@@ -42,11 +50,12 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from pathlib import Path
 from typing import Optional
 
-from .partitions import check_partition, multinomial
+from .partitions import check_int, check_partition, multinomial
 from .zseries import ZPoly, zpoly_euler, zpoly_weighted_euler
 
 # Stamp covering the layout and the normalization conventions baked into the
@@ -57,19 +66,27 @@ XKey = tuple  # sorted-descending tuple of (lam_i, nu_i) pairs
 
 
 def make_xkey(pairs) -> XKey:
-    """Canonical key: pairs sorted descending by (lam, nu)."""
-    key = tuple(sorted(((int(a), int(b)) for a, b in pairs), reverse=True))
+    """Canonical key: pairs of ints (TypeError otherwise, a bool is no int
+    here) sorted descending by (lam, nu)."""
+    key = []
+    for pair in pairs:
+        a, b = pair
+        if type(a) is not int or type(b) is not int:
+            raise TypeError(f"pair entries must be ints, not {pair!r}")
+        if a < 0 or b < 0:
+            raise ValueError(f"pair entries must be nonnegative: {pair!r}")
+        key.append((a, b))
     if not key:
         raise ValueError("a key needs at least one pair")
-    if any(a < 0 or b < 0 for a, b in key):
-        raise ValueError(f"pair entries must be nonnegative: {key}")
-    return key
+    key.sort(reverse=True)
+    return tuple(key)
 
 
 def initial_x(nu) -> ZPoly:
     """Closed form for keys with all lam_i = 0:
-    multinomial(|nu|; nu) * z_{|nu|, r} with r = len(nu)."""
-    nu = tuple(int(v) for v in nu)
+    multinomial(|nu|; nu) * z_{|nu|, r} with r = len(nu).  The nu entries
+    must be ints (TypeError otherwise)."""
+    nu = tuple(check_int(v) for v in nu)
     if not nu:
         raise ValueError("nu must be nonempty")
     if any(v < 0 for v in nu):
@@ -146,43 +163,68 @@ def _sub_vectors(counts):
     return itertools.product(*(range(n + 1) for n in counts))
 
 
+@lru_cache(maxsize=None)
+def _consumed_types(rest: tuple) -> tuple:
+    """The part of the correction's bookkeeping that depends on rest alone.
+
+    Consumed sub-multisets A are enumerated by type counts k <= n (n the
+    multiplicities of rest's distinct entries).  One row per k holds nu(A),
+    |A|, lam(A), prod_{j in A} nu_j!, the labelled count
+    prod n! / k! = prod C(n, k) * O! (O = n - k, the others' counts, whose
+    O! the block sum needs), and the others' types and counts."""
+    multiplicity = Counter(rest)
+    types, counts = tuple(multiplicity), tuple(multiplicity.values())
+    rows = []
+    for k in _sub_vectors(counts):
+        consumed_nu = [nu for (_, nu), k_i in zip(types, k) for _ in range(k_i)]
+        present = [i for i, (n_i, k_i) in enumerate(zip(counts, k)) if n_i > k_i]
+        rows.append((
+            sum(consumed_nu),
+            sum(k),
+            sum(lam * k_i for (lam, _), k_i in zip(types, k)),
+            prod(factorial(nu) for nu in consumed_nu),
+            prod(factorial(n_i) // factorial(k_i) for n_i, k_i in zip(counts, k)),
+            tuple(types[i] for i in present),
+            tuple(counts[i] - k[i] for i in present),
+        ))
+    return tuple(rows)
+
+
 def _correction(s: int, m: int, rest: tuple, table: XTable) -> ZPoly:
     """The subtracted sum in the recursion for pivot (s+1, m) over rest.
 
-    Consumed sub-multisets A are enumerated by type counts k <= n (n the
-    multiplicities of rest's distinct entries), standing for prod C(n, k)
-    labelled choices.  The labelled block sum over the others O = n - k is
+    Each consumed type-count vector k of :func:`_consumed_types` stands for
+    prod C(n, k) labelled choices of A, with l = m + nu(A) - |A| + 2 blocks
+    and a = s + lam(A).  The labelled block sum over the others O = n - k is
 
         O! * [u^a y^O] (sum_{t >= 1, c} t x_{(t,0) u c} u^t y^c / c!)^l,
 
     with O! and c! products of factorials over types, and is read off
-    :func:`_block_product`.
+    :func:`_block_product`.  Its weight multinomial(m + nu(A); m, nu_A) / l!
+    times the labelled count is (m + nu(A))! * labelled / (m! prod nu_j! l!).
     """
-    multiplicity = Counter(rest)
-    types, counts = tuple(multiplicity), tuple(multiplicity.values())
-    total = ZPoly()
-    for k in _sub_vectors(counts):
-        consumed_nu = [nu for (_, nu), k_i in zip(types, k) for _ in range(k_i)]
-        ell = m + sum(consumed_nu) - sum(k) + 2
-        if ell < 1:
-            continue
-        a = s + sum(lam * k_i for (lam, _), k_i in zip(types, k))
-        if a < ell:
-            continue
-        # prod C(n, k) labelled choices of A, times the O! of the block sum
-        labelled = prod(factorial(n_i) // factorial(k_i) for n_i, k_i in zip(counts, k))
-        weight = Fraction(multinomial((m, *consumed_nu)) * labelled, factorial(ell))
-        present = [i for i, (n_i, k_i) in enumerate(zip(counts, k)) if n_i > k_i]
-        others_types = tuple(types[i] for i in present)
-        others = tuple(counts[i] - k[i] for i in present)
-        total = total + _block_product(others_types, others, ell, a, table) * weight
-    return total
+
+    def terms():
+        for nu_a, size_a, lam_a, nu_fact, labelled, others_types, others in _consumed_types(rest):
+            ell = m + nu_a - size_a + 2
+            if ell < 1:
+                continue
+            a = s + lam_a
+            if a < ell:
+                continue
+            weight = Fraction(factorial(m + nu_a) * labelled, factorial(m) * nu_fact * factorial(ell))
+            scalar, poly = _block_product(others_types, others, ell, a, table)
+            yield weight * scalar, poly, None
+
+    return ZPoly.combine(terms())
 
 
-def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable) -> ZPoly:
-    """G_ell(others, a): the coefficient of u^a y^others in the ell-th power
-    of sum_{t >= 1, c} t x_{(t,0) u c} u^t y^c / c!, for the multiset with the
-    given distinct entries and counts, built as G_j = G_1 * G_{j-1}.
+def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable) -> tuple:
+    """G_ell(others, a) as (scalar, polynomial): the coefficient of u^a y^others
+    in the ell-th power of sum_{t >= 1, c} t x_{(t,0) u c} u^t y^c / c!, for
+    the multiset with the given distinct entries and counts, built as
+    G_j = G_1 * G_{j-1}.  G_1(c, t) is the table entry with the scalar t / c!,
+    and each G_j for j >= 2 is one fused sum with scalar 1.
 
     Every factor of the term-by-term sum is evaluated, even where its
     partners vanish: all t in 1..a-ell+1 and all c <= others when ell >= 2,
@@ -201,42 +243,53 @@ def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable)
             x = xs[(c, t)] = compute_x(make_xkey(group + [(t, 0)]), table)
         return x
 
-    def factor(c, t):
-        return entry(c, t) * Fraction(t, prod(factorial(c_i) for c_i in c))
+    def terms(j, c, t):
+        # G_j(c, t) = sum over head + tail = c, t_head of G_1(head, t_head)
+        # G_{j-1}(tail, t - t_head); a vanishing head skips its tail unread
+        for head in _sub_vectors(c):
+            tail = tuple(c_i - h_i for c_i, h_i in zip(c, head))
+            head_fact = prod(factorial(h_i) for h_i in head)
+            tail_fact = prod(factorial(c_i) for c_i in tail)
+            for t_head in range(1, t - j + 2):
+                x = entry(head, t_head)
+                if not x:
+                    continue
+                if j == 2:
+                    t_tail = t - t_head
+                    yield Fraction(t_head * t_tail, head_fact * tail_fact), x, entry(tail, t_tail)
+                else:
+                    yield Fraction(t_head, head_fact), x, product(j - 1, tail, t - t_head)
 
     def product(j, c, t):
-        if j == 1:
-            return factor(c, t)
         value = products.get((j, c, t))
         if value is None:
-            value = ZPoly()
-            for head in _sub_vectors(c):
-                tail = tuple(c_i - h_i for c_i, h_i in zip(c, head))
-                for t_head in range(1, t - j + 2):
-                    f = factor(head, t_head)
-                    if f:
-                        value = value + f * product(j - 1, tail, t - t_head)
-            products[(j, c, t)] = value
+            value = products[(j, c, t)] = ZPoly.combine(terms(j, c, t))
         return value
 
-    if ell > 1 and (ell, others, a) not in products:
+    if ell == 1:
+        return Fraction(a, prod(factorial(c_i) for c_i in others)), entry(others, a)
+    if (ell, others, a) not in products:
         # the top level of product() touches exactly these factors; taking
         # them first keeps compute_x's recursion out of the nested frames.
         # A memoized product touched them when it was built.
         for c in _sub_vectors(others):
             for t in range(1, a - ell + 2):
                 entry(c, t)
-    return product(ell, others, a)
+    return 1, product(ell, others, a)
 
 
 def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = None) -> ZPoly:
     """The polynomial x for a key, memoized in the given table.
 
-    ``pivot_index`` forces which entry gets rewritten (it must have lam >= 1);
-    by default the largest (lam, nu) entry is used.  Any valid pivot yields
-    the same value as a q-series, which is checked by the property suites.
+    ``pivot_index`` forces which entry of the canonical key gets rewritten:
+    it must satisfy 0 <= pivot_index < len(key) (ValueError otherwise) and
+    the entry must have lam >= 1.  By default the largest (lam, nu) entry is
+    used.  Any valid pivot yields the same value as a q-series, which is
+    checked by the property suites.
     """
     key = make_xkey(key)
+    if pivot_index is not None and not 0 <= pivot_index < len(key):
+        raise ValueError(f"pivot index {pivot_index} is outside 0..{len(key) - 1} for {key}")
     if table is None:
         table = XTable()
     cached = table.entries.get(key)
@@ -248,10 +301,7 @@ def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = 
         table.entries[key] = value
         return value
 
-    if pivot_index is None:
-        pivot_i = 0  # canonical: keys are sorted descending, so entry 0 is max
-    else:
-        pivot_i = pivot_index
+    pivot_i = 0 if pivot_index is None else pivot_index  # canonical: entry 0 is max
     lam_p, m = key[pivot_i]
     if lam_p < 1:
         raise ValueError(f"pivot {key[pivot_i]} must have lam >= 1")

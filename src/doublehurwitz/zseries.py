@@ -166,16 +166,43 @@ class ZPoly:
 
     def __mul__(self, other) -> "ZPoly":
         if isinstance(other, ZPoly):
-            out: dict = {}
-            get = out.get
-            for k1, c1 in self.nums.items():
-                for k2, c2 in other.nums.items():
-                    key = tuple(sorted(k1 + k2))
-                    out[key] = get(key, 0) + c1 * c2
-            return _poly(*exact.lowest(out, self.den * other.den))
+            return ZPoly.combine(((1, self, other),))
         return _poly(*exact.scale(self.nums, self.den, other))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def combine(triples) -> "ZPoly":
+        """The sum of c * a * b over an iterable of (c, a, b) triples: c an int
+        or a Fraction (TypeError otherwise), a a ZPoly and b a ZPoly or None
+        for 1.  Triples with a zero factor are skipped.  Every product is
+        added straight into int numerators over one running denominator
+        (:func:`.exact.widen`) and the sum is brought to lowest terms once, so
+        no term and no partial sum is built as a ZPoly."""
+        acc: dict = {}
+        get = acc.get
+        den = 1
+        for c, a, b in triples:
+            num = exact.check(c).numerator
+            if not num or not a.nums:
+                continue
+            if b is None:
+                part_den = c.denominator * a.den
+                den = exact.widen(acc, den, part_den)
+                scale = den // part_den * num
+                for k, n in a.nums.items():
+                    acc[k] = get(k, 0) + n * scale
+            elif b.nums:
+                part_den = c.denominator * a.den * b.den
+                den = exact.widen(acc, den, part_den)
+                scale = den // part_den * num
+                b_items = b.nums.items()
+                for k1, n1 in a.nums.items():
+                    n1 *= scale
+                    for k2, n2 in b_items:
+                        key = tuple(sorted(k1 + k2))
+                        acc[key] = get(key, 0) + n1 * n2
+        return _poly(*exact.lowest(acc, den))
 
     def __repr__(self) -> str:
         return f"ZPoly({self.pretty()})"
@@ -258,6 +285,7 @@ def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
     before.  The sum runs on int numerators over one running denominator."""
     trunc = Truncation(q_weight=q_weight_bound)
     acc: dict = {}
+    get = acc.get
     den = 1
     chain: list = []  # chain[i]: the product of the first i + 1 series of key
     key = ()
@@ -271,12 +299,8 @@ def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
             z = z_series(d, r, q_weight_bound)
             chain.append(chain[-1] * z if chain else z)
         nums, prod_den = (chain[-1].nums, chain[-1].den) if chain else ({(): 1}, 1)
-        if den % prod_den:
-            grow = prod_den // gcd(den, prod_den)
-            acc = {m: c * grow for m, c in acc.items()}
-            den *= grow
+        den = exact.widen(acc, den, prod_den)
         scale = den // prod_den * poly.nums[key]
-        get = acc.get
         for m, c in nums.items():
             acc[m] = get(m, 0) + c * scale
     return GradedSeries.from_ints(trunc, acc, den * poly.den)
@@ -313,13 +337,26 @@ def zgen_euler(d: int, r: int) -> ZPoly:
 
 
 def _zpoly_derivation(poly: ZPoly, gen_image) -> ZPoly:
-    """Extend a map on generators to a derivation of the polynomial ring."""
-    total = ZPoly()
-    for key, coeff in poly.terms.items():
+    """Extend a map on generators to a derivation of the polynomial ring.
+
+    Each generator's image is computed once, and every monomial's terms are
+    added as ints into one accumulator over a running denominator."""
+    images: dict = {}
+    acc: dict = {}
+    get = acc.get
+    den = 1
+    for key, n in poly.nums.items():
         for i, g in enumerate(key):
+            image = images.get(g)
+            if image is None:
+                image = images[g] = gen_image(*g)
+            den = exact.widen(acc, den, image.den)
+            scale = den // image.den * n
             rest = key[:i] + key[i + 1 :]
-            total = total + ZPoly({rest: coeff}) * gen_image(*g)
-    return total
+            for k, c in image.nums.items():
+                out = tuple(sorted(rest + k))
+                acc[out] = get(out, 0) + c * scale
+    return _poly(*exact.lowest(acc, den * poly.den))
 
 
 def zpoly_weighted_euler(poly: ZPoly) -> ZPoly:

@@ -66,6 +66,12 @@ def test_check_partition_sorts_and_validates():
         check_partition([2, 0])
 
 
+@pytest.mark.parametrize("parts", [("3",), (True,), (2.5,), (3, 1.0), (None,)])
+def test_check_partition_rejects_non_ints(parts):
+    with pytest.raises(TypeError, match="expected an int"):
+        check_partition(parts)
+
+
 def test_aut_order():
     assert aut_order((4, 3, 3, 1, 1, 1)) == 12
     assert aut_order((7,)) == 1

@@ -90,6 +90,34 @@ def test_invalid_pivot_rejected():
         compute_x(make_xkey([(1, 0), (0, 2)]), pivot_index=1)
 
 
+@pytest.mark.parametrize("pivot_index", [-1, -3, 3, 7])
+def test_pivot_index_outside_the_key_rejected(pivot_index):
+    # -1 used to rewrite with rest = key[:-1] + key, and len(key) raised a
+    # bare IndexError
+    key = make_xkey([(2, 1), (2, 0), (1, 1)])
+    with pytest.raises(ValueError, match="pivot index"):
+        compute_x(key, XTable(), pivot_index=pivot_index)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: h_poly((2.5,)),
+        lambda: h_poly((2, 1.0)),
+        lambda: h_poly((True,)),
+        lambda: make_xkey([(1.9, 0.5)]),
+        lambda: make_xkey([(1, 0), ("2", 0)]),
+        lambda: make_xkey([(1, True)]),
+        lambda: initial_x((1.0, 2)),
+        lambda: initial_x(("1",)),
+        lambda: compute_x([(2.0, 0)]),
+    ],
+)
+def test_entry_points_reject_non_ints(call):
+    with pytest.raises(TypeError, match="must be ints|expected an int"):
+        call()
+
+
 def test_string_dilaton_identities():
     ok, failures = check_string_dilaton()
     assert ok, failures

@@ -5,6 +5,7 @@ from typing import Optional
 
 import pytest
 
+from doublehurwitz.recursion import populate_table
 from doublehurwitz.series import GradedSeries, Truncation, mono_from_vars, mono_weights, qvar, tvar
 from doublehurwitz.zseries import (
     ZPoly,
@@ -13,12 +14,14 @@ from doublehurwitz.zseries import (
     psi_intersection,
     psi_series,
     z_series,
+    zgen_euler,
     zgen_weighted_euler,
     zpoly_eval,
     zpoly_euler,
     zpoly_values_equal,
     zpoly_weighted_euler,
     _t_raise,
+    _zpoly_derivation,
 )
 
 
@@ -118,6 +121,15 @@ class _FractionZPoly:
         return result
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def combine(triples) -> "_FractionZPoly":
+        """The sum of c * a * b over (c, a, b) triples (b = None for 1), built
+        only from this ring's own + and *."""
+        total = _FractionZPoly()
+        for c, a, b in triples:
+            total = total + (a if b is None else a * b) * c
+        return total
 
     def __repr__(self) -> str:
         return f"_FractionZPoly({self.pretty()})"
@@ -341,6 +353,76 @@ def test_zpoly_rejects_inexact_coefficients(coeff):
         ZPoly.gen(0, 1) * coeff
     with pytest.raises(TypeError):
         coeff * ZPoly.gen(0, 1)
+
+
+def _random_triples(rng):
+    """Seeded (c, a, b) term lists for combine, with b = None for some."""
+    triples = []
+    for _ in range(rng.randint(1, 6)):
+        c = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-6, 6), rng.randint(1, 7))])
+        b = None if rng.random() < 0.3 else _random_terms(rng)
+        triples.append((c, _random_terms(rng), b))
+    return triples
+
+
+def _build_triples(cls, triples):
+    return [(c, _build(cls, a), None if b is None else _build(cls, b)) for c, a, b in triples]
+
+
+def test_combine_matches_sum_of_products():
+    rng = random.Random(31)
+    for _ in range(60):
+        raw = _random_triples(rng)
+        triples = _build_triples(ZPoly, raw)
+        got = ZPoly.combine(iter(triples))
+        want = ZPoly()
+        for c, a, b in triples:
+            want = want + (a if b is None else a * b) * c
+        assert got == want, raw
+        assert got.terms == _FractionZPoly.combine(_build_triples(_FractionZPoly, raw)).terms, raw
+        _assert_lowest_terms(got)
+
+
+def test_combine_edge_cases():
+    z, w = ZPoly.gen(0, 1), ZPoly.gen(1, 2) * Fraction(1, 3)
+    assert ZPoly.combine([]) == ZPoly() and ZPoly.combine([]).den == 1
+    # zero factors are skipped, whichever of the three is zero
+    zeros = [(0, z, w), (Fraction(0), z, None), (2, ZPoly(), w), (3, z, ZPoly()), (1, ZPoly(), None)]
+    assert ZPoly.combine(zeros) == ZPoly() and ZPoly.combine(zeros).den == 1
+    assert ZPoly.combine(zeros + [(2, z, w)]) == z * w * 2
+    # terms that cancel leave lowest terms
+    half = ZPoly.combine([(Fraction(1, 2), z, w), (Fraction(-1, 2), w, z), (Fraction(3, 4), z * 2, None)])
+    assert half == z * Fraction(3, 2) and half.den == 2
+    for c in (0.5, 1.0, True, "1"):
+        with pytest.raises(TypeError):
+            ZPoly.combine([(c, z, None)])
+        with pytest.raises(TypeError):
+            ZPoly.combine([(c, ZPoly(), None)])
+
+
+def _naive_derivation(poly, gen_image):
+    """The derivation term by term, one ZPoly per term, as it was summed
+    before the fused accumulator."""
+    total = ZPoly()
+    for key, coeff in poly.terms.items():
+        for i, g in enumerate(key):
+            rest = key[:i] + key[i + 1 :]
+            total = total + ZPoly({rest: coeff}) * gen_image(*g)
+    return total
+
+
+def test_derivations_match_term_by_term_sum():
+    table = populate_table(4, 3, 2)
+    scaled = ZPoly.gen(2, 1) * ZPoly.gen(0, 3) * Fraction(-5, 6) + Fraction(1, 4)
+    for poly in [*table.entries.values(), scaled, ZPoly()]:
+        for derivation, gen_image in ((zpoly_weighted_euler, zgen_weighted_euler), (zpoly_euler, zgen_euler)):
+            got = derivation(poly)
+            assert got == _naive_derivation(poly, gen_image), poly
+            _assert_lowest_terms(got)
+    # a generator image with a denominator exercises the running denominator
+    image = lambda d, r: ZPoly.gen(d + 1, r) * Fraction(1, r + 1) - Fraction(1, 3)
+    for poly in (scaled, scaled * scaled, *list(table.entries.values())[:40]):
+        assert _zpoly_derivation(poly, image) == _naive_derivation(poly, image)
 
 
 @pytest.mark.parametrize(

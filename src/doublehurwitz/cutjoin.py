@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 
-from .partitions import aut_order, check_partition, partitions_of, zee
+from .partitions import aut_order, check_partition, check_profile, partitions_of, zee
 from .series import (
     BETA_VAR,
     GradedSeries,
@@ -391,17 +391,10 @@ def hurwitz_number_by_series(g: int, lam, mu, method: str, cache_dir=None) -> Fr
     function: H-coefficient of beta^m p_lam q_mu times m!.
 
     method is "cutjoin" (evolution by W, up to genus g) or "frobenius"
-    (character formula, then a logarithm)."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
+    (character formula, then a logarithm).  The profile is validated by
+    check_profile."""
+    lam, mu, m = check_profile(g, lam, mu)
     K = sum(lam)
-    if K != sum(mu) or K == 0:
-        raise ValueError("lam and mu must partition the same positive integer")
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, not {g}")
-    m = len(lam) + len(mu) + 2 * g - 2
-    if m < 0:
-        raise ValueError(f"no covers: m = {m} < 0")
     if method == "cutjoin":
         H = evolve(K, m, max_genus=g)
     elif method == "frobenius":

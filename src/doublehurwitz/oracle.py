@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .partitions import aut_order, check_partition, class_size
+from .partitions import aut_order, check_partition, check_profile, class_size
 
 MAX_DEGREE = 6
 MAX_TRANSPOSITIONS = 6
@@ -70,26 +70,11 @@ def perm_of_cycle_type(lam: tuple) -> tuple:
     return tuple(perm)
 
 
-def _genus_m(g: int, lam: tuple, mu: tuple) -> int:
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, not {g}")
-    m = len(lam) + len(mu) + 2 * g - 2
-    if m < 0:
-        raise ValueError(f"no covers: m = {m} < 0 for g={g}, lam={lam}, mu={mu}")
-    return m
-
-
 def oracle_raw_count(g: int, lam, mu) -> int:
     """Number of transitive factorizations with sigma, rho ranging over the
-    full conjugacy classes of types lam and mu."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
+    full conjugacy classes of types lam and mu (see check_profile)."""
+    lam, mu, m = check_profile(g, lam, mu)
     K = sum(lam)
-    if K != sum(mu):
-        raise ValueError("lam and mu must partition the same integer")
-    if K == 0:
-        raise ValueError("degree must be positive")
-    m = _genus_m(g, lam, mu)
     if K > MAX_DEGREE or m > MAX_TRANSPOSITIONS:
         raise ResourceBudgetError(
             f"oracle budget exceeded: K={K} (max {MAX_DEGREE}), m={m} (max {MAX_TRANSPOSITIONS})"

@@ -35,6 +35,19 @@ def check_partition(parts) -> Partition:
     return lam
 
 
+def check_profile(g, lam, mu) -> tuple:
+    """(lam, mu, m) for the profile of h_{g; lam, mu}: g an int (TypeError
+    otherwise) >= 0, lam and mu partitions of one positive degree (ValueError
+    otherwise), and m = len(lam) + len(mu) + 2g - 2 >= 0 the branch count."""
+    check_int(g)
+    lam, mu = check_partition(lam), check_partition(mu)
+    if sum(lam) != sum(mu) or not lam:
+        raise ValueError("lam and mu must partition the same positive integer")
+    if g < 0:
+        raise ValueError(f"genus must be >= 0, not {g}")
+    return lam, mu, len(lam) + len(mu) + 2 * g - 2
+
+
 @lru_cache(maxsize=None)
 def partitions_of(n: int, max_part: Optional[int] = None) -> tuple:
     """All partitions of n, in reverse-lexicographic order.
@@ -109,12 +122,13 @@ def gen_binomial(a: int, d: int) -> Fraction:
 
 
 def multinomial(nu) -> int:
-    """Multinomial coefficient (sum nu)! / prod nu_i!.
+    """Multinomial coefficient (sum nu)! / prod nu_i!.  The entries must be
+    ints (TypeError otherwise) and nonnegative (ValueError).
 
     >>> multinomial((2, 1))
     3
     """
-    nu = tuple(int(v) for v in nu)
+    nu = tuple(check_int(v) for v in nu)
     if any(v < 0 for v in nu):
         raise ValueError("multinomial entries must be nonnegative")
     out = factorial(sum(nu))

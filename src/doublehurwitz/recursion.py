@@ -55,7 +55,7 @@ from math import factorial, prod
 from pathlib import Path
 from typing import Optional
 
-from .partitions import check_int, check_partition, multinomial
+from .partitions import check_partition, multinomial
 from .zseries import ZPoly, zpoly_euler, zpoly_weighted_euler
 
 # Stamp covering the layout and the normalization conventions baked into the
@@ -84,14 +84,12 @@ def make_xkey(pairs) -> XKey:
 
 def initial_x(nu) -> ZPoly:
     """Closed form for keys with all lam_i = 0:
-    multinomial(|nu|; nu) * z_{|nu|, r} with r = len(nu).  The nu entries
-    must be ints (TypeError otherwise)."""
-    nu = tuple(check_int(v) for v in nu)
+    multinomial(|nu|; nu) * z_{|nu|, r} with r = len(nu), nu nonempty."""
+    nu = tuple(nu)
     if not nu:
         raise ValueError("nu must be nonempty")
-    if any(v < 0 for v in nu):
-        raise ValueError("nu entries must be nonnegative")
-    return ZPoly.gen(sum(nu), len(nu)) * multinomial(nu)
+    coeff = multinomial(nu)  # first, so a bad entry is reported as one
+    return ZPoly.gen(sum(nu), len(nu)) * coeff
 
 
 class XTable:
@@ -131,13 +129,13 @@ class XTable:
         table = XTable()
         for n, item in enumerate(data["entries"]):
             try:
-                pairs = [(a, b) for a, b in item["key"]]
-                poly = item["poly"]
-            except (KeyError, TypeError, ValueError):
+                key, poly = item["key"], item["poly"]
+            except (KeyError, TypeError):
                 raise ValueError(f"table entry {n} is malformed: {item!r}") from None
-            if any(type(v) is not int for pair in pairs for v in pair):
-                raise ValueError(f"table entry {n} has a non-int key entry: {item['key']!r}")
-            key = make_xkey(pairs)
+            try:
+                key = make_xkey(key)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"table entry {n} has a bad key {item['key']!r}: {exc}") from None
             if key in table.entries:
                 raise ValueError(f"table entry {n} repeats the key {item['key']!r}")
             try:
@@ -240,7 +238,7 @@ def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable)
         x = xs.get((c, t))
         if x is None:
             group = [pair for pair, c_i in zip(types, c) for _ in range(c_i)]
-            x = xs[(c, t)] = compute_x(make_xkey(group + [(t, 0)]), table)
+            x = xs[(c, t)] = compute_x(group + [(t, 0)], table)
         return x
 
     def terms(j, c, t):
@@ -308,9 +306,9 @@ def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = 
     s = lam_p - 1
     rest = key[:pivot_i] + key[pivot_i + 1 :]
 
-    value = compute_x(make_xkey(rest + ((s, m),)), table)
+    value = compute_x(rest + ((s, m),), table)
     if s:
-        value = value + compute_x(make_xkey(rest + ((s, m + 1),)), table) * s
+        value = value + compute_x(rest + ((s, m + 1),), table) * s
     value = value - _correction(s, m, rest, table)
 
     if pivot_index is None:
@@ -323,7 +321,7 @@ def h_poly(lam, table: Optional[XTable] = None) -> ZPoly:
     lam = check_partition(lam)
     if not lam:
         raise ValueError("lam must be nonempty")
-    return compute_x(make_xkey((part, 0) for part in lam), table)
+    return compute_x([(part, 0) for part in lam], table)
 
 
 def keys_up_to(max_lam_weight: int, max_r: int, max_nu_weight: int) -> list:
@@ -379,7 +377,7 @@ def string_identity_sides(rest: XKey, table: Optional[XTable] = None):
     for i, (a, b) in enumerate(rest):
         if b >= 1:
             lowered = rest[:i] + ((a, b - 1),) + rest[i + 1 :]
-            rhs = rhs + compute_x(make_xkey(lowered), table)
+            rhs = rhs + compute_x(lowered, table)
     return lhs, rhs
 
 

@@ -103,7 +103,7 @@ class ReducedRecursion:
                     for sigma in compositions(a, ell):
                         prod = ZPoly.constant(1)
                         for s_i, group in zip(sigma, groups):
-                            prod = prod * self.x_value(make_xkey(group + [(s_i, 0)])) * s_i
+                            prod = prod * self.x_value(group + [(s_i, 0)]) * s_i
                         inner = inner + prod
                 total = total + inner * weight
         return total

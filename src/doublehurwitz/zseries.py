@@ -24,11 +24,21 @@ from typing import Iterator, Optional
 from . import exact
 from .partitions import (
     aut_order,
+    check_int,
     gen_binomial,
     multinomial,
     partitions_of,
 )
 from .series import GradedSeries, T, Truncation, mono_adjust, mono_from_vars, mono_weights, qvar, tvar
+
+
+def check_gen(d, r) -> "ZGen":
+    """The generator z_{d,r} as the pair (d, r): d and r must be ints
+    (TypeError otherwise, a bool is no int here), d >= 0 and r >= 1
+    (ValueError otherwise)."""
+    if check_int(d) < 0 or check_int(r) < 1:
+        raise ValueError(f"a generator z_{{d,r}} needs d >= 0, r >= 1, not ({d}, {r})")
+    return (d, r)
 
 
 @lru_cache(maxsize=None)
@@ -47,8 +57,9 @@ def z_series(
     falling-factorial binomial; ``drop_negative_k_powers`` zeroes the d >= 1
     ones among them for diagnostic comparison.
     """
-    if d < 0 or r < 1 or q_weight_bound < 1:
-        raise ValueError("need d >= 0, r >= 1, q_weight_bound >= 1")
+    check_gen(d, r)
+    if q_weight_bound < 1:
+        raise ValueError("need q_weight_bound >= 1")
     if n_bound is not None and n_bound < 1:
         raise ValueError("need n_bound >= 1")
     terms: dict = {}  # monomial -> (num, den) of its coefficient
@@ -110,10 +121,11 @@ class ZPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, terms: Optional[dict] = None):
-        """Keys that sort to the same monomial have their coefficients summed."""
+        """Each generator of a key is checked by check_gen, and keys that sort
+        to the same monomial have their coefficients summed."""
         coeffs: dict = {}
         for key, coeff in (terms or {}).items():
-            key = tuple(sorted(tuple(g) for g in key))
+            key = tuple(sorted(check_gen(*g) for g in key))
             coeffs[key] = coeffs.get(key, 0) + exact.check(coeff)
         self.nums, self.den = exact.from_terms(coeffs)
 
@@ -129,8 +141,6 @@ class ZPoly:
 
     @staticmethod
     def gen(d: int, r: int) -> "ZPoly":
-        if d < 0 or r < 1:
-            raise ValueError("generator needs d >= 0, r >= 1")
         return ZPoly({((d, r),): 1})
 
     def __bool__(self) -> bool:
@@ -255,7 +265,7 @@ class ZPoly:
         coeffs = {}  # key -> (num, den), each in lowest terms
         for entry in data:
             try:
-                key = tuple(sorted(_json_gen(g) for g in entry["gens"]))
+                key = tuple(sorted(check_gen(*g) for g in entry["gens"]))
                 coeff = entry["coeff"]
                 num, _, den = coeff.partition("/")
                 num, den = int(num), int(den)
@@ -268,13 +278,6 @@ class ZPoly:
                 raise ValueError(f"polynomial entry {entry!r} repeats the key {list(map(list, key))}")
             coeffs[key] = num, den
         return _poly(*exact.over_lcm(coeffs))
-
-
-def _json_gen(g) -> ZGen:
-    d, r = g
-    if type(d) is not int or type(r) is not int or d < 0 or r < 1:
-        raise ValueError("a generator needs ints d >= 0, r >= 1")
-    return (d, r)
 
 
 def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
@@ -397,7 +400,7 @@ def psi_intersection(nu, n: int) -> Fraction:
     stable curves: multinomial (n-3; nu) when sum(nu) = n - 3, else 0."""
     if n < 3:
         raise ValueError("moduli space needs at least 3 points")
-    nu = tuple(int(v) for v in nu)
+    nu = tuple(check_int(v) for v in nu)
     if any(v < 0 for v in nu):
         raise ValueError("exponents must be nonnegative")
     if len(nu) > n:

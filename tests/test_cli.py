@@ -154,6 +154,16 @@ def test_verify_pretty_output_deterministic():
     assert first[0] == 0
 
 
+def test_bad_profile_gives_one_error_for_every_method():
+    # one check serves the oracle and both series methods, so one message
+    results = {
+        run_cli(*argv, "--genus", "0", "--lambda", "2", "--mu", "3")
+        for argv in [("compute-hurwitz", "--method", method)
+                     for method in ("oracle", "cutjoin", "frobenius")] + [("oracle",)]
+    }
+    assert results == {(2, "", "error: lam and mu must partition the same positive integer\n")}
+
+
 def test_usage_errors_exit_2(tmp_path):
     code, _, _ = run_cli("no-such-command")
     assert code == 2

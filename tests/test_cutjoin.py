@@ -538,3 +538,5 @@ def test_hurwitz_number_bad_method():
     for method in ("cutjoin", "frobenius"):
         with pytest.raises(ValueError):  # m = 0, but no genus is negative
             hurwitz_number_by_series(-1, (3,), (1, 1, 1), method)
+        with pytest.raises(TypeError):  # True would be counted as genus 1
+            hurwitz_number_by_series(True, (2,), (1, 1), method)

@@ -223,6 +223,8 @@ def test_bad_inputs():
         oracle_count(0, (2,), (3,))
     with pytest.raises(ValueError):
         oracle_count(-1, (1,), (1,))  # m = -2 < 0
+    with pytest.raises(TypeError):  # True would be counted as genus 1
+        oracle_count(True, (2,), (1, 1))
 
 
 def test_layer_count_matches_dfs_reference():

@@ -8,6 +8,7 @@ from doublehurwitz.exact import ratio
 from doublehurwitz.partitions import (
     aut_order,
     check_partition,
+    check_profile,
     class_size,
     compositions,
     gen_binomial,
@@ -117,6 +118,26 @@ def test_multinomial_examples():
     assert multinomial((1, 1)) == 2
     assert multinomial((2, 1)) == 3
     assert multinomial(()) == 1
+
+
+@pytest.mark.parametrize("nu", [(1.9, 1.2), (2, True), ("1",)])
+def test_multinomial_rejects_non_ints(nu):
+    # int() would truncate (1.9, 1.2) to (1, 1) and answer 2
+    with pytest.raises(TypeError, match="expected an int"):
+        multinomial(nu)
+
+
+def test_check_profile():
+    assert check_profile(1, [1, 3], (2, 2)) == ((3, 1), (2, 2), 4)
+    assert check_profile(0, (1,), (1,)) == ((1,), (1,), 0)
+    for g in (True, 0.0, "0"):
+        with pytest.raises(TypeError, match="expected an int"):
+            check_profile(g, (2,), (1, 1))
+    for lam, mu in (((2,), (3,)), ((), ()), ((2,), ())):
+        with pytest.raises(ValueError, match="partition the same positive integer"):
+            check_profile(0, lam, mu)
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        check_profile(-1, (3,), (1, 1, 1))  # m = 0, but no genus is negative
 
 
 def test_compositions():

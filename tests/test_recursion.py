@@ -201,7 +201,7 @@ def _corrupted_table_load(tmp_path, corrupt):
     return XTable.load(path)
 
 
-@pytest.mark.parametrize("key", [[[1.5, 0]], [["2", 1]], [[2, True]], [[1, 0, 0]], [1], 5])
+@pytest.mark.parametrize("key", [[[1.5, 0]], [["2", 1]], [[2, True]], [[1, 0, 0]], [1], 5, [[-1, 0]], []])
 def test_xtable_malformed_key_rejected(tmp_path, key):
     def corrupt(entries):
         entries[-1]["key"] = key

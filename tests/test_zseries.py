@@ -526,6 +526,31 @@ def test_psi_intersection_examples():
         psi_intersection((0,), 2)
     with pytest.raises(ValueError):
         psi_intersection((0, 0, 0, 0), 3)
+    # int() would truncate (1.7, 0.2) to (1, 0) and answer 1
+    for nu in ((1.7, 0.2), (True, 0, 0)):
+        with pytest.raises(TypeError, match="expected an int"):
+            psi_intersection(nu, 4)
+
+
+@pytest.mark.parametrize("d, r", [(True, 1), (1, True), (1.5, 1), (0, 1.0), ("0", 1)])
+def test_gen_rejects_non_ints(d, r):
+    # ZPoly.gen(True, 1) was z_{1,1}, and ZPoly.gen(1.5, 1) printed as z_{1.5,1}
+    with pytest.raises(TypeError, match="expected an int"):
+        ZPoly.gen(d, r)
+
+
+@pytest.mark.parametrize("d, r", [(-1, 1), (0, 0), (2, -3)])
+def test_gen_rejects_out_of_range(d, r):
+    with pytest.raises(ValueError, match="d >= 0, r >= 1"):
+        ZPoly.gen(d, r)
+
+
+@pytest.mark.parametrize("key, error", [(((1.5, 1),), TypeError), (((0, 1), (True, 2)), TypeError),
+                                        (((0, 0),), ValueError), (((0, 1, 2),), TypeError)])
+def test_constructor_checks_every_generator(key, error):
+    # the constructor printed z_{1.5,1} and z_{True,2} before
+    with pytest.raises(error):
+        ZPoly({key: 1})
 
 
 def test_psi_intersection_against_string_recursion():

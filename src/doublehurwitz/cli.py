@@ -23,7 +23,7 @@ from .exact import ratio
 from .kp import kp_residual
 from .oracle import ResourceBudgetError, oracle_count, oracle_raw_count
 from .partitions import check_partition
-from .recursion import XTable, h_poly, populate_table
+from .recursion import h_poly, populate_table
 from .series import GradedSeries, mono_str, mono_weights
 from .verify import SUITES, run_suite
 from .zseries import z_series
@@ -176,10 +176,6 @@ def _dispatch(args, out, err) -> int:
     if args.command == "x-table":
         table = populate_table(args.max_lambda_weight, args.max_r, args.max_nu_weight)
         path = table.save(args.out)
-        reloaded = XTable.load(path)
-        if reloaded.entries != table.entries:
-            err.write("error: cache round-trip mismatch\n")
-            return 1
         out.write(f"wrote {len(table)} entries to {path}\n")
         return 0
 

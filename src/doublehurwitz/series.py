@@ -32,11 +32,12 @@ Products (``*``, and the steps of ``exp`` and ``log``) run on packed
 monomials.  A process-wide registry gives each variable a fixed index, and a
 monomial packs to the int sum of e * 2^(W * index) over its (variable,
 exponent) pairs, so the packed product of two monomials is the sum of their
-ints.  The kernel accumulates coefficients by that int and renders each
-distinct product back into a tuple with :func:`mono_mul` once.  An exponent
-is range-checked when it is packed, and one too large for its field raises
-OverflowError rather than carry into the next.  Everything else, the keys of
-``nums`` included, stays on tuple monomials.
+ints.  The kernel reads and writes one form, buckets of (packed, monomial,
+coefficient) triples keyed by weight over the bounded alphabets: it renders
+each distinct product with :func:`mono_mul` once, and ``exp`` and ``log``
+feed each grade straight back in.  A monomial entering the kernel as a factor
+is range-checked: an exponent too large for its field raises OverflowError
+rather than carry into the next.  Outside the kernel, monomials stay tuples.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import add
 from typing import Iterable, Optional
 
 from . import exact
@@ -226,6 +228,16 @@ _EXP_LIMIT = 1 << (_FIELD_BITS - 2)  # a packed exponent e has |e| < _EXP_LIMIT
 _SHIFTS: dict = {}  # variable -> _FIELD_BITS * its index
 
 
+def _check_range(monos):
+    """Raise OverflowError unless every exponent e of the monomials has
+    |e| < _EXP_LIMIT, the range a packed field holds (see _pack)."""
+    for mono in monos:
+        for var, e in mono:
+            if not -_EXP_LIMIT < e < _EXP_LIMIT:
+                raise OverflowError(f"exponent {e} of {mono_str(((var, 1),))} is outside "
+                                    f"the packed range |e| < {_EXP_LIMIT}")
+
+
 def _pack(mono: tuple) -> int:
     """The monomial as the int sum of e * 2^(W * index(var)), W = _FIELD_BITS.
 
@@ -235,11 +247,9 @@ def _pack(mono: tuple) -> int:
     inside (-2^(W-1), 2^(W-1)), and an int has one expansion with all its
     fields (digits in base 2^W) in that range, so distinct products have
     distinct ints."""
+    _check_range((mono,))
     key = 0
     for var, e in mono:
-        if not -_EXP_LIMIT < e < _EXP_LIMIT:
-            raise OverflowError(f"exponent {e} of {mono_str(((var, 1),))} is outside "
-                                f"the packed range |e| < {_EXP_LIMIT}")
         shift = _SHIFTS.get(var)
         if shift is None:
             shift = _SHIFTS[var] = _FIELD_BITS * len(_SHIFTS)
@@ -247,28 +257,41 @@ def _pack(mono: tuple) -> int:
     return key
 
 
-def _bucket(trunc: Truncation, pairs) -> tuple:
-    """(caps, buckets): the bounds of the truncation's bounded alphabets, and
-    the (packed, monomial, coefficient) triples of the (monomial,
-    coefficient) pairs, listed by their weight vector over those
-    alphabets."""
-    bounds = trunc.bounds()
-    idx = [i for i, b in enumerate(bounds) if b is not None]
-    full: dict = {}
-    for mono, coeff in pairs:
-        full.setdefault(mono_weights(mono), []).append((_pack(mono), mono, coeff))
-    buckets: dict = {}
-    for w, group in full.items():  # merge vectors with equal bounded part
-        key = tuple(w[i] for i in idx)
-        buckets[key] = buckets[key] + group if key in buckets else group
-    return tuple(bounds[i] for i in idx), buckets
+def _mul_into(out: dict, left: dict, right: dict, caps: tuple):
+    """out += left * right on buckets of (packed, monomial, coefficient)
+    triples keyed by weight over the bounded alphabets, whose bounds are caps.
+    The truncation test runs once per bucket pair, and the inner loops are
+    then unconditional.  A product goes into out[sum of the factors' keys][sum
+    of their ints], so the inner loop adds ints where a tuple merge would run.
+    An entry is [coefficient, left monomial, right monomial], its first
+    factor pair, for _render."""
+    for kl, lt in left.items():
+        for kr, rt in right.items():
+            key = tuple(map(add, kl, kr))
+            if any(w > cap for w, cap in zip(key, caps)):
+                continue
+            acc = out.setdefault(key, {})
+            get = acc.get
+            for pl, ml, cl in lt:
+                for pr, mr, cr in rt:
+                    p = pl + pr
+                    entry = get(p)
+                    if entry is None:
+                        acc[p] = [cl * cr, ml, mr]
+                    else:
+                        entry[0] += cl * cr
 
 
-def _render(acc: dict, src: dict) -> dict:
-    """{monomial: coefficient} of the nonzero entries of a packed-key acc;
-    src[key] is a factor pair whose product is that key's monomial, so each
-    distinct product goes through mono_mul once."""
-    return {mono_mul(*src[key]): c for key, c in acc.items() if c}
+def _render(out: dict) -> dict:
+    """The nonzero entries of a _mul_into output as buckets of (packed,
+    monomial, coefficient) triples, the form _mul_into reads; each distinct
+    product goes through mono_mul once."""
+    buckets = {}
+    for key, acc in out.items():
+        bucket = [(p, mono_mul(ml, mr), c) for p, (c, ml, mr) in acc.items() if c]
+        if bucket:
+            buckets[key] = bucket
+    return buckets
 
 
 class GradedSeries:
@@ -403,10 +426,10 @@ class GradedSeries:
             return self.scalar_mul(other)
         self._require_compatible(other)
         caps, left = self._buckets()
-        acc: dict = {}
-        src: dict = {}
-        self._mul_into(acc, src, left, other._buckets()[1], caps)
-        return GradedSeries.from_ints(self.truncation, _render(acc, src), self.den * other.den)
+        out: dict = {}
+        _mul_into(out, left, other._buckets()[1], caps)
+        nums = {m: c for bucket in _render(out).values() for _, m, c in bucket}
+        return GradedSeries.from_ints(self.truncation, nums, self.den * other.den)
 
     def __rmul__(self, other):
         return self.scalar_mul(other)
@@ -441,11 +464,21 @@ class GradedSeries:
     # -- exp / log ----------------------------------------------------------
 
     def _buckets(self) -> tuple:
-        """(caps, buckets) of this series' (monomial, numerator) pairs,
-        packed and built once: a series is immutable, so its repeated
-        products (by a cached z_series, say) share them."""
+        """(caps, buckets): the bounds of the truncation's bounded alphabets
+        and this series' (packed, monomial, numerator) triples by weight over
+        them, built once: a series is immutable, so its repeated products (by
+        a cached z_series, say) share them."""
         if self._bucketed is None:
-            self._bucketed = _bucket(self.truncation, self.nums.items())
+            bounds = self.truncation.bounds()
+            idx = [i for i, b in enumerate(bounds) if b is not None]
+            full: dict = {}
+            for mono, n in self.nums.items():
+                full.setdefault(mono_weights(mono), []).append((_pack(mono), mono, n))
+            buckets: dict = {}
+            for w, group in full.items():  # merge vectors with equal bounded part
+                key = tuple(w[i] for i in idx)
+                buckets[key] = buckets[key] + group if key in buckets else group
+            self._bucketed = tuple(bounds[i] for i in idx), buckets
         return self._bucketed
 
     def _components(self) -> tuple:
@@ -459,31 +492,6 @@ class GradedSeries:
                 raise ValueError(f"exp/log diverges: {mono_str(mono)} has no positive grade")
             comps.setdefault(sum(key), {})[key] = bucket
         return sum(caps), caps, comps
-
-    @staticmethod
-    def _mul_into(acc: dict, src: dict, left: dict, right: dict, caps: tuple):
-        """acc += left * right on buckets of (packed, monomial, coefficient)
-        triples.  The truncation test runs once per bucket pair, and the inner
-        loops are then unconditional.
-
-        acc is keyed by packed monomial: a term pair's product is the sum of
-        its two ints, so the inner loop adds ints where a tuple merge would
-        run.  A key's first term pair goes into src, and _render turns each
-        distinct key back into a tuple monomial with one mono_mul."""
-        get = acc.get
-        for kl, lt in left.items():
-            for kr, rt in right.items():
-                if any(a + b > cap for a, b, cap in zip(kl, kr, caps)):
-                    continue
-                for pl, ml, cl in lt:
-                    for pr, mr, cr in rt:
-                        key = pl + pr
-                        prev = get(key)
-                        if prev is None:
-                            acc[key] = cl * cr
-                            src[key] = ml, mr
-                        else:
-                            acc[key] = prev + cl * cr
 
     def _scaled_grades(self, comps: dict) -> dict:
         """{k: buckets of D^k S_k} for the grade-k parts S_k of this series,
@@ -510,22 +518,20 @@ class GradedSeries:
         if self.nums.get(()):
             raise ValueError("series_exp requires zero constant term")
         top, caps, comps = self._components()
-        trunc = self.truncation
         kS = {k: {key: [(p, m, n * k) for p, m, n in b] for key, b in comp.items()}
               for k, comp in self._scaled_grades(comps).items()}
-        grades = {0: {(): factorial(top)}}
-        F = {0: _bucket(trunc, grades[0].items())[1]}
+        F = {0: {(0,) * len(caps): [(0, (), factorial(top))]}}
         for n in range(1, top + 1):
-            acc: dict = {}
-            src: dict = {}
+            out: dict = {}
             for k, left in kS.items():
                 if k <= n:
-                    self._mul_into(acc, src, left, F[n - k], caps)
-            grades[n] = {m: c // n for m, c in _render(acc, src).items()}
-            F[n] = _bucket(trunc, grades[n].items())[1]
+                    _mul_into(out, left, F[n - k], caps)
+            F[n] = {key: [(p, m, c // n) for p, m, c in b] for key, b in _render(out).items()}
+            _check_range(m for b in F[n].values() for _, m, _ in b)
         D = self.den
-        out = {m: c * D ** (top - n) for n, acc in grades.items() for m, c in acc.items()}
-        return GradedSeries.from_ints(trunc, out, factorial(top) * D**top)
+        nums = {m: c * D ** (top - n) for n, grade in F.items()
+                for b in grade.values() for _, m, c in b}
+        return GradedSeries.from_ints(self.truncation, nums, factorial(top) * D**top)
 
     def log(self) -> "GradedSeries":
         """Truncated logarithm; requires constant term exactly 1.
@@ -539,31 +545,24 @@ class GradedSeries:
         if self.nums.get(()) != self.den:
             raise ValueError("series_log requires constant term 1")
         top, caps, comps = self._components()
-        trunc = self.truncation
         U = self._scaled_grades(comps)
-        neg_A: dict = {}  # k -> -A_k, bucketed
-        grades: dict = {}  # n -> A_n
+        neg_A: dict = {}  # k -> buckets of -A_k
         for n in range(1, top + 1):
-            acc: dict = {}
-            src: dict = {}
-            for b in U.get(n, {}).values():
-                for p, m, c in b:
-                    acc[p] = c * n
-                    src[p] = m, ()
+            out = {key: {p: [c * n, m, ()] for p, m, c in b} for key, b in U.get(n, {}).items()}
             for k, left in neg_A.items():
                 if n - k in U:
-                    self._mul_into(acc, src, left, U[n - k], caps)
-            acc = _render(acc, src)
-            if acc:
-                grades[n] = acc
-                neg_A[n] = _bucket(trunc, ((m, -c) for m, c in acc.items()))[1]
+                    _mul_into(out, left, U[n - k], caps)
+            grade = _render(out)
+            if grade:
+                neg_A[n] = {key: [(p, m, -c) for p, m, c in b] for key, b in grade.items()}
+                _check_range(m for b in grade.values() for _, m, _ in b)
         # L_n = A_n / (n D^n), over the common denominator lcm(n) D^last
-        D, last, ns = self.den, max(grades, default=0), lcm(*grades)
-        out = {}
-        for n, acc in grades.items():
-            scale = ns // n * D ** (last - n)
-            out.update((m, c * scale) for m, c in acc.items())
-        return GradedSeries.from_ints(trunc, out, ns * D**last)
+        D, last, ns = self.den, max(neg_A, default=0), lcm(*neg_A)
+        nums = {}
+        for n, grade in neg_A.items():
+            scale = -(ns // n) * D ** (last - n)
+            nums.update((m, c * scale) for b in grade.values() for _, m, c in b)
+        return GradedSeries.from_ints(self.truncation, nums, ns * D**last)
 
     # -- serialization ------------------------------------------------------
 

@@ -41,7 +41,7 @@ def check_gen(d, r) -> "ZGen":
     return (d, r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so True does not hit the cached 1
 def z_series(
     d: int,
     r: int,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from doublehurwitz.cli import run
+from doublehurwitz.recursion import XTable, populate_table
 
 
 def run_cli(*argv):
@@ -117,6 +118,21 @@ def test_x_table_write_and_reload(tmp_path):
     blob = json.loads(path.read_text())
     assert blob["version"].startswith("xtable-")
     assert blob["entries"]
+
+
+def test_x_table_does_not_read_back_its_file(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError("x-table read back the file it wrote")
+
+    monkeypatch.setattr(XTable, "load", staticmethod(refuse))
+    path = tmp_path / "cache.json"
+    code, out, err = run_cli(
+        "x-table", "--max-lambda-weight", "3", "--max-r", "2",
+        "--max-nu-weight", "1", "--out", str(path),
+    )
+    table = populate_table(3, 2, 1)
+    assert (code, out, err) == (0, f"wrote {len(table)} entries to {path}\n", "")
+    assert path.read_text() == json.dumps(table.to_json_dict())
 
 
 def test_x_table_deterministic_bytes(tmp_path):

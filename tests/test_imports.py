@@ -1,11 +1,16 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+definition goes unread.
 
 A deletion that leaves its imports behind shows up here.  A name counts as
 used if it is read anywhere in the module (quoted annotations included) or
-listed in the module's ``__all__``.
+listed in the module's ``__all__``.  A private (``_``-prefixed) module- or
+class-level definition counts as read if some module of the package reads its
+name, bare or as an attribute, outside the definition itself; a helper left
+behind by a refactor shows up here.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +66,43 @@ def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text())
     unused = {name: line for name, line in _imported(tree).items() if name not in _used(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _definitions(tree: ast.Module):
+    """Each private (single-underscore) definition at module or class level:
+    (name, the statement that defines it)."""
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    yield name, node
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under node, as a bare name or an attribute."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            reads[sub.attr] += 1
+    return reads
+
+
+def test_every_private_definition_is_read():
+    # By name across the package: a read inside the definition itself (a
+    # function that only calls itself) does not count.
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    unread = [name for tree in trees for name, node in _definitions(tree)
+              if reads[name] - _reads(node)[name] <= 0]
+    assert not unread, f"private definitions nothing in the package reads: {unread}"

@@ -6,6 +6,7 @@ from typing import Optional
 
 import pytest
 
+from doublehurwitz import series
 from doublehurwitz.series import (
     _EXP_LIMIT,
     _FIELD_BITS,
@@ -643,3 +644,31 @@ def test_series_product_refuses_an_exponent_at_the_limit():
     assert square.nums == {mono_from_vars([(qvar(1), 2 * _EXP_LIMIT - 2)]): 4}
     with pytest.raises(OverflowError):
         square * top
+
+
+def test_exp_and_log_pack_each_input_term_once(monkeypatch):
+    # the kernel's products come out in the form it reads, so exp and log
+    # feed each grade back in without packing a product again
+    packed = []
+    pack = series._pack
+    monkeypatch.setattr(series, "_pack", lambda mono: packed.append(mono) or pack(mono))
+    rng = random.Random(21)
+    for _ in range(20):
+        S = random_series(TR, rng, max_terms=8, zero_constant=True)
+        T = GradedSeries.one(TR) + S
+        for arg, op in ((S, GradedSeries.exp), (T, GradedSeries.log)):
+            packed.clear()
+            assert len(op(arg)) > len(arg)  # products were taken
+            assert sorted(packed) == sorted(arg.nums)
+
+
+def test_exp_and_log_refuse_an_exponent_past_the_limit():
+    # s_1 psi^10000 has psi^20000 in its square, the second grade, which exp
+    # and log would feed back into the kernel as a factor
+    assert 10000 < _EXP_LIMIT <= 20000
+    tr = Truncation(s_weight=6)
+    S = GradedSeries(tr, {mono_from_vars([(svar(1), 1), (PSI_VAR, 10000)]): 1})
+    with pytest.raises(OverflowError):
+        S.exp()
+    with pytest.raises(OverflowError):
+        (GradedSeries.one(tr) + S).log()

@@ -204,6 +204,12 @@ def test_z_series_n_bound():
     assert restricted.coefficient(Qm((2, 1))) == 1
 
 
+def test_z_series_cache_does_not_take_a_bool_for_an_int():
+    z_series(1, 1, 4)
+    with pytest.raises(TypeError):
+        z_series(True, 1, 4)
+
+
 def test_zpoly_ring_basics():
     one = ZPoly.constant(1)
     z = ZPoly.gen(0, 1)

@@ -54,7 +54,7 @@ def _series_rows(series: GradedSeries):
 
 def _emit_series(series: GradedSeries, fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(series.to_json_dict(), out)
+        out.write(json.dumps(series.to_json_dict()))
         out.write("\n")
     elif fmt == "csv":
         out.write("monomial,coeff\n")
@@ -167,7 +167,7 @@ def _dispatch(args, out, err) -> int:
         lam = _parse_partition(args.lam)
         poly = h_poly(lam)
         if args.format == "json":
-            json.dump(poly.to_json_list(), out)
+            out.write(json.dumps(poly.to_json_list()))
             out.write("\n")
         else:
             out.write(poly.pretty() + "\n")
@@ -202,7 +202,7 @@ def _dispatch(args, out, err) -> int:
     if args.command == "verify":
         report = run_suite(args.suite)
         if args.format == "json":
-            json.dump(report.to_json_dict(), out)
+            out.write(json.dumps(report.to_json_dict()))
             out.write("\n")
         else:
             for check in report.checks:

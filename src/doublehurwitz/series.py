@@ -42,7 +42,7 @@ rather than carry into the next.  Outside the kernel, monomials stay tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
 from operator import add
@@ -191,19 +191,23 @@ class TruncationMismatch(ValueError):
     """Raised when combining series with different truncations."""
 
 
-@dataclass(frozen=True)
-class Truncation:
-    """Optional per-alphabet degree bounds; ``None`` leaves an alphabet unbounded."""
+class Truncation(namedtuple("Truncation", "q_weight p_weight t_weight beta_deg s_weight", defaults=(None,) * 5)):
+    """Optional per-alphabet degree bounds; ``None`` leaves an alphabet
+    unbounded.  An immutable value that equals only another Truncation."""
 
-    q_weight: Optional[int] = None
-    p_weight: Optional[int] = None
-    t_weight: Optional[int] = None
-    beta_deg: Optional[int] = None
-    s_weight: Optional[int] = None
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Truncation and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def bounds(self) -> tuple:
         """The bounds in weight-vector order; psi and xi are never bounded."""
-        return (self.q_weight, self.p_weight, self.t_weight, self.beta_deg, self.s_weight)
+        return tuple(self)
 
     def admits_weights(self, w: tuple) -> bool:
         for bound, x in zip(self.bounds(), w):  # w's psi and xi entries go unread
@@ -215,8 +219,7 @@ class Truncation:
         return self.admits_weights(mono_weights(mono))
 
     def to_json_dict(self) -> dict:
-        names = ("q_weight", "p_weight", "t_weight", "beta_deg", "s_weight")
-        return {n: b for n, b in zip(names, self.bounds()) if b is not None}
+        return {n: b for n, b in zip(self._fields, self.bounds()) if b is not None}
 
 
 # -- the multiply kernel: monomials packed as ints ---------------------------

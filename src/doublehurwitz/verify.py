@@ -17,7 +17,6 @@ Suite ids (fixed, consumed by the CLI):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -55,21 +54,21 @@ from .symgroup import central_weight, schur_in_power_sums
 from .zseries import check_eqzred, check_psi_string_dilaton, zpoly_eval, zpoly_values_equal
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # "pass" | "fail"
-    detail: str = ""
+    def __init__(self, name: str, status: str, detail: str = ""):
+        self.name = name
+        self.status = status  # "pass" | "fail"
+        self.detail = detail
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checks: list = field(default_factory=list)
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks: list = []
 
     def add(self, name: str, ok: bool, detail: str = ""):
         self.checks.append(CheckResult(name, "pass" if ok else "fail", detail))

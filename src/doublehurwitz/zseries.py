@@ -11,13 +11,21 @@ negative powers of K are exact rationals.  Every generating function produced
 by the recursion engines is a polynomial in these series; :class:`ZPoly` is
 that polynomial ring with formal generators indexed by (d, r), its rational
 coefficients stored exactly in the int-numerator form of :mod:`.exact`.
+
+A ZPoly keys its coefficients by packed monomials: each generator the
+process meets gets a fixed-width field of one int from a process-wide
+registry, so a product of monomials is a sum of ints.  The sorted tuple of
+generators stays the read-out form (``terms``, ``pretty``, the JSON and the
+order of :func:`zpoly_eval`), decoded once per key, so no output depends on
+the order the generators were registered in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, gcd
+from operator import or_
 from types import MappingProxyType
 from typing import Iterator, Optional
 
@@ -93,6 +101,68 @@ def z_series(
 ZGen = tuple  # (d, r)
 ZKey = tuple  # sorted tuple of ZGen with multiplicity; () is the constant
 
+# A monomial in the generators is packed as one int: each generator owns a
+# field of _FIELD_BITS bits at the index the registry gave it when it was
+# first packed, and an index never changes.  A field holds an exponent up to
+# _EXP_MAX, so the guard bit on top of it is clear in every stored key.
+_FIELD_BITS = 8
+_EXP_MAX = (1 << (_FIELD_BITS - 1)) - 1
+_GENS: list = []  # index -> generator
+_UNITS: dict = {}  # generator -> 1 << (_FIELD_BITS * its index), its packed key
+_guard_mask = 0  # the guard bit of every registered generator's field
+
+
+def _unit(gen: ZGen) -> int:
+    """The packed key of the monomial gen, registering gen if it is new."""
+    global _guard_mask
+    unit = _UNITS.get(gen)
+    if unit is None:
+        unit = _UNITS[gen] = 1 << (_FIELD_BITS * len(_GENS))
+        _GENS.append(gen)
+        _guard_mask |= unit << (_FIELD_BITS - 1)
+    return unit
+
+
+def _check_width(keys) -> None:
+    """ZPoly's width rule.  Raise OverflowError unless the guard bit of every
+    field of every packed key is clear, that is, every exponent is at most
+    _EXP_MAX.  Two keys within the rule add without a carry between fields,
+    and an exponent of their sum that passes _EXP_MAX sets its guard bit, so
+    checking each sum once keeps every key in range."""
+    if _guard_mask & reduce(or_, keys, 0):
+        key = next(k for k in keys if k & _guard_mask)
+        gen = next(g for g, unit in _UNITS.items() if key & (unit << (_FIELD_BITS - 1)))
+        raise OverflowError(f"the exponent of z_{{{gen[0]},{gen[1]}}} in a monomial is above "
+                            f"{_EXP_MAX}, the most a packed field holds")
+
+
+def _pack(gens) -> int:
+    """The packed key of the monomial with the given generators (repeats are
+    powers), each checked by check_gen.  An exponent above _EXP_MAX is packed
+    as the guard bit alone, so no field carries into the next and
+    _check_width refuses it."""
+    counts: dict = {}
+    for g in gens:
+        g = check_gen(*g)
+        counts[g] = counts.get(g, 0) + 1
+    key = sum(min(e, _EXP_MAX + 1) * _unit(g) for g, e in counts.items())
+    _check_width((key,))
+    return key
+
+
+@lru_cache(maxsize=None)
+def _unpack(key: int) -> ZKey:
+    """The packed key as its sorted tuple of generators with multiplicity,
+    the read-out form of a monomial."""
+    gens = []
+    while key:
+        index = ((key & -key).bit_length() - 1) // _FIELD_BITS  # the lowest field in use
+        shift = _FIELD_BITS * index
+        e = (key >> shift) & ((1 << _FIELD_BITS) - 1)
+        gens += [_GENS[index]] * e
+        key -= e << shift
+    return tuple(sorted(gens))
+
 
 def _poly(nums: dict, den: int) -> "ZPoly":
     """Wrap nonzero int numerators over a positive den, already in lowest terms."""
@@ -105,35 +175,41 @@ def _poly(nums: dict, den: int) -> "ZPoly":
 class ZPoly:
     """Polynomial with rational coefficients in the generators z_{d,r}.
 
-    Keys are sorted tuples of (d, r) pairs (monomials in the generators);
-    the empty tuple is the constant monomial.  The coefficients are int
-    numerators over one common denominator in the lowest-terms form of
-    :mod:`.exact`: ``nums`` maps each key to a nonzero int over the positive
-    int ``den``, and the zero polynomial has den 1.  The form is unique, so a
-    sum or product costs int arithmetic plus one gcd over its result, and
+    A monomial in the generators is read out as a sorted tuple of (d, r)
+    pairs with multiplicity, the empty tuple being the constant monomial, and
+    stored as one packed int (see _pack): the product of two monomials is
+    the sum of their ints, and 0 is the constant.  No exponent may pass
+    _EXP_MAX (OverflowError otherwise).  The coefficients are int numerators
+    over one common denominator in the lowest-terms form of :mod:`.exact`:
+    ``nums`` maps each packed key to a nonzero int over the positive int
+    ``den``, and the zero polynomial has den 1.  The form is unique, so a sum
+    or product costs int arithmetic plus one gcd over its result, and
     structural equality (exact form equality) is equality of (nums, den).
     A coefficient that is not an int or a Fraction raises TypeError.
-    ``terms`` is a read-only view of the coefficients as Fractions.  Since
-    the z-series satisfy polynomial relations, use :func:`zpoly_eval` to
-    decide mathematical equality of values.
+    ``terms`` is a read-only view of the coefficients as Fractions, keyed by
+    tuple; it, :meth:`pretty` and the JSON form are the same whatever order
+    the process met the generators in.  Since the z-series satisfy
+    polynomial relations, use :func:`zpoly_eval` to decide mathematical
+    equality of values.
     """
 
     __slots__ = ("nums", "den")
 
     def __init__(self, terms: Optional[dict] = None):
-        """Each generator of a key is checked by check_gen, and keys that sort
-        to the same monomial have their coefficients summed."""
+        """Each key is an iterable of generators (d, r), each checked by
+        check_gen, and keys that sort to the same monomial have their
+        coefficients summed."""
         coeffs: dict = {}
         for key, coeff in (terms or {}).items():
-            key = tuple(sorted(check_gen(*g) for g in key))
+            key = _pack(key)
             coeffs[key] = coeffs.get(key, 0) + exact.check(coeff)
         self.nums, self.den = exact.from_terms(coeffs)
 
     @property
     def terms(self) -> MappingProxyType:
-        """The coefficients as Fractions, keyed by monomial."""
+        """The coefficients as Fractions, keyed by monomial tuple."""
         den = self.den
-        return MappingProxyType({key: Fraction(n, den) for key, n in self.nums.items()})
+        return MappingProxyType({_unpack(key): Fraction(n, den) for key, n in self.nums.items()})
 
     @staticmethod
     def constant(c) -> "ZPoly":
@@ -155,8 +231,8 @@ class ZPoly:
 
     def __hash__(self):
         # a constant hashes as its value, since it compares equal to it
-        if not self.nums.keys() - {()}:
-            return hash(Fraction(self.nums.get((), 0), self.den))
+        if not self.nums.keys() - {0}:
+            return hash(Fraction(self.nums.get(0, 0), self.den))
         return hash((self.den, frozenset(self.nums.items())))
 
     def __add__(self, other) -> "ZPoly":
@@ -187,8 +263,9 @@ class ZPoly:
         or a Fraction (TypeError otherwise), a a ZPoly and b a ZPoly or None
         for 1.  Triples with a zero factor are skipped.  Every product is
         added straight into int numerators over one running denominator
-        (:func:`.exact.widen`) and the sum is brought to lowest terms once, so
-        no term and no partial sum is built as a ZPoly."""
+        (:func:`.exact.widen`), a product's key being the sum of its factors'
+        keys, and the sum is checked by _check_width and brought to lowest
+        terms once, so no term and no partial sum is built as a ZPoly."""
         acc: dict = {}
         get = acc.get
         den = 1
@@ -210,8 +287,9 @@ class ZPoly:
                 for k1, n1 in a.nums.items():
                     n1 *= scale
                     for k2, n2 in b_items:
-                        key = tuple(sorted(k1 + k2))
+                        key = k1 + k2
                         acc[key] = get(key, 0) + n1 * n2
+        _check_width(acc)
         return _poly(*exact.lowest(acc, den))
 
     def __repr__(self) -> str:
@@ -248,8 +326,8 @@ class ZPoly:
     def to_json_list(self) -> list:
         """One {"gens": [[d, r], ...], "coeff": "num/den"} per term, sorted by
         key, each coefficient in lowest terms."""
-        return [{"gens": [list(gen) for gen in key], "coeff": exact.ratio(self.nums[key], self.den)}
-                for key in sorted(self.nums)]
+        return [{"gens": [list(gen) for gen in _unpack(key)], "coeff": exact.ratio(self.nums[key], self.den)}
+                for key in sorted(self.nums, key=_unpack)]
 
     @staticmethod
     def from_json_list(data) -> "ZPoly":
@@ -259,13 +337,14 @@ class ZPoly:
         whose coefficient is not the string exact.ratio writes for a nonzero
         value ("num/den" in lowest terms with den > 0, so not a bare "num",
         "2/4", "0/1", "+1/2" or " 1/2"), or whose generators repeat an
-        earlier entry's; the message names the entry."""
+        earlier entry's; the message names the entry.  A generator whose
+        exponent passes _EXP_MAX raises OverflowError instead."""
         if not isinstance(data, list):
             raise ValueError(f"a polynomial is a list of terms, not {data!r}")
-        coeffs = {}  # key -> (num, den), each in lowest terms
+        coeffs = {}  # packed key -> (num, den), each in lowest terms
         for entry in data:
             try:
-                key = tuple(sorted(check_gen(*g) for g in entry["gens"]))
+                key = _pack(entry["gens"])
                 coeff = entry["coeff"]
                 num, _, den = coeff.partition("/")
                 num, den = int(num), int(den)
@@ -275,7 +354,7 @@ class ZPoly:
                 raise ValueError(f"polynomial entry {entry!r} needs a nonzero \"num/den\" "
                                  "in lowest terms with den > 0")
             if key in coeffs:
-                raise ValueError(f"polynomial entry {entry!r} repeats the key {list(map(list, key))}")
+                raise ValueError(f"polynomial entry {entry!r} repeats the key {list(map(list, _unpack(key)))}")
             coeffs[key] = num, den
         return _poly(*exact.over_lcm(coeffs))
 
@@ -283,7 +362,7 @@ class ZPoly:
 def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
     """Ring homomorphism sending each generator z_{d,r} to its q-series.
 
-    The monomials are taken in sorted order, and each one's product of
+    The monomials are taken in sorted tuple order, and each one's product of
     generator series extends the longest prefix it shares with the one
     before.  The sum runs on int numerators over one running denominator."""
     trunc = Truncation(q_weight=q_weight_bound)
@@ -292,7 +371,8 @@ def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
     den = 1
     chain: list = []  # chain[i]: the product of the first i + 1 series of key
     key = ()
-    for next_key in sorted(poly.nums):
+    for packed in sorted(poly.nums, key=_unpack):
+        next_key = _unpack(packed)
         shared = 0
         while shared < min(len(key), len(next_key)) and key[shared] == next_key[shared]:
             shared += 1
@@ -303,7 +383,7 @@ def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
             chain.append(chain[-1] * z if chain else z)
         nums, prod_den = (chain[-1].nums, chain[-1].den) if chain else ({(): 1}, 1)
         den = exact.widen(acc, den, prod_den)
-        scale = den // prod_den * poly.nums[key]
+        scale = den // prod_den * poly.nums[packed]
         for m, c in nums.items():
             acc[m] = get(m, 0) + c * scale
     return GradedSeries.from_ints(trunc, acc, den * poly.den)
@@ -343,22 +423,25 @@ def _zpoly_derivation(poly: ZPoly, gen_image) -> ZPoly:
     """Extend a map on generators to a derivation of the polynomial ring.
 
     Each generator's image is computed once, and every monomial's terms are
-    added as ints into one accumulator over a running denominator."""
+    added as ints into one accumulator over a running denominator.  The rest
+    of a monomial without one factor g is its key minus g's unit, and the
+    sum is checked by _check_width once."""
     images: dict = {}
     acc: dict = {}
     get = acc.get
     den = 1
     for key, n in poly.nums.items():
-        for i, g in enumerate(key):
+        for g in _unpack(key):
             image = images.get(g)
             if image is None:
                 image = images[g] = gen_image(*g)
             den = exact.widen(acc, den, image.den)
             scale = den // image.den * n
-            rest = key[:i] + key[i + 1 :]
+            rest = key - _UNITS[g]
             for k, c in image.nums.items():
-                out = tuple(sorted(rest + k))
+                out = rest + k
                 acc[out] = get(out, 0) + c * scale
+    _check_width(acc)
     return _poly(*exact.lowest(acc, den * poly.den))
 
 

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-definition goes unread.
+"""No module of the package imports a name it never uses, no private
+definition goes unread, and the CLI starts without the slow-to-import
+standard modules.
 
 A deletion that leaves its imports behind shows up here.  A name counts as
 used if it is read anywhere in the module (quoted annotations included) or
@@ -10,6 +11,8 @@ behind by a refactor shows up here.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -106,3 +109,15 @@ def test_every_private_definition_is_read():
     unread = [name for tree in trees for name, node in _definitions(tree)
               if reads[name] - _reads(node)[name] <= 0]
     assert not unread, f"private definitions nothing in the package reads: {unread}"
+
+
+def test_cli_imports_without_dataclasses_or_inspect():
+    # every CLI job pays its imports at start-up; dataclasses pulls in
+    # inspect, and the two took about 10 ms of each start (Python 3.11, 2-core
+    # Xeon)
+    src = str(Path(doublehurwitz.__file__).parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import doublehurwitz.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

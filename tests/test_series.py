@@ -259,6 +259,18 @@ def test_truncation_mismatch_raises():
         a * b
 
 
+def test_truncation_is_an_immutable_value():
+    t = Truncation(q_weight=9, s_weight=2)
+    assert repr(t) == "Truncation(q_weight=9, p_weight=None, t_weight=None, beta_deg=None, s_weight=2)"
+    assert t == Truncation(9, None, None, None, 2) and hash(t) == hash((9, None, None, None, 2))
+    assert t != Truncation(q_weight=9) and len({t, Truncation(q_weight=9, s_weight=2)}) == 1
+    # a value of its own: equal to no plain tuple holding the same bounds
+    assert t != (9, None, None, None, 2) and not t == (9, None, None, None, 2)
+    with pytest.raises(AttributeError):
+        t.q_weight = 3
+    assert t.to_json_dict() == {"q_weight": 9, "s_weight": 2}
+
+
 def test_mul_prunes_beyond_truncation():
     tr = Truncation(q_weight=3)
     a = GradedSeries(tr, {q(2): Fraction(1)})

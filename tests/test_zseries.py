@@ -1,13 +1,19 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from typing import Optional
 
 import pytest
 
+from doublehurwitz import zseries
 from doublehurwitz.recursion import populate_table
 from doublehurwitz.series import GradedSeries, Truncation, mono_from_vars, mono_weights, qvar, tvar
 from doublehurwitz.zseries import (
+    _EXP_MAX,
+    _FIELD_BITS,
     ZPoly,
     check_eqzred,
     check_psi_string_dilaton,
@@ -504,6 +510,72 @@ def test_zpoly_derivations_are_derivations():
     for D in (zpoly_weighted_euler, zpoly_euler):
         assert D(a * b) == D(a) * b + a * D(b)
         assert not D(ZPoly.constant(1))
+
+
+def test_largest_packed_exponent_round_trips():
+    top = ((1, 1),) * _EXP_MAX
+    p = ZPoly({top + ((0, 2),): 3, ((1, 1),): 1})
+    assert p.terms == {((0, 2),) + top: 3, ((1, 1),): 1}
+    assert ZPoly.from_json_list(p.to_json_list()) == p
+    z = ZPoly.gen(1, 1)
+    low = ZPoly({((1, 1),) * (_EXP_MAX // 2): 1})
+    assert ZPoly.combine([(1, low, low * z)]) == ZPoly({top: 1})
+    assert zpoly_euler(ZPoly({top: 1})) == ZPoly({top[1:]: _EXP_MAX}) * zgen_euler(1, 1)
+
+
+def test_exponent_past_the_field_raises():
+    over = ((1, 1),) * (_EXP_MAX + 1)
+    with pytest.raises(OverflowError):
+        ZPoly({over: 1})
+    with pytest.raises(OverflowError):
+        ZPoly.from_json_list([{"gens": [list(g) for g in over], "coeff": "1/1"}])
+    # 2^FIELD_BITS generators would carry a sum-of-units packer into the
+    # next field: z_{1,1}^256 must not come back as z_{2,1}
+    with pytest.raises(OverflowError):
+        ZPoly({((1, 1),) * (1 << _FIELD_BITS): 1})
+    half = ZPoly({((1, 1),) * ((_EXP_MAX + 1) // 2): 1})
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        ZPoly.combine([(Fraction(1, 3), ZPoly.gen(0, 1), None), (2, half, half)])
+    # each derivation maps z_{0,1} to a term in z_{0,2} (weighted) or z_{1,2}
+    for derivation, target in ((zpoly_weighted_euler, (0, 2)), (zpoly_euler, (1, 2))):
+        with pytest.raises(OverflowError):
+            derivation(ZPoly({((0, 1),) + (target,) * _EXP_MAX: 1}))
+
+
+_REGISTRY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from doublehurwitz.recursion import h_poly
+from doublehurwitz.zseries import ZPoly
+gens = [(d, r) for d in range(10) for r in range(1, 8)]
+for d, r in (gens if sys.argv[2] == "forward" else gens[::-1]):
+    ZPoly.gen(d, r)
+p = h_poly((4, 2))
+print(json.dumps(p.to_json_list()))
+print(p.pretty())
+print(sorted(p.terms.items()))
+print(sorted(p.nums))
+"""
+
+
+def test_outputs_do_not_depend_on_generator_registration_order():
+    src = str(Path(zseries.__file__).parents[1])
+    runs = [subprocess.run([sys.executable, "-c", _REGISTRY_PROBE, src, order], capture_output=True, text=True)
+            for order in ("forward", "backward")]
+    assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+    forward, backward = (run.stdout.splitlines() for run in runs)
+    assert forward[:3] == backward[:3]
+    assert forward[3] != backward[3]  # the packed keys themselves differ
+
+
+def test_equal_polynomials_built_in_different_orders_hash_equal():
+    a, b, c = ZPoly.gen(3, 4), ZPoly.gen(0, 6), ZPoly.gen(2, 5) * Fraction(1, 3)
+    first = a * b * c + b - c * a
+    second = b + c * (b * a) - a * c
+    assert first == second and hash(first) == hash(second)
+    assert ZPoly({((0, 6), (3, 4)): 2}) == ZPoly({((3, 4), (0, 6)): 2}) == a * b * 2
 
 
 def independent_psi_value(nu, n):

@@ -20,8 +20,10 @@ cut-and-join equation
 
     dH/dbeta = W(H) + (1/2) sum_{i,j >= 1} i j p_{i+j} dH/dp_i dH/dp_j,
 
-never forming e^H; frobenius_eH() sums the character expansion of e^H, and
-the two are compared through the generic GradedSeries.log().
+never forming e^H; its J term runs on monomials packed by a
+:class:`.packing.Packer` of each call's own.  frobenius_eH() sums the
+character expansion of e^H, and the two are compared through the generic
+GradedSeries.log().
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 
+from .packing import Packer
 from .partitions import aut_order, check_partition, check_profile, partitions_of, zee
 from .series import (
     BETA_VAR,
@@ -40,7 +43,6 @@ from .series import (
     Truncation,
     mono_adjust,
     mono_from_vars,
-    mono_str,
     pvar,
     qvar,
 )
@@ -110,93 +112,53 @@ def cut_join_apply(series: GradedSeries) -> GradedSeries:
     return GradedSeries.from_ints(series.truncation, out, series.den)
 
 
-class _Packer:
-    """Packs a monomial p_lam q_mu with |lam| = |mu| <= Q into one int.
-
-    Each of p_1..p_Q, q_1..q_Q owns a field of w = Q.bit_length() bits, in
-    that order, which is also canonical monomial order."""
-
-    def __init__(self, q_bound: int):
-        self.q_bound = q_bound
-        self.width = q_bound.bit_length()
-        variables = [pvar(i) for i in range(1, q_bound + 1)]
-        variables += [qvar(i) for i in range(1, q_bound + 1)]
-        self.fields = {var: (n * self.width, var[0] == Q, var[1])
-                       for n, var in enumerate(variables)}
-        # unit[i] is the packed p_i: adding it multiplies by p_i
-        self.unit = [0] + [1 << (n * self.width) for n in range(q_bound)]
-        # decoded monomials share these (var, e) pairs instead of fresh ones
-        self.pairs = [[(var, e) for e in range(q_bound + 1)] for var in variables]
-        self.decoded: dict = {}
-
-    def pack(self, mono: tuple) -> tuple:
-        """(q-weight, packed int); ValueError unless mono is such a p_lam q_mu."""
-        key = p_weight = q_weight = 0
-        for var, e in mono:
-            field = self.fields.get(var)
-            if field is None:
-                raise ValueError(f"cannot pack {mono_str(mono)}: {var} is not "
-                                 f"p_i or q_i with i <= {self.q_bound}")
-            shift, is_q, i = field
-            key += e << shift
-            if is_q:
-                q_weight += i * e
-            else:
-                p_weight += i * e
-        if p_weight != q_weight or q_weight > self.q_bound:
-            raise ValueError(f"cannot pack {mono_str(mono)}: p-weight must equal "
-                             f"q-weight <= {self.q_bound}")
-        return q_weight, key
-
-    def unpack(self, key: int) -> tuple:
-        """The canonical monomial packed in key, memoised."""
-        mono = self.decoded.get(key)
-        if mono is None:
-            out, mask, rest = [], (1 << self.width) - 1, key
-            for pairs in self.pairs:
-                if not rest:
-                    break
-                e = rest & mask
-                if e:
-                    out.append(pairs[e])
-                rest >>= self.width
-            mono = self.decoded[key] = tuple(out)
-        return mono
+def _packer(q_bound: int) -> Packer:
+    """The Packer of one evolve call: p_1..p_Q, q_1..q_Q registered in that
+    order, which is canonical monomial order, each field holding exponents
+    up to 2^w - 1 >= Q, w = Q.bit_length()."""
+    return Packer(q_bound.bit_length() + 2, [pvar(i) for i in range(1, q_bound + 1)]
+                  + [qvar(i) for i in range(1, q_bound + 1)])
 
 
-def _derivatives(packer: _Packer, slice_terms: dict) -> list:
+def _derivatives(packer: Packer, slice_terms: dict) -> list:
     """i d/dp_i of one slice of integer numerators, as
     [(d, [(i, keys, coefficients), ...]), ...] sorted by weight d: for each
-    term c p_lam q_mu of weight d and each p_i in it with exponent e, the
+    term c p_lam q_mu of p-weight d and each p_i in it with exponent e, the
     packed monomial p_lam q_mu / p_i joins keys and i e c joins
     coefficients."""
     by_weight: dict = {}
+    unit = {var: packer.unit(var) for var in packer.variables}
     for mono, c in slice_terms.items():
-        d, key = packer.pack(mono)
+        key = packer.pack(mono)
+        d = n = 0
+        for var, e in mono:  # the p-letters come first
+            if var[0] != P:
+                break
+            d += var[1] * e
+            n += 1
         by_i = by_weight.setdefault(d, {})
-        for var, e in mono:
-            if var[0] == P:
-                i = var[1]
-                keys, coefficients = by_i.setdefault(i, ([], []))
-                keys.append(key - packer.unit[i])
-                coefficients.append(i * e * c)
+        for var, e in mono[:n]:
+            keys, coefficients = by_i.setdefault(var[1], ([], []))
+            keys.append(key - unit[var])
+            coefficients.append(var[1] * e * c)
     return [(d, [(i, *lists) for i, lists in sorted(by_i.items())])
             for d, by_i in sorted(by_weight.items())]
 
 
-def _join_into(out: dict, packer: _Packer, left: list, right: list, scale: int):
+def _join_into(out: dict, packer: Packer, left: list, right: list, scale: int):
     """out += scale J(A, B), with J(A, B) = sum_{i,j} i j p_{i+j} dA/dp_i dB/dp_j,
     for A and B given by their _derivatives and out keyed by packed monomials.
     Both lists are sorted by weight, so the pair loop stops at the first
     d_l + d_r past the bound."""
-    get, unit, top = out.get, packer.unit, packer.q_bound
+    get, top = out.get, len(packer.variables) // 2  # it holds p_1..p_Q, q_1..q_Q
+    unit = [packer.unit(var) for var in packer.variables[:top]]  # unit[i - 1]: p_i
     for dl, lbuckets in left:
         for dr, rbuckets in right:
             if dl + dr > top:
                 break
             for i, lkeys, lcoefficients in lbuckets:
                 for j, rkeys, rcoefficients in rbuckets:
-                    add = unit[i + j]
+                    add = unit[i + j - 1]
                     for kl, cl in zip(lkeys, lcoefficients):
                         kl += add
                         cl *= scale
@@ -225,11 +187,11 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
 
     its division is checked to be exact, and H is handed over as these
     numerators over D.  W is cut_join_apply on the tuple form of D H_m.
-    J runs on packed exponent vectors (see _Packer), so the monomial of a
-    product term is the sum of two ints and the field of p_{i+j}.  Every
-    slice term has p-weight = q-weight = d <= Q, and J pairs two terms only
-    when d_l + d_r <= Q, so every exponent of a product is at most Q < 2^w
-    and no field carries into the next.
+    J runs on monomials packed by _packer(Q), so the monomial of a product
+    term is the sum of two ints and the field of p_{i+j}.  Every slice term
+    has p-weight = q-weight = d <= Q, and J pairs two terms only when
+    d_l + d_r <= Q, so every exponent of a product is at most Q; each slice's
+    J is still checked against the packer's width rule.
 
     With max_genus = G, only the terms beta^m p_lam q_mu of genus <= G are
     kept, those with len(lam) + len(mu) >= m + 2 - 2G.  The cap is exact, as
@@ -245,7 +207,7 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
     D = factorial(q_weight_bound) * factorial(beta_bound)
-    packer = _Packer(q_weight_bound)
+    packer = _packer(q_weight_bound)
 
     Hs = [{mono_from_vars([(pvar(n), 1), (qvar(n), 1)]): _exact_div(D, n)
            for n in range(1, q_weight_bound + 1)}]  # Hs[m] = D H_m
@@ -255,6 +217,7 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
         joined: dict = {}
         for a in range((m + 2) // 2):  # J is symmetric: a < m - a twice, a = m - a once
             _join_into(joined, packer, derivatives[a], derivatives[m - a], 1 if 2 * a == m else 2)
+        packer.check(joined)
         acc = {mono: 2 * D * c  # D H_m has den 1, and so has its W image
                for mono, c in cut_join_apply(GradedSeries.from_ints(trunc, Hs[m])).nums.items()}
         for k, c in joined.items():
@@ -375,6 +338,8 @@ def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
     lam = check_partition(lam)
     if not lam:
         raise ValueError("lam must be a nonempty partition")
+    if q_weight_bound < 1:
+        raise ValueError("need q_weight_bound >= 1")
     ones = lam.count(1)
     rest = mono_from_vars([(pvar(part), 1) for part in lam if part != 1])
     aut = aut_order(lam)

@@ -4,9 +4,9 @@ A coefficient map is a pair (nums, den): ``nums`` maps each key to a
 nonzero int, and ``den`` is a positive int with gcd(den, *nums.values()) == 1,
 so the empty map has den 1.  This lowest-terms form is unique, so two maps
 are equal iff their pairs are.  :class:`.series.GradedSeries` (keyed by
-monomial) and :class:`.zseries.ZPoly` (keyed by packed generator monomial)
-store their coefficients in this form, and the functions here are its only
-kernels.
+monomial) and :class:`.zseries.ZPoly` (keyed by generator monomial, packed
+as an int by :mod:`.packing`) store their coefficients in this form, and the
+functions here are its only kernels.
 A sum of many parts runs on one accumulator of int numerators over a
 running denominator: :func:`widen` rescales it in place so that the next
 part's denominator divides the running one, each part is added as ints, and

@@ -66,12 +66,11 @@ def tau_series(t_weight_bound: int) -> GradedSeries:
     return total
 
 
-def r_from_tau(tau: GradedSeries, require_polynomial: bool = True) -> GradedSeries:
+def r_from_tau(tau: GradedSeries) -> GradedSeries:
     """R = -(psi/xi) log tau.
 
-    Raises ValueError if some term of log tau is not divisible by xi, or (when
-    require_polynomial) if a negative psi-power survives in R; either signals
-    a wrong tau.
+    Raises ValueError if some term of log tau is not divisible by xi, or if a
+    negative psi-power survives in R; either signals a wrong tau.
     """
     log_tau = tau.log()
     out: dict = {}
@@ -82,10 +81,9 @@ def r_from_tau(tau: GradedSeries, require_polynomial: bool = True) -> GradedSeri
             raise ValueError(f"log tau term {mono} is not divisible by xi") from None
         out[new] = -n  # the surgery is injective, so no two terms meet
     result = GradedSeries.from_ints(tau.truncation, out, log_tau.den)
-    if require_polynomial:
-        for mono in result.nums:
-            if dict(mono).get(PSI_VAR, 0) < 0:
-                raise ValueError(f"negative psi power survives in R: {mono}")
+    for mono in result.nums:
+        if dict(mono).get(PSI_VAR, 0) < 0:
+            raise ValueError(f"negative psi power survives in R: {mono}")
     return result
 
 

@@ -28,16 +28,16 @@ derivative, exp or log runs on ints and takes one gcd over its result.
 Callers read them as Fractions, or take the int form (``nums``, ``den``)
 where they run hot.
 
-Products (``*``, and the steps of ``exp`` and ``log``) run on packed
-monomials.  A process-wide registry gives each variable a fixed index, and a
-monomial packs to the int sum of e * 2^(W * index) over its (variable,
-exponent) pairs, so the packed product of two monomials is the sum of their
-ints.  The kernel reads and writes one form, buckets of (packed, monomial,
-coefficient) triples keyed by weight over the bounded alphabets: it renders
-each distinct product with :func:`mono_mul` once, and ``exp`` and ``log``
-feed each grade straight back in.  A monomial entering the kernel as a factor
-is range-checked: an exponent too large for its field raises OverflowError
-rather than carry into the next.  Outside the kernel, monomials stay tuples.
+Products (``*``, and the steps of ``exp`` and ``log``) run on monomials
+packed as ints by one :class:`.packing.Packer` with 16-bit fields, so the
+packed product of two monomials is the sum of their ints.  The kernel reads
+and writes one form, buckets of (packed, monomial, coefficient) triples keyed
+by weight over the bounded alphabets: it renders each distinct product with
+:func:`mono_mul` once, and ``exp`` and ``log`` feed each grade straight back
+in.  A factor's exponents, and each grade ``exp`` and ``log`` feed back, must
+lie in [-2^14, 2^14), the packer's width rule; outside it OverflowError is
+raised rather than carry into the next field.  Outside the kernel, monomials
+stay tuples.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from operator import add
 from typing import Iterable, Optional
 
 from . import exact
+from .packing import Packer
 
 Q, P, T, BETA, S, PSI, XI = "q", "p", "t", "b", "s", "psi", "xi"
 
@@ -224,40 +225,9 @@ class Truncation(namedtuple("Truncation", "q_weight p_weight t_weight beta_deg s
 
 # -- the multiply kernel: monomials packed as ints ---------------------------
 
-# Each variable owns a field of _FIELD_BITS bits in a packed monomial, at the
-# index the registry gave it when it was first packed; an index never changes.
-_FIELD_BITS = 16
-_EXP_LIMIT = 1 << (_FIELD_BITS - 2)  # a packed exponent e has |e| < _EXP_LIMIT
-_SHIFTS: dict = {}  # variable -> _FIELD_BITS * its index
-
-
-def _check_range(monos):
-    """Raise OverflowError unless every exponent e of the monomials has
-    |e| < _EXP_LIMIT, the range a packed field holds (see _pack)."""
-    for mono in monos:
-        for var, e in mono:
-            if not -_EXP_LIMIT < e < _EXP_LIMIT:
-                raise OverflowError(f"exponent {e} of {mono_str(((var, 1),))} is outside "
-                                    f"the packed range |e| < {_EXP_LIMIT}")
-
-
-def _pack(mono: tuple) -> int:
-    """The monomial as the int sum of e * 2^(W * index(var)), W = _FIELD_BITS.
-
-    The map is linear, so a product of monomials packs to the sum of their
-    ints.  Every exponent must satisfy |e| < 2^(W-2), or OverflowError is
-    raised: a field of the sum of two packed monomials then lies strictly
-    inside (-2^(W-1), 2^(W-1)), and an int has one expansion with all its
-    fields (digits in base 2^W) in that range, so distinct products have
-    distinct ints."""
-    _check_range((mono,))
-    key = 0
-    for var, e in mono:
-        shift = _SHIFTS.get(var)
-        if shift is None:
-            shift = _SHIFTS[var] = _FIELD_BITS * len(_SHIFTS)
-        key += e << shift
-    return key
+# The kernel's monomials are packed by one process-wide Packer (see
+# .packing), with 16-bit fields: a packed exponent e has -2^14 <= e < 2^14.
+PACKER = Packer(16)
 
 
 def _mul_into(out: dict, left: dict, right: dict, caps: tuple):
@@ -411,6 +381,8 @@ class GradedSeries:
             )
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
+        if not isinstance(other, GradedSeries):
+            return NotImplemented
         self._require_compatible(other)
         return GradedSeries._of(self.truncation, *exact.add(self.nums, self.den, other.nums, other.den))
 
@@ -476,7 +448,7 @@ class GradedSeries:
             idx = [i for i, b in enumerate(bounds) if b is not None]
             full: dict = {}
             for mono, n in self.nums.items():
-                full.setdefault(mono_weights(mono), []).append((_pack(mono), mono, n))
+                full.setdefault(mono_weights(mono), []).append((PACKER.pack(mono), mono, n))
             buckets: dict = {}
             for w, group in full.items():  # merge vectors with equal bounded part
                 key = tuple(w[i] for i in idx)
@@ -530,7 +502,7 @@ class GradedSeries:
                 if k <= n:
                     _mul_into(out, left, F[n - k], caps)
             F[n] = {key: [(p, m, c // n) for p, m, c in b] for key, b in _render(out).items()}
-            _check_range(m for b in F[n].values() for _, m, _ in b)
+            PACKER.check([p for b in F[n].values() for p, _, _ in b])
         D = self.den
         nums = {m: c * D ** (top - n) for n, grade in F.items()
                 for b in grade.values() for _, m, c in b}
@@ -558,7 +530,7 @@ class GradedSeries:
             grade = _render(out)
             if grade:
                 neg_A[n] = {key: [(p, m, -c) for p, m, c in b] for key, b in grade.items()}
-                _check_range(m for b in grade.values() for _, m, _ in b)
+                PACKER.check([p for b in grade.values() for p, _, _ in b])
         # L_n = A_n / (n D^n), over the common denominator lcm(n) D^last
         D, last, ns = self.den, max(neg_A, default=0), lcm(*neg_A)
         nums = {}

@@ -12,24 +12,26 @@ by the recursion engines is a polynomial in these series; :class:`ZPoly` is
 that polynomial ring with formal generators indexed by (d, r), its rational
 coefficients stored exactly in the int-numerator form of :mod:`.exact`.
 
-A ZPoly keys its coefficients by packed monomials: each generator the
-process meets gets a fixed-width field of one int from a process-wide
-registry, so a product of monomials is a sum of ints.  The sorted tuple of
-generators stays the read-out form (``terms``, ``pretty``, the JSON and the
-order of :func:`zpoly_eval`), decoded once per key, so no output depends on
-the order the generators were registered in.
+A ZPoly keys its coefficients by monomials packed as ints by one
+:class:`.packing.Packer` with 9-bit fields: each generator the process meets
+gets a field, so a product of monomials is a sum of ints, and an exponent
+above 127 raises OverflowError.  The sorted tuple of generators stays the
+read-out form (``terms``, ``pretty``, the JSON and the order of
+:func:`zpoly_eval`), decoded once per key, so no output depends on the
+order the generators were registered in.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial, gcd
-from operator import or_
 from types import MappingProxyType
 from typing import Iterator, Optional
 
 from . import exact
+from .packing import Packer
 from .partitions import (
     aut_order,
     check_int,
@@ -101,67 +103,22 @@ def z_series(
 ZGen = tuple  # (d, r)
 ZKey = tuple  # sorted tuple of ZGen with multiplicity; () is the constant
 
-# A monomial in the generators is packed as one int: each generator owns a
-# field of _FIELD_BITS bits at the index the registry gave it when it was
-# first packed, and an index never changes.  A field holds an exponent up to
-# _EXP_MAX, so the guard bit on top of it is clear in every stored key.
-_FIELD_BITS = 8
-_EXP_MAX = (1 << (_FIELD_BITS - 1)) - 1
-_GENS: list = []  # index -> generator
-_UNITS: dict = {}  # generator -> 1 << (_FIELD_BITS * its index), its packed key
-_guard_mask = 0  # the guard bit of every registered generator's field
-
-
-def _unit(gen: ZGen) -> int:
-    """The packed key of the monomial gen, registering gen if it is new."""
-    global _guard_mask
-    unit = _UNITS.get(gen)
-    if unit is None:
-        unit = _UNITS[gen] = 1 << (_FIELD_BITS * len(_GENS))
-        _GENS.append(gen)
-        _guard_mask |= unit << (_FIELD_BITS - 1)
-    return unit
-
-
-def _check_width(keys) -> None:
-    """ZPoly's width rule.  Raise OverflowError unless the guard bit of every
-    field of every packed key is clear, that is, every exponent is at most
-    _EXP_MAX.  Two keys within the rule add without a carry between fields,
-    and an exponent of their sum that passes _EXP_MAX sets its guard bit, so
-    checking each sum once keeps every key in range."""
-    if _guard_mask & reduce(or_, keys, 0):
-        key = next(k for k in keys if k & _guard_mask)
-        gen = next(g for g, unit in _UNITS.items() if key & (unit << (_FIELD_BITS - 1)))
-        raise OverflowError(f"the exponent of z_{{{gen[0]},{gen[1]}}} in a monomial is above "
-                            f"{_EXP_MAX}, the most a packed field holds")
+# A monomial in the generators is packed as one int by one process-wide
+# Packer (see .packing), with 9-bit fields: an exponent is at most 127.
+PACKER = Packer(9)
 
 
 def _pack(gens) -> int:
     """The packed key of the monomial with the given generators (repeats are
-    powers), each checked by check_gen.  An exponent above _EXP_MAX is packed
-    as the guard bit alone, so no field carries into the next and
-    _check_width refuses it."""
-    counts: dict = {}
-    for g in gens:
-        g = check_gen(*g)
-        counts[g] = counts.get(g, 0) + 1
-    key = sum(min(e, _EXP_MAX + 1) * _unit(g) for g, e in counts.items())
-    _check_width((key,))
-    return key
+    powers), each checked by check_gen; OverflowError past exponent 127."""
+    return PACKER.pack(Counter(check_gen(*g) for g in gens).items())
 
 
 @lru_cache(maxsize=None)
 def _unpack(key: int) -> ZKey:
     """The packed key as its sorted tuple of generators with multiplicity,
     the read-out form of a monomial."""
-    gens = []
-    while key:
-        index = ((key & -key).bit_length() - 1) // _FIELD_BITS  # the lowest field in use
-        shift = _FIELD_BITS * index
-        e = (key >> shift) & ((1 << _FIELD_BITS) - 1)
-        gens += [_GENS[index]] * e
-        key -= e << shift
-    return tuple(sorted(gens))
+    return tuple(sorted(g for g, e in PACKER.unpack(key) for _ in range(e)))
 
 
 def _poly(nums: dict, den: int) -> "ZPoly":
@@ -179,7 +136,7 @@ class ZPoly:
     pairs with multiplicity, the empty tuple being the constant monomial, and
     stored as one packed int (see _pack): the product of two monomials is
     the sum of their ints, and 0 is the constant.  No exponent may pass
-    _EXP_MAX (OverflowError otherwise).  The coefficients are int numerators
+    127 (OverflowError otherwise).  The coefficients are int numerators
     over one common denominator in the lowest-terms form of :mod:`.exact`:
     ``nums`` maps each packed key to a nonzero int over the positive int
     ``den``, and the zero polynomial has den 1.  The form is unique, so a sum
@@ -264,7 +221,7 @@ class ZPoly:
         for 1.  Triples with a zero factor are skipped.  Every product is
         added straight into int numerators over one running denominator
         (:func:`.exact.widen`), a product's key being the sum of its factors'
-        keys, and the sum is checked by _check_width and brought to lowest
+        keys, and the sum is checked by PACKER.check and brought to lowest
         terms once, so no term and no partial sum is built as a ZPoly."""
         acc: dict = {}
         get = acc.get
@@ -289,7 +246,7 @@ class ZPoly:
                     for k2, n2 in b_items:
                         key = k1 + k2
                         acc[key] = get(key, 0) + n1 * n2
-        _check_width(acc)
+        PACKER.check(acc)
         return _poly(*exact.lowest(acc, den))
 
     def __repr__(self) -> str:
@@ -338,7 +295,7 @@ class ZPoly:
         value ("num/den" in lowest terms with den > 0, so not a bare "num",
         "2/4", "0/1", "+1/2" or " 1/2"), or whose generators repeat an
         earlier entry's; the message names the entry.  A generator whose
-        exponent passes _EXP_MAX raises OverflowError instead."""
+        exponent passes 127 raises OverflowError instead."""
         if not isinstance(data, list):
             raise ValueError(f"a polynomial is a list of terms, not {data!r}")
         coeffs = {}  # packed key -> (num, den), each in lowest terms
@@ -423,25 +380,25 @@ def _zpoly_derivation(poly: ZPoly, gen_image) -> ZPoly:
     """Extend a map on generators to a derivation of the polynomial ring.
 
     Each generator's image is computed once, and every monomial's terms are
-    added as ints into one accumulator over a running denominator.  The rest
-    of a monomial without one factor g is its key minus g's unit, and the
-    sum is checked by _check_width once."""
+    added as ints into one accumulator over a running denominator, a factor
+    g^e once with weight e.  The rest of a monomial without one factor g is
+    its key minus g's unit, and the sum is checked by PACKER.check once."""
     images: dict = {}
     acc: dict = {}
     get = acc.get
     den = 1
     for key, n in poly.nums.items():
-        for g in _unpack(key):
+        for g, e in PACKER.unpack(key):
             image = images.get(g)
             if image is None:
                 image = images[g] = gen_image(*g)
             den = exact.widen(acc, den, image.den)
-            scale = den // image.den * n
-            rest = key - _UNITS[g]
+            scale = den // image.den * n * e
+            rest = key - PACKER.unit(g)
             for k, c in image.nums.items():
                 out = rest + k
                 acc[out] = get(out, 0) + c * scale
-    _check_width(acc)
+    PACKER.check(acc)
     return _poly(*exact.lowest(acc, den * poly.den))
 
 

@@ -16,8 +16,8 @@ Q <= 10 it requires ``h_lambda_series`` to equal the reference read off the
 p_1-shifted genus-0 part of the full H, for every lam with |lam| <= Q + 1.
 Last, it runs ``compute-hurwitz --genus 0 --lambda 16 --mu 1^16 --method
 cutjoin`` through the CLI and requires 16^13 (about 7 s): at Q = 16 the
-q_1-exponent of ``_Packer`` fills all five bits of its field, so a field one
-bit short shows here.  Too slow for the tier-1 suite (about 35 s in all), and
+q_1-exponent reaches 16 = 2^4, so an evolve packer (``cutjoin._packer``)
+whose width rule stops below Q shows here.  Too slow for the tier-1 suite (about 35 s in all), and
 named without a ``test_`` prefix so pytest does not collect it.
 
 Run from the repository root:

@@ -1,0 +1,108 @@
+"""Planted-bug sweep: each named one-line mutant of the package must fail tier-1.
+
+Each mutant replaces one line of one module.  The sweep copies ``src/`` to a
+temporary directory, checks that the mutant's old text occurs there exactly
+once, applies it, and runs the tier-1 suite against the copy with ``-x``,
+the mutated module's own test file first.  A mutant survives if the suite
+still passes.  The unmutated copy runs first and must pass, so a kill is the
+mutant's doing.  ``src/`` itself is never edited.
+
+The mutants cover the packed-monomial format of ``packing.py``: each call of
+its width rule, the rule's bound, the sign of a decoded field, the range test
+of ``pack``, and the field width of each of the three packers.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/mutation_sweep.py
+
+Prints the test that killed each mutant, and exits 1 if any survives (or an
+old text is not found exactly once).  Takes about 30 s.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Optional
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, module, old text, new text): the old text occurs once in the module
+MUTANTS = [
+    ("evolve skips the width rule", "cutjoin.py",
+     "        packer.check(joined)\n", ""),
+    ("ZPoly.combine skips the width rule", "zseries.py",
+     "        PACKER.check(acc)\n        return _poly", "        return _poly"),
+    ("_zpoly_derivation skips the width rule", "zseries.py",
+     "    PACKER.check(acc)\n    return _poly", "    return _poly"),
+    ("exp skips the width rule", "series.py",
+     "            PACKER.check([p for b in F[n].values() for p, _, _ in b])\n", ""),
+    ("log skips the width rule", "series.py",
+     "                PACKER.check([p for b in grade.values() for p, _, _ in b])\n", ""),
+    ("the range rule admits its limit", "packing.py",
+     "if not -limit <= e < limit:", "if not -limit <= e <= limit:"),
+    ("unpack drops the sign of a field", "packing.py",
+     "e = (((rest >> shift) + half) & mask) - half", "e = (rest >> shift) & mask"),
+    ("pack without its range test", "packing.py",
+     "if not -limit <= e < limit:", "if False:"),
+    ("evolve's fields one bit short", "cutjoin.py",
+     "Packer(q_bound.bit_length() + 2,", "Packer(q_bound.bit_length() + 1,"),
+    ("ZPoly's fields one bit short", "zseries.py",
+     "PACKER = Packer(9)", "PACKER = Packer(8)"),
+    ("the series kernel's fields one bit short", "series.py",
+     "PACKER = Packer(16)", "PACKER = Packer(15)"),
+]
+
+
+def tier1(src: Path, first: Optional[str] = None) -> tuple:
+    """(passed, first failing test or error line) of tier-1 against src.
+    The test file first, if given, runs on its own before the whole suite,
+    so a mutant its own module's tests kill costs seconds."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    for target in ([first] if first else []) + ["tests"]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", target],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+        if proc.returncode:
+            failed = [line.split(" - ")[0] for line in proc.stdout.splitlines()
+                      if line.startswith(("FAILED", "ERROR"))]
+            return False, (failed or proc.stdout.splitlines()[-1:] or ["?"])[0]
+    return True, ""
+
+
+def main() -> int:
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        passed, detail = tier1(src)
+        if not passed:
+            print(f"the unmutated copy fails tier-1: {detail}")
+            return 1
+        for name, module, old, new in MUTANTS:
+            path = src / "doublehurwitz" / module
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"{name}: the old text occurs {text.count(old)} times in {module}")
+                survivors.append(name)
+                continue
+            path.write_text(text.replace(old, new))
+            t0 = time.perf_counter()
+            try:
+                passed, detail = tier1(src, f"tests/test_{module[:-3]}.py")
+            finally:
+                path.write_text(text)
+            verdict = "SURVIVED" if passed else f"killed by {detail}"
+            print(f"{name}: {verdict} ({time.perf_counter() - t0:.1f} s)", flush=True)
+            if passed:
+                survivors.append(name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

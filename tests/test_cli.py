@@ -202,6 +202,10 @@ def test_usage_errors_exit_2(tmp_path):
         )
         assert (code, out) == (2, ""), n_bound
         assert "error:" in err
+    # h-series names its own bound, not the beta bound of the evolution
+    for command in (("h-series", "--lambda", "2"), ("z-series", "--d", "1", "--r", "1")):
+        code, out, err = run_cli(*command, "--max-q-weight", "0")
+        assert (code, out, err) == (2, "", "error: need q_weight_bound >= 1\n"), command
     for flags in (
         ("--max-lambda-weight", "2", "--max-r", "0"),
         ("--max-lambda-weight", "-1", "--max-r", "2"),

@@ -3,11 +3,12 @@ from math import comb, factorial
 
 import pytest
 
+from doublehurwitz import cutjoin
 from doublehurwitz.cutjoin import (
-    _Packer,
     _derivatives,
     _exact_div,
     _join_into,
+    _packer,
     _w_image,
     cut_join_apply,
     evolve,
@@ -17,6 +18,7 @@ from doublehurwitz.cutjoin import (
     h_lambda_series,
     hurwitz_number_by_series,
 )
+from doublehurwitz.packing import Packer
 from doublehurwitz.partitions import aut_order, partitions_of, zee
 from doublehurwitz.series import (
     BETA_VAR,
@@ -179,14 +181,13 @@ def test_evolve_solves_connected_cut_and_join(bounds):
 
 
 def test_packer_round_trip():
-    packer = _Packer(8)
+    packer = _packer(8)
     seen = set()
     for d in range(9):
         for lam in partitions_of(d):
             for mu in partitions_of(d):
                 mono = mono_from_vars([(pvar(i), 1) for i in lam] + [(qvar(i), 1) for i in mu])
-                weight, key = packer.pack(mono)
-                assert weight == d
+                key = packer.pack(mono)
                 assert packer.unpack(key) == mono
                 assert packer.unpack(key) is packer.unpack(key)  # memoised
                 seen.add(key)
@@ -195,35 +196,32 @@ def test_packer_round_trip():
 
 @pytest.mark.parametrize("q_bound", [8, 16])
 def test_packer_fields_hold_exponent_q(q_bound):
-    """At Q = 2^k an exponent Q needs every bit of its w = Q.bit_length()-bit
-    field: the extreme monomials round-trip, and a join whose q_1-exponent
-    reaches Q does not carry into the next field."""
-    packer = _Packer(q_bound)
+    """At Q = 2^k an exponent Q needs every bit of w = Q.bit_length(): the
+    extreme monomials round-trip, a join whose q_1-exponent reaches Q comes
+    out whole, and an exponent 2^w is refused."""
+    packer = _packer(q_bound)
     joined = mono_from_vars([(pvar(q_bound), 1), (qvar(1), q_bound)])
     for mono in (joined, mono_from_vars([(pvar(1), q_bound), (qvar(q_bound), 1)])):
-        weight, key = packer.pack(mono)
-        assert weight == q_bound
-        assert packer.unpack(key) == mono
+        assert packer.unpack(packer.pack(mono)) == mono
     for i in range(1, q_bound):
         j = q_bound - i
         left = _derivatives(packer, {mono_from_vars([(pvar(i), 1), (qvar(1), i)]): 1})
         right = _derivatives(packer, {mono_from_vars([(pvar(j), 1), (qvar(1), j)]): 1})
         out: dict = {}
         _join_into(out, packer, left, right, 1)  # J(p_i q_1^i, p_j q_1^j) = ij p_Q q_1^Q
+        packer.check(out)
         assert {packer.unpack(k): c for k, c in out.items()} == {joined: i * j}
+    with pytest.raises(OverflowError):
+        packer.pack(mono_from_vars([(qvar(1), 2 * q_bound)]))
 
 
-def test_packer_rejects_terms_off_the_premise():
-    packer = _Packer(4)
-    for mono in [
-        mono_from_vars([(pvar(2), 1), (qvar(1), 1)]),  # p-weight != q-weight
-        mono_from_vars([(pvar(1), 1)]),
-        mono_from_vars([(BETA_VAR, 1), (pvar(1), 1), (qvar(1), 1)]),  # carries beta
-        mono_from_vars([(pvar(5), 1), (qvar(5), 1)]),  # index past Q
-        mono_from_vars([(pvar(1), 5), (qvar(1), 5)]),  # weight past Q
-    ]:
-        with pytest.raises(ValueError):
-            packer.pack(mono)
+def test_evolve_checks_each_slice_against_its_packer(monkeypatch):
+    # J(H_0, H_0) puts q_1^2 into slice 1: a packer whose fields hold
+    # exponents below 2 must refuse it, though the field still decodes
+    wide = cutjoin._packer
+    monkeypatch.setattr(cutjoin, "_packer", lambda q: Packer(3, wide(q).variables))
+    with pytest.raises(OverflowError):
+        evolve(4, 1)
 
 
 def test_cut_join_apply_matches_loop():

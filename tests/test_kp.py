@@ -16,6 +16,7 @@ from doublehurwitz.series import (
     XI_VAR,
     GradedSeries,
     Truncation,
+    mono_adjust,
     mono_from_vars,
     svar,
 )
@@ -105,5 +106,14 @@ def test_perturbed_tau_fails_kp():
             mono_from_vars([(XI_VAR, 1), (svar(2), 1), (PSI_VAR, -1)]): Fraction(1, 2)
         },
     )
-    r_bad = r_from_tau(bad, require_polynomial=False)
+    with pytest.raises(ValueError, match="negative psi power"):
+        r_from_tau(bad)
+    # R = -(psi/xi) log tau taken by hand, keeping the negative psi powers,
+    # fails the KP equation as well
+    log_bad = bad.log()
+    r_bad = GradedSeries.from_ints(
+        bad.truncation,
+        {mono_adjust(m, {XI_VAR: -1, PSI_VAR: 1}): -n for m, n in log_bad.nums.items()},
+        log_bad.den,
+    )
     assert not kp_residual_of(r_bad, bound - 4).is_zero()

@@ -8,15 +8,12 @@ import pytest
 
 from doublehurwitz import series
 from doublehurwitz.series import (
-    _EXP_LIMIT,
-    _FIELD_BITS,
     BETA_VAR,
     PSI_VAR,
     XI_VAR,
     GradedSeries,
     Truncation,
     TruncationMismatch,
-    _pack,
     mono_from_vars,
     mono_mul,
     mono_str,
@@ -257,6 +254,15 @@ def test_truncation_mismatch_raises():
         a + b
     with pytest.raises(TruncationMismatch):
         a * b
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), None, "1"])
+def test_adding_a_non_series_raises_type_error(other):
+    # as for ZPoly: no series is an int, and an int has no truncation
+    a = GradedSeries(TR, {q(1): 1})
+    for op in (lambda: a + other, lambda: a - other, lambda: other + a, lambda: other - a):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_truncation_is_an_immutable_value():
@@ -589,6 +595,11 @@ def test_int_kernels_match_the_fraction_reference():
     check()
 
 
+# A series exponent e packs when -2^14 <= e < 2^14, the width rule of the
+# kernel's 16-bit fields.
+LIMIT = 1 << 14
+_pack = series.PACKER.pack
+
 # One letter of each of the seven alphabets per entry, with the exponents a
 # random monomial may give it: psi goes negative, as in the tau function.
 _PACK_LETTERS = (
@@ -629,31 +640,31 @@ def test_psi_powers_cancel_in_the_packed_kernel():
 
 
 def test_packing_refuses_an_exponent_at_the_limit():
-    # a field of a sum of two packed monomials stays inside the balanced
-    # digit range [-2^(W-1), 2^(W-1)), where an int's expansion is unique
-    assert 2 * (_EXP_LIMIT - 1) < 1 << (_FIELD_BITS - 1)
-    for e in (_EXP_LIMIT - 1, 1 - _EXP_LIMIT):
-        _pack(((PSI_VAR, e),))
-    for e in (_EXP_LIMIT, -_EXP_LIMIT, 2 * _EXP_LIMIT):
+    tr = Truncation()
+    one = GradedSeries.one(tr)
+    for e in (LIMIT - 1, -LIMIT):
+        mono = mono_from_vars([(PSI_VAR, e)])
+        assert (GradedSeries(tr, {mono: 1}) * one).nums == {mono: 1}
+    for mono in ([(PSI_VAR, LIMIT)], [(PSI_VAR, -LIMIT - 1)], [(qvar(1), 1), (qvar(2), LIMIT)]):
         with pytest.raises(OverflowError):
-            _pack(((PSI_VAR, e),))
-    with pytest.raises(OverflowError):
-        _pack(mono_from_vars([(qvar(1), 1), (qvar(2), _EXP_LIMIT)]))
+            GradedSeries(tr, {mono_from_vars(mono): 1}) * one
     assert issubclass(OverflowError, ArithmeticError)  # so the CLI exits 4
 
 
 def test_series_product_refuses_an_exponent_at_the_limit():
     tr = Truncation()
-    big = GradedSeries(tr, {mono_from_vars([(qvar(1), _EXP_LIMIT)]): 1})
+    big = GradedSeries(tr, {mono_from_vars([(qvar(1), LIMIT)]): 1})
     small = GradedSeries(tr, {mono_from_vars([(qvar(2), 1)]): 1})
     with pytest.raises(OverflowError):
         small * big
     with pytest.raises(OverflowError):
-        GradedSeries(tr, {mono_from_vars([(PSI_VAR, -_EXP_LIMIT)]): 1}) * small
+        GradedSeries(tr, {mono_from_vars([(PSI_VAR, -LIMIT - 1)]): 1}) * small
+    low = mono_from_vars([(PSI_VAR, -LIMIT)])
+    assert (GradedSeries(tr, {low: 1}) * small).nums == {mono_mul(low, ((qvar(2), 1),)): 1}
     # a product of two in-range exponents is exact, and packs no further
-    top = GradedSeries(tr, {mono_from_vars([(qvar(1), _EXP_LIMIT - 1)]): 2})
+    top = GradedSeries(tr, {mono_from_vars([(qvar(1), LIMIT - 1)]): 2})
     square = top * top
-    assert square.nums == {mono_from_vars([(qvar(1), 2 * _EXP_LIMIT - 2)]): 4}
+    assert square.nums == {mono_from_vars([(qvar(1), 2 * LIMIT - 2)]): 4}
     with pytest.raises(OverflowError):
         square * top
 
@@ -662,8 +673,7 @@ def test_exp_and_log_pack_each_input_term_once(monkeypatch):
     # the kernel's products come out in the form it reads, so exp and log
     # feed each grade back in without packing a product again
     packed = []
-    pack = series._pack
-    monkeypatch.setattr(series, "_pack", lambda mono: packed.append(mono) or pack(mono))
+    monkeypatch.setattr(series.PACKER, "pack", lambda mono: packed.append(mono) or _pack(mono))
     rng = random.Random(21)
     for _ in range(20):
         S = random_series(TR, rng, max_terms=8, zero_constant=True)
@@ -677,7 +687,7 @@ def test_exp_and_log_pack_each_input_term_once(monkeypatch):
 def test_exp_and_log_refuse_an_exponent_past_the_limit():
     # s_1 psi^10000 has psi^20000 in its square, the second grade, which exp
     # and log would feed back into the kernel as a factor
-    assert 10000 < _EXP_LIMIT <= 20000
+    assert 10000 < LIMIT <= 20000
     tr = Truncation(s_weight=6)
     S = GradedSeries(tr, {mono_from_vars([(svar(1), 1), (PSI_VAR, 10000)]): 1})
     with pytest.raises(OverflowError):

@@ -12,8 +12,6 @@ from doublehurwitz import zseries
 from doublehurwitz.recursion import populate_table
 from doublehurwitz.series import GradedSeries, Truncation, mono_from_vars, mono_weights, qvar, tvar
 from doublehurwitz.zseries import (
-    _EXP_MAX,
-    _FIELD_BITS,
     ZPoly,
     check_eqzred,
     check_psi_string_dilaton,
@@ -513,27 +511,29 @@ def test_zpoly_derivations_are_derivations():
 
 
 def test_largest_packed_exponent_round_trips():
-    top = ((1, 1),) * _EXP_MAX
+    # z^127 is the largest power a 9-bit field holds under the width rule
+    top = ((1, 1),) * 127
     p = ZPoly({top + ((0, 2),): 3, ((1, 1),): 1})
     assert p.terms == {((0, 2),) + top: 3, ((1, 1),): 1}
     assert ZPoly.from_json_list(p.to_json_list()) == p
     z = ZPoly.gen(1, 1)
-    low = ZPoly({((1, 1),) * (_EXP_MAX // 2): 1})
+    low = ZPoly({((1, 1),) * 63: 1})
     assert ZPoly.combine([(1, low, low * z)]) == ZPoly({top: 1})
-    assert zpoly_euler(ZPoly({top: 1})) == ZPoly({top[1:]: _EXP_MAX}) * zgen_euler(1, 1)
+    assert zpoly_euler(ZPoly({top: 1})) == ZPoly({top[1:]: 127}) * zgen_euler(1, 1)
 
 
 def test_exponent_past_the_field_raises():
-    over = ((1, 1),) * (_EXP_MAX + 1)
+    over = ((1, 1),) * 128
     with pytest.raises(OverflowError):
         ZPoly({over: 1})
     with pytest.raises(OverflowError):
         ZPoly.from_json_list([{"gens": [list(g) for g in over], "coeff": "1/1"}])
-    # 2^FIELD_BITS generators would carry a sum-of-units packer into the
-    # next field: z_{1,1}^256 must not come back as z_{2,1}
+    # 2^W generators would carry a sum-of-units packer into the next field:
+    # z_{1,1}^512 must not come back as z_{2,1}
+    assert zseries.PACKER.width == 9
     with pytest.raises(OverflowError):
-        ZPoly({((1, 1),) * (1 << _FIELD_BITS): 1})
-    half = ZPoly({((1, 1),) * ((_EXP_MAX + 1) // 2): 1})
+        ZPoly({((1, 1),) * 512: 1})
+    half = ZPoly({((1, 1),) * 64: 1})
     with pytest.raises(OverflowError):
         half * half
     with pytest.raises(OverflowError):
@@ -541,7 +541,7 @@ def test_exponent_past_the_field_raises():
     # each derivation maps z_{0,1} to a term in z_{0,2} (weighted) or z_{1,2}
     for derivation, target in ((zpoly_weighted_euler, (0, 2)), (zpoly_euler, (1, 2))):
         with pytest.raises(OverflowError):
-            derivation(ZPoly({((0, 1),) + (target,) * _EXP_MAX: 1}))
+            derivation(ZPoly({((0, 1),) + (target,) * 127: 1}))
 
 
 _REGISTRY_PROBE = """

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import factorial
 
@@ -27,16 +26,6 @@ from .recursion import h_poly, populate_table
 from .series import GradedSeries, mono_str, mono_weights
 from .verify import SUITES, run_suite
 from .zseries import z_series
-
-DEFAULT_CACHE_DIR = ".doublehurwitz_cache"
-CACHE_ENV_VAR = "DOUBLEHURWITZ_CACHE_DIR"
-
-
-def resolve_cache_dir(flag_value):
-    if flag_value:
-        return flag_value
-    return os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR)
-
 
 def _parse_partition(text: str) -> tuple:
     try:
@@ -73,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="doublehurwitz",
         description="Exact genus-0 double Hurwitz numbers, four ways, cross-validated.",
     )
-    parser.add_argument("--cache-dir", default=None, help=f"cache directory (default ${CACHE_ENV_VAR} or {DEFAULT_CACHE_DIR})")
+    parser.add_argument("--cache-dir", default=".doublehurwitz_cache",
+                        help="character-table cache directory (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ch = sub.add_parser("compute-hurwitz", help="one double Hurwitz number")
@@ -152,8 +142,7 @@ def _dispatch(args, out, err) -> int:
         if args.method == "oracle":
             value = oracle_count(args.genus, lam, mu)
         else:
-            cache_dir = resolve_cache_dir(args.cache_dir)
-            value = hurwitz_number_by_series(args.genus, lam, mu, args.method, cache_dir)
+            value = hurwitz_number_by_series(args.genus, lam, mu, args.method, args.cache_dir)
         out.write(ratio(value.numerator, value.denominator) + "\n")
         return 0
 

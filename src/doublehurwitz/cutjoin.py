@@ -15,8 +15,9 @@ The same series has the character expansion ("Frobenius formula")
 
 with w(lam) the cut-and-join eigenvalue.  The connected function H = log e^H
 carries one monomial beta^m p_lam q_mu per factorization type; genus 0 is
-the slice m = len(lam) + len(mu) - 2.  evolve() builds H from its own
-cut-and-join equation
+the slice m = len(lam) + len(mu) - 2.  hurwitz_mono() is the one writer of
+that monomial and _blocks() the one reader of its layout.  evolve() builds H
+from its own cut-and-join equation
 
     dH/dbeta = W(H) + (1/2) sum_{i,j >= 1} i j p_{i+j} dH/dp_i dH/dp_j,
 
@@ -33,31 +34,45 @@ from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 
+from . import exact
 from .packing import Packer
-from .partitions import aut_order, check_partition, check_profile, partitions_of, zee
-from .series import (
-    BETA_VAR,
-    GradedSeries,
-    P,
-    Q,
-    Truncation,
-    mono_adjust,
-    mono_from_vars,
-    pvar,
-    qvar,
+from .partitions import (
+    aut_order,
+    check_partition,
+    check_profile,
+    multiplicities,
+    partitions_of,
+    zee,
 )
+from .series import BETA_VAR, GradedSeries, P, Truncation, mono_adjust, pvar, qvar
 from .symgroup import CharTable, central_weight
 
 
-def _exact_div(n: int, d: int) -> int:
-    """n / d for integers that d must divide.
+def hurwitz_mono(m: int, lam, mu) -> tuple:
+    """The canonical monomial beta^m p_lam q_mu: beta first (absent when
+    m = 0), then the p-letters, then the q-letters, each by index.  lam and
+    mu are any iterables of positive parts, in any order."""
+    return ((((BETA_VAR, m),) if m else ())
+            + _letters(pvar, tuple(sorted(lam))) + _letters(qvar, tuple(sorted(mu))))
 
-    A remainder means the premise of an integer computation is broken, so it
-    raises instead of returning a rounded (wrong) number."""
-    quotient, remainder = divmod(n, d)
-    if remainder:
-        raise ArithmeticError(f"{n} is not divisible by {d}")
-    return quotient
+
+@lru_cache(maxsize=None)
+def _letters(var, parts: tuple) -> tuple:
+    """The letters var(i)^e of the ascending parts i, by index.  Memoised, so
+    the monomials that share a p- or q-block share its pairs too."""
+    return tuple((var(i), e) for i, e in multiplicities(parts).items())
+
+
+def _blocks(mono: tuple) -> tuple:
+    """(beta block, p block, rest) of a canonical monomial, each a slice of
+    it: beta sorts before every other letter, and the p-letters sort in one
+    run before psi and the q-letters."""
+    lo = hi = 1 if mono and mono[0][0] == BETA_VAR else 0
+    for var, _ in mono[lo:]:
+        if var[0] != P:
+            break
+        hi += 1
+    return mono[:lo], mono[lo:hi], mono[hi:]
 
 
 @lru_cache(maxsize=None)
@@ -89,24 +104,18 @@ def _w_image(pblock: tuple) -> tuple:
                 continue
             new = mono_adjust(pblock, deltas)
             out[new] = out.get(new, 0) + k * j * mult
-    return tuple((mono, _exact_div(c, 2)) for mono, c in out.items())
+    return tuple((mono, exact.div(c, 2)) for mono, c in out.items())
 
 
 def cut_join_apply(series: GradedSeries) -> GradedSeries:
     """Apply the cut-and-join operator W exactly (degree 0 in p-weight).
 
-    W acts on the p-variables alone, which a canonical monomial holds in one
-    contiguous run; their image comes from a memo and is spliced back."""
+    W acts on the p-variables alone, the p block of each monomial; their
+    image comes from a memo and is spliced back."""
     out: dict = {}
     for mono, n in series.nums.items():
-        lo = 0
-        while lo < len(mono) and mono[lo][0][0] != P:
-            lo += 1
-        hi = lo
-        while hi < len(mono) and mono[hi][0][0] == P:
-            hi += 1
-        pre, post = mono[:lo], mono[hi:]
-        for pimage, c in _w_image(mono[lo:hi]):
+        pre, pblock, post = _blocks(mono)
+        for pimage, c in _w_image(pblock):
             new = pre + pimage + post
             out[new] = out.get(new, 0) + n * c
     return GradedSeries.from_ints(series.truncation, out, series.den)
@@ -130,14 +139,12 @@ def _derivatives(packer: Packer, slice_terms: dict) -> list:
     unit = {var: packer.unit(var) for var in packer.variables}
     for mono, c in slice_terms.items():
         key = packer.pack(mono)
-        d = n = 0
-        for var, e in mono:  # the p-letters come first
-            if var[0] != P:
-                break
+        pblock = _blocks(mono)[1]
+        d = 0
+        for var, e in pblock:
             d += var[1] * e
-            n += 1
         by_i = by_weight.setdefault(d, {})
-        for var, e in mono[:n]:
+        for var, e in pblock:
             keys, coefficients = by_i.setdefault(var[1], ([], []))
             keys.append(key - unit[var])
             coefficients.append(var[1] * e * c)
@@ -209,7 +216,7 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
     D = factorial(q_weight_bound) * factorial(beta_bound)
     packer = _packer(q_weight_bound)
 
-    Hs = [{mono_from_vars([(pvar(n), 1), (qvar(n), 1)]): _exact_div(D, n)
+    Hs = [{hurwitz_mono(0, (n,), (n,)): exact.div(D, n)
            for n in range(1, q_weight_bound + 1)}]  # Hs[m] = D H_m
     derivatives = []  # derivatives[m] = _derivatives of D H_m, for m < B
     for m in range(beta_bound):
@@ -226,13 +233,13 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
         step = 2 * D * (m + 1)
         # genus <= G in slice m + 1 takes >= m + 3 - 2G parts; every term has >= 2
         least_parts = 2 if max_genus is None else m + 3 - 2 * max_genus
-        Hs.append({mono: _exact_div(c, step) for mono, c in acc.items()
+        Hs.append({mono: exact.div(c, step) for mono, c in acc.items()
                    if c and (least_parts <= 2 or sum(e for _, e in mono) >= least_parts)})
     del derivatives  # free the packed lists before H is built
 
     H: dict = {}
     for m in range(beta_bound + 1):
-        beta_m = ((BETA_VAR, m),) if m else ()  # sorts before every p and q
+        beta_m = hurwitz_mono(m, (), ())
         for mono, c in Hs[m].items():
             H[beta_m + mono] = c
         Hs[m] = None  # copied: let it go before the next slice grows the dict
@@ -255,7 +262,6 @@ def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> Graded
     trunc = Truncation(
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
-    betas = [((BETA_VAR, m),) if m else () for m in range(beta_bound + 1)]  # sort before p, q
     total: dict = {}
     for k in range(q_weight_bound + 1):
         chi = (CharTable.load_or_build(cache_dir, k) if cache_dir and k
@@ -263,15 +269,13 @@ def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> Graded
         parts = partitions_of(k)
         powers = [[central_weight(lam) ** m for lam in parts] for m in range(beta_bound + 1)]
         for rho in parts:
-            prho = mono_from_vars([(pvar(i), 1) for i in rho])
             for sigma in parts:
-                qsigma = mono_from_vars([(qvar(i), 1) for i in sigma])
                 chichi = [chi[(lam, rho)] * chi[(lam, sigma)] for lam in parts]
                 z = zee(rho) * zee(sigma)
                 for m, wm in enumerate(powers):
                     c = sum(map(mul, chichi, wm))
                     if c:
-                        total[betas[m] + prho + qsigma] = Fraction(c, z * factorial(m))
+                        total[hurwitz_mono(m, rho, sigma)] = Fraction(c, z * factorial(m))
     return GradedSeries(trunc, total)
 
 
@@ -279,16 +283,8 @@ def genus0_part(H: GradedSeries) -> GradedSeries:
     """Keep the monomials beta^m p_lam q_mu with m = len(lam) + len(mu) - 2."""
 
     def keep(mono) -> bool:
-        m = lp = lq = 0
-        for var, e in mono:
-            tag = var[0]
-            if tag == P:
-                lp += e
-            elif tag == Q:
-                lq += e
-            elif var == BETA_VAR:
-                m = e
-        return m == lp + lq - 2
+        beta, pblock, rest = _blocks(mono)
+        return sum(e for _, e in beta) == sum(e for _, e in pblock + rest) - 2
 
     kept = {m: n for m, n in H.nums.items() if keep(m)}
     return GradedSeries.from_ints(H.truncation, kept, H.den)
@@ -313,13 +309,9 @@ def _genus0_by_p_part(q_weight_bound: int) -> dict:
     p1 = pvar(1)
     split: dict = {}
     for mono, n in genus0_series(q_weight_bound).nums.items():
-        # beta sorts first, then the p-letters (p_1 first), then the q-letters,
-        # and every term has both p- and q-letters
-        lo = hi = 1 if mono[0][0] == BETA_VAR else 0
-        while mono[hi][0][0] == P:
-            hi += 1
-        e = mono[lo][1] if mono[lo][0] == p1 else 0
-        split.setdefault(mono[lo + 1 if e else lo:hi], []).append((e, mono[hi:], n))
+        pblock, qpart = _blocks(mono)[1:]  # p_1 first; every term has p-letters
+        e = pblock[0][1] if pblock[0][0] == p1 else 0
+        split.setdefault(pblock[1:] if e else pblock, []).append((e, qpart, n))
     return split
 
 
@@ -341,7 +333,7 @@ def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
     if q_weight_bound < 1:
         raise ValueError("need q_weight_bound >= 1")
     ones = lam.count(1)
-    rest = mono_from_vars([(pvar(part), 1) for part in lam if part != 1])
+    rest = hurwitz_mono(0, [part for part in lam if part != 1], ())
     aut = aut_order(lam)
     out: dict = {}
     for e, qpart, n in _genus0_by_p_part(q_weight_bound).get(rest, ()):
@@ -366,7 +358,4 @@ def hurwitz_number_by_series(g: int, lam, mu, method: str, cache_dir=None) -> Fr
         H = frobenius_eH(K, m, cache_dir=cache_dir).log()
     else:
         raise ValueError(f"unknown method {method!r}")
-    mono = mono_from_vars(
-        [(pvar(i), 1) for i in lam] + [(qvar(i), 1) for i in mu] + ([(BETA_VAR, m)] if m else [])
-    )
-    return Fraction(H.nums.get(mono, 0) * factorial(m), H.den)
+    return Fraction(H.nums.get(hurwitz_mono(m, lam, mu), 0) * factorial(m), H.den)

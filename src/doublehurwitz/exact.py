@@ -10,8 +10,9 @@ functions here are its only kernels.
 A sum of many parts runs on one accumulator of int numerators over a
 running denominator: :func:`widen` rescales it in place so that the next
 part's denominator divides the running one, each part is added as ints, and
-:func:`lowest` normalises once at the end.  :func:`ratio` also renders every
-rational the CLI prints.
+:func:`lowest` normalises once at the end.  :func:`div` is the one checked
+exact division of ints, and :func:`ratio` renders every rational the CLI
+prints.
 """
 
 from __future__ import annotations
@@ -106,6 +107,17 @@ def scale(nums: dict, den: int, c) -> tuple:
     else:
         out = {k: n // h * num for k, n in nums.items()}
     return out, den // g * (c_den // h)
+
+
+def div(n: int, d: int) -> int:
+    """n / d for integers that d must divide.
+
+    A remainder means the premise of an integer computation is broken, so it
+    raises instead of returning a rounded (wrong) number."""
+    quotient, remainder = divmod(n, d)
+    if remainder:
+        raise ArithmeticError(f"{n} is not divisible by {d}")
+    return quotient
 
 
 def ratio(n: int, den: int) -> str:

@@ -486,7 +486,8 @@ class GradedSeries:
         multiplies small homogeneous pieces, never the whole series.  It runs
         on ints: with D = den and N the top grade, F_n = N! D^n E_n is an
         int series (n! D^n E_n is), F_0 = N! and
-        F_n = (sum_k k (D^k S_k) F_{n-k}) / n, the division exact.
+        F_n = (sum_k k (D^k S_k) F_{n-k}) / n, the division exact
+        (:func:`.exact.div` raises ArithmeticError otherwise).
 
         A non-constant monomial of grade <= 0 raises ValueError.
         """
@@ -501,7 +502,7 @@ class GradedSeries:
             for k, left in kS.items():
                 if k <= n:
                     _mul_into(out, left, F[n - k], caps)
-            F[n] = {key: [(p, m, c // n) for p, m, c in b] for key, b in _render(out).items()}
+            F[n] = {key: [(p, m, exact.div(c, n)) for p, m, c in b] for key, b in _render(out).items()}
             PACKER.check([p for b in F[n].values() for p, _, _ in b])
         D = self.den
         nums = {m: c * D ** (top - n) for n, grade in F.items()

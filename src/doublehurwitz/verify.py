@@ -18,6 +18,7 @@ Suite ids (fixed, consumed by the CLI):
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import factorial
 
 from .cutjoin import (
@@ -25,11 +26,12 @@ from .cutjoin import (
     evolve,
     frobenius_eH,
     h_lambda_series,
+    hurwitz_mono,
 )
 from .golden import GOLDEN_H_POLYS
 from .kp import homogeneous_part, kp_residual, r_series
 from .oracle import oracle_count, oracle_count_calibrated
-from .partitions import aut_order, partitions_of
+from .partitions import aut_order, check_profile, partitions_of
 from .recursion import (
     XTable,
     compute_x,
@@ -39,17 +41,7 @@ from .recursion import (
     string_identity_sides,
 )
 from .reduced import ReducedRecursion, is_reduced_key
-from .series import (
-    BETA_VAR,
-    GradedSeries,
-    PSI_VAR,
-    Truncation,
-    XI_VAR,
-    mono_from_vars,
-    pvar,
-    qvar,
-    svar,
-)
+from .series import GradedSeries, PSI_VAR, Truncation, XI_VAR, svar
 from .symgroup import central_weight, schur_in_power_sums
 from .zseries import check_eqzred, check_psi_string_dilaton, zpoly_eval, zpoly_values_equal
 
@@ -155,9 +147,7 @@ def suite_paper_examples() -> SuiteReport:
         )
         report.add(f"h_{lam}", series_match, detail)
     for k in range(1, PAPER_MAX_DEGREE + 1):
-        coeff = zpoly_eval(h_poly((k,), table), k).coefficient(
-            mono_from_vars([(qvar(k), 1)])
-        )
+        coeff = zpoly_eval(h_poly((k,), table), k).coefficient(hurwitz_mono(0, (), (k,)))
         report.add(
             f"degree-coefficient q_{k} of h_({k},) equals 1/{k}",
             coeff == Fraction(1, k),
@@ -185,17 +175,12 @@ def suite_triple_agreement() -> SuiteReport:
     for K in range(1, TRIPLE_MAX_K + 1):
         for lam in partitions_of(K):
             for mu in partitions_of(K):
-                for m in range(0, TRIPLE_MAX_M + 1):
-                    two_g = m - len(lam) - len(mu) + 2
-                    if two_g < 0 or two_g % 2:
-                        continue
-                    g = two_g // 2
-                    mono = mono_from_vars(
-                        [(pvar(i), 1) for i in lam]
-                        + [(qvar(i), 1) for i in mu]
-                        + ([(BETA_VAR, m)] if m else [])
-                    )
-                    lhs = H.coefficient(mono) * factorial(m) * aut_order(lam) * aut_order(mu)
+                for g in count():
+                    m = check_profile(g, lam, mu)[2]
+                    if m > TRIPLE_MAX_M:
+                        break
+                    lhs = (H.coefficient(hurwitz_mono(m, lam, mu)) * factorial(m)
+                           * aut_order(lam) * aut_order(mu))
                     rhs = oracle_count_calibrated(g, lam, mu)
                     checked += 1
                     if lhs != rhs:

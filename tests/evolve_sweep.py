@@ -44,7 +44,8 @@ from test_cutjoin import (
 )
 
 from doublehurwitz.cli import run
-from doublehurwitz.cutjoin import _exact_div, cut_join_apply, evolve, genus0_part, h_lambda_series
+from doublehurwitz.cutjoin import cut_join_apply, evolve, genus0_part, h_lambda_series
+from doublehurwitz.exact import div
 from doublehurwitz.partitions import partitions_of
 from doublehurwitz.series import BETA_VAR, GradedSeries, Truncation, mono_mul
 
@@ -86,11 +87,11 @@ def graded_evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
 
     def numerators(series: GradedSeries) -> GradedSeries:
         return GradedSeries(
-            trunc, {m: _exact_div(c.numerator * D, c.denominator) for m, c in series.items()}
+            trunc, {m: div(c.numerator * D, c.denominator) for m, c in series.items()}
         )
 
     def divided(series: GradedSeries, d: int) -> GradedSeries:
-        return GradedSeries(trunc, {m: _exact_div(c, d) for m, c in series.items()})
+        return GradedSeries(trunc, {m: div(c, d) for m, c in series.items()})
 
     h0 = _diagonal_seed(trunc, q_weight_bound)
     e0, e0_inv = h0.exp(), (-h0).exp()

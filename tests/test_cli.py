@@ -42,15 +42,28 @@ def test_compute_hurwitz_methods_agree(tmp_path):
     assert results == ["1/2\n"] * 3
 
 
-def test_compute_hurwitz_mixed_profile():
+def test_compute_hurwitz_mixed_profile(tmp_path):
     # degree 3, profiles (2,1) and (3), one transposition: 6 factorizations / 3!
     for method in ("oracle", "cutjoin", "frobenius"):
         code, out, _ = run_cli(
-            "compute-hurwitz", "--genus", "0", "--lambda", "2,1", "--mu", "3",
-            "--method", method,
+            "--cache-dir", str(tmp_path), "compute-hurwitz", "--genus", "0",
+            "--lambda", "2,1", "--mu", "3", "--method", method,
         )
         assert code == 0
         assert out == "1/1\n"
+
+
+def test_cache_dir_defaults_to_the_working_directory(tmp_path, monkeypatch):
+    # --cache-dir alone names the cache: no environment variable redirects it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DOUBLEHURWITZ_CACHE_DIR", str(tmp_path / "from-env"))
+    code, out, _ = run_cli(
+        "compute-hurwitz", "--genus", "0", "--lambda", "2", "--mu", "1,1", "--method", "frobenius"
+    )
+    assert (code, out) == (0, "1/2\n")
+    assert sorted(p.name for p in (tmp_path / ".doublehurwitz_cache").iterdir()) == [
+        "chartable_K1.json", "chartable_K2.json"]
+    assert not (tmp_path / "from-env").exists()
 
 
 def test_h_series_pretty_format():
@@ -262,12 +275,12 @@ def test_kp_check_failure_exit_code(monkeypatch):
 
 
 def test_internal_arithmetic_error_exit_4(monkeypatch, tmp_path):
-    import doublehurwitz.cutjoin as cutjoin
+    import doublehurwitz.exact as exact
 
     def inexact_div(n, d):
         raise ArithmeticError(f"{n} is not divisible by {d}")
 
-    monkeypatch.setattr(cutjoin, "_exact_div", inexact_div)
+    monkeypatch.setattr(exact, "div", inexact_div)
     code, out, err = run_cli(
         "--cache-dir", str(tmp_path), "compute-hurwitz", "--genus", "1",
         "--lambda", "2,1", "--mu", "3", "--method", "cutjoin",

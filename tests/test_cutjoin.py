@@ -5,8 +5,8 @@ import pytest
 
 from doublehurwitz import cutjoin
 from doublehurwitz.cutjoin import (
+    _blocks,
     _derivatives,
-    _exact_div,
     _join_into,
     _packer,
     _w_image,
@@ -16,8 +16,10 @@ from doublehurwitz.cutjoin import (
     genus0_part,
     genus0_series,
     h_lambda_series,
+    hurwitz_mono,
     hurwitz_number_by_series,
 )
+from doublehurwitz.exact import div
 from doublehurwitz.packing import Packer
 from doublehurwitz.partitions import aut_order, partitions_of, zee
 from doublehurwitz.series import (
@@ -224,6 +226,27 @@ def test_evolve_checks_each_slice_against_its_packer(monkeypatch):
         evolve(4, 1)
 
 
+def test_hurwitz_mono_is_the_canonical_monomial_and_blocks_reads_it_back():
+    for K in range(1, 6):
+        for lam in partitions_of(K):
+            for mu in partitions_of(K):
+                for m in range(5):
+                    mono = hurwitz_mono(m, lam, mu)
+                    assert mono == mono_from_vars(
+                        [(pvar(i), 1) for i in lam] + [(qvar(i), 1) for i in mu]
+                        + ([(BETA_VAR, m)] if m else []))
+                    assert hurwitz_mono(m, lam[::-1], mu[::-1]) == mono
+                    assert _blocks(mono) == (hurwitz_mono(m, (), ()), hurwitz_mono(0, lam, ()),
+                                             hurwitz_mono(0, (), mu))
+    assert hurwitz_mono(0, (), ()) == () and _blocks(()) == ((), (), ())
+    assert _blocks(hurwitz_mono(0, (3, 1, 1), (2, 2, 1))) == (
+        (), ((pvar(1), 2), (pvar(3), 1)), ((qvar(1), 1), (qvar(2), 2)))
+    assert _blocks(hurwitz_mono(2, (3, 1, 1), ())) == (
+        ((BETA_VAR, 2),), ((pvar(1), 2), (pvar(3), 1)), ())
+    # no p-letters: the rest starts right after beta
+    assert _blocks(hurwitz_mono(1, (), (2,))) == (((BETA_VAR, 1),), (), ((qvar(2), 1),))
+
+
 def test_cut_join_apply_matches_loop():
     tr = Truncation(q_weight=6, p_weight=6, beta_deg=3)
     b, p, q = BETA_VAR, pvar, qvar
@@ -255,11 +278,11 @@ def test_w_images_are_integral():
 
 
 def test_exact_div_raises_on_remainder():
-    assert _exact_div(-12, 4) == -3
+    assert div(-12, 4) == -3
     with pytest.raises(ArithmeticError):
-        _exact_div(7, 2)
+        div(7, 2)
     with pytest.raises(ArithmeticError):
-        _exact_div(-1, 3)
+        div(-1, 3)
 
 
 def test_schur_eigenvectors():

@@ -12,6 +12,10 @@ signed base-2^W digits is unique, so distinct products have distinct ints and
 ``unpack`` decodes them.  Both raise OverflowError (an ArithmeticError, so the
 CLI exits 4) rather than let a field carry into the next.
 
+``unpack`` returns the pairs sorted by variable, the canonical monomial,
+whatever order the variables were registered in, so no output depends on
+that order.
+
 One Packer serves each use: the GradedSeries kernel (W = 16), ZPoly (W = 9,
 so exponents up to 127) and each :func:`.cutjoin.evolve` call
 (W = Q.bit_length() + 2).
@@ -83,7 +87,7 @@ class Packer:
                                 f"the packed range [{-self.limit}, {self.limit})")
 
     def unpack(self, key: int) -> tuple:
-        """The (variable, exponent) pairs packed in key, in field order,
+        """The (variable, exponent) pairs packed in key, sorted by variable,
         memoised.  Every field must lie in [-2^(W-1), 2^(W-1)), as a field of
         a sum of two keys within the width rule does.  Decoded monomials
         share their pair objects."""
@@ -101,5 +105,5 @@ class Packer:
                     pair = pairs[e] = (self.variables[index], e)
                 out.append(pair)
                 rest -= e << shift
-            mono = self.decoded[key] = tuple(out)
+            mono = self.decoded[key] = tuple(sorted(out))
         return mono

@@ -31,13 +31,14 @@ where they run hot.
 Products (``*``, and the steps of ``exp`` and ``log``) run on monomials
 packed as ints by one :class:`.packing.Packer` with 16-bit fields, so the
 packed product of two monomials is the sum of their ints.  The kernel reads
-and writes one form, buckets of (packed, monomial, coefficient) triples keyed
-by weight over the bounded alphabets: it renders each distinct product with
-:func:`mono_mul` once, and ``exp`` and ``log`` feed each grade straight back
-in.  A factor's exponents, and each grade ``exp`` and ``log`` feed back, must
-lie in [-2^14, 2^14), the packer's width rule; outside it OverflowError is
-raised rather than carry into the next field.  Outside the kernel, monomials
-stay tuples.
+and writes one form, {packed key: int coefficient} buckets keyed by weight
+over the bounded alphabets, and ``exp`` and ``log`` feed each grade straight
+back in.  ``*``, ``exp`` and ``log`` decode each output key once, with
+``PACKER.unpack``, which returns the canonical monomial.  A factor's
+exponents, and each grade ``exp`` and ``log`` feed back, must lie in
+[-2^14, 2^14), the packer's width rule; outside it OverflowError is raised
+rather than carry into the next field.  Outside the kernel, monomials stay
+tuples.
 """
 
 from __future__ import annotations
@@ -106,35 +107,6 @@ def mono_weights(mono: tuple) -> tuple:
         else:
             w[6] += e
     return tuple(w)
-
-
-def mono_mul(m1: tuple, m2: tuple) -> tuple:
-    """Product of two canonical monomials (merge of sorted exponent vectors)."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            e = e1 + e2
-            if e != 0:
-                out.append((v1, e))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
 
 
 def mono_from_vars(vars_with_exp: Iterable) -> tuple:
@@ -231,13 +203,12 @@ PACKER = Packer(16)
 
 
 def _mul_into(out: dict, left: dict, right: dict, caps: tuple):
-    """out += left * right on buckets of (packed, monomial, coefficient)
-    triples keyed by weight over the bounded alphabets, whose bounds are caps.
-    The truncation test runs once per bucket pair, and the inner loops are
-    then unconditional.  A product goes into out[sum of the factors' keys][sum
-    of their ints], so the inner loop adds ints where a tuple merge would run.
-    An entry is [coefficient, left monomial, right monomial], its first
-    factor pair, for _render."""
+    """out += left * right on {packed key: coefficient} buckets keyed by
+    weight over the bounded alphabets, whose bounds are caps.  The truncation
+    test runs once per bucket pair, and the inner loops are then
+    unconditional.  A product goes into out[sum of the factors' weights][sum
+    of their keys], so the inner loop adds ints where a tuple merge would
+    run."""
     for kl, lt in left.items():
         for kr, rt in right.items():
             key = tuple(map(add, kl, kr))
@@ -245,23 +216,17 @@ def _mul_into(out: dict, left: dict, right: dict, caps: tuple):
                 continue
             acc = out.setdefault(key, {})
             get = acc.get
-            for pl, ml, cl in lt:
-                for pr, mr, cr in rt:
+            for pl, cl in lt.items():
+                for pr, cr in rt.items():
                     p = pl + pr
-                    entry = get(p)
-                    if entry is None:
-                        acc[p] = [cl * cr, ml, mr]
-                    else:
-                        entry[0] += cl * cr
+                    acc[p] = get(p, 0) + cl * cr
 
 
 def _render(out: dict) -> dict:
-    """The nonzero entries of a _mul_into output as buckets of (packed,
-    monomial, coefficient) triples, the form _mul_into reads; each distinct
-    product goes through mono_mul once."""
+    """The nonzero entries of a _mul_into output, its empty buckets dropped."""
     buckets = {}
     for key, acc in out.items():
-        bucket = [(p, mono_mul(ml, mr), c) for p, (c, ml, mr) in acc.items() if c]
+        bucket = {p: c for p, c in acc.items() if c}
         if bucket:
             buckets[key] = bucket
     return buckets
@@ -403,7 +368,8 @@ class GradedSeries:
         caps, left = self._buckets()
         out: dict = {}
         _mul_into(out, left, other._buckets()[1], caps)
-        nums = {m: c for bucket in _render(out).values() for _, m, c in bucket}
+        unpack = PACKER.unpack
+        nums = {unpack(p): c for bucket in _render(out).values() for p, c in bucket.items()}
         return GradedSeries.from_ints(self.truncation, nums, self.den * other.den)
 
     def __rmul__(self, other):
@@ -440,19 +406,18 @@ class GradedSeries:
 
     def _buckets(self) -> tuple:
         """(caps, buckets): the bounds of the truncation's bounded alphabets
-        and this series' (packed, monomial, numerator) triples by weight over
-        them, built once: a series is immutable, so its repeated products (by
-        a cached z_series, say) share them."""
+        and this series' {packed key: numerator} buckets by weight over them,
+        built once: a series is immutable, so its repeated products (by a
+        cached z_series, say) share them."""
         if self._bucketed is None:
             bounds = self.truncation.bounds()
             idx = [i for i, b in enumerate(bounds) if b is not None]
             full: dict = {}
             for mono, n in self.nums.items():
-                full.setdefault(mono_weights(mono), []).append((PACKER.pack(mono), mono, n))
+                full.setdefault(mono_weights(mono), {})[PACKER.pack(mono)] = n
             buckets: dict = {}
             for w, group in full.items():  # merge vectors with equal bounded part
-                key = tuple(w[i] for i in idx)
-                buckets[key] = buckets[key] + group if key in buckets else group
+                buckets.setdefault(tuple(w[i] for i in idx), {}).update(group)
             self._bucketed = tuple(bounds[i] for i in idx), buckets
         return self._bucketed
 
@@ -462,8 +427,7 @@ class GradedSeries:
         caps, buckets = self._buckets()
         comps: dict = {}
         for key, bucket in buckets.items():
-            mono = max(m for _, m, _ in bucket)  # () sorts first
-            if mono and sum(key) <= 0:
+            if sum(key) <= 0 and (mono := max(map(PACKER.unpack, bucket))):  # () sorts first
                 raise ValueError(f"exp/log diverges: {mono_str(mono)} has no positive grade")
             comps.setdefault(sum(key), {})[key] = bucket
         return sum(caps), caps, comps
@@ -473,7 +437,7 @@ class GradedSeries:
         D = den: the numerators of grade k times D^(k-1), all ints."""
         D = self.den
         return {k: comp if k == 1 or D == 1 else
-                {key: [(p, m, n * D ** (k - 1)) for p, m, n in b] for key, b in comp.items()}
+                {key: {p: n * D ** (k - 1) for p, n in b.items()} for key, b in comp.items()}
                 for k, comp in comps.items() if k}
 
     def exp(self) -> "GradedSeries":
@@ -494,19 +458,19 @@ class GradedSeries:
         if self.nums.get(()):
             raise ValueError("series_exp requires zero constant term")
         top, caps, comps = self._components()
-        kS = {k: {key: [(p, m, n * k) for p, m, n in b] for key, b in comp.items()}
+        kS = {k: {key: {p: n * k for p, n in b.items()} for key, b in comp.items()}
               for k, comp in self._scaled_grades(comps).items()}
-        F = {0: {(0,) * len(caps): [(0, (), factorial(top))]}}
+        F = {0: {(0,) * len(caps): {0: factorial(top)}}}
         for n in range(1, top + 1):
             out: dict = {}
             for k, left in kS.items():
                 if k <= n:
                     _mul_into(out, left, F[n - k], caps)
-            F[n] = {key: [(p, m, exact.div(c, n)) for p, m, c in b] for key, b in _render(out).items()}
-            PACKER.check([p for b in F[n].values() for p, _, _ in b])
-        D = self.den
-        nums = {m: c * D ** (top - n) for n, grade in F.items()
-                for b in grade.values() for _, m, c in b}
+            F[n] = {key: {p: exact.div(c, n) for p, c in b.items()} for key, b in _render(out).items()}
+            PACKER.check([p for b in F[n].values() for p in b])
+        D, unpack = self.den, PACKER.unpack
+        nums = {unpack(p): c * D ** (top - n) for n, grade in F.items()
+                for b in grade.values() for p, c in b.items()}
         return GradedSeries.from_ints(self.truncation, nums, factorial(top) * D**top)
 
     def log(self) -> "GradedSeries":
@@ -524,20 +488,20 @@ class GradedSeries:
         U = self._scaled_grades(comps)
         neg_A: dict = {}  # k -> buckets of -A_k
         for n in range(1, top + 1):
-            out = {key: {p: [c * n, m, ()] for p, m, c in b} for key, b in U.get(n, {}).items()}
+            out = {key: {p: c * n for p, c in b.items()} for key, b in U.get(n, {}).items()}
             for k, left in neg_A.items():
                 if n - k in U:
                     _mul_into(out, left, U[n - k], caps)
             grade = _render(out)
             if grade:
-                neg_A[n] = {key: [(p, m, -c) for p, m, c in b] for key, b in grade.items()}
-                PACKER.check([p for b in grade.values() for p, _, _ in b])
+                neg_A[n] = {key: {p: -c for p, c in b.items()} for key, b in grade.items()}
+                PACKER.check([p for b in grade.values() for p in b])
         # L_n = A_n / (n D^n), over the common denominator lcm(n) D^last
         D, last, ns = self.den, max(neg_A, default=0), lcm(*neg_A)
-        nums = {}
+        nums, unpack = {}, PACKER.unpack
         for n, grade in neg_A.items():
             scale = -(ns // n) * D ** (last - n)
-            nums.update((m, c * scale) for b in grade.values() for _, m, c in b)
+            nums.update((unpack(p), c * scale) for b in grade.values() for p, c in b.items())
         return GradedSeries.from_ints(self.truncation, nums, ns * D**last)
 
     # -- serialization ------------------------------------------------------

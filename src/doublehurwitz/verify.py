@@ -96,6 +96,7 @@ STRING_DILATON_MAX_NU_WEIGHT = 2
 STRING_DILATON_EVAL_Q_WEIGHT = 8
 PSI_MAX_A = 3  # Psi_{a,ell} for a <= PSI_MAX_A, 1 <= ell <= PSI_MAX_ELL
 PSI_MAX_ELL = 4
+PSI_T_WEIGHT_MARGIN = 8  # each Psi_{a,ell} checked up to t-weight a + ell + this
 EQZRED_MAX_D = 3  # z_{d,r} for d <= EQZRED_MAX_D, 1 <= r <= EQZRED_MAX_R
 EQZRED_MAX_R = 3
 EQZRED_Q_WEIGHT = 8
@@ -233,7 +234,7 @@ def suite_psi_string_dilaton() -> SuiteReport:
     report = SuiteReport("psi-string-dilaton")
     for a in range(PSI_MAX_A + 1):
         for ell in range(1, PSI_MAX_ELL + 1):
-            ok, detail = check_psi_string_dilaton(a, ell, a + ell + 8)
+            ok, detail = check_psi_string_dilaton(a, ell, a + ell + PSI_T_WEIGHT_MARGIN)
             report.add(f"Psi_({a},{ell})", ok, detail)
     return report
 

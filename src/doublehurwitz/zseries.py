@@ -16,9 +16,10 @@ A ZPoly keys its coefficients by monomials packed as ints by one
 :class:`.packing.Packer` with 9-bit fields: each generator the process meets
 gets a field, so a product of monomials is a sum of ints, and an exponent
 above 127 raises OverflowError.  The sorted tuple of generators stays the
-read-out form (``terms``, ``pretty``, the JSON and the order of
-:func:`zpoly_eval`), decoded once per key, so no output depends on the
-order the generators were registered in.
+read-out form (``terms``, the JSON and the order of :func:`zpoly_eval`),
+decoded once per key.  ``PACKER.unpack`` returns a key's (generator,
+exponent) pairs sorted by generator, and ``pretty`` reads those pairs, so no
+output depends on the order the generators were registered in.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ def _pack(gens) -> int:
 @lru_cache(maxsize=None)
 def _unpack(key: int) -> ZKey:
     """The packed key as its sorted tuple of generators with multiplicity,
-    the read-out form of a monomial."""
-    return tuple(sorted(g for g, e in PACKER.unpack(key) for _ in range(e)))
+    the read-out form of a monomial; PACKER.unpack's pairs come sorted."""
+    return tuple(g for g, e in PACKER.unpack(key) for _ in range(e))
 
 
 def _poly(nums: dict, den: int) -> "ZPoly":
@@ -253,21 +254,17 @@ class ZPoly:
         return f"ZPoly({self.pretty()})"
 
     def pretty(self) -> str:
-        terms = self.terms
-        if not terms:
+        if not self.nums:
             return "0"
         chunks = []
-        for key in sorted(terms):
-            coeff = terms[key]
+        for key in sorted(self.nums, key=_unpack):
+            coeff = Fraction(self.nums[key], self.den)
             if not key:
                 chunks.append(str(coeff))
                 continue
-            gens: dict = {}
-            for g in key:
-                gens[g] = gens.get(g, 0) + 1
             body = "*".join(
                 f"z_{{{d},{r}}}" + (f"^{e}" if e > 1 else "")
-                for (d, r), e in sorted(gens.items())
+                for (d, r), e in PACKER.unpack(key)
             )
             if coeff == 1:
                 chunks.append(body)

@@ -47,7 +47,7 @@ from doublehurwitz.cli import run
 from doublehurwitz.cutjoin import cut_join_apply, evolve, genus0_part, h_lambda_series
 from doublehurwitz.exact import div
 from doublehurwitz.partitions import partitions_of
-from doublehurwitz.series import BETA_VAR, GradedSeries, Truncation, mono_mul
+from doublehurwitz.series import BETA_VAR, GradedSeries, Truncation, mono_from_vars
 
 BOUNDS = [(q, max(0, 2 * q - 2)) for q in range(1, 10)] + [
     (10, 6), (15, 2), (16, 2), (10, 18), (11, 8), (12, 4)
@@ -116,7 +116,7 @@ def graded_evolve(q_weight_bound: int, beta_bound: int) -> GradedSeries:
     for m in range(beta_bound + 1):
         beta_m = ((BETA_VAR, m),) if m else ()
         for mono, c in Hs[m].items():
-            H[mono_mul(beta_m, mono)] = Fraction(c, D)
+            H[mono_from_vars(beta_m + mono)] = Fraction(c, D)
     return GradedSeries(trunc, H)
 
 

@@ -9,7 +9,10 @@ mutant's doing.  ``src/`` itself is never edited.
 
 The mutants cover the packed-monomial format of ``packing.py``: each call of
 its width rule, the rule's bound, the sign of a decoded field, the range test
-of ``pack``, and the field width of each of the three packers.  Three more
+of ``pack``, the sorted (canonical) order of ``unpack``, and the field width
+of each of the three packers.  Two cover the series kernel: it keeps
+cancelled products, so their keys reach the width rule, and it drops the
+truncation test of a bucket pair.  Three more
 cover the layout of beta^m p_lam q_mu in ``cutjoin.py`` and the checked
 division of ``exact.py``: the reader ``_blocks`` no longer skips beta, the
 writer ``hurwitz_mono`` writes beta^0 as a letter, and ``exact.div`` drops
@@ -21,7 +24,7 @@ Run from the repository root:
     PYTHONPATH=src python tests/mutation_sweep.py
 
 Prints the test that killed each mutant, and exits 1 if any survives (or an
-old text is not found exactly once).  Takes about 45 s.
+old text is not found exactly once).  Takes about a minute.
 """
 
 import os
@@ -44,15 +47,21 @@ MUTANTS = [
     ("_zpoly_derivation skips the width rule", "zseries.py",
      "    PACKER.check(acc)\n    return _poly", "    return _poly"),
     ("exp skips the width rule", "series.py",
-     "            PACKER.check([p for b in F[n].values() for p, _, _ in b])\n", ""),
+     "            PACKER.check([p for b in F[n].values() for p in b])\n", ""),
     ("log skips the width rule", "series.py",
-     "                PACKER.check([p for b in grade.values() for p, _, _ in b])\n", ""),
+     "                PACKER.check([p for b in grade.values() for p in b])\n", ""),
     ("the range rule admits its limit", "packing.py",
      "if not -limit <= e < limit:", "if not -limit <= e <= limit:"),
     ("unpack drops the sign of a field", "packing.py",
      "e = (((rest >> shift) + half) & mask) - half", "e = (rest >> shift) & mask"),
     ("pack without its range test", "packing.py",
      "if not -limit <= e < limit:", "if False:"),
+    ("unpack returns field order", "packing.py",
+     "mono = self.decoded[key] = tuple(sorted(out))", "mono = self.decoded[key] = tuple(out)"),
+    ("the series kernel keeps cancelled products", "series.py",
+     "bucket = {p: c for p, c in acc.items() if c}", "bucket = dict(acc)"),
+    ("_mul_into without its caps test", "series.py",
+     "            if any(w > cap for w, cap in zip(key, caps)):\n                continue\n", ""),
     ("evolve's fields one bit short", "cutjoin.py",
      "Packer(q_bound.bit_length() + 2,", "Packer(q_bound.bit_length() + 1,"),
     ("ZPoly's fields one bit short", "zseries.py",

@@ -28,7 +28,6 @@ from doublehurwitz.series import (
     Truncation,
     mono_adjust,
     mono_from_vars,
-    mono_mul,
     pvar,
     qvar,
 )
@@ -134,8 +133,8 @@ def _fraction_evolve(q_weight_bound: int, beta_bound: int) -> tuple:
     H = GradedSeries.zero(trunc)
     for m in range(beta_bound + 1):
         beta_m = ((BETA_VAR, m),) if m else ()
-        eH = eH + GradedSeries(trunc, {mono_mul(mono, beta_m): c for mono, c in E[m].items()})
-        H = H + GradedSeries(trunc, {mono_mul(mono, beta_m): c for mono, c in Hs[m].items()})
+        eH = eH + GradedSeries(trunc, {mono_from_vars(mono + beta_m): c for mono, c in E[m].items()})
+        H = H + GradedSeries(trunc, {mono_from_vars(mono + beta_m): c for mono, c in Hs[m].items()})
     return eH, H
 
 
@@ -363,7 +362,7 @@ def _schur_product_eH(q_weight_bound, beta_bound):
                 coeff = Fraction(w**m, factorial(m))
                 beta_m = ((BETA_VAR, m),) if m else ()
                 for mono, c in spq.items():
-                    mm = mono_mul(mono, beta_m)
+                    mm = mono_from_vars(mono + beta_m)
                     total[mm] = total.get(mm, 0) + c * coeff
     return GradedSeries(trunc, total).term_dict()
 
@@ -442,7 +441,7 @@ def substitute_p1_shift(series: GradedSeries) -> GradedSeries:
         e = dict(mono).get(p1, 0)
         rest = tuple((v, x) for v, x in mono if v != p1)
         for i in range(e + 1):
-            new = mono_mul(rest, ((p1, i),)) if i else rest
+            new = mono_from_vars(rest + ((p1, i),)) if i else rest
             out[new] = out.get(new, 0) + coeff * comb(e, i)
     return GradedSeries(series.truncation, out)
 

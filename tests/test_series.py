@@ -1,7 +1,10 @@
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -15,7 +18,6 @@ from doublehurwitz.series import (
     Truncation,
     TruncationMismatch,
     mono_from_vars,
-    mono_mul,
     mono_str,
     mono_weights,
     pvar,
@@ -133,7 +135,7 @@ class _FractionSeries:
                     continue
                 for ml, cl in lt:
                     for mr, cr in rt:
-                        m = mono_mul(ml, mr)
+                        m = mono_from_vars(ml + mr)
                         c = cl * cr
                         prev = acc.get(m)
                         acc[m] = c if prev is None else prev + c
@@ -328,7 +330,7 @@ def test_exp_requires_zero_constant_and_log_requires_one():
 
 def test_exp_rejects_unbounded_directions():
     s = GradedSeries(Truncation(q_weight=4), {mono_from_vars([(BETA_VAR, 1)]): Fraction(1)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exp/log diverges: beta has no positive grade"):
         s.exp()
 
 
@@ -336,7 +338,7 @@ def test_log_rejects_unbounded_directions():
     s = GradedSeries(
         Truncation(q_weight=4), {(): Fraction(1), mono_from_vars([(BETA_VAR, 1)]): Fraction(1)}
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exp/log diverges: beta has no positive grade"):
         s.log()
 
 
@@ -478,13 +480,11 @@ def test_mono_weights_and_str():
 
 def naive_mul(a, b):
     """Term-pair reference product, no weight bucketing."""
-    from doublehurwitz.series import mono_mul
-
     trunc = a.truncation
     acc = {}
     for ml, cl in a.term_dict().items():
         for mr, cr in b.term_dict().items():
-            m = mono_mul(ml, mr)
+            m = mono_from_vars(ml + mr)
             if trunc.admits(m):
                 acc[m] = acc.get(m, 0) + cl * cr
     return GradedSeries(trunc, acc)
@@ -622,7 +622,7 @@ def test_packing_is_linear_and_injective_on_products():
     seen: dict = {}  # packed product -> monomial
     for _ in range(3000):
         a, b = _random_mono(rng), _random_mono(rng)
-        prod = mono_mul(a, b)
+        prod = mono_from_vars(a + b)
         assert _pack(prod) == _pack(a) + _pack(b)
         assert seen.setdefault(_pack(prod), prod) == prod
     assert _pack(()) == 0
@@ -634,7 +634,7 @@ def test_psi_powers_cancel_in_the_packed_kernel():
     for k in range(1, 13):
         up = GradedSeries(tr, {mono_from_vars([(PSI_VAR, k), (t1, 1)]): 1})
         down = GradedSeries(tr, {mono_from_vars([(PSI_VAR, -k)]): 1})
-        assert mono_mul(((PSI_VAR, k),), ((PSI_VAR, -k),)) == ()
+        assert mono_from_vars(((PSI_VAR, k), (PSI_VAR, -k))) == ()
         assert _pack(((PSI_VAR, k),)) + _pack(((PSI_VAR, -k),)) == 0
         assert (up * down).nums == {((t1, 1),): 1}
 
@@ -660,7 +660,7 @@ def test_series_product_refuses_an_exponent_at_the_limit():
     with pytest.raises(OverflowError):
         GradedSeries(tr, {mono_from_vars([(PSI_VAR, -LIMIT - 1)]): 1}) * small
     low = mono_from_vars([(PSI_VAR, -LIMIT)])
-    assert (GradedSeries(tr, {low: 1}) * small).nums == {mono_mul(low, ((qvar(2), 1),)): 1}
+    assert (GradedSeries(tr, {low: 1}) * small).nums == {mono_from_vars(low + ((qvar(2), 1),)): 1}
     # a product of two in-range exponents is exact, and packs no further
     top = GradedSeries(tr, {mono_from_vars([(qvar(1), LIMIT - 1)]): 2})
     square = top * top
@@ -684,6 +684,21 @@ def test_exp_and_log_pack_each_input_term_once(monkeypatch):
             assert sorted(packed) == sorted(arg.nums)
 
 
+def test_exp_and_log_drop_cancelled_products_before_the_width_rule():
+    # with u = s_1 psi^6000 and w = q_1 psi^6000, e^(u - u^2/2 + w) is
+    # 1 + u + w + uw: the grade-3 products u * uw and u^2 * w cancel on
+    # s_1^2 q_1 psi^18000, past the width rule, and so do u * u and u^2 in
+    # log; a cancelled product is dropped before the rule is checked
+    assert 12000 < LIMIT <= 18000
+    tr = Truncation(q_weight=1, s_weight=2)
+    u = mono_from_vars([(svar(1), 1), (PSI_VAR, 6000)])
+    w = mono_from_vars([(qvar(1), 1), (PSI_VAR, 6000)])
+    S = GradedSeries(tr, {u: 1, mono_from_vars(u + u): Fraction(-1, 2), w: 1})
+    T = GradedSeries(tr, {(): 1, u: 1, w: 1, mono_from_vars(u + w): 1})
+    assert S.exp() == T
+    assert T.log() == S
+
+
 def test_exp_and_log_refuse_an_exponent_past_the_limit():
     # s_1 psi^10000 has psi^20000 in its square, the second grade, which exp
     # and log would feed back into the kernel as a factor
@@ -694,3 +709,46 @@ def test_exp_and_log_refuse_an_exponent_past_the_limit():
         S.exp()
     with pytest.raises(OverflowError):
         (GradedSeries.one(tr) + S).log()
+
+
+# Registers the q, p and beta letters first ("qpb") or the psi, xi, s and t
+# letters first, then prints four results' JSON and pretty forms, and last
+# the packed keys of their monomials.  The KP residual is zero; R = -(psi/xi)
+# log tau, which it is built from, is not.
+_REGISTRY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from doublehurwitz import series
+from doublehurwitz.cutjoin import frobenius_eH
+from doublehurwitz.kp import kp_residual, r_series
+from doublehurwitz.series import (BETA_VAR, PSI_VAR, XI_VAR, GradedSeries, Truncation,
+                                  mono_from_vars, pvar, qvar, svar, tvar)
+qpb = [qvar(k) for k in range(1, 9)] + [pvar(k) for k in range(1, 9)] + [BETA_VAR]
+rest = [PSI_VAR, XI_VAR] + [svar(k) for k in range(1, 9)] + [tvar(i, j) for i in range(3) for j in range(3)]
+for var in (qpb + rest if sys.argv[2] == "qpb" else rest + qpb):
+    series.PACKER.pack([(var, 1)])
+tr = Truncation(q_weight=4, p_weight=4, t_weight=3, beta_deg=2, s_weight=4)
+mixed = GradedSeries(tr, {
+    (): 1,
+    mono_from_vars([(qvar(1), 1), (pvar(1), 1), (BETA_VAR, 1)]): 2,
+    mono_from_vars([(svar(1), 1), (PSI_VAR, -1), (XI_VAR, 1)]): -1,
+    mono_from_vars([(tvar(0, 0), 1), (qvar(2), 1), (PSI_VAR, 2)]): 3,
+    mono_from_vars([(pvar(2), 1), (svar(2), 1), (tvar(1, 0), 1)]): 5,
+})
+results = [frobenius_eH(5, 3).log(), kp_residual(6), r_series(6), mixed * mixed * mixed]
+for s in results:
+    print(json.dumps(s.to_json_dict()))
+    print(s.pretty())
+print([sorted(series.PACKER.pack(m) for m in s.nums) for s in results])
+"""
+
+
+def test_outputs_do_not_depend_on_letter_registration_order():
+    src = str(Path(series.__file__).parents[1])
+    runs = [subprocess.run([sys.executable, "-c", _REGISTRY_PROBE, src, order], capture_output=True, text=True)
+            for order in ("qpb", "rest")]
+    assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+    first, second = (run.stdout.splitlines() for run in runs)
+    assert len(first) == len(second) == 9
+    assert first[:8] == second[:8]
+    assert first[8] != second[8]  # the packed keys themselves differ

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from contextlib import redirect_stdout
 from math import factorial
 
 from .cutjoin import h_lambda_series, hurwitz_number_by_series
@@ -27,11 +29,27 @@ from .series import GradedSeries, mono_str, mono_weights
 from .verify import SUITES, run_suite
 from .zseries import z_series
 
-def _parse_partition(text: str) -> tuple:
+# (pattern, what it spells): a bound may be 0, a partition's part may not
+_BOUND = (re.compile("0|[1-9][0-9]*"), "0 or a positive integer")
+_PART = (re.compile("[1-9][0-9]*"), "a positive integer")
+
+
+def _number(text: str, grammar=_BOUND) -> int:
+    """The int that text spells in the grammar's ASCII digits; every number
+    the CLI reads comes through here.  Anything else, such as ``3_0``, ``+3``,
+    ``03`` or a non-ASCII digit, is refused: int() alone would accept them."""
+    pattern, kind = grammar
+    if not pattern.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected {kind} in ASCII digits, not {text!r}")
     try:
-        return check_partition(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad partition {text!r}: {exc}") from None
+        return int(text)
+    except ValueError:  # past Python's int-string limit (4300 digits by default)
+        raise argparse.ArgumentTypeError(f"{len(text)} digits are more than int() reads") from None
+
+
+def _partition(text: str) -> tuple:
+    """A comma-separated partition, each part read by _number."""
+    return check_partition(_number(part, _PART) for part in text.split(","))
 
 
 def _series_rows(series: GradedSeries):
@@ -57,8 +75,16 @@ def _emit_series(series: GradedSeries, fmt: str, out) -> None:
             out.write(f"{coeff} * {name}\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises ValueError on a usage error, instead of
+    printing its usage block to sys.stderr and exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="doublehurwitz",
         description="Exact genus-0 double Hurwitz numbers, four ways, cross-validated.",
     )
@@ -67,31 +93,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ch = sub.add_parser("compute-hurwitz", help="one double Hurwitz number")
-    ch.add_argument("--genus", type=int, required=True)
-    ch.add_argument("--lambda", dest="lam", required=True, help="comma-separated partition")
-    ch.add_argument("--mu", required=True, help="comma-separated partition")
+    ch.add_argument("--genus", type=_number, required=True)
+    ch.add_argument("--lambda", dest="lam", type=_partition, required=True,
+                    help="comma-separated partition")
+    ch.add_argument("--mu", type=_partition, required=True, help="comma-separated partition")
     ch.add_argument("--method", choices=("oracle", "frobenius", "cutjoin"), default="cutjoin")
 
     hs = sub.add_parser("h-series", help="q-expansion of h_lambda by the classical pipeline")
-    hs.add_argument("--lambda", dest="lam", required=True)
-    hs.add_argument("--max-q-weight", type=int, required=True)
+    hs.add_argument("--lambda", dest="lam", type=_partition, required=True)
+    hs.add_argument("--max-q-weight", type=_number, required=True)
     hs.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
     hp = sub.add_parser("h-poly", help="h_lambda as a polynomial in the generators z_{d,r}")
-    hp.add_argument("--lambda", dest="lam", required=True)
+    hp.add_argument("--lambda", dest="lam", type=_partition, required=True)
     hp.add_argument("--format", choices=("json", "pretty"), default="pretty")
 
     xt = sub.add_parser("x-table", help="populate the recursion table and write it to JSON")
-    xt.add_argument("--max-lambda-weight", type=int, required=True)
-    xt.add_argument("--max-r", type=int, required=True)
-    xt.add_argument("--max-nu-weight", type=int, default=2)
+    xt.add_argument("--max-lambda-weight", type=_number, required=True)
+    xt.add_argument("--max-r", type=_number, required=True)
+    xt.add_argument("--max-nu-weight", type=_number, default=2)
     xt.add_argument("--out", required=True)
 
     zs = sub.add_parser("z-series", help="q-expansion of a generator z_{d,r}")
-    zs.add_argument("--d", type=int, required=True)
-    zs.add_argument("--r", type=int, required=True)
-    zs.add_argument("--max-q-weight", type=int, required=True)
-    zs.add_argument("--n-bound", type=int, default=None)
+    zs.add_argument("--d", type=_number, required=True)
+    zs.add_argument("--r", type=_number, required=True)
+    zs.add_argument("--max-q-weight", type=_number, required=True)
+    zs.add_argument("--n-bound", type=_number, default=None)
     zs.add_argument(
         "--drop-negative-k-powers",
         action="store_true",
@@ -100,30 +127,28 @@ def _build_parser() -> argparse.ArgumentParser:
     zs.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
     kp = sub.add_parser("kp-check", help="residual of the first scaled KP equation")
-    kp.add_argument("--max-t-weight", type=int, required=True)
+    kp.add_argument("--max-t-weight", type=_number, required=True)
 
     vf = sub.add_parser("verify", help="run a named verification suite")
     vf.add_argument("--suite", required=True, choices=sorted(SUITES))
     vf.add_argument("--format", choices=("json", "pretty"), default="pretty")
 
     orc = sub.add_parser("oracle", help="brute-force factorization count")
-    orc.add_argument("--genus", type=int, required=True)
-    orc.add_argument("--lambda", dest="lam", required=True)
-    orc.add_argument("--mu", required=True)
+    orc.add_argument("--genus", type=_number, required=True)
+    orc.add_argument("--lambda", dest="lam", type=_partition, required=True)
+    orc.add_argument("--mu", type=_partition, required=True)
     return parser
 
 
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    try:
+        with redirect_stdout(out):  # where --help writes
+            args = _build_parser().parse_args(argv)
         return _dispatch(args, out, err)
+    except SystemExit as exc:  # after --help
+        return exc.code
     except ResourceBudgetError as exc:
         err.write(f"resource-budget: {exc}\n")
         return 3
@@ -137,24 +162,21 @@ def run(argv, out=None, err=None) -> int:
 
 def _dispatch(args, out, err) -> int:
     if args.command == "compute-hurwitz":
-        lam = _parse_partition(args.lam)
-        mu = _parse_partition(args.mu)
         if args.method == "oracle":
-            value = oracle_count(args.genus, lam, mu)
+            value = oracle_count(args.genus, args.lam, args.mu)
         else:
-            value = hurwitz_number_by_series(args.genus, lam, mu, args.method, args.cache_dir)
+            value = hurwitz_number_by_series(
+                args.genus, args.lam, args.mu, args.method, args.cache_dir)
         out.write(ratio(value.numerator, value.denominator) + "\n")
         return 0
 
     if args.command == "h-series":
-        lam = _parse_partition(args.lam)
-        series = h_lambda_series(lam, args.max_q_weight)
+        series = h_lambda_series(args.lam, args.max_q_weight)
         _emit_series(series, args.format, out)
         return 0
 
     if args.command == "h-poly":
-        lam = _parse_partition(args.lam)
-        poly = h_poly(lam)
+        poly = h_poly(args.lam)
         if args.format == "json":
             out.write(json.dumps(poly.to_json_list()))
             out.write("\n")
@@ -190,25 +212,24 @@ def _dispatch(args, out, err) -> int:
 
     if args.command == "verify":
         report = run_suite(args.suite)
+        doc = report.to_json_dict()
         if args.format == "json":
-            out.write(json.dumps(report.to_json_dict()))
+            out.write(json.dumps(doc))
             out.write("\n")
         else:
-            for check in report.checks:
-                line = f"{check.status:4s}  {check.name}"
-                if check.detail:
-                    line += f"  [{check.detail}]"
+            for check in doc["checks"]:
+                line = f"{check['status']:4s}  {check['name']}"
+                if check["detail"]:
+                    line += f"  [{check['detail']}]"
                 out.write(line + "\n")
-            passed = sum(1 for c in report.checks if c.ok)
+            passed = sum(ok for _, ok, _ in report.checks)
             out.write(f"{report.suite}: {passed}/{len(report.checks)} checks passed\n")
         return 0 if report.ok else 1
 
     if args.command == "oracle":
-        lam = _parse_partition(args.lam)
-        mu = _parse_partition(args.mu)
-        raw = oracle_raw_count(args.genus, lam, mu)
+        raw = oracle_raw_count(args.genus, args.lam, args.mu)
         # the value oracle_count returns, without a second count
-        out.write(f"{ratio(raw, factorial(sum(lam)))} {raw}\n")
+        out.write(f"{ratio(raw, factorial(sum(args.lam)))} {raw}\n")
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")

@@ -29,6 +29,7 @@ GradedSeries.log().
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -40,11 +41,10 @@ from .partitions import (
     aut_order,
     check_partition,
     check_profile,
-    multiplicities,
     partitions_of,
     zee,
 )
-from .series import BETA_VAR, GradedSeries, P, Truncation, mono_adjust, pvar, qvar
+from .series import BETA_VAR, GradedSeries, P, Truncation, mono_from_vars, pvar, qvar
 from .symgroup import CharTable, central_weight
 
 
@@ -60,7 +60,7 @@ def hurwitz_mono(m: int, lam, mu) -> tuple:
 def _letters(var, parts: tuple) -> tuple:
     """The letters var(i)^e of the ascending parts i, by index.  Memoised, so
     the monomials that share a p- or q-block share its pairs too."""
-    return tuple((var(i), e) for i, e in multiplicities(parts).items())
+    return tuple((var(i), e) for i, e in Counter(parts).items())
 
 
 def _blocks(mono: tuple) -> tuple:
@@ -89,21 +89,14 @@ def _w_image(pblock: tuple) -> tuple:
         k = var[1]
         # cut: (i+j) p_i p_j d/dp_{i+j}, ordered pairs (i, j) with i+j = k
         for i in range(1, k):
-            j = k - i
-            new = mono_adjust(pblock, {var: -1, pvar(i): +1, pvar(j): +1} if i != j
-                              else {var: -1, pvar(i): +2})
+            new = mono_from_vars(pblock + ((var, -1), (pvar(i), 1), (pvar(k - i), 1)))
             out[new] = out.get(new, 0) + k * e
         # join: i j p_{i+j} d^2/(dp_i dp_j), ordered pairs of variables
         for vj, ej in pblock:
-            j = vj[1]
-            if vj != var:
-                deltas, mult = {var: -1, vj: -1, pvar(k + j): +1}, e * ej
-            elif e > 1:
-                deltas, mult = {var: -2, pvar(2 * k): +1}, e * (e - 1)
-            else:
-                continue
-            new = mono_adjust(pblock, deltas)
-            out[new] = out.get(new, 0) + k * j * mult
+            mult = e * (ej - 1 if vj == var else ej)
+            if mult:
+                new = mono_from_vars(pblock + ((var, -1), (vj, -1), (pvar(k + vj[1]), 1)))
+                out[new] = out.get(new, 0) + k * vj[1] * mult
     return tuple((mono, exact.div(c, 2)) for mono, c in out.items())
 
 

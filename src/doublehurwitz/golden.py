@@ -3,6 +3,7 @@
 These exact polynomials are the fixed targets for the recursion engines; the
 classical cut-and-join computation reproduces their q-expansions, so any
 regression in either pipeline shows up as a mismatch against this table.
+A generator z_{d,r} is written as the pair (d, r), as in :mod:`.zseries`.
 """
 
 from __future__ import annotations
@@ -12,89 +13,85 @@ from fractions import Fraction
 from .zseries import ZPoly
 
 
-def _z(d: int, r: int) -> tuple:
-    return (d, r)
-
-
 GOLDEN_H_POLYS = {
-    (2,): ZPoly({(_z(0, 1),): 1, (_z(1, 1),): 1}),
+    (2,): ZPoly({((0, 1),): 1, ((1, 1),): 1}),
     (3,): ZPoly(
         {
-            (_z(0, 1),): 1,
-            (_z(0, 1), _z(0, 1)): Fraction(-1, 2),
-            (_z(1, 1),): 3,
-            (_z(2, 1),): 2,
+            ((0, 1),): 1,
+            ((0, 1), (0, 1)): Fraction(-1, 2),
+            ((1, 1),): 3,
+            ((2, 1),): 2,
         }
     ),
     (4,): ZPoly(
         {
-            (_z(0, 1),): 1,
-            (_z(0, 1), _z(0, 1)): Fraction(-5, 2),
-            (_z(1, 1),): 6,
-            (_z(0, 1), _z(1, 1)): -2,
-            (_z(2, 1),): 11,
-            (_z(3, 1),): 6,
+            ((0, 1),): 1,
+            ((0, 1), (0, 1)): Fraction(-5, 2),
+            ((1, 1),): 6,
+            ((0, 1), (1, 1)): -2,
+            ((2, 1),): 11,
+            ((3, 1),): 6,
         }
     ),
     (5,): ZPoly(
         {
-            (_z(0, 1),): 1,
-            (_z(0, 1), _z(0, 1)): Fraction(-15, 2),
-            (_z(0, 1), _z(0, 1), _z(0, 1)): Fraction(5, 6),
-            (_z(1, 1),): 10,
-            (_z(0, 1), _z(1, 1)): -15,
-            (_z(1, 1), _z(1, 1)): -2,
-            (_z(2, 1),): 35,
-            (_z(0, 1), _z(2, 1)): -6,
-            (_z(3, 1),): 50,
-            (_z(4, 1),): 24,
+            ((0, 1),): 1,
+            ((0, 1), (0, 1)): Fraction(-15, 2),
+            ((0, 1), (0, 1), (0, 1)): Fraction(5, 6),
+            ((1, 1),): 10,
+            ((0, 1), (1, 1)): -15,
+            ((1, 1), (1, 1)): -2,
+            ((2, 1),): 35,
+            ((0, 1), (2, 1)): -6,
+            ((3, 1),): 50,
+            ((4, 1),): 24,
         }
     ),
     (2, 2): ZPoly(
         {
-            (_z(0, 1),): -6,
-            (_z(0, 1), _z(0, 1)): 1,
-            (_z(0, 2),): 1,
-            (_z(1, 1),): -11,
-            (_z(1, 2),): 2,
-            (_z(2, 1),): -6,
-            (_z(2, 2),): 2,
+            ((0, 1),): -6,
+            ((0, 1), (0, 1)): 1,
+            ((0, 2),): 1,
+            ((1, 1),): -11,
+            ((1, 2),): 2,
+            ((2, 1),): -6,
+            ((2, 2),): 2,
         }
     ),
     (3, 2): ZPoly(
         {
-            (_z(0, 1),): -10,
-            (_z(0, 1), _z(0, 1)): 9,
-            (_z(0, 2),): 1,
-            (_z(0, 1), _z(0, 2)): -1,
-            (_z(1, 1),): -35,
-            (_z(0, 1), _z(1, 1)): 6,
-            (_z(1, 2),): 4,
-            (_z(0, 1), _z(1, 2)): -1,
-            (_z(2, 1),): -50,
-            (_z(2, 2),): 8,
-            (_z(3, 1),): -24,
-            (_z(3, 2),): 6,
+            ((0, 1),): -10,
+            ((0, 1), (0, 1)): 9,
+            ((0, 2),): 1,
+            ((0, 1), (0, 2)): -1,
+            ((1, 1),): -35,
+            ((0, 1), (1, 1)): 6,
+            ((1, 2),): 4,
+            ((0, 1), (1, 2)): -1,
+            ((2, 1),): -50,
+            ((2, 2),): 8,
+            ((3, 1),): -24,
+            ((3, 2),): 6,
         }
     ),
     (2, 2, 2): ZPoly(
         {
-            (_z(0, 1),): 85,
-            (_z(0, 1), _z(0, 1)): -40,
-            (_z(0, 2),): -18,
-            (_z(0, 1), _z(0, 2)): 6,
-            (_z(0, 3),): 1,
-            (_z(1, 1),): 225,
-            (_z(0, 1), _z(1, 1)): -24,
-            (_z(1, 2),): -51,
-            (_z(0, 1), _z(1, 2)): 6,
-            (_z(1, 3),): 3,
-            (_z(2, 1),): 274,
-            (_z(2, 2),): -84,
-            (_z(2, 3),): 6,
-            (_z(3, 1),): 120,
-            (_z(3, 2),): -54,
-            (_z(3, 3),): 6,
+            ((0, 1),): 85,
+            ((0, 1), (0, 1)): -40,
+            ((0, 2),): -18,
+            ((0, 1), (0, 2)): 6,
+            ((0, 3),): 1,
+            ((1, 1),): 225,
+            ((0, 1), (1, 1)): -24,
+            ((1, 2),): -51,
+            ((0, 1), (1, 2)): 6,
+            ((1, 3),): 3,
+            ((2, 1),): 274,
+            ((2, 2),): -84,
+            ((2, 3),): 6,
+            ((3, 1),): 120,
+            ((3, 2),): -54,
+            ((3, 3),): 6,
         }
     ),
 }

@@ -30,7 +30,6 @@ from .series import (
     XI_VAR,
     GradedSeries,
     Truncation,
-    mono_adjust,
     mono_from_vars,
     mono_weights,
     svar,
@@ -76,7 +75,7 @@ def r_from_tau(tau: GradedSeries) -> GradedSeries:
     out: dict = {}
     for mono, n in log_tau.nums.items():
         try:  # the division by xi, and the psi of the -psi prefactor
-            new = mono_adjust(mono, {XI_VAR: -1, PSI_VAR: +1})
+            new = mono_from_vars(mono + ((XI_VAR, -1), (PSI_VAR, 1)))
         except ValueError:
             raise ValueError(f"log tau term {mono} is not divisible by xi") from None
         out[new] = -n  # the surgery is injective, so no two terms meet

@@ -29,6 +29,7 @@ sentinel fixes the convention once and for all.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -44,20 +45,7 @@ class ResourceBudgetError(RuntimeError):
 
 def cycle_type(perm: tuple) -> tuple:
     """Cycle type of a permutation given as a tuple (i -> perm[i])."""
-    n = len(perm)
-    seen = [False] * n
-    lengths = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    return tuple(sorted(Counter(_orbit_labels(perm)).values(), reverse=True))
 
 
 def perm_of_cycle_type(lam: tuple) -> tuple:

@@ -7,6 +7,7 @@ function is pure and safe for concurrent use.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -71,14 +72,6 @@ def partitions_of(n: int, max_part: Optional[int] = None) -> tuple:
     return tuple(out)
 
 
-def multiplicities(lam: Partition) -> dict:
-    """Map part value -> multiplicity."""
-    mult: dict = {}
-    for p in lam:
-        mult[p] = mult.get(p, 0) + 1
-    return mult
-
-
 def aut_order(lam: Partition) -> int:
     """Order of the group permuting equal parts: product of multiplicity factorials.
     Any tuple of hashable entries is read as a multiset the same way.
@@ -87,7 +80,7 @@ def aut_order(lam: Partition) -> int:
     12
     """
     out = 1
-    for m in multiplicities(lam).values():
+    for m in Counter(lam).values():
         out *= factorial(m)
     return out
 
@@ -95,7 +88,7 @@ def aut_order(lam: Partition) -> int:
 def zee(lam: Partition) -> int:
     """Centralizer order z_lam = prod_i i^{m_i} m_i! of a permutation of cycle type lam."""
     out = 1
-    for v, m in multiplicities(lam).items():
+    for v, m in Counter(lam).items():
         out *= v**m * factorial(m)
     return out
 

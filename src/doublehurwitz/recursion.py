@@ -55,7 +55,7 @@ from math import factorial, prod
 from pathlib import Path
 from typing import Optional
 
-from .partitions import check_partition, multinomial
+from .partitions import check_int, check_partition, multinomial
 from .zseries import ZPoly, zpoly_euler, zpoly_weighted_euler
 
 # Stamp covering the layout and the normalization conventions baked into the
@@ -70,9 +70,7 @@ def make_xkey(pairs) -> XKey:
     here) sorted descending by (lam, nu)."""
     key = []
     for pair in pairs:
-        a, b = pair
-        if type(a) is not int or type(b) is not int:
-            raise TypeError(f"pair entries must be ints, not {pair!r}")
+        a, b = map(check_int, pair)
         if a < 0 or b < 0:
             raise ValueError(f"pair entries must be nonnegative: {pair!r}")
         key.append((a, b))

@@ -110,7 +110,8 @@ def mono_weights(mono: tuple) -> tuple:
 
 
 def mono_from_vars(vars_with_exp: Iterable) -> tuple:
-    """Canonical monomial from (var, exp) pairs; equal vars are merged."""
+    """Canonical monomial from (var, exp) pairs; equal vars are merged, so a
+    monomial followed by (var, delta) pairs gives it with those shifts."""
     acc: dict = {}
     for var, e in vars_with_exp:
         acc[var] = acc.get(var, 0) + e
@@ -118,21 +119,6 @@ def mono_from_vars(vars_with_exp: Iterable) -> tuple:
         if e < 0 and var != PSI_VAR:
             raise ValueError(f"negative exponent only allowed on psi, got {var}^{e}")
     return tuple(sorted((v, e) for v, e in acc.items() if e != 0))
-
-
-def mono_adjust(mono: tuple, deltas: dict) -> tuple:
-    """Shift exponents of selected variables; results must stay nonnegative
-    (psi excepted)."""
-    acc = dict(mono)
-    for var, d in deltas.items():
-        e = acc.get(var, 0) + d
-        if e < 0 and var != PSI_VAR:
-            raise ValueError(f"negative exponent in monomial surgery on {var}")
-        if e == 0:
-            acc.pop(var, None)
-        else:
-            acc[var] = e
-    return tuple(sorted(acc.items()))
 
 
 def mono_str(mono: tuple) -> str:
@@ -165,8 +151,9 @@ class TruncationMismatch(ValueError):
 
 
 class Truncation(namedtuple("Truncation", "q_weight p_weight t_weight beta_deg s_weight", defaults=(None,) * 5)):
-    """Optional per-alphabet degree bounds; ``None`` leaves an alphabet
-    unbounded.  An immutable value that equals only another Truncation."""
+    """Optional per-alphabet degree bounds, in weight-vector order (psi and
+    xi are never bounded); ``None`` leaves an alphabet unbounded.  An
+    immutable value that equals only another Truncation."""
 
     __slots__ = ()
 
@@ -178,12 +165,8 @@ class Truncation(namedtuple("Truncation", "q_weight p_weight t_weight beta_deg s
 
     __hash__ = tuple.__hash__
 
-    def bounds(self) -> tuple:
-        """The bounds in weight-vector order; psi and xi are never bounded."""
-        return tuple(self)
-
     def admits_weights(self, w: tuple) -> bool:
-        for bound, x in zip(self.bounds(), w):  # w's psi and xi entries go unread
+        for bound, x in zip(self, w):  # w's psi and xi entries go unread
             if bound is not None and x > bound:
                 return False
         return True
@@ -192,7 +175,7 @@ class Truncation(namedtuple("Truncation", "q_weight p_weight t_weight beta_deg s
         return self.admits_weights(mono_weights(mono))
 
     def to_json_dict(self) -> dict:
-        return {n: b for n, b in zip(self._fields, self.bounds()) if b is not None}
+        return {n: b for n, b in zip(self._fields, self) if b is not None}
 
 
 # -- the multiply kernel: monomials packed as ints ---------------------------
@@ -410,15 +393,13 @@ class GradedSeries:
         built once: a series is immutable, so its repeated products (by a
         cached z_series, say) share them."""
         if self._bucketed is None:
-            bounds = self.truncation.bounds()
-            idx = [i for i, b in enumerate(bounds) if b is not None]
-            full: dict = {}
-            for mono, n in self.nums.items():
-                full.setdefault(mono_weights(mono), {})[PACKER.pack(mono)] = n
+            trunc = self.truncation
+            idx = [i for i, b in enumerate(trunc) if b is not None]
             buckets: dict = {}
-            for w, group in full.items():  # merge vectors with equal bounded part
-                buckets.setdefault(tuple(w[i] for i in idx), {}).update(group)
-            self._bucketed = tuple(bounds[i] for i in idx), buckets
+            for mono, n in self.nums.items():
+                w = mono_weights(mono)
+                buckets.setdefault(tuple(w[i] for i in idx), {})[PACKER.pack(mono)] = n
+            self._bucketed = tuple(trunc[i] for i in idx), buckets
         return self._bucketed
 
     def _components(self) -> tuple:

@@ -46,34 +46,26 @@ from .symgroup import central_weight, schur_in_power_sums
 from .zseries import check_eqzred, check_psi_string_dilaton, zpoly_eval, zpoly_values_equal
 
 
-class CheckResult:
-    def __init__(self, name: str, status: str, detail: str = ""):
-        self.name = name
-        self.status = status  # "pass" | "fail"
-        self.detail = detail
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
-
 class SuiteReport:
+    """A suite's checks, each a (name, ok, detail) row."""
+
     def __init__(self, suite: str):
         self.suite = suite
         self.checks: list = []
 
     def add(self, name: str, ok: bool, detail: str = ""):
-        self.checks.append(CheckResult(name, "pass" if ok else "fail", detail))
+        self.checks.append((name, ok, detail))
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all(ok for _, ok, _ in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
             "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail} for c in self.checks
+                {"name": name, "status": "pass" if ok else "fail", "detail": detail}
+                for name, ok, detail in self.checks
             ],
         }
 
@@ -109,28 +101,6 @@ PIVOT_EVAL_Q_WEIGHT = 10
 BRIDGE_MAX_WEIGHT = 6  # h_lam for |lam| <= BRIDGE_MAX_WEIGHT, len(lam) <= BRIDGE_MAX_LEN
 BRIDGE_MAX_LEN = 3
 BRIDGE_Q_WEIGHT = 8
-
-
-def check_string_dilaton():
-    """Verify the string and dilaton identities on every key in the
-    STRING_DILATON_* ranges, comparing the two sides as q-series up to
-    STRING_DILATON_EVAL_Q_WEIGHT.
-
-    Returns (ok, failures) with one (name, key) per violated identity."""
-    table = XTable()
-    failures = []
-    keys = keys_up_to(
-        STRING_DILATON_MAX_LAM_WEIGHT, STRING_DILATON_MAX_R, STRING_DILATON_MAX_NU_WEIGHT
-    )
-    for rest in keys:
-        for name, sides in (
-            ("string", string_identity_sides),
-            ("dilaton", dilaton_identity_sides),
-        ):
-            lhs, rhs = sides(rest, table)
-            if not zpoly_values_equal(lhs, rhs, STRING_DILATON_EVAL_Q_WEIGHT):
-                failures.append((name, rest))
-    return not failures, failures
 
 
 def suite_paper_examples() -> SuiteReport:
@@ -216,10 +186,19 @@ def suite_triple_agreement() -> SuiteReport:
 
 
 def suite_string_dilaton() -> SuiteReport:
+    """The string and dilaton identities on every key in the STRING_DILATON_*
+    ranges, the two sides compared as q-series up to
+    STRING_DILATON_EVAL_Q_WEIGHT; each check lists the keys that fail."""
     report = SuiteReport("string-dilaton")
-    ok, failures = check_string_dilaton()
-    strings = [k for n, k in failures if n == "string"]
-    dilatons = [k for n, k in failures if n == "dilaton"]
+    table = XTable()
+    strings, dilatons = [], []
+    for rest in keys_up_to(
+        STRING_DILATON_MAX_LAM_WEIGHT, STRING_DILATON_MAX_R, STRING_DILATON_MAX_NU_WEIGHT
+    ):
+        for sides, failed in ((string_identity_sides, strings), (dilaton_identity_sides, dilatons)):
+            lhs, rhs = sides(rest, table)
+            if not zpoly_values_equal(lhs, rhs, STRING_DILATON_EVAL_Q_WEIGHT):
+                failed.append(rest)
     report.add(
         f"string equation on keys (sum lam<={STRING_DILATON_MAX_LAM_WEIGHT}, "
         f"sum nu<={STRING_DILATON_MAX_NU_WEIGHT}, r<={STRING_DILATON_MAX_R})",

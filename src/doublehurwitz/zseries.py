@@ -40,7 +40,7 @@ from .partitions import (
     multinomial,
     partitions_of,
 )
-from .series import GradedSeries, T, Truncation, mono_adjust, mono_from_vars, mono_weights, qvar, tvar
+from .series import GradedSeries, T, Truncation, mono_from_vars, mono_weights, qvar, tvar
 
 
 def check_gen(d, r) -> "ZGen":
@@ -499,7 +499,7 @@ def _t_raise(series: GradedSeries) -> GradedSeries:
         for var, e in mono:
             if var[0] != T:
                 continue
-            new = mono_adjust(mono, {var: -1, tvar(var[1], var[2] + 1): +1})
+            new = mono_from_vars(mono + ((var, -1), (tvar(var[1], var[2] + 1), 1)))
             if trunc.admits(new):
                 out[new] = out.get(new, 0) + n * e
     return GradedSeries.from_ints(trunc, out, series.den)

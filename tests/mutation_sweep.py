@@ -16,8 +16,12 @@ truncation test of a bucket pair.  Three more
 cover the layout of beta^m p_lam q_mu in ``cutjoin.py`` and the checked
 division of ``exact.py``: the reader ``_blocks`` no longer skips beta, the
 writer ``hurwitz_mono`` writes beta^0 as a letter, and ``exact.div`` drops
-its remainder test.  A module with no test file of its own (``exact.py``)
-goes straight to the whole suite.
+its remainder test.  The last three cover helpers that other modules share
+instead of keeping a copy of their own: ``mono_from_vars`` keeps the last
+exponent of a repeated letter instead of their sum, ``aut_order`` multiplies
+by m instead of m!, and the string-dilaton suite drops its dilaton failures.
+A module with no test file of its own (``exact.py``) goes straight to the
+whole suite.
 
 Run from the repository root:
 
@@ -74,6 +78,12 @@ MUTANTS = [
      "(((BETA_VAR, m),) if m else ())", "((BETA_VAR, m),)"),
     ("exact.div drops its remainder test", "exact.py",
      "    if remainder:\n", "    if False:\n"),
+    ("mono_from_vars keeps the last exponent of a letter", "series.py",
+     "acc[var] = acc.get(var, 0) + e", "acc[var] = e"),
+    ("aut_order multiplies by m, not m!", "partitions.py",
+     "        out *= factorial(m)\n", "        out *= m\n"),
+    ("suite_string_dilaton drops its dilaton failures", "verify.py",
+     "(dilaton_identity_sides, dilatons)", "(dilaton_identity_sides, [])"),
 ]
 
 

@@ -34,7 +34,7 @@ from doublehurwitz.series import (
     svar,
 )
 from doublehurwitz.symgroup import central_weight, schur_in_power_sums
-from doublehurwitz.verify import check_string_dilaton
+from doublehurwitz.verify import suite_string_dilaton
 from doublehurwitz.zseries import check_eqzred, check_psi_string_dilaton, zpoly_eval
 from test_zseries import psi_string_naive_residual
 
@@ -115,8 +115,8 @@ def test_acceptance_05_schur_eigenbasis():
 
 
 def test_acceptance_06_string_dilaton():
-    ok, failures = check_string_dilaton()
-    assert ok, failures
+    report = suite_string_dilaton()
+    assert report.ok, report.checks
     for a in range(0, 4):
         for ell in range(1, 5):
             ok, detail = check_psi_string_dilaton(a, ell, a + ell + 8)

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from doublehurwitz.cli import run
 from doublehurwitz.recursion import XTable, populate_table
 
@@ -317,3 +319,61 @@ def test_output_bytes_stable_across_hash_seeds(tmp_path):
         assert proc.returncode == 0
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# one valid command per subcommand that reads numbers
+VALID = {
+    "compute-hurwitz": ("--genus", "0", "--lambda", "2", "--mu", "1,1"),
+    "oracle": ("--genus", "0", "--lambda", "2", "--mu", "1,1"),
+    "h-series": ("--lambda", "2", "--max-q-weight", "2"),
+    "h-poly": ("--lambda", "2"),
+    "x-table": ("--max-lambda-weight", "1", "--max-r", "1", "--max-nu-weight", "1", "--out", "x.json"),
+    "z-series": ("--d", "1", "--r", "1", "--max-q-weight", "2", "--n-bound", "2"),
+    "kp-check": ("--max-t-weight", "2"),
+}
+NUMERIC_ARGUMENTS = [(command, flag) for command, argv in VALID.items()
+                     for flag in argv[::2] if flag != "--out"]
+PARTITIONS = ("--lambda", "--mu")
+
+
+def _with(command, flag, value):
+    argv = list(VALID[command])
+    argv[argv.index(flag) + 1] = value
+    return [command, *argv]
+
+
+def test_number_grammar_accepts_the_valid_commands(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for command, argv in VALID.items():
+        code, out, err = run_cli(command, *argv)
+        assert (code, err) == (0, ""), command
+        assert out
+
+
+@pytest.mark.parametrize("value", ["3_0", "\u0663", "+3", " 3", "03", "-1", "1e3"])
+@pytest.mark.parametrize("command, flag", NUMERIC_ARGUMENTS)
+def test_number_grammar_refuses_what_int_would_accept(tmp_path, monkeypatch, command, flag, value):
+    # a partition's later part is read by the same grammar as its first
+    monkeypatch.chdir(tmp_path)
+    text = f"1,{value}" if flag in PARTITIONS else value
+    code, out, err = run_cli(*_with(command, flag, text))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
+    assert err.endswith(f"not {value!r}\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_run_writes_help_and_usage_errors_to_its_own_streams(capsys):
+    code, out, err = run_cli("--help")
+    assert (code, err) == (0, "") and out.startswith("usage: doublehurwitz")
+    code, out, err = run_cli("h-series", "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: doublehurwitz h-series")
+    code, out, err = run_cli("compute-hurwitz", "--genus", "x", "--lambda", "2", "--mu", "2")
+    assert (code, out, err) == (
+        2, "", "error: argument --genus: expected 0 or a positive integer in ASCII digits, not 'x'\n")
+    code, out, err = run_cli("h-series", "--lambda", "2")
+    assert (code, out, err) == (2, "", "error: the following arguments are required: --max-q-weight\n")
+    code, out, err = run_cli("h-series", "--lambda", "2", "--max-q-weight", "9" * 5000)
+    assert (code, out, err) == (
+        2, "", "error: argument --max-q-weight: 5000 digits are more than int() reads\n")
+    assert tuple(capsys.readouterr()) == ("", "")

@@ -24,14 +24,24 @@ from doublehurwitz.packing import Packer
 from doublehurwitz.partitions import aut_order, partitions_of, zee
 from doublehurwitz.series import (
     BETA_VAR,
+    PSI_VAR,
     GradedSeries,
     Truncation,
-    mono_adjust,
     mono_from_vars,
     pvar,
     qvar,
 )
 from doublehurwitz.symgroup import central_weight, mn_character, schur_in_power_sums
+
+
+def _shifted(mono: tuple, deltas: dict) -> tuple:
+    """mono with the exponents of deltas' letters shifted, on a dict of its
+    own: the reference does not share the package's monomial canonicaliser."""
+    exps = dict(mono)
+    for var, d in deltas.items():
+        exps[var] = exps.get(var, 0) + d
+    assert all(e >= 0 for var, e in exps.items() if var != PSI_VAR), (mono, deltas)
+    return tuple(sorted((var, e) for var, e in exps.items() if e))
 
 
 def P(*pairs):
@@ -65,8 +75,8 @@ def _loop_cut_join_apply(series: GradedSeries) -> GradedSeries:
             base = coeff * half * k * e
             for i in range(1, k):
                 j = k - i
-                new = mono_adjust(mono, {var: -1, pvar(i): +1, pvar(j): +1} if i != j
-                                  else {var: -1, pvar(i): +2})
+                new = _shifted(mono, {var: -1, pvar(i): +1, pvar(j): +1} if i != j
+                               else {var: -1, pvar(i): +2})
                 out[new] = out.get(new, 0) + base
         for vi, ei in pexps:
             for vj, ej in pexps:
@@ -80,7 +90,7 @@ def _loop_cut_join_apply(series: GradedSeries) -> GradedSeries:
                 else:
                     deltas[vi] = -1
                     deltas[vj] = deltas.get(vj, 0) - 1
-                new = mono_adjust(mono, deltas)
+                new = _shifted(mono, deltas)
                 out[new] = out.get(new, 0) + coeff * half * i * j * mult
     return GradedSeries(series.truncation, out)
 

@@ -14,7 +14,7 @@ import doublehurwitz
 MODULES = sorted(Path(doublehurwitz.__file__).parent.glob("*.py"))
 
 PARSERS = {
-    ("cli.py", "_parse_partition"),
+    ("cli.py", "_number"),
     ("zseries.py", "ZPoly.from_json_list"),
     ("symgroup.py", "CharTable.from_json_dict"),
 }

@@ -16,10 +16,19 @@ from doublehurwitz.series import (
     XI_VAR,
     GradedSeries,
     Truncation,
-    mono_adjust,
     mono_from_vars,
     svar,
 )
+
+
+def _shifted(mono: tuple, deltas: dict) -> tuple:
+    """mono with the exponents of deltas' letters shifted, on a dict of its
+    own: the reference does not share the package's monomial canonicaliser."""
+    exps = dict(mono)
+    for var, d in deltas.items():
+        exps[var] = exps.get(var, 0) + d
+    assert all(e >= 0 for var, e in exps.items() if var != PSI_VAR), (mono, deltas)
+    return tuple(sorted((var, e) for var, e in exps.items() if e))
 
 
 def test_scaled_schur_low_orders():
@@ -113,7 +122,7 @@ def test_perturbed_tau_fails_kp():
     log_bad = bad.log()
     r_bad = GradedSeries.from_ints(
         bad.truncation,
-        {mono_adjust(m, {XI_VAR: -1, PSI_VAR: 1}): -n for m, n in log_bad.nums.items()},
+        {_shifted(m, {XI_VAR: -1, PSI_VAR: 1}): -n for m, n in log_bad.nums.items()},
         log_bad.den,
     )
     assert not kp_residual_of(r_bad, bound - 4).is_zero()

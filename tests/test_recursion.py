@@ -24,7 +24,7 @@ from doublehurwitz.recursion import (
     populate_table,
     string_identity_sides,
 )
-from doublehurwitz.verify import check_string_dilaton
+from doublehurwitz.verify import suite_string_dilaton
 from doublehurwitz.zseries import ZPoly, zpoly_eval
 from test_zseries import _FractionZPoly
 
@@ -119,8 +119,8 @@ def test_entry_points_reject_non_ints(call):
 
 
 def test_string_dilaton_identities():
-    ok, failures = check_string_dilaton()
-    assert ok, failures
+    report = suite_string_dilaton()
+    assert report.ok, report.checks
 
 
 def test_string_identity_concrete_case():

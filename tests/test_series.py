@@ -106,7 +106,7 @@ class _FractionSeries:
         )
 
     def _buckets(self, items=None) -> tuple:
-        bounds = self.truncation.bounds()
+        bounds = self.truncation
         idx = [i for i, b in enumerate(bounds) if b is not None]
         full: dict = {}
         for mono, coeff in self._terms.items() if items is None else items:
@@ -576,7 +576,7 @@ def test_int_kernels_match_the_fraction_reference():
         b = _drawn_series(data.draw, st, trunc, letters, laurent)
         c = data.draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7)))
         ra, rb = _FractionSeries.of(a), _FractionSeries.of(b)
-        small = Truncation(*(None if x is None else x - 1 for x in trunc.bounds()))
+        small = Truncation(*(None if x is None else x - 1 for x in trunc))
         var = data.draw(st.sampled_from(letters))
         pairs = [
             (a + b, ra + rb), (a - b, ra - rb), (-a, -ra), (a * b, ra * rb),
@@ -752,3 +752,29 @@ def test_outputs_do_not_depend_on_letter_registration_order():
     assert len(first) == len(second) == 9
     assert first[:8] == second[:8]
     assert first[8] != second[8]  # the packed keys themselves differ
+
+
+def test_outputs_do_not_depend_on_term_insertion_order():
+    # q_1 and q_1 psi share a bucket (equal weight over the bounded alphabets)
+    # under different full weight vectors, so _buckets merges them
+    from doublehurwitz.cli import _series_rows
+
+    trunc = Truncation(q_weight=3, p_weight=3)
+    q1, q2, p1, p2 = qvar(1), qvar(2), pvar(1), pvar(2)
+    terms = {
+        mono_from_vars([(q1, 1)]): Fraction(1),
+        mono_from_vars([(q1, 1), (PSI_VAR, 1)]): Fraction(2),
+        mono_from_vars([(p1, 1), (q1, 1)]): Fraction(1, 2),
+        mono_from_vars([(q2, 1), (PSI_VAR, -1)]): Fraction(3),
+        mono_from_vars([(p2, 1), (XI_VAR, 1)]): Fraction(-1, 3),
+        mono_from_vars([(p1, 2), (q1, 1)]): Fraction(5, 7),
+    }
+
+    def outputs(terms):
+        s = GradedSeries(trunc, terms)
+        results = (s * s, s.exp(), (GradedSeries.one(trunc) + s).log())
+        return [(r, r.pretty(), r.to_json_dict(), _series_rows(r)) for r in results]
+
+    forward = outputs(terms)
+    assert forward == outputs(dict(reversed(terms.items())))
+    assert all(len(r) > len(terms) for r, *_ in forward)

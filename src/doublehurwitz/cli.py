@@ -77,7 +77,12 @@ def _emit_series(series: GradedSeries, fmt: str, out) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that raises ValueError on a usage error, instead of
-    printing its usage block to sys.stderr and exiting."""
+    printing its usage block to sys.stderr and exiting.  It reads an option
+    only by its full name: the parser and each subparser, all of this class,
+    refuse an abbreviation such as ``--lam``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
@@ -97,7 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--lambda", dest="lam", type=_partition, required=True,
                     help="comma-separated partition")
     ch.add_argument("--mu", type=_partition, required=True, help="comma-separated partition")
-    ch.add_argument("--method", choices=("oracle", "frobenius", "cutjoin"), default="cutjoin")
+    ch.add_argument("--method", choices=("oracle", "frobenius", "cutjoin"), default="cutjoin",
+                    help="cutjoin (default) evolves only the terms whose q-part divides q_mu, so "
+                         "its cost follows the divisors of mu; frobenius sums characters up to "
+                         "degree |mu|; oracle counts factorizations")
 
     hs = sub.add_parser("h-series", help="q-expansion of h_lambda by the classical pipeline")
     hs.add_argument("--lambda", dest="lam", type=_partition, required=True)
@@ -171,7 +179,7 @@ def _dispatch(args, out, err) -> int:
         return 0
 
     if args.command == "h-series":
-        series = h_lambda_series(args.lam, args.max_q_weight)
+        series = h_lambda_series([args.lam], args.max_q_weight)[0]
         _emit_series(series, args.format, out)
         return 0
 

@@ -22,9 +22,13 @@ from its own cut-and-join equation
     dH/dbeta = W(H) + (1/2) sum_{i,j >= 1} i j p_{i+j} dH/dp_i dH/dp_j,
 
 never forming e^H; its J term runs on monomials packed by a
-:class:`.packing.Packer` of each call's own.  frobenius_eH() sums the
-character expansion of e^H, and the two are compared through the generic
-GradedSeries.log().
+:class:`.packing.Packer` of each call's own.  W keeps the q-part of a term and
+J multiplies q-parts, so evolve() can keep only the terms whose q-part divides
+one q-monomial: hurwitz_number_by_series() evolves on the divisors of q_mu,
+and h_lambda_series() on those of q_lam' q_1^(Q - |lam'|), reading
+p_mu q_lam' q_1^e for p_lam' p_1^e q_mu by the p <-> q symmetry of H.
+frobenius_eH() sums the character expansion of e^H, and the two are compared
+through the generic GradedSeries.log().
 """
 
 from __future__ import annotations
@@ -167,7 +171,7 @@ def _join_into(out: dict, packer: Packer, left: list, right: list, scale: int):
                             out[k] = get(k, 0) + cl * cr
 
 
-def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries:
+def evolve(q_weight_bound: int, beta_bound: int, max_genus=None, q_cap=None) -> GradedSeries:
     """The connected series H = log e^H, where e^H = sum_m beta^m W^m(e^{H_0})/m!
     and H_0 = sum_n p_n q_n / n.
 
@@ -198,11 +202,25 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
     no part of the step lowers the genus: W's cut keeps it, W's join raises it
     by one, and J(H_a, H_b) has genus g_a + g_b.  So the genus <= G terms of
     H_{m+1} depend only on the genus <= G terms of H_0..H_m.  None keeps all.
+
+    With q_cap = c, a partition, only the terms whose q-part divides q_c are
+    kept.  The cap is exact as well, as no part of the step enlarges a q-part
+    beyond the product of its sources': W acts on the p-letters alone, so each
+    term of W(H_m) has the q-part of a term of H_m, and each term of
+    J(H_a, H_b) has the product of the q-parts of a term of H_a and a term of
+    H_b.  A q-monomial that divides q_c has only divisors of q_c as factors,
+    so the terms of H_{m+1} whose q-part divides q_c depend only on those of
+    H_0..H_m.  H_0 keeps p_n q_n / n for the n in c, and after each step the
+    J terms whose q-part does not divide q_c are dropped; W needs no filter.
+    The q-letters hold the top fields of a packed key and no field of a J
+    term is negative, so key >> (the offset of q_1) is its q-part, and the
+    divisor test runs once per q-part met.  None keeps all.
     """
     if q_weight_bound < 1 or beta_bound < 0:
         raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
     if max_genus is not None and max_genus < 0:
         raise ValueError(f"need max_genus >= 0, not {max_genus}")
+    cap = None if q_cap is None else dict(hurwitz_mono(0, (), check_partition(q_cap)))
     trunc = Truncation(
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
@@ -210,7 +228,18 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
     packer = _packer(q_weight_bound)
 
     Hs = [{hurwitz_mono(0, (n,), (n,)): exact.div(D, n)
-           for n in range(1, q_weight_bound + 1)}]  # Hs[m] = D H_m
+           for n in range(1, q_weight_bound + 1)
+           if cap is None or qvar(n) in cap}]  # Hs[m] = D H_m
+    qshift = packer.shift(qvar(1))
+    divides: dict = {}  # q-part of a packed key, shifted down -> whether it divides q_c
+
+    def kept(key: int) -> bool:
+        q = key >> qshift
+        ok = divides.get(q)
+        if ok is None:
+            ok = divides[q] = not any(cap.get(var, 0) < e for var, e in packer.unpack(q << qshift))
+        return ok
+
     derivatives = []  # derivatives[m] = _derivatives of D H_m, for m < B
     for m in range(beta_bound):
         derivatives.append(_derivatives(packer, Hs[m]))
@@ -221,8 +250,9 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None) -> GradedSeries
         acc = {mono: 2 * D * c  # D H_m has den 1, and so has its W image
                for mono, c in cut_join_apply(GradedSeries.from_ints(trunc, Hs[m])).nums.items()}
         for k, c in joined.items():
-            mono = packer.unpack(k)
-            acc[mono] = acc.get(mono, 0) + c
+            if cap is None or kept(k):
+                mono = packer.unpack(k)
+                acc[mono] = acc.get(mono, 0) + c
         step = 2 * D * (m + 1)
         # genus <= G in slice m + 1 takes >= m + 3 - 2G parts; every term has >= 2
         least_parts = 2 if max_genus is None else m + 3 - 2 * max_genus
@@ -283,57 +313,50 @@ def genus0_part(H: GradedSeries) -> GradedSeries:
     return GradedSeries.from_ints(H.truncation, kept, H.den)
 
 
-@lru_cache(maxsize=None)
-def genus0_series(q_weight_bound: int) -> GradedSeries:
-    """Genus-0 connected series: its terms beta^m p_lam q_mu all have
-    m = len(lam) + len(mu) - 2, so the p- and q-letters fix beta's power.
-
-    The beta bound 2*Q - 2 is forced: a genus-0 term with |mu| <= Q has at
-    most Q parts on each side, so m <= 2Q - 2.
-    """
-    return evolve(q_weight_bound, max(0, 2 * q_weight_bound - 2), max_genus=0)
-
-
-@lru_cache(maxsize=None)
-def _genus0_by_p_part(q_weight_bound: int) -> dict:
-    """The terms of genus0_series(q_weight_bound) split by p-part: {p-part
-    without p_1: [(power of p_1, q-part, numerator), ...]}, each list in the
-    series' order.  The den is the series' own."""
-    p1 = pvar(1)
-    split: dict = {}
-    for mono, n in genus0_series(q_weight_bound).nums.items():
-        pblock, qpart = _blocks(mono)[1:]  # p_1 first; every term has p-letters
-        e = pblock[0][1] if pblock[0][0] == p1 else 0
-        split.setdefault(pblock[1:] if e else pblock, []).append((e, qpart, n))
-    return split
-
-
-def h_lambda_series(lam, q_weight_bound: int) -> GradedSeries:
-    """The series h_lam(q): generating function of genus-0 covers with marked
-    zeros of orders lam, any number of extra simple zeros, arbitrary profile
-    over infinity, and simple branching elsewhere.
+def h_lambda_series(lams, q_weight_bound: int) -> list:
+    """The series h_lam(q), one for each lam in lams, in that order: the
+    generating function of genus-0 covers with marked zeros of orders lam,
+    any number of extra simple zeros, arbitrary profile over infinity, and
+    simple branching elsewhere.
 
     Its q_mu coefficient is |Aut lam| times that of p_lam q_mu in the genus-0
     series after p_1 -> p_1 + 1: with lam = (lam', 1^a), the sum over e >= a
     of C(e, a) times the coefficient of p_lam' p_1^e q_mu, at the one power
-    of beta that genus 0 gives it.
+    of beta that genus 0 gives it.  H is symmetric under p <-> q, so that is
+    the coefficient of p_mu q_lam' q_1^e, whose q-part divides
+    q_lam' q_1^(Q - |lam'|) (Q = q_weight_bound).  One evolve, capped by the
+    letter-wise maximum of these q-monomials over lams, serves every lam, and
+    the p-block of each term it reads is read back as the q-part q_mu.
 
-    Exact up to q-weight q_weight_bound; independent of the order of lam.
+    Exact up to q-weight q_weight_bound; independent of the order of each lam.
     """
-    lam = check_partition(lam)
-    if not lam:
+    lams = [check_partition(lam) for lam in lams]
+    if not all(lams):
         raise ValueError("lam must be a nonempty partition")
     if q_weight_bound < 1:
         raise ValueError("need q_weight_bound >= 1")
-    ones = lam.count(1)
-    rest = hurwitz_mono(0, [part for part in lam if part != 1], ())
-    aut = aut_order(lam)
-    out: dict = {}
-    for e, qpart, n in _genus0_by_p_part(q_weight_bound).get(rest, ()):
-        if e >= ones:
-            out[qpart] = out.get(qpart, 0) + comb(e, ones) * n * aut
-    return GradedSeries.from_ints(Truncation(q_weight=q_weight_bound), out,
-                                  genus0_series(q_weight_bound).den)
+    cap: Counter = Counter()
+    for lam in lams:
+        rest = [part for part in lam if part != 1]
+        cap |= Counter(rest) + Counter({1: q_weight_bound - sum(rest)})  # + drops q_1^(<= 0)
+    H = evolve(q_weight_bound, max(0, 2 * q_weight_bound - 2), max_genus=0, q_cap=cap.elements())
+    q1 = qvar(1)
+    split: dict = {}  # q-part without q_1 -> [(power of q_1, read-back q_mu, numerator)]
+    for mono, n in H.nums.items():
+        pblock, qblock = _blocks(mono)[1:]  # q_1 first; every term has q-letters
+        e = qblock[0][1] if qblock[0][0] == q1 else 0
+        mu = hurwitz_mono(0, (), [var[1] for var, k in pblock for _ in range(k)])
+        split.setdefault(qblock[1:] if e else qblock, []).append((e, mu, n))
+    trunc, out = Truncation(q_weight=q_weight_bound), []
+    for lam in lams:
+        ones = lam.count(1)
+        aut = aut_order(lam)
+        h: dict = {}
+        for e, mu, n in split.get(hurwitz_mono(0, (), lam[:len(lam) - ones]), ()):
+            if e >= ones:
+                h[mu] = h.get(mu, 0) + comb(e, ones) * n * aut
+        out.append(GradedSeries.from_ints(trunc, h, H.den))
+    return out
 
 
 def hurwitz_number_by_series(g: int, lam, mu, method: str, cache_dir=None) -> Fraction:
@@ -346,7 +369,7 @@ def hurwitz_number_by_series(g: int, lam, mu, method: str, cache_dir=None) -> Fr
     lam, mu, m = check_profile(g, lam, mu)
     K = sum(lam)
     if method == "cutjoin":
-        H = evolve(K, m, max_genus=g)
+        H = evolve(K, m, max_genus=g, q_cap=mu)
     elif method == "frobenius":
         H = frobenius_eH(K, m, cache_dir=cache_dir).log()
     else:

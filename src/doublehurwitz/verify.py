@@ -309,18 +309,16 @@ def suite_bridge() -> SuiteReport:
     """Recursion values evaluated as q-series equal the classical computation."""
     report = SuiteReport("bridge")
     table = XTable()
-    for k in range(1, BRIDGE_MAX_WEIGHT + 1):
-        for lam in partitions_of(k):
-            if len(lam) > BRIDGE_MAX_LEN:
-                continue
-            classical = h_lambda_series(lam, BRIDGE_Q_WEIGHT)
-            recursive = zpoly_eval(h_poly(lam, table), BRIDGE_Q_WEIGHT)
-            ok = classical == recursive
-            detail = ""
-            if not ok:
-                diff = (classical - recursive).terms()
-                detail = f"first differing coefficient: {diff[0]}"
-            report.add(f"h_{lam}", ok, detail)
+    lams = [lam for k in range(1, BRIDGE_MAX_WEIGHT + 1) for lam in partitions_of(k)
+            if len(lam) <= BRIDGE_MAX_LEN]
+    for lam, classical in zip(lams, h_lambda_series(lams, BRIDGE_Q_WEIGHT)):
+        recursive = zpoly_eval(h_poly(lam, table), BRIDGE_Q_WEIGHT)
+        ok = classical == recursive
+        detail = ""
+        if not ok:
+            diff = (classical - recursive).terms()
+            detail = f"first differing coefficient: {diff[0]}"
+        report.add(f"h_{lam}", ok, detail)
     return report
 
 

@@ -1,5 +1,6 @@
 """Exhaustive check of evolve's direct evolution against the e^H logarithm,
-of its genus cap, and of h_lambda_series against the whole-series p_1 shift.
+of its genus and q-caps, and of h_lambda_series against the whole-series p_1
+shift.
 
 ``cutjoin.evolve`` steps the connected series H by its own cut-and-join
 equation.  ``graded_evolve`` below reaches the same H the other way, as it
@@ -13,12 +14,21 @@ e^{+-H_0} to equal the Cauchy sums (both seeds come from
 ``test_cutjoin.py``), and ``evolve(Q, B, max_genus=G)`` to equal the
 genus <= G terms of the full H for G = 0 and 1.  At every B = 2Q - 2 with
 Q <= 10 it requires ``h_lambda_series`` to equal the reference read off the
-p_1-shifted genus-0 part of the full H, for every lam with |lam| <= Q + 1.
+p_1-shifted genus-0 part of the full H, for every lam with |lam| <= Q + 1:
+``h_lambda_series`` evolves only on the q-parts that divide
+q_lam' q_1^(Q - |lam'|) and reads p_mu q_lam' q_1^e by the p <-> q symmetry
+of H, while the reference reads p_lam' p_1^e q_mu off the whole series.
+For every K <= 8 it requires ``evolve(K, 9, q_cap=mu)`` to equal the terms of
+``evolve(K, 9)`` whose q-part divides q_mu, for every mu of K, and
+``hurwitz_number_by_series(g, lam, mu, "cutjoin")``, which evolves on the
+divisors of q_mu, to equal m! times the coefficient of beta^m p_lam q_mu in
+``evolve(K, 9)`` on every profile with g <= 2 and m <= 9.
 Last, it runs ``compute-hurwitz --genus 0 --lambda 16 --mu 1^16 --method
-cutjoin`` through the CLI and requires 16^13 (about 7 s): at Q = 16 the
+cutjoin`` through the CLI and requires 16^13 (under 0.1 s): at Q = 16 the
 q_1-exponent reaches 16 = 2^4, so an evolve packer (``cutjoin._packer``)
-whose width rule stops below Q shows here.  Too slow for the tier-1 suite (about 35 s in all), and
-named without a ``test_`` prefix so pytest does not collect it.
+whose width rule stops below Q shows here.  Too slow for the tier-1 suite
+(about 25 s in all), and named without a ``test_`` prefix so pytest does not
+collect it.
 
 Run from the repository root:
 
@@ -38,13 +48,21 @@ from test_cutjoin import (
     _cauchy_seed,
     _diagonal_seed,
     _genus,
+    _q_part_divides,
     _shifted_h_lambda_series,
     set_beta_one,
     substitute_p1_shift,
 )
 
 from doublehurwitz.cli import run
-from doublehurwitz.cutjoin import cut_join_apply, evolve, genus0_part, h_lambda_series
+from doublehurwitz.cutjoin import (
+    cut_join_apply,
+    evolve,
+    genus0_part,
+    h_lambda_series,
+    hurwitz_mono,
+    hurwitz_number_by_series,
+)
 from doublehurwitz.exact import div
 from doublehurwitz.partitions import partitions_of
 from doublehurwitz.series import BETA_VAR, GradedSeries, Truncation, mono_from_vars
@@ -131,8 +149,31 @@ def h_series_mismatches(q: int, full: GradedSeries) -> list:
     """The lam with |lam| <= q + 1 whose h_lambda_series differs from the
     reference read off the p_1-shifted genus-0 part of full = evolve(q, 2q - 2)."""
     shifted = substitute_p1_shift(set_beta_one(genus0_part(full)))
-    return [lam for n in range(1, q + 2) for lam in partitions_of(n)
-            if h_lambda_series(lam, q) != _shifted_h_lambda_series(shifted, lam, q)]
+    lams = [lam for n in range(1, q + 2) for lam in partitions_of(n)]
+    return [lam for lam, h in zip(lams, h_lambda_series(lams, q), strict=True)
+            if h != _shifted_h_lambda_series(shifted, lam, q)]
+
+
+def q_cap_mismatches(K: int) -> tuple:
+    """(number of checks, the mu and profiles (g, lam, mu) at degree K where
+    the evolution on the divisors of q_mu differs from the full evolve(K, 9))."""
+    full = evolve(K, 9)
+    bad, checks = [], 0
+    for mu in partitions_of(K):
+        checks += 1
+        expected = {m: c for m, c in full.items() if _q_part_divides(m, mu)}
+        if evolve(K, 9, q_cap=mu).term_dict() != expected:
+            bad.append(mu)
+    for g in range(3):
+        for lam in partitions_of(K):
+            for mu in partitions_of(K):
+                m = len(lam) + len(mu) + 2 * g - 2
+                if m <= 9:
+                    checks += 1
+                    expected = full.coefficient(hurwitz_mono(m, lam, mu)) * factorial(m)
+                    if hurwitz_number_by_series(g, lam, mu, "cutjoin") != expected:
+                        bad.append((g, lam, mu))
+    return checks, bad
 
 
 def one_part_k16_mismatch() -> bool:
@@ -167,8 +208,15 @@ def main() -> int:
               f"(direct {direct_seconds:.2f} s, e^H logarithm {log_seconds:.2f} s)"
               + (f"; genus cap MISMATCH at G = {bad_caps}" if bad_caps else "; genus caps equal")
               + (f"; h_lambda_series MISMATCH at {bad_lams}" if bad_lams else ""))
+    for K in range(1, 9):
+        start = time.perf_counter()
+        checks, bad = q_cap_mismatches(K)
+        failures += len(bad)
+        print(f"q-cap at K = {K}: {checks} checks, "
+              + (f"MISMATCH at {bad}" if bad else "all equal")
+              + f" ({time.perf_counter() - start:.2f} s)")
     failures += one_part_k16_mismatch()
-    print(f"{len(BOUNDS)} bounds and one CLI check, {failures} mismatches")
+    print(f"{len(BOUNDS)} bounds, 8 degrees of q-caps and one CLI check, {failures} mismatches")
     return 1 if failures else 0
 
 

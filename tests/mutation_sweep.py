@@ -20,6 +20,9 @@ its remainder test.  The last three cover helpers that other modules share
 instead of keeping a copy of their own: ``mono_from_vars`` keeps the last
 exponent of a repeated letter instead of their sum, ``aut_order`` multiplies
 by m instead of m!, and the string-dilaton suite drops its dilaton failures.
+Two cover the q-cap of ``evolve``: its divisor test drops the terms whose
+exponent equals the cap, and ``h_lambda_series`` evolves on the intersection
+of its lams' caps instead of their union.
 A module with no test file of its own (``exact.py``) goes straight to the
 whole suite.
 
@@ -84,6 +87,10 @@ MUTANTS = [
      "        out *= factorial(m)\n", "        out *= m\n"),
     ("suite_string_dilaton drops its dilaton failures", "verify.py",
      "(dilaton_identity_sides, dilatons)", "(dilaton_identity_sides, [])"),
+    ("evolve's divisor test drops the exponent at the cap", "cutjoin.py",
+     "cap.get(var, 0) < e", "cap.get(var, 0) <= e"),
+    ("h_lambda_series intersects its caps", "cutjoin.py",
+     "cap |= Counter(rest)", "cap &= Counter(rest)"),
 ]
 
 

@@ -377,3 +377,22 @@ def test_run_writes_help_and_usage_errors_to_its_own_streams(capsys):
     assert (code, out, err) == (
         2, "", "error: argument --max-q-weight: 5000 digits are more than int() reads\n")
     assert tuple(capsys.readouterr()) == ("", "")
+
+
+def test_abbreviated_option_names_are_refused(tmp_path):
+    # each option is read by its full name only, on the parser and every subparser
+    for argv in (("h-series", "--lam", "2", "--max", "2"),
+                 ("--cache", str(tmp_path), "h-series", "--lambda", "2", "--max-q-weight", "2"),
+                 ("compute-hurwitz", "--genus", "0", "--lambda", "2", "--mu", "2", "--meth", "oracle")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("K", [16, 24])
+def test_cutjoin_one_part_count_at_large_degree(tmp_path, K):
+    # h_{0; (K), 1^K} = K^(K-3); the evolution keeps only the q_1^e terms
+    code, out, err = run_cli("--cache-dir", str(tmp_path), "compute-hurwitz", "--genus", "0",
+                             "--lambda", str(K), "--mu", ",".join(["1"] * K), "--method", "cutjoin")
+    assert (code, out, err) == (0, f"{K ** (K - 3)}/1\n", "")

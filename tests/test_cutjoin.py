@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -14,7 +15,6 @@ from doublehurwitz.cutjoin import (
     evolve,
     frobenius_eH,
     genus0_part,
-    genus0_series,
     h_lambda_series,
     hurwitz_mono,
     hurwitz_number_by_series,
@@ -410,11 +410,60 @@ def test_evolve_rejects_negative_genus_cap():
         evolve(3, 2, max_genus=-1)
 
 
+def _q_part_divides(mono, mu) -> bool:
+    """Whether the q-part of mono divides q_mu, on a Counter of its own."""
+    cap = Counter(mu)
+    return all(e <= cap[var[1]] for var, e in mono if var[0] == "q")
+
+
+@pytest.mark.parametrize("K", range(1, 6))
+def test_evolve_q_cap_keeps_the_divisor_terms(K):
+    # with q_cap = mu, evolve equals the terms of the full H whose q-part
+    # divides q_mu, under every genus cap
+    full = evolve(K, 9)
+    for mu in partitions_of(K):
+        for cap in (None, 0, 1, 2):
+            expected = {m: c for m, c in full.items() if _q_part_divides(m, mu)
+                        and (cap is None or _genus(m) <= cap)}
+            assert evolve(K, 9, max_genus=cap, q_cap=mu).term_dict() == expected, (mu, cap)
+
+
+@pytest.mark.parametrize("K", range(1, 6))
+def test_cutjoin_number_equals_the_full_evolve(K):
+    # every profile with m <= 9 and g <= 2: the restricted evolve's number is
+    # m! times the coefficient of beta^m p_lam q_mu in the full H
+    full = evolve(K, 9)
+    for g in range(3):
+        for lam in partitions_of(K):
+            for mu in partitions_of(K):
+                m = len(lam) + len(mu) + 2 * g - 2
+                if m <= 9:
+                    expected = full.coefficient(hurwitz_mono(m, lam, mu)) * factorial(m)
+                    assert hurwitz_number_by_series(g, lam, mu, "cutjoin") == expected, (g, lam, mu)
+
+
+def _swap_p_and_q(series: GradedSeries) -> dict:
+    """The terms of series with each p_i and q_i exchanged, on tuples of their own."""
+    swap = {"p": "q", "q": "p"}
+    return {tuple(sorted(((swap[var[0]], var[1]) if var[0] in swap else var, e) for var, e in mono)): c
+            for mono, c in series.items()}
+
+
+@pytest.mark.parametrize("q_bound", range(1, 10))
+def test_evolve_is_symmetric_in_p_and_q(q_bound):
+    # h_lambda_series reads p_mu q_lam' q_1^e for p_lam' p_1^e q_mu
+    runs = [evolve(q_bound, max(0, 2 * q_bound - 2), max_genus=0)]
+    if q_bound <= 7:
+        runs.append(evolve(q_bound, 2 * q_bound))
+    for H in runs:
+        assert _swap_p_and_q(H) == H.term_dict()
+
+
 def test_genus0_series_fixes_beta_by_its_letters():
     # h_lambda_series reads only the p- and q-letters of the genus-0 series,
     # so each p_lam q_mu must sit at the one power m = len(lam) + len(mu) - 2
     for q_bound in range(1, 9):
-        for mono, _ in genus0_series(q_bound).items():
+        for mono, _ in evolve(q_bound, max(0, 2 * q_bound - 2), max_genus=0).items():
             parts = sum(e for v, e in mono if v != BETA_VAR)
             assert dict(mono).get(BETA_VAR, 0) == parts - 2, mono
 
@@ -473,30 +522,41 @@ def test_h_series_matches_full_shift(q_bound):
     # the whole genus-0 part of the full evolve, p_1-shifted at once
     g0 = genus0_part(evolve(q_bound, max(0, 2 * q_bound - 2)))
     shifted = substitute_p1_shift(set_beta_one(g0))
-    for n in range(1, q_bound + 2):
-        for lam in partitions_of(n):
-            expected = _shifted_h_lambda_series(shifted, lam, q_bound)
-            assert h_lambda_series(lam, q_bound) == expected, lam
+    lams = [lam for n in range(1, q_bound + 2) for lam in partitions_of(n)]
+    for lam, h in zip(lams, h_lambda_series(lams, q_bound), strict=True):
+        assert h == _shifted_h_lambda_series(shifted, lam, q_bound), lam
+
+
+def test_h_series_of_a_list_equals_each_alone():
+    # one evolve on the union of the caps serves every lam; (7,) lies past
+    # the bound, and (3, 3) shares its q_3^2 with no other lam
+    lams = [(1,), (3,), (2, 2), (4, 1, 1), (3, 3), (1, 1, 1, 1, 1), (7,)]
+    together = h_lambda_series(lams, 6)
+    assert together == [h_lambda_series([lam], 6)[0] for lam in lams]
+    assert not together[-1].nums and all(h.nums for h in together[:-1])
+    assert h_lambda_series([], 6) == []
+    with pytest.raises(ValueError):
+        h_lambda_series([(2,), ()], 6)
 
 
 def test_h_series_degree_one():
-    h1 = h_lambda_series((1,), 3)
+    h1, = h_lambda_series([(1,)], 3)
     assert h1.coefficient(Qm((1, 1))) == 1
 
 
 def test_h_series_degree_two():
-    h2 = h_lambda_series((2,), 4)
+    h2, = h_lambda_series([(2,)], 4)
     assert h2.coefficient(Qm((2, 1))) == Fraction(1, 2)
     assert h2.coefficient(Qm((1, 2))) == Fraction(1, 2)
 
 
 def test_h_series_part_order_irrelevant():
-    assert h_lambda_series((2, 3), 6) == h_lambda_series((3, 2), 6)
+    assert h_lambda_series([(2, 3)], 6) == h_lambda_series([(3, 2)], 6)
 
 
 def test_h_series_coefficients_nonnegative():
     for lam in [(1,), (2,), (3,), (2, 1), (2, 2), (3, 2)]:
-        for _, coeff in h_lambda_series(lam, 6).terms():
+        for _, coeff in h_lambda_series([lam], 6)[0].terms():
             assert coeff >= 0
 
 

@@ -122,7 +122,7 @@ def _packer(q_bound: int) -> Packer:
     """The Packer of one evolve call: p_1..p_Q, q_1..q_Q registered in that
     order, which is canonical monomial order, each field holding exponents
     up to 2^w - 1 >= Q, w = Q.bit_length()."""
-    return Packer(q_bound.bit_length() + 2, [pvar(i) for i in range(1, q_bound + 1)]
+    return Packer(q_bound.bit_length() + 1, [pvar(i) for i in range(1, q_bound + 1)]
                   + [qvar(i) for i in range(1, q_bound + 1)])
 
 
@@ -212,8 +212,8 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None, q_cap=None) -> 
     so the terms of H_{m+1} whose q-part divides q_c depend only on those of
     H_0..H_m.  H_0 keeps p_n q_n / n for the n in c, and after each step the
     J terms whose q-part does not divide q_c are dropped; W needs no filter.
-    The q-letters hold the top fields of a packed key and no field of a J
-    term is negative, so key >> (the offset of q_1) is its q-part, and the
+    The q-letters hold the top fields of a packed key and no packed field is
+    negative, so key >> (the offset of q_1) is its q-part, and the
     divisor test runs once per q-part met.  None keeps all.
     """
     if q_weight_bound < 1 or beta_bound < 0:

@@ -7,17 +7,18 @@ exp(-(t_1 + t_2 + ...)/psi),
 
     tau = 1 + xi s~_1 + xi (xi + psi) s~_2 + xi (xi + psi)(xi + 2 psi) s~_3 + ...
 
-and the residual generating function is R = -(psi/xi) log tau.  Every
-coefficient of log tau is divisible by xi, and after the division all negative
-powers of psi cancel; both facts are asserted, not assumed.  R solves the
-first scaled KP equation
+and the residual generating function is R = -(psi/xi) log tau.  R solves
+the first scaled KP equation
 
     d2R/dt2^2 = 2 psi xi (d2R/dt1^2)^2 + (4/3) d2R/dt1dt3
                 - (1/3) psi^2 d4R/dt1^4.
 
-Here the t_k live in their own alphabet (weight k); psi is the only variable
-anywhere in the package allowed temporary negative exponents, and they never
-escape this module.
+Here the t_k live in their own alphabet (weight k).  s~_k carries
+psi^(-len(mu)) on t_mu, so this module builds tau at t_k -> psi t_k, where
+every exponent is a natural number: s~_k(psi t) = h~_k(t) is the degree-k
+part of exp(-(t_1 + t_2 + ...)), and R(psi t) = -(psi/xi) log tau(psi t) is
+mapped back to R term by term.  Every coefficient of log tau is divisible by
+xi, and no negative power of psi is left in R; both are asserted, not assumed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from fractions import Fraction
 from .partitions import aut_order, partitions_of
 from .series import (
     PSI_VAR,
+    S,
     XI_VAR,
     GradedSeries,
     Truncation,
@@ -37,21 +39,19 @@ from .series import (
 
 
 def scaled_schur(k: int, trunc: Truncation) -> GradedSeries:
-    """s~_k: sum over partitions mu of k of (-1)^len(mu) psi^{-len(mu)} t_mu / |Aut mu|."""
+    """h~_k = s~_k(psi t): sum over partitions mu of k of (-1)^len(mu) t_mu / |Aut mu|."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     terms: dict = {}
     if k == 0:
         return GradedSeries.one(trunc)
     for mu in partitions_of(k):
-        ell = len(mu)
-        mono = mono_from_vars([(svar(i), 1) for i in mu] + [(PSI_VAR, -ell)])
-        terms[mono] = Fraction((-1) ** ell, aut_order(mu))
+        terms[mono_from_vars([(svar(i), 1) for i in mu])] = Fraction((-1) ** len(mu), aut_order(mu))
     return GradedSeries(trunc, terms)
 
 
 def tau_series(t_weight_bound: int) -> GradedSeries:
-    """The tau function truncated at total t-weight t_weight_bound."""
+    """tau(psi t), truncated at total t-weight t_weight_bound."""
     if t_weight_bound < 1:
         raise ValueError("bound must be >= 1")
     trunc = Truncation(s_weight=t_weight_bound)
@@ -66,24 +66,24 @@ def tau_series(t_weight_bound: int) -> GradedSeries:
 
 
 def r_from_tau(tau: GradedSeries) -> GradedSeries:
-    """R = -(psi/xi) log tau.
+    """R = -(psi/xi) log tau, for tau given at t_k -> psi t_k (tau_series).
 
-    Raises ValueError if some term of log tau is not divisible by xi, or if a
-    negative psi-power survives in R; either signals a wrong tau.
+    Each term c psi^a xi^b t_mu of log tau maps to
+    -c psi^(a + 1 - len(mu)) xi^(b - 1) t_mu, a term of R.  Raises ValueError
+    if some term of log tau is not divisible by xi, or if a negative
+    psi-power survives in R; either signals a wrong tau.
     """
     log_tau = tau.log()
     out: dict = {}
     for mono, n in log_tau.nums.items():
-        try:  # the division by xi, and the psi of the -psi prefactor
-            new = mono_from_vars(mono + ((XI_VAR, -1), (PSI_VAR, 1)))
-        except ValueError:
-            raise ValueError(f"log tau term {mono} is not divisible by xi") from None
-        out[new] = -n  # the surgery is injective, so no two terms meet
-    result = GradedSeries.from_ints(tau.truncation, out, log_tau.den)
-    for mono in result.nums:
-        if dict(mono).get(PSI_VAR, 0) < 0:
-            raise ValueError(f"negative psi power survives in R: {mono}")
-    return result
+        exps = dict(mono)
+        if XI_VAR not in exps:
+            raise ValueError(f"log tau term {mono} is not divisible by xi")
+        shift = 1 - sum(e for var, e in mono if var[0] == S)  # psi^(1 - len(mu))
+        if exps.get(PSI_VAR, 0) + shift < 0:
+            raise ValueError(f"negative psi power survives in R, from log tau term {mono}")
+        out[mono_from_vars(mono + ((XI_VAR, -1), (PSI_VAR, shift)))] = -n  # injective
+    return GradedSeries.from_ints(tau.truncation, out, log_tau.den)
 
 
 def r_series(t_weight_bound: int) -> GradedSeries:

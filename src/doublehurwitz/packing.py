@@ -5,20 +5,20 @@ the index it registered the variable at.  A monomial packs to the sum of
 e * 2^(W * index) over its (variable, exponent) pairs, so a product of
 monomials packs to the sum of their ints.
 
-The width rule is -2^(W-2) <= e < 2^(W-2) in every field: ``pack`` applies it
-to each exponent and ``check`` to sums of keys.  A field of a sum of two keys
-within the rule lies in [-2^(W-1), 2^(W-1)), where an int's expansion in
-signed base-2^W digits is unique, so distinct products have distinct ints and
-``unpack`` decodes them.  Both raise OverflowError (an ArithmeticError, so the
-CLI exits 4) rather than let a field carry into the next.
+Every exponent is a natural number, and the width rule is 0 <= e < 2^(W-1)
+in every field: ``pack`` applies it to each exponent and ``check`` to sums
+of keys.  A field of a sum of two keys within the rule lies in [0, 2^W), so
+no field carries into the next, distinct products have distinct ints and
+``unpack`` reads each field with a mask.  Both raise OverflowError (an
+ArithmeticError, so the CLI exits 4) rather than let a field carry.
 
 ``unpack`` returns the pairs sorted by variable, the canonical monomial,
 whatever order the variables were registered in, so no output depends on
 that order.
 
-One Packer serves each use: the GradedSeries kernel (W = 16), ZPoly (W = 9,
+One Packer serves each use: the GradedSeries kernel (W = 15), ZPoly (W = 8,
 so exponents up to 127) and each :func:`.cutjoin.evolve` call
-(W = Q.bit_length() + 2).
+(W = Q.bit_length() + 1).
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ class Packer:
     def __init__(self, width: int, variables=()):
         """A packer with W = width, the given variables registered in order."""
         self.width = width
-        self.limit = 1 << (width - 2)  # every exponent e has -limit <= e < limit
+        self.limit = 1 << (width - 1)  # every exponent e has 0 <= e < limit
         self.variables = []  # index -> variable
         self.shifts = {}  # variable -> width * its index
-        self.bias = 0  # limit in every registered field
         self.top = 0  # the top bit of every registered field
         self.decoded = {}  # packed key -> monomial, memoised by unpack
         self.pairs = []  # index -> {e: (variable, e)}, shared by decoded monomials
@@ -50,7 +49,6 @@ class Packer:
             shift = self.shifts[var] = self.width * len(self.variables)
             self.variables.append(var)
             self.pairs.append({})
-            self.bias |= self.limit << shift
             self.top |= 1 << (shift + self.width - 1)
         return shift
 
@@ -64,41 +62,39 @@ class Packer:
         OverflowError."""
         key, limit, shifts = 0, self.limit, self.shifts
         for var, e in pairs:
-            if not -limit <= e < limit:
+            if not 0 <= e < limit:
                 raise OverflowError(f"exponent {e} of {var} is outside the packed range "
-                                    f"[{-limit}, {limit})")
+                                    f"[0, {limit})")
             key += e << (shifts[var] if var in shifts else self.shift(var))
         return key
 
     def check(self, keys) -> None:
         """The width rule on a collection of keys, each a sum of keys within
-        it: raise OverflowError unless every field is in [-limit, limit).
-
-        Adding limit to every field maps that range onto [0, 2^(W-1)), so a
-        biased key within the rule has the top bit of each field clear.  In
-        the lowest field out of the rule, the biased value lies in
-        [-2^(W-2), 0) or [2^(W-1), 3 * 2^(W-2)), with no borrow from below;
-        either way its top bit is set."""
-        bias = self.bias
-        if reduce(or_, map(bias.__add__, keys), 0) & self.top:
-            bad = next(b for b in ((key + bias) & self.top for key in keys) if b)
+        it with no field past 2^W - 1 (a sum of two has none): raise
+        OverflowError unless every field is below limit, that is, unless the
+        top bit of every field is clear."""
+        if reduce(or_, keys, 0) & self.top:
+            bad = next(b for b in (key & self.top for key in keys) if b)
             var = self.variables[((bad & -bad).bit_length() - 1) // self.width]
             raise OverflowError(f"an exponent of {var} in a packed product is outside "
-                                f"the packed range [{-self.limit}, {self.limit})")
+                                f"the packed range [0, {self.limit})")
 
     def unpack(self, key: int) -> tuple:
         """The (variable, exponent) pairs packed in key, sorted by variable,
-        memoised.  Every field must lie in [-2^(W-1), 2^(W-1)), as a field of
-        a sum of two keys within the width rule does.  Decoded monomials
-        share their pair objects."""
+        memoised.  Every field must lie in [0, 2^W), as a field of a sum of
+        two keys within the width rule does; a negative key raises
+        OverflowError.  Decoded monomials share their pair objects."""
         mono = self.decoded.get(key)
         if mono is None:
+            if key < 0:
+                raise OverflowError(f"packed key {key} is negative: an exponent is outside "
+                                    f"the packed range [0, {self.limit})")
             out, rest, width = [], key, self.width
-            half, mask = 1 << (width - 1), (1 << width) - 1
+            mask = (1 << width) - 1
             while rest:  # the lowest field in use holds the lowest set bit
                 index = ((rest & -rest).bit_length() - 1) // width
                 shift = width * index
-                e = (((rest >> shift) + half) & mask) - half  # the field, sign included
+                e = (rest >> shift) & mask
                 pairs = self.pairs[index]
                 pair = pairs.get(e)
                 if pair is None:

@@ -15,12 +15,12 @@ xi          xi             ('xi',)                 degree counter
 ==========  =============  ======================  =================
 
 A monomial is a tuple of (variable, exponent) pairs sorted by variable;
-exponents are nonzero, and only psi may carry negative exponents.  A
-:class:`Truncation` fixes optional upper bounds on the q, p, t, beta and s
-weights (psi and xi are never bounded); a series stores
-only monomials within its truncation and all its coefficients are exact up to
-those bounds.  Series are immutable values: every operation returns a new
-series and two series are equal iff they have the same truncation and terms.
+every exponent is a positive int.  A :class:`Truncation` fixes optional
+upper bounds on the q, p, t, beta and s weights (psi and xi are never
+bounded); a series stores only monomials within its truncation and all its
+coefficients are exact up to those bounds.  Series are immutable values:
+every operation returns a new series and two series are equal iff they have
+the same truncation and terms.
 
 The coefficients are exact rationals in the form that :mod:`.exact` owns,
 int numerators over one common denominator in lowest terms: a sum, product,
@@ -29,14 +29,14 @@ Callers read them as Fractions, or take the int form (``nums``, ``den``)
 where they run hot.
 
 Products (``*``, and the steps of ``exp`` and ``log``) run on monomials
-packed as ints by one :class:`.packing.Packer` with 16-bit fields, so the
+packed as ints by one :class:`.packing.Packer` with 15-bit fields, so the
 packed product of two monomials is the sum of their ints.  The kernel reads
 and writes one form, {packed key: int coefficient} buckets keyed by weight
 over the bounded alphabets, and ``exp`` and ``log`` feed each grade straight
 back in.  ``*``, ``exp`` and ``log`` decode each output key once, with
 ``PACKER.unpack``, which returns the canonical monomial.  A factor's
 exponents, and each grade ``exp`` and ``log`` feed back, must lie in
-[-2^14, 2^14), the packer's width rule; outside it OverflowError is raised
+[0, 2^14), the packer's width rule; outside it OverflowError is raised
 rather than carry into the next field.  Outside the kernel, monomials stay
 tuples.
 """
@@ -111,13 +111,14 @@ def mono_weights(mono: tuple) -> tuple:
 
 def mono_from_vars(vars_with_exp: Iterable) -> tuple:
     """Canonical monomial from (var, exp) pairs; equal vars are merged, so a
-    monomial followed by (var, delta) pairs gives it with those shifts."""
+    monomial followed by (var, delta) pairs gives it with those shifts.  A
+    merged exponent below 0 raises ValueError."""
     acc: dict = {}
     for var, e in vars_with_exp:
         acc[var] = acc.get(var, 0) + e
     for var, e in acc.items():
-        if e < 0 and var != PSI_VAR:
-            raise ValueError(f"negative exponent only allowed on psi, got {var}^{e}")
+        if e < 0:
+            raise ValueError(f"negative exponent {var}^{e}")
     return tuple(sorted((v, e) for v, e in acc.items() if e != 0))
 
 
@@ -181,8 +182,8 @@ class Truncation(namedtuple("Truncation", "q_weight p_weight t_weight beta_deg s
 # -- the multiply kernel: monomials packed as ints ---------------------------
 
 # The kernel's monomials are packed by one process-wide Packer (see
-# .packing), with 16-bit fields: a packed exponent e has -2^14 <= e < 2^14.
-PACKER = Packer(16)
+# .packing), with 15-bit fields: a packed exponent e has 0 <= e < 2^14.
+PACKER = Packer(15)
 
 
 def _mul_into(out: dict, left: dict, right: dict, caps: tuple):

@@ -18,7 +18,7 @@ from operator import mul
 from pathlib import Path
 from typing import Optional
 
-from .partitions import check_partition, partitions_of, zee
+from .partitions import check_int, check_partition, partitions_of, zee
 from .series import GradedSeries, Truncation, mono_from_vars, pvar
 
 
@@ -105,10 +105,13 @@ class CharTable:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CharTable":
+        """The table to_json_dict wrote; a K, part or value that is not an
+        int (a string, a float such as 4.0, or a bool) raises TypeError."""
         values = {
-            (tuple(e["lam"]), tuple(e["mu"])): int(e["chi"]) for e in data["values"]
+            (tuple(map(check_int, e["lam"])), tuple(map(check_int, e["mu"]))): check_int(e["chi"])
+            for e in data["values"]
         }
-        return CharTable(int(data["K"]), values)
+        return CharTable(check_int(data["K"]), values)
 
     @staticmethod
     def cache_path(cache_dir, K: int) -> Path:
@@ -130,11 +133,11 @@ class CharTable:
     @staticmethod
     def load_valid(path, K: int) -> Optional["CharTable"]:
         """The table cached at path, or None unless it parses, carries the
-        current version stamp, is for degree K, holds exactly one value per
-        (lam, mu) with lam, mu partitions of K, passes check_orthogonality,
-        and each row has a positive dimension d = chi^lam_{1^K} and the
-        central character of a transposition t = (2, 1^{K-2}):
-        chi^lam_t K(K-1)/2 = central_weight(lam) d.
+        current version stamp, is for degree K, holds only ints (see
+        from_json_dict) and exactly one value per (lam, mu) with lam, mu
+        partitions of K, passes check_orthogonality, and each row has a
+        positive dimension d = chi^lam_{1^K} and the central character of a
+        transposition t = (2, 1^{K-2}): chi^lam_t K(K-1)/2 = central_weight(lam) d.
 
         A single wrong entry always fails orthogonality (it changes its
         column's norm by a nonzero integer).  Orthogonality cannot see a

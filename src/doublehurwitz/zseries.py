@@ -13,7 +13,7 @@ that polynomial ring with formal generators indexed by (d, r), its rational
 coefficients stored exactly in the int-numerator form of :mod:`.exact`.
 
 A ZPoly keys its coefficients by monomials packed as ints by one
-:class:`.packing.Packer` with 9-bit fields: each generator the process meets
+:class:`.packing.Packer` with 8-bit fields: each generator the process meets
 gets a field, so a product of monomials is a sum of ints, and an exponent
 above 127 raises OverflowError.  The sorted tuple of generators stays the
 read-out form (``terms``, the JSON and the order of :func:`zpoly_eval`),
@@ -105,8 +105,8 @@ ZGen = tuple  # (d, r)
 ZKey = tuple  # sorted tuple of ZGen with multiplicity; () is the constant
 
 # A monomial in the generators is packed as one int by one process-wide
-# Packer (see .packing), with 9-bit fields: an exponent is at most 127.
-PACKER = Packer(9)
+# Packer (see .packing), with 8-bit fields: an exponent is at most 127.
+PACKER = Packer(8)
 
 
 def _pack(gens) -> int:

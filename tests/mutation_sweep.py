@@ -8,18 +8,21 @@ still passes.  The unmutated copy runs first and must pass, so a kill is the
 mutant's doing.  ``src/`` itself is never edited.
 
 The mutants cover the packed-monomial format of ``packing.py``: each call of
-its width rule, the rule's bound, the sign of a decoded field, the range test
-of ``pack``, the sorted (canonical) order of ``unpack``, and the field width
-of each of the three packers.  Two cover the series kernel: it keeps
+its width rule, the rule's bound, the lower end of ``pack``'s range test and
+the whole test, the sorted (canonical) order of ``unpack``, and the field
+width of each of the three packers.  Two cover the series kernel: it keeps
 cancelled products, so their keys reach the width rule, and it drops the
 truncation test of a bucket pair.  Three more
 cover the layout of beta^m p_lam q_mu in ``cutjoin.py`` and the checked
 division of ``exact.py``: the reader ``_blocks`` no longer skips beta, the
 writer ``hurwitz_mono`` writes beta^0 as a letter, and ``exact.div`` drops
-its remainder test.  The last three cover helpers that other modules share
+its remainder test.  Three cover helpers that other modules share
 instead of keeping a copy of their own: ``mono_from_vars`` keeps the last
 exponent of a repeated letter instead of their sum, ``aut_order`` multiplies
 by m instead of m!, and the string-dilaton suite drops its dilaton failures.
+Two keep every exponent a natural number: ``mono_from_vars`` lets psi go
+negative again, and ``r_from_tau`` gives t_mu psi^-len(mu) instead of
+psi^(1 - len(mu)) when it maps log tau(psi t) back to R.
 Two cover the q-cap of ``evolve``: its divisor test drops the terms whose
 exponent equals the cap, and ``h_lambda_series`` evolves on the intersection
 of its lams' caps instead of their union.
@@ -58,11 +61,11 @@ MUTANTS = [
     ("log skips the width rule", "series.py",
      "                PACKER.check([p for b in grade.values() for p in b])\n", ""),
     ("the range rule admits its limit", "packing.py",
-     "if not -limit <= e < limit:", "if not -limit <= e <= limit:"),
-    ("unpack drops the sign of a field", "packing.py",
-     "e = (((rest >> shift) + half) & mask) - half", "e = (rest >> shift) & mask"),
+     "if not 0 <= e < limit:", "if not 0 <= e <= limit:"),
+    ("pack admits a negative exponent", "packing.py",
+     "if not 0 <= e < limit:", "if not e < limit:"),
     ("pack without its range test", "packing.py",
-     "if not -limit <= e < limit:", "if False:"),
+     "if not 0 <= e < limit:", "if False:"),
     ("unpack returns field order", "packing.py",
      "mono = self.decoded[key] = tuple(sorted(out))", "mono = self.decoded[key] = tuple(out)"),
     ("the series kernel keeps cancelled products", "series.py",
@@ -70,11 +73,11 @@ MUTANTS = [
     ("_mul_into without its caps test", "series.py",
      "            if any(w > cap for w, cap in zip(key, caps)):\n                continue\n", ""),
     ("evolve's fields one bit short", "cutjoin.py",
-     "Packer(q_bound.bit_length() + 2,", "Packer(q_bound.bit_length() + 1,"),
+     "Packer(q_bound.bit_length() + 1,", "Packer(q_bound.bit_length() + 0,"),
     ("ZPoly's fields one bit short", "zseries.py",
-     "PACKER = Packer(9)", "PACKER = Packer(8)"),
+     "PACKER = Packer(8)", "PACKER = Packer(7)"),
     ("the series kernel's fields one bit short", "series.py",
-     "PACKER = Packer(16)", "PACKER = Packer(15)"),
+     "PACKER = Packer(15)", "PACKER = Packer(14)"),
     ("_blocks does not skip beta", "cutjoin.py",
      "lo = hi = 1 if mono and mono[0][0] == BETA_VAR else 0", "lo = hi = 0"),
     ("hurwitz_mono writes beta^0", "cutjoin.py",
@@ -83,6 +86,11 @@ MUTANTS = [
      "    if remainder:\n", "    if False:\n"),
     ("mono_from_vars keeps the last exponent of a letter", "series.py",
      "acc[var] = acc.get(var, 0) + e", "acc[var] = e"),
+    ("mono_from_vars exempts psi again", "series.py",
+     "        if e < 0:\n            raise ValueError(f\"negative exponent",
+     "        if e < 0 and var != PSI_VAR:\n            raise ValueError(f\"negative exponent"),
+    ("r_from_tau maps by psi^-len(mu) instead of psi^(1 - len(mu))", "kp.py",
+     "shift = 1 - sum(", "shift = -sum("),
     ("aut_order multiplies by m, not m!", "partitions.py",
      "        out *= factorial(m)\n", "        out *= m\n"),
     ("suite_string_dilaton drops its dilaton failures", "verify.py",

@@ -16,7 +16,6 @@ MODULES = sorted(Path(doublehurwitz.__file__).parent.glob("*.py"))
 PARSERS = {
     ("cli.py", "_number"),
     ("zseries.py", "ZPoly.from_json_list"),
-    ("symgroup.py", "CharTable.from_json_dict"),
 }
 
 

@@ -5,7 +5,6 @@ import pytest
 from doublehurwitz.kp import (
     homogeneous_part,
     kp_residual,
-    kp_residual_of,
     r_from_tau,
     r_series,
     scaled_schur,
@@ -21,43 +20,26 @@ from doublehurwitz.series import (
 )
 
 
-def _shifted(mono: tuple, deltas: dict) -> tuple:
-    """mono with the exponents of deltas' letters shifted, on a dict of its
-    own: the reference does not share the package's monomial canonicaliser."""
-    exps = dict(mono)
-    for var, d in deltas.items():
-        exps[var] = exps.get(var, 0) + d
-    assert all(e >= 0 for var, e in exps.items() if var != PSI_VAR), (mono, deltas)
-    return tuple(sorted((var, e) for var, e in exps.items() if e))
-
-
 def test_scaled_schur_low_orders():
+    # s~_k at t -> psi t: the psi^-len(mu) of each t_mu is gone
     tr = Truncation(s_weight=3)
     assert scaled_schur(0, tr) == GradedSeries.one(tr)
     s1 = scaled_schur(1, tr)
-    assert s1.term_dict() == {
-        mono_from_vars([(svar(1), 1), (PSI_VAR, -1)]): Fraction(-1)
-    }
+    assert s1.term_dict() == {mono_from_vars([(svar(1), 1)]): Fraction(-1)}
     s2 = scaled_schur(2, tr)
     assert s2.term_dict() == {
-        mono_from_vars([(svar(2), 1), (PSI_VAR, -1)]): Fraction(-1),
-        mono_from_vars([(svar(1), 2), (PSI_VAR, -2)]): Fraction(1, 2),
+        mono_from_vars([(svar(2), 1)]): Fraction(-1),
+        mono_from_vars([(svar(1), 2)]): Fraction(1, 2),
     }
 
 
 def test_scaled_schur_sums_to_exponential():
-    # the s~_k are the homogeneous slices of exp(-(t_1+...+t_n)/psi)
+    # the h~_k are the homogeneous slices of exp(-(t_1+...+t_n))
     tr = Truncation(s_weight=4)
     total = GradedSeries.zero(tr)
     for k in range(5):
         total = total + scaled_schur(k, tr)
-    seed = GradedSeries(
-        tr,
-        {
-            mono_from_vars([(svar(i), 1), (PSI_VAR, -1)]): Fraction(-1)
-            for i in range(1, 5)
-        },
-    )
+    seed = GradedSeries(tr, {mono_from_vars([(svar(i), 1)]): Fraction(-1) for i in range(1, 5)})
     assert total == seed.exp()
 
 
@@ -105,24 +87,42 @@ def test_log_tau_divisible_by_xi():
         r_from_tau(broken)
 
 
+def _scaled_kp_residual(f: GradedSeries, t_weight_bound: int) -> GradedSeries:
+    """psi F_22 - 2 xi F_11^2 - (4/3) psi F_13 + (1/3) psi F_1111, for
+    F(t) = R(psi t) = -(psi/xi) log tau(psi t): with R(t) = F(t/psi), each
+    t-derivative of R is 1/psi times that of F, so this is psi^3 times the
+    KP residual of R, read at psi t, and has no negative psi power."""
+    t1, t2, t3 = svar(1), svar(2), svar(3)
+    tr = f.truncation
+    psi, xi = GradedSeries.var(tr, PSI_VAR), GradedSeries.var(tr, XI_VAR)
+    f11 = f.diff(t1).diff(t1)
+    residual = psi * (
+        f.diff(t2).diff(t2) - f.diff(t1).diff(t3).scalar_mul(Fraction(4, 3))
+        + f11.diff(t1).diff(t1).scalar_mul(Fraction(1, 3))
+    ) - xi * f11 * f11 * 2
+    return residual.truncate(Truncation(s_weight=t_weight_bound))
+
+
+def _scaled_r(tau: GradedSeries) -> GradedSeries:
+    """F = -(psi/xi) log tau, for tau given at t -> psi t, unmapped."""
+    log_tau = tau.log()
+    return GradedSeries.from_ints(
+        tau.truncation,
+        {mono_from_vars(m + ((XI_VAR, -1), (PSI_VAR, 1))): -n for m, n in log_tau.nums.items()},
+        log_tau.den,
+    )
+
+
 def test_perturbed_tau_fails_kp():
     bound = 8
     tau = tau_series(bound)
-    # flip one scaled-schur coefficient: perturb the xi * s~_2 block
+    assert _scaled_kp_residual(_scaled_r(tau), bound - 4).is_zero()
+    # perturb the xi * s~_2 block: xi psi^-1 t_2 / 2 in tau is xi t_2 / 2 at t -> psi t
     bad = tau + GradedSeries(
-        tau.truncation,
-        {
-            mono_from_vars([(XI_VAR, 1), (svar(2), 1), (PSI_VAR, -1)]): Fraction(1, 2)
-        },
+        tau.truncation, {mono_from_vars([(XI_VAR, 1), (svar(2), 1)]): Fraction(1, 2)}
     )
     with pytest.raises(ValueError, match="negative psi power"):
         r_from_tau(bad)
-    # R = -(psi/xi) log tau taken by hand, keeping the negative psi powers,
-    # fails the KP equation as well
-    log_bad = bad.log()
-    r_bad = GradedSeries.from_ints(
-        bad.truncation,
-        {_shifted(m, {XI_VAR: -1, PSI_VAR: 1}): -n for m, n in log_bad.nums.items()},
-        log_bad.den,
-    )
-    assert not kp_residual_of(r_bad, bound - 4).is_zero()
+    # R = -(psi/xi) log tau taken by hand, at t -> psi t so that no negative
+    # psi power is needed, fails the KP equation as well
+    assert not _scaled_kp_residual(_scaled_r(bad), bound - 4).is_zero()

@@ -16,9 +16,9 @@ VARIABLES = [f"x{n}" for n in range(8)]
 
 
 def _random_mono(rng, limit):
-    """A random dict monomial whose exponents lie in [-limit, limit)."""
+    """A random dict monomial whose exponents lie in [0, limit)."""
     chosen = rng.sample(VARIABLES, rng.randint(0, len(VARIABLES)))
-    return {var: e for var in chosen if (e := rng.randrange(-limit, limit))}
+    return {var: e for var in chosen if (e := rng.randrange(limit))}
 
 
 def _mono_sum(a, b):
@@ -33,7 +33,7 @@ def test_pack_is_linear_injective_and_inverted_by_unpack(width):
     rng = random.Random(width)
     packer = Packer(width)
     limit = packer.limit
-    assert limit == 1 << (width - 2)
+    assert limit == 1 << (width - 1)
     seen: dict = {}  # packed sum -> its dict monomial, as a sorted tuple
     for _ in range(2000):
         a, b = _random_mono(rng, limit), _random_mono(rng, limit)
@@ -52,11 +52,11 @@ def test_pack_is_linear_injective_and_inverted_by_unpack(width):
 @pytest.mark.parametrize("width", WIDTHS)
 def test_unpack_returns_the_canonical_order_and_shares_pairs(width):
     packer = Packer(width, ["b", "a"])  # field order is not variable order
-    low = -packer.limit
-    key = packer.pack([("a", 1), ("b", low)])
-    assert packer.unpack(key) == (("a", 1), ("b", low))
+    high = packer.limit - 1
+    key = packer.pack([("a", 1), ("b", high)])
+    assert packer.unpack(key) == (("a", 1), ("b", high))
     assert packer.unpack(key) is packer.unpack(key)  # memoised
-    other = packer.pack([("a", 2), ("b", low)])
+    other = packer.pack([("a", 2), ("b", high)])
     assert packer.unpack(other)[1] is packer.unpack(key)[1]
     assert packer.unit("a") == 1 << width and packer.unit("c") == 1 << (2 * width)
 
@@ -65,9 +65,9 @@ def test_unpack_returns_the_canonical_order_and_shares_pairs(width):
 def test_pack_applies_the_width_rule_to_each_exponent(width):
     packer = Packer(width)
     limit = packer.limit
-    for e in (-limit, limit - 1):
+    for e in (1, limit - 1):
         assert dict(packer.unpack(packer.pack([("x", e)]))) == {"x": e}
-    for e in (-limit - 1, limit, 2 * limit, 1 << width):
+    for e in (-1, -limit, limit, 2 * limit, 1 << width):
         with pytest.raises(OverflowError):
             packer.pack([("y", 1), ("x", e)])
 
@@ -79,7 +79,7 @@ def test_check_is_exact_at_both_ends_of_the_rule(width):
     limit = packer.limit
     for _ in range(150):
         target = rng.choice(VARIABLES)
-        for t in (-limit - 1, -limit, limit - 1, limit):
+        for t in (0, limit - 1, limit, 2 * limit - 2):
             # a sum of two keys within the rule: its target field is t, and
             # every other field a random exponent within the rule
             total = _random_mono(rng, limit)
@@ -87,12 +87,24 @@ def test_check_is_exact_at_both_ends_of_the_rule(width):
             left = {var: e // 2 for var, e in total.items()}
             right = {var: e - e // 2 for var, e in total.items()}
             key = packer.pack(left.items()) + packer.pack(right.items())
-            assert dict(packer.unpack(key)) == total  # a field of a sum decodes
+            # a field of a sum decodes, and a zero field gives no pair
+            assert dict(packer.unpack(key)) == {var: e for var, e in total.items() if e}
             keys = [packer.pack(_random_mono(rng, limit).items()), key]
             rng.shuffle(keys)
-            if -limit <= t < limit:
+            if t < limit:
                 packer.check(keys)
             else:
                 with pytest.raises(OverflowError, match=f"exponent of {target} in a packed product"):
                     packer.check(keys)
     packer.check([])
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_unpack_refuses_a_negative_key(width):
+    # every field of an unsigned key is read with a mask, so a negative key,
+    # whose bits never run out, would be read forever
+    packer = Packer(width, ["x", "y"])
+    for key in (-1, -packer.unit("y"), packer.unit("x") - packer.unit("y")):
+        with pytest.raises(OverflowError, match="negative"):
+            packer.unpack(key)
+    assert key not in packer.decoded

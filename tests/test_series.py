@@ -10,6 +10,8 @@ from typing import Optional
 import pytest
 
 from doublehurwitz import series
+from doublehurwitz.kp import r_series
+from doublehurwitz.partitions import aut_order, partitions_of
 from doublehurwitz.series import (
     BETA_VAR,
     PSI_VAR,
@@ -25,6 +27,16 @@ from doublehurwitz.series import (
     svar,
     tvar,
 )
+
+
+def _laurent(pairs) -> tuple:
+    """The reference's own canonical monomial of (variable, exponent) pairs:
+    equal letters merged, zeros dropped, and an exponent of either sign
+    kept, so that psi may go negative as in the paper's tau."""
+    acc: dict = {}
+    for var, e in pairs:
+        acc[var] = acc.get(var, 0) + e
+    return tuple(sorted((var, e) for var, e in acc.items() if e))
 
 
 class _FractionSeries:
@@ -135,7 +147,7 @@ class _FractionSeries:
                     continue
                 for ml, cl in lt:
                     for mr, cr in rt:
-                        m = mono_from_vars(ml + mr)
+                        m = _laurent(ml + mr)
                         c = cl * cr
                         prev = acc.get(m)
                         acc[m] = c if prev is None else prev + c
@@ -174,6 +186,35 @@ class _FractionSeries:
             inv = Fraction(1, n)
             out.update((m, c * inv) for m, c in acc.items())
         return _FractionSeries.from_terms(self.truncation, out)
+
+
+def reference_r_series(b: int) -> dict:
+    """R = -(psi/xi) log tau in the paper's form, on the reference's own
+    Laurent monomials: tau = 1 + sum_k xi (xi + psi) ... (xi + (k-1) psi) s~_k
+    with s~_k = sum_{mu |- k} (-1)^len(mu) psi^-len(mu) t_mu / |Aut mu|, its
+    log divided by xi and multiplied by -psi term by term."""
+    trunc = Truncation(s_weight=b)
+    xi, psi = ((XI_VAR, 1),), ((PSI_VAR, 1),)
+    tau = rising = _FractionSeries.one(trunc)
+    for k in range(1, b + 1):
+        rising = rising * _FractionSeries(trunc, {xi: 1, psi: k - 1})
+        schur = {_laurent([(svar(i), 1) for i in mu] + [(PSI_VAR, -len(mu))]):
+                 Fraction((-1) ** len(mu), aut_order(mu)) for mu in partitions_of(k)}
+        tau = tau + rising * _FractionSeries(trunc, schur)
+    out: dict = {}
+    for mono, coeff in tau.log().items():
+        new = _laurent(mono + ((XI_VAR, -1), (PSI_VAR, 1)))
+        out[new] = out.get(new, 0) - coeff
+    return out
+
+
+def test_r_series_equals_the_laurent_reference():
+    # kp builds tau at t -> psi t, with no negative exponent anywhere, and
+    # maps log tau back; the reference keeps the paper's psi^-len(mu)
+    r = reference_r_series(8)
+    assert all(e > 0 for mono in r for _, e in mono)
+    assert r_series(8).term_dict() == r
+
 
 TR = Truncation(q_weight=8, p_weight=8)
 
@@ -342,15 +383,6 @@ def test_log_rejects_unbounded_directions():
         s.log()
 
 
-def test_exp_log_round_trip_with_negative_psi_exponent():
-    # t_2 psi^-1 has positive grade, since psi is never bounded
-    from doublehurwitz.series import PSI_VAR, svar
-
-    mono = mono_from_vars([(svar(2), 1), (PSI_VAR, -1)])
-    unbounded_psi = GradedSeries(Truncation(s_weight=4), {mono: Fraction(1)})
-    assert unbounded_psi.exp().log() == unbounded_psi
-
-
 def _power_exp(s):
     """Reference exp by power iteration, sum_j s^j / j!: each step multiplies
     the whole series (the implementation before the graded recursion)."""
@@ -498,12 +530,13 @@ def test_bucketed_mul_matches_naive_reference():
         assert a * b == naive_mul(a, b)
 
 
-def test_truncation_admits_negative_psi():
-    from doublehurwitz.series import PSI_VAR
-
-    tr = Truncation(s_weight=4)
-    laurent = mono_from_vars([(PSI_VAR, -5)])
-    assert tr.admits(laurent)
+def test_mono_from_vars_refuses_a_negative_exponent():
+    for var in (PSI_VAR, XI_VAR, svar(1), qvar(2), BETA_VAR):
+        with pytest.raises(ValueError, match="negative exponent"):
+            mono_from_vars([(var, -1)])
+        with pytest.raises(ValueError, match="negative exponent"):
+            mono_from_vars([(var, 2), (qvar(1), 1), (var, -3)])
+        assert mono_from_vars([(var, 2), (var, -2)]) == ()
 
 
 @pytest.mark.parametrize("coeff", [0.5, True, 1j, "1", None])
@@ -537,8 +570,8 @@ def test_views_read_the_int_form_as_fractions():
     assert zero.is_zero() and zero.den == 1
 
 
-# (truncation, bounded letters, and whether psi and xi ride along): the psi
-# exponents reach -3, as in the scaled Schur polynomials of the tau function
+# (truncation, bounded letters, and whether psi and xi ride along, each
+# unbounded, with exponents up to 5 and 2)
 _ALPHABETS = [
     (Truncation(q_weight=5), [qvar(k) for k in (1, 2, 3)], False),
     (Truncation(q_weight=5, p_weight=5, beta_deg=3),
@@ -548,13 +581,13 @@ _ALPHABETS = [
 ]
 
 
-def _drawn_series(draw, st, trunc, letters, laurent):
+def _drawn_series(draw, st, trunc, letters, psi_xi_ride):
     """A series with a drawn constant (possibly 0) and up to 6 more terms,
     each with a positive grade."""
     small = st.integers(-9, 9)
     coeff = st.builds(Fraction, small, st.integers(1, 12))
     letter = st.sampled_from(letters)
-    psi_xi = st.tuples(st.integers(-3, 2), st.integers(0, 2)) if laurent else st.just((0, 0))
+    psi_xi = st.tuples(st.integers(0, 5), st.integers(0, 2)) if psi_xi_ride else st.just((0, 0))
     term = st.tuples(st.lists(letter, min_size=1, max_size=3), psi_xi, coeff)
     terms = {(): draw(coeff)}
     for product, (psi_e, xi_e), c in draw(st.lists(term, max_size=6)):
@@ -571,9 +604,9 @@ def test_int_kernels_match_the_fraction_reference():
     @hypothesis.settings(derandomize=True, max_examples=40, deadline=None, database=None)
     @hypothesis.given(st.data())
     def check(data):
-        trunc, letters, laurent = data.draw(st.sampled_from(_ALPHABETS))
-        a = _drawn_series(data.draw, st, trunc, letters, laurent)
-        b = _drawn_series(data.draw, st, trunc, letters, laurent)
+        trunc, letters, psi_xi_ride = data.draw(st.sampled_from(_ALPHABETS))
+        a = _drawn_series(data.draw, st, trunc, letters, psi_xi_ride)
+        b = _drawn_series(data.draw, st, trunc, letters, psi_xi_ride)
         c = data.draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7)))
         ra, rb = _FractionSeries.of(a), _FractionSeries.of(b)
         small = Truncation(*(None if x is None else x - 1 for x in trunc))
@@ -595,20 +628,20 @@ def test_int_kernels_match_the_fraction_reference():
     check()
 
 
-# A series exponent e packs when -2^14 <= e < 2^14, the width rule of the
-# kernel's 16-bit fields.
+# A series exponent e packs when 0 <= e < 2^14, the width rule of the
+# kernel's 15-bit fields.
 LIMIT = 1 << 14
 _pack = series.PACKER.pack
 
 # One letter of each of the seven alphabets per entry, with the exponents a
-# random monomial may give it: psi goes negative, as in the tau function.
+# random monomial may give it.
 _PACK_LETTERS = (
     [(qvar(k), range(1, 13)) for k in range(1, 7)]
     + [(pvar(i), range(1, 13)) for i in range(1, 7)]
     + [(tvar(i, j), range(1, 13)) for i in range(3) for j in range(3)]
     + [(BETA_VAR, range(1, 13))]
     + [(svar(k), range(1, 13)) for k in range(1, 7)]
-    + [(PSI_VAR, [e for e in range(-12, 13) if e]), (XI_VAR, range(1, 13))]
+    + [(PSI_VAR, range(1, 13)), (XI_VAR, range(1, 13))]
 )
 
 
@@ -628,24 +661,13 @@ def test_packing_is_linear_and_injective_on_products():
     assert _pack(()) == 0
 
 
-def test_psi_powers_cancel_in_the_packed_kernel():
-    tr = Truncation(s_weight=4)
-    t1 = svar(1)
-    for k in range(1, 13):
-        up = GradedSeries(tr, {mono_from_vars([(PSI_VAR, k), (t1, 1)]): 1})
-        down = GradedSeries(tr, {mono_from_vars([(PSI_VAR, -k)]): 1})
-        assert mono_from_vars(((PSI_VAR, k), (PSI_VAR, -k))) == ()
-        assert _pack(((PSI_VAR, k),)) + _pack(((PSI_VAR, -k),)) == 0
-        assert (up * down).nums == {((t1, 1),): 1}
-
-
 def test_packing_refuses_an_exponent_at_the_limit():
     tr = Truncation()
     one = GradedSeries.one(tr)
-    for e in (LIMIT - 1, -LIMIT):
+    for e in (1, LIMIT - 1):
         mono = mono_from_vars([(PSI_VAR, e)])
         assert (GradedSeries(tr, {mono: 1}) * one).nums == {mono: 1}
-    for mono in ([(PSI_VAR, LIMIT)], [(PSI_VAR, -LIMIT - 1)], [(qvar(1), 1), (qvar(2), LIMIT)]):
+    for mono in ([(PSI_VAR, LIMIT)], [(qvar(1), 1), (qvar(2), LIMIT)]):
         with pytest.raises(OverflowError):
             GradedSeries(tr, {mono_from_vars(mono): 1}) * one
     assert issubclass(OverflowError, ArithmeticError)  # so the CLI exits 4
@@ -657,10 +679,6 @@ def test_series_product_refuses_an_exponent_at_the_limit():
     small = GradedSeries(tr, {mono_from_vars([(qvar(2), 1)]): 1})
     with pytest.raises(OverflowError):
         small * big
-    with pytest.raises(OverflowError):
-        GradedSeries(tr, {mono_from_vars([(PSI_VAR, -LIMIT - 1)]): 1}) * small
-    low = mono_from_vars([(PSI_VAR, -LIMIT)])
-    assert (GradedSeries(tr, {low: 1}) * small).nums == {mono_from_vars(low + ((qvar(2), 1),)): 1}
     # a product of two in-range exponents is exact, and packs no further
     top = GradedSeries(tr, {mono_from_vars([(qvar(1), LIMIT - 1)]): 2})
     square = top * top
@@ -731,7 +749,7 @@ tr = Truncation(q_weight=4, p_weight=4, t_weight=3, beta_deg=2, s_weight=4)
 mixed = GradedSeries(tr, {
     (): 1,
     mono_from_vars([(qvar(1), 1), (pvar(1), 1), (BETA_VAR, 1)]): 2,
-    mono_from_vars([(svar(1), 1), (PSI_VAR, -1), (XI_VAR, 1)]): -1,
+    mono_from_vars([(svar(1), 1), (PSI_VAR, 1), (XI_VAR, 1)]): -1,
     mono_from_vars([(tvar(0, 0), 1), (qvar(2), 1), (PSI_VAR, 2)]): 3,
     mono_from_vars([(pvar(2), 1), (svar(2), 1), (tvar(1, 0), 1)]): 5,
 })
@@ -765,7 +783,7 @@ def test_outputs_do_not_depend_on_term_insertion_order():
         mono_from_vars([(q1, 1)]): Fraction(1),
         mono_from_vars([(q1, 1), (PSI_VAR, 1)]): Fraction(2),
         mono_from_vars([(p1, 1), (q1, 1)]): Fraction(1, 2),
-        mono_from_vars([(q2, 1), (PSI_VAR, -1)]): Fraction(3),
+        mono_from_vars([(q2, 1), (PSI_VAR, 2)]): Fraction(3),
         mono_from_vars([(p2, 1), (XI_VAR, 1)]): Fraction(-1, 3),
         mono_from_vars([(p1, 2), (q1, 1)]): Fraction(5, 7),
     }

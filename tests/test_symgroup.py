@@ -121,8 +121,48 @@ def _swap_rows(data):
         e["lam"] = swap.get(tuple(e["lam"]), e["lam"])
 
 
+def _set_first_chi(data, value):
+    # chi^(1^K)_(1^K) = 1, written as another JSON type
+    assert data["values"][0]["chi"] == 1
+    data["values"][0]["chi"] = value
+
+
+def _chi_as_string(data):
+    _set_first_chi(data, "1")
+
+
+def _chi_as_float(data):
+    _set_first_chi(data, 1.0)
+
+
+def _chi_as_bool(data):
+    _set_first_chi(data, True)
+
+
+def _K_as_float(data):
+    data["K"] = 4.0
+
+
+def _parts_as_float(data, key):
+    # every part 4 as 4.0, which hashes like 4
+    for e in data["values"]:
+        e[key] = [float(x) if x == 4 else x for x in e[key]]
+
+
+def _lam_part_as_float(data):
+    _parts_as_float(data, "lam")
+
+
+def _mu_part_as_float(data):
+    _parts_as_float(data, "mu")
+
+
+_NOT_INTS = [_chi_as_string, _chi_as_float, _chi_as_bool, _K_as_float, _lam_part_as_float,
+             _mu_part_as_float]
+
+
 @pytest.mark.parametrize(
-    "edit", [_perturb_entry, _drop_key, _wrong_K, _stale_version, _flip_row, _swap_rows]
+    "edit", [_perturb_entry, _drop_key, _wrong_K, _stale_version, _flip_row, _swap_rows] + _NOT_INTS
 )
 def test_char_table_bad_cache_is_rebuilt(tmp_path, edit):
     good = CharTable.build(4)

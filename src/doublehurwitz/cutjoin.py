@@ -109,13 +109,12 @@ def cut_join_apply(series: GradedSeries) -> GradedSeries:
 
     W acts on the p-variables alone, the p block of each monomial; their
     image comes from a memo and is spliced back."""
-    out: dict = {}
-    for mono, n in series.nums.items():
+
+    def image(mono):
         pre, pblock, post = _blocks(mono)
-        for pimage, c in _w_image(pblock):
-            new = pre + pimage + post
-            out[new] = out.get(new, 0) + n * c
-    return GradedSeries.from_ints(series.truncation, out, series.den)
+        return [(pre + pimage + post, c) for pimage, c in _w_image(pblock)]
+
+    return series.map_terms(image)
 
 
 def _packer(q_bound: int) -> Packer:
@@ -305,12 +304,12 @@ def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> Graded
 def genus0_part(H: GradedSeries) -> GradedSeries:
     """Keep the monomials beta^m p_lam q_mu with m = len(lam) + len(mu) - 2."""
 
-    def keep(mono) -> bool:
+    def image(mono):
         beta, pblock, rest = _blocks(mono)
-        return sum(e for _, e in beta) == sum(e for _, e in pblock + rest) - 2
+        genus0 = sum(e for _, e in beta) == sum(e for _, e in pblock + rest) - 2
+        return ((mono, 1),) if genus0 else ()
 
-    kept = {m: n for m, n in H.nums.items() if keep(m)}
-    return GradedSeries.from_ints(H.truncation, kept, H.den)
+    return H.map_terms(image)
 
 
 def h_lambda_series(lams, q_weight_bound: int) -> list:

@@ -9,10 +9,10 @@ as an int by :mod:`.packing`) store their coefficients in this form, and the
 functions here are its only kernels.
 A sum of many parts runs on one accumulator of int numerators over a
 running denominator: :func:`widen` rescales it in place so that the next
-part's denominator divides the running one, each part is added as ints, and
-:func:`lowest` normalises once at the end.  :func:`div` is the one checked
-exact division of ints, and :func:`ratio` renders every rational the CLI
-prints.
+part's denominator divides the running one, :func:`add_into` adds a part as
+ints, and :func:`lowest` normalises once at the end.  :func:`div` is the one
+checked exact division of ints, and :func:`ratio` renders every rational the
+CLI prints.
 """
 
 from __future__ import annotations
@@ -73,22 +73,22 @@ def widen(acc: dict, den: int, part_den: int) -> int:
     return den
 
 
+def add_into(acc: dict, den: int, nums: dict, part_den: int, mult: int) -> int:
+    """Add mult * nums / part_den (int numerators, an int mult) into acc / den
+    in place; return the running denominator, grown by :func:`widen`."""
+    den = widen(acc, den, part_den)
+    scale = den // part_den * mult
+    get = acc.get
+    for k, n in nums.items():
+        acc[k] = get(k, 0) + n * scale
+    return den
+
+
 def add(a: dict, a_den: int, b: dict, b_den: int) -> tuple:
     """(nums, den) of a / a_den + b / b_den, over the lcm of the two
     denominators before it is brought to lowest terms."""
-    if a_den == b_den:
-        out = dict(a)
-        get = out.get
-        for k, n in b.items():
-            out[k] = get(k, 0) + n
-        return lowest(out, a_den)
-    g = gcd(a_den, b_den)
-    scale_a, scale_b = b_den // g, a_den // g
-    out = {k: n * scale_a for k, n in a.items()}
-    get = out.get
-    for k, n in b.items():
-        out[k] = get(k, 0) + n * scale_b
-    return lowest(out, a_den * scale_a)
+    out = dict(a)
+    return lowest(out, add_into(out, a_den, b, b_den, 1))
 
 
 def scale(nums: dict, den: int, c) -> tuple:

@@ -73,17 +73,17 @@ def r_from_tau(tau: GradedSeries) -> GradedSeries:
     if some term of log tau is not divisible by xi, or if a negative
     psi-power survives in R; either signals a wrong tau.
     """
-    log_tau = tau.log()
-    out: dict = {}
-    for mono, n in log_tau.nums.items():
+
+    def image(mono):
         exps = dict(mono)
         if XI_VAR not in exps:
             raise ValueError(f"log tau term {mono} is not divisible by xi")
         shift = 1 - sum(e for var, e in mono if var[0] == S)  # psi^(1 - len(mu))
         if exps.get(PSI_VAR, 0) + shift < 0:
             raise ValueError(f"negative psi power survives in R, from log tau term {mono}")
-        out[mono_from_vars(mono + ((XI_VAR, -1), (PSI_VAR, shift)))] = -n  # injective
-    return GradedSeries.from_ints(tau.truncation, out, log_tau.den)
+        return ((mono_from_vars(mono + ((XI_VAR, -1), (PSI_VAR, shift))), -1),)
+
+    return tau.log().map_terms(image)
 
 
 def r_series(t_weight_bound: int) -> GradedSeries:
@@ -93,11 +93,7 @@ def r_series(t_weight_bound: int) -> GradedSeries:
 
 def homogeneous_part(series: GradedSeries, t_weight: int) -> GradedSeries:
     """Terms of exact total t-weight (the s-alphabet grading)."""
-    return GradedSeries.from_ints(
-        series.truncation,
-        {m: n for m, n in series.nums.items() if mono_weights(m)[4] == t_weight},
-        series.den,
-    )
+    return series.map_terms(lambda m: ((m, 1),) if mono_weights(m)[4] == t_weight else ())
 
 
 def kp_residual_of(r: GradedSeries, t_weight_bound: int) -> GradedSeries:

@@ -1,18 +1,8 @@
 """Sparse, graded, truncated multivariate power series over exact coefficients.
 
-Variables live in seven alphabets, each with its own grading:
-
-==========  =============  ======================  =================
-alphabet    variables      encoding                weight
-==========  =============  ======================  =================
-q           q_1, q_2, ...  ('q', k)                k
-p           p_1, p_2, ...  ('p', i)                i
-t           t_{i,j}        ('t', i, j), i,j >= 0   i + j + 1
-beta        beta           ('b',)                  1 per power
-s           t_1, t_2, ...  ('s', k)                k   (KP times)
-psi         psi            ('psi',)                degree counter
-xi          xi             ('xi',)                 degree counter
-==========  =============  ======================  =================
+Variables live in seven alphabets, each with its own grading: q, p, t (the
+t_{i,j}), beta, s (the KP times t_k), psi and xi.  The table ``_ALPHABETS``
+is the one place they are defined; ``mono_weights`` and ``mono_str`` read it.
 
 A monomial is a tuple of (variable, exponent) pairs sorted by variable;
 every exponent is a positive int.  A :class:`Truncation` fixes optional
@@ -83,29 +73,26 @@ def svar(k: int) -> tuple:
     return (S, k)
 
 
-# Weight vector coordinates: (q, p, t, beta, s, psi, xi).
-_NWEIGHTS = 7
+# The alphabets, by tag: (coordinate in the weight vector, bump, name).  A
+# variable is its tag and its indices; its weight is their sum plus the bump,
+# and its printed name is the name formatted with them.
+_ALPHABETS = {
+    Q: (0, 0, "q_{}"),  # q_k = ('q', k), k >= 1
+    P: (1, 0, "p_{}"),  # p_i = ('p', i), i >= 1
+    T: (2, 1, "t_{{{},{}}}"),  # t_{i,j} = ('t', i, j), i, j >= 0
+    BETA: (3, 1, "beta"),  # ('b',)
+    S: (4, 0, "t_{}"),  # the KP time t_k = ('s', k), k >= 1
+    PSI: (5, 1, "psi"),  # ('psi',), a degree counter
+    XI: (6, 1, "xi"),  # ('xi',), a degree counter
+}
 
 
 def mono_weights(mono: tuple) -> tuple:
-    """Per-alphabet weight vector of a monomial."""
-    w = [0] * _NWEIGHTS
+    """Per-alphabet weight vector of a monomial, in _ALPHABETS' coordinates."""
+    w = [0] * len(_ALPHABETS)
     for var, e in mono:
-        tag = var[0]
-        if tag == Q:
-            w[0] += var[1] * e
-        elif tag == P:
-            w[1] += var[1] * e
-        elif tag == T:
-            w[2] += (var[1] + var[2] + 1) * e
-        elif tag == BETA:
-            w[3] += e
-        elif tag == S:
-            w[4] += var[1] * e
-        elif tag == PSI:
-            w[5] += e
-        else:
-            w[6] += e
+        coord, bump, _ = _ALPHABETS[var[0]]
+        w[coord] += (sum(var[1:]) + bump) * e
     return tuple(w)
 
 
@@ -124,27 +111,8 @@ def mono_from_vars(vars_with_exp: Iterable) -> tuple:
 
 def mono_str(mono: tuple) -> str:
     """Human-readable rendering, e.g. ``q_1^2*t_{1,0}``; s-variables print as t_k."""
-    if not mono:
-        return "1"
-    parts = []
-    for var, e in mono:
-        tag = var[0]
-        if tag == Q:
-            name = f"q_{var[1]}"
-        elif tag == P:
-            name = f"p_{var[1]}"
-        elif tag == T:
-            name = f"t_{{{var[1]},{var[2]}}}"
-        elif tag == BETA:
-            name = "beta"
-        elif tag == S:
-            name = f"t_{var[1]}"
-        elif tag == PSI:
-            name = "psi"
-        else:
-            name = "xi"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+    names = ((_ALPHABETS[var[0]][2].format(*var[1:]), e) for var, e in mono)
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in names) or "1"
 
 
 class TruncationMismatch(ValueError):
@@ -361,15 +329,15 @@ class GradedSeries:
 
     def diff(self, var: tuple) -> "GradedSeries":
         """Formal partial derivative with respect to one variable."""
-        out: dict = {}
-        for mono, n in self.nums.items():
+
+        def image(mono):
             for idx, (v, e) in enumerate(mono):
                 if v == var:
-                    new = mono[:idx] + ((v, e - 1),) if e != 1 else mono[:idx]
-                    new = new + mono[idx + 1 :]
-                    out[new] = out.get(new, 0) + n * e
-                    break
-        return GradedSeries.from_ints(self.truncation, out, self.den)
+                    head = mono[:idx] + ((v, e - 1),) if e != 1 else mono[:idx]
+                    return ((head + mono[idx + 1 :], e),)
+            return ()
+
+        return self.map_terms(image)
 
     # -- structure maps -----------------------------------------------------
 
@@ -379,12 +347,17 @@ class GradedSeries:
             new_trunc, {m: n for m, n in self.nums.items() if new_trunc.admits(m)}, self.den
         )
 
-    def scale_terms(self, factor) -> "GradedSeries":
-        """New series with each coefficient c of a monomial m replaced by
-        c * factor(m), for an int-valued factor; zeros are dropped."""
-        return GradedSeries.from_ints(
-            self.truncation, {m: n * factor(m) for m, n in self.nums.items()}, self.den
-        )
+    def map_terms(self, image) -> "GradedSeries":
+        """The linear map sending each monomial m to the sum of c m' over the
+        pairs (m', c) of image(m), c an int: a term n m goes to the sum of
+        n c m'.  Every m' must lie within the truncation (not re-checked);
+        zeros are dropped."""
+        out: dict = {}
+        get = out.get
+        for mono, n in self.nums.items():
+            for new, c in image(mono):
+                out[new] = get(new, 0) + n * c
+        return GradedSeries.from_ints(self.truncation, out, self.den)
 
     # -- exp / log ----------------------------------------------------------
 

@@ -206,7 +206,7 @@ class ZPoly:
         return _poly({k: -n for k, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "ZPoly":
-        return self + (-other if isinstance(other, ZPoly) else ZPoly.constant(-other))
+        return self + -(other if isinstance(other, ZPoly) else ZPoly.constant(other))
 
     def __mul__(self, other) -> "ZPoly":
         if isinstance(other, ZPoly):
@@ -219,11 +219,12 @@ class ZPoly:
     def combine(triples) -> "ZPoly":
         """The sum of c * a * b over an iterable of (c, a, b) triples: c an int
         or a Fraction (TypeError otherwise), a a ZPoly and b a ZPoly or None
-        for 1.  Triples with a zero factor are skipped.  Every product is
-        added straight into int numerators over one running denominator
-        (:func:`.exact.widen`), a product's key being the sum of its factors'
-        keys, and the sum is checked by PACKER.check and brought to lowest
-        terms once, so no term and no partial sum is built as a ZPoly."""
+        for 1.  Triples with a zero factor are skipped.  Every term is added
+        straight into int numerators over one running denominator, by
+        :func:`.exact.add_into` or, for a product, after :func:`.exact.widen`,
+        a product's key being the sum of its factors' keys; the sum is checked
+        by PACKER.check and brought to lowest terms once, so no term and no
+        partial sum is built as a ZPoly."""
         acc: dict = {}
         get = acc.get
         den = 1
@@ -232,11 +233,7 @@ class ZPoly:
             if not num or not a.nums:
                 continue
             if b is None:
-                part_den = c.denominator * a.den
-                den = exact.widen(acc, den, part_den)
-                scale = den // part_den * num
-                for k, n in a.nums.items():
-                    acc[k] = get(k, 0) + n * scale
+                den = exact.add_into(acc, den, a.nums, c.denominator * a.den, num)
             elif b.nums:
                 part_den = c.denominator * a.den * b.den
                 den = exact.widen(acc, den, part_den)
@@ -321,7 +318,6 @@ def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
     before.  The sum runs on int numerators over one running denominator."""
     trunc = Truncation(q_weight=q_weight_bound)
     acc: dict = {}
-    get = acc.get
     den = 1
     chain: list = []  # chain[i]: the product of the first i + 1 series of key
     key = ()
@@ -336,10 +332,7 @@ def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
             z = z_series(d, r, q_weight_bound)
             chain.append(chain[-1] * z if chain else z)
         nums, prod_den = (chain[-1].nums, chain[-1].den) if chain else ({(): 1}, 1)
-        den = exact.widen(acc, den, prod_den)
-        scale = den // prod_den * poly.nums[packed]
-        for m, c in nums.items():
-            acc[m] = get(m, 0) + c * scale
+        den = exact.add_into(acc, den, nums, prod_den, poly.nums[packed])
     return GradedSeries.from_ints(trunc, acc, den * poly.den)
 
 
@@ -349,10 +342,15 @@ def zpoly_values_equal(a: ZPoly, b: ZPoly, q_weight: int) -> bool:
     The generator series satisfy polynomial relations, so distinct polynomial
     forms can represent the same series; structural equality (==) is only a
     sufficient condition.  Evaluation up to the given q-weight is the
-    equality of record for recursion outputs."""
+    equality of record for recursion outputs.  It compares nothing when a
+    and b differ in form but both evaluate to zero up to q_weight, so that
+    raises ValueError: the q-weight is too low to tell them apart."""
     if a == b:
         return True
-    return zpoly_eval(a - b, q_weight).is_zero()
+    equal = zpoly_eval(a - b, q_weight).is_zero()
+    if equal and zpoly_eval(a, q_weight).is_zero():
+        raise ValueError(f"vacuous comparison: both sides evaluate to 0 up to q-weight {q_weight}")
+    return equal
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +414,11 @@ def check_eqzred(d: int, r: int, q_weight_bound: int):
     z = z_series(d, r, q_weight_bound)
     # z_{d,r} holds only q-letters, so sum_k k q_k d/dq_k scales q_mu by
     # |mu|, its q-weight, and sum_k q_k d/dq_k by len(mu), its letter count
-    lhs1 = z.scale_terms(lambda mono: mono_weights(mono)[0])
+    lhs1 = z.map_terms(lambda m: ((m, mono_weights(m)[0]),))
     rhs1 = zpoly_eval(zgen_weighted_euler(d, r), q_weight_bound)
     if lhs1 != rhs1:
         return False, f"weighted Euler identity fails for z_{{{d},{r}}}"
-    lhs2 = z.scale_terms(lambda mono: sum(e for _, e in mono))
+    lhs2 = z.map_terms(lambda m: ((m, sum(e for _, e in m)),))
     rhs2 = zpoly_eval(zgen_euler(d, r), q_weight_bound)
     if lhs2 != rhs2:
         return False, f"Euler identity fails for z_{{{d},{r}}}"
@@ -493,21 +491,20 @@ def psi_series(a: int, ell: int, t_weight_bound: int) -> GradedSeries:
 
 def _t_raise(series: GradedSeries) -> GradedSeries:
     """sum_{i,j >= 0} t_{i,j+1} d/dt_{i,j} (raises t-weight by one)."""
-    trunc = series.truncation
-    out: dict = {}
-    for mono, n in series.nums.items():
+
+    def image(mono):
         for var, e in mono:
-            if var[0] != T:
-                continue
-            new = mono_from_vars(mono + ((var, -1), (tvar(var[1], var[2] + 1), 1)))
-            if trunc.admits(new):
-                out[new] = out.get(new, 0) + n * e
-    return GradedSeries.from_ints(trunc, out, series.den)
+            if var[0] == T:
+                new = mono_from_vars(mono + ((var, -1), (tvar(var[1], var[2] + 1), 1)))
+                if series.truncation.admits(new):
+                    yield new, e
+
+    return series.map_terms(image)
 
 
 def _t_count(series: GradedSeries) -> GradedSeries:
     """sum_{i,j >= 0} t_{i,j} d/dt_{i,j}: scale each term by its t-letter count."""
-    return series.scale_terms(lambda m: sum(e for v, e in m if v[0] == T))
+    return series.map_terms(lambda m: ((m, sum(e for v, e in m if v[0] == T)),))
 
 
 def psi_string_base(a: int, ell: int, trunc: Truncation) -> GradedSeries:

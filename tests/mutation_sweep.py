@@ -26,15 +26,21 @@ psi^(1 - len(mu)) when it maps log tau(psi t) back to R.
 Two cover the q-cap of ``evolve``: its divisor test drops the terms whose
 exponent equals the cap, and ``h_lambda_series`` evolves on the intersection
 of its lams' caps instead of their union.
-A module with no test file of its own (``exact.py``) goes straight to the
-whole suite.
+Three cover the code that each job of the series ring has in one place:
+``exact.add_into``, the one running sum, ignores its ``mult``;
+``GradedSeries.map_terms``, the one term-wise linear map, drops the factor
+c of each image pair; and the alphabet table ``_ALPHABETS`` gives t_{i,j}
+the weight i + j.  Two are bugs that only a narrow check kills: the
+Murnaghan-Nakayama rule flips the sign of border strips of height >= 6, and
+``recursion._block_product`` skips the factors with t_head >= 7.
+A module with no test file of its own goes straight to the whole suite.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/mutation_sweep.py
 
 Prints the test that killed each mutant, and exits 1 if any survives (or an
-old text is not found exactly once).  Takes about a minute.
+old text is not found exactly once).  Takes about two minutes.
 """
 
 import os
@@ -99,6 +105,16 @@ MUTANTS = [
      "cap.get(var, 0) < e", "cap.get(var, 0) <= e"),
     ("h_lambda_series intersects its caps", "cutjoin.py",
      "cap |= Counter(rest)", "cap &= Counter(rest)"),
+    ("add_into ignores mult", "exact.py",
+     "    scale = den // part_den * mult\n", "    scale = den // part_den\n"),
+    ("map_terms drops the image's factor c", "series.py",
+     "out[new] = get(new, 0) + n * c", "out[new] = get(new, 0) + n"),
+    ("the alphabet table gives t_{i,j} the weight i + j", "series.py",
+     'T: (2, 1, "t_{{{},{}}}"),', 'T: (2, 0, "t_{{{},{}}}"),'),
+    ("Murnaghan-Nakayama flips the sign of hooks of height >= 6", "symgroup.py",
+     "total += (-1) ** jumped * _mn(", "total += (-1) ** (jumped + (jumped >= 6)) * _mn("),
+    ("_block_product skips t_head >= 7", "recursion.py",
+     "for t_head in range(1, t - j + 2):", "for t_head in range(1, min(t - j + 2, 7)):"),
 ]
 
 

@@ -508,6 +508,31 @@ def test_mono_weights_and_str():
     assert mono_weights(m) == (6, 0, 4, 0, 0, 0, 0)
     assert mono_str(m) == "q_3^2*t_{1,2}"
     assert mono_str(()) == "1"
+    # every alphabet: one letter each, in weight-vector order
+    letters = [((qvar(2), 3), (0, 6), "q_2^3"), ((pvar(4), 1), (1, 4), "p_4"),
+               ((tvar(0, 0), 2), (2, 2), "t_{0,0}^2"), ((BETA_VAR, 5), (3, 5), "beta^5"),
+               ((svar(3), 2), (4, 6), "t_3^2"), ((PSI_VAR, 1), (5, 1), "psi"),
+               ((XI_VAR, 4), (6, 4), "xi^4")]
+    for letter, (coord, weight), name in letters:
+        expected = [0] * 7
+        expected[coord] = weight
+        assert mono_weights((letter,)) == tuple(expected)
+        assert mono_str((letter,)) == name
+    mixed = mono_from_vars([letter for letter, _, _ in letters])
+    assert mono_weights(mixed) == (6, 4, 2, 5, 6, 1, 4)
+    assert mono_str(mixed) == "beta^5*p_4*psi*q_2^3*t_3^2*t_{0,0}^2*xi^4"
+
+
+def test_map_terms_is_the_linear_map_of_its_image():
+    x, y = mono_from_vars([(qvar(1), 1)]), mono_from_vars([(qvar(2), 1)])
+    s = GradedSeries(TR, {(): Fraction(1, 2), x: Fraction(1, 3), y: 2})
+    # x -> 3 y - x, y -> 2 x, 1 -> nothing: (1/3)(3y - x) + 2 (2x) = y + (11/3) x
+    image = {(): (), x: ((y, 3), (x, -1)), y: ((x, 2),)}
+    assert s.map_terms(image.__getitem__) == GradedSeries(TR, {x: Fraction(11, 3), y: 1})
+    # images that cancel leave the zero series in lowest terms
+    cancel = s.map_terms(lambda m: ((x, 1), (x, -1)))
+    assert cancel.is_zero() and cancel.den == 1
+    assert s.map_terms(lambda m: ((m, 1),)) == s
 
 
 def naive_mul(a, b):

@@ -9,7 +9,7 @@ from typing import Optional
 import pytest
 
 from doublehurwitz import zseries
-from doublehurwitz.recursion import populate_table
+from doublehurwitz.recursion import h_poly, populate_table
 from doublehurwitz.series import GradedSeries, Truncation, mono_from_vars, mono_weights, qvar, tvar
 from doublehurwitz.zseries import (
     ZPoly,
@@ -488,6 +488,25 @@ def test_zpoly_values_equal_detects_relations():
     assert not zpoly_values_equal(a, b + ZPoly.gen(0, 1), 10)
 
 
+@pytest.mark.parametrize("lam", [(11,), (12,), (6, 6), (3, 3, 3, 3)])
+def test_zpoly_values_equal_refuses_a_vacuous_comparison(lam):
+    # h_lam starts at q-weight |lam| > 10, so up to 10 it evaluates to 0 as
+    # the zero polynomial does; that compares nothing, and used to pass
+    h = h_poly(lam)
+    with pytest.raises(ValueError, match="vacuous"):
+        zpoly_values_equal(h, ZPoly(), 10)
+    assert not zpoly_values_equal(h, ZPoly(), sum(lam))
+    assert zpoly_values_equal(h, h, 10)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_zpoly_arithmetic_refuses_a_bool(op):
+    # ZPoly.gen(0, 1) - True was -1 + z_{0,1}: the bool became -1 first
+    z = ZPoly.gen(0, 1)
+    with pytest.raises(TypeError):
+        {"+": z.__add__, "-": z.__sub__, "*": z.__mul__}[op](True)
+
+
 def test_eqzred_identities_hold():
     for d in range(4):
         for r in range(1, 4):
@@ -499,7 +518,7 @@ def test_eqzred_detector_catches_perturbation():
     z = z_series(0, 1, 6)
     perturbed = z + z_series(0, 2, 6).scalar_mul(Fraction(1, 7))
     rhs = zpoly_eval(zgen_weighted_euler(0, 1), 6)
-    assert perturbed.scale_terms(lambda m: mono_weights(m)[0]) != rhs
+    assert perturbed.map_terms(lambda m: ((m, mono_weights(m)[0]),)) != rhs
 
 
 def test_zpoly_derivations_are_derivations():

@@ -2,10 +2,10 @@
 
 Subcommands: compute-hurwitz, h-series, h-poly, x-table, z-series, kp-check,
 verify, oracle.  All numeric output is exact ("num/den" rationals, never
-floats) and byte-identical across runs with the same flags and cache state.
+floats) and byte-identical across runs with the same flags.
 
-Exit status: 0 success, 1 verification failure, 2 usage error (including a
-cache or output path that cannot be used), 3 resource budget exceeded,
+Exit status: 0 success, 1 verification failure, 2 usage error (including an
+output path that cannot be used), 3 resource budget exceeded,
 4 internal error (an ArithmeticError, such as a division that should be exact
 and is not).
 """
@@ -94,7 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact genus-0 double Hurwitz numbers, four ways, cross-validated.",
     )
     parser.add_argument("--cache-dir", default=".doublehurwitz_cache",
-                        help="character-table cache directory (default %(default)s)")
+                        help="unused: no command reads or writes it (default %(default)s). "
+                             "The benchmark harness passes it to every job, so it stays until "
+                             "ROADMAP item 5 removes it with the harness's own copy")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ch = sub.add_parser("compute-hurwitz", help="one double Hurwitz number")
@@ -104,8 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--mu", type=_partition, required=True, help="comma-separated partition")
     ch.add_argument("--method", choices=("oracle", "frobenius", "cutjoin"), default="cutjoin",
                     help="cutjoin (default) evolves only the terms whose q-part divides q_mu, so "
-                         "its cost follows the divisors of mu; frobenius sums characters up to "
-                         "degree |mu|; oracle counts factorizations")
+                         "its cost follows the divisors of mu; frobenius takes the logarithm of "
+                         "the character sum on the divisors of p_lam q_mu alone, so its cost "
+                         "follows the divisors of lam and mu; oracle counts factorizations")
 
     hs = sub.add_parser("h-series", help="q-expansion of h_lambda by the classical pipeline")
     hs.add_argument("--lambda", dest="lam", type=_partition, required=True)
@@ -173,8 +176,7 @@ def _dispatch(args, out, err) -> int:
         if args.method == "oracle":
             value = oracle_count(args.genus, args.lam, args.mu)
         else:
-            value = hurwitz_number_by_series(
-                args.genus, args.lam, args.mu, args.method, args.cache_dir)
+            value = hurwitz_number_by_series(args.genus, args.lam, args.mu, args.method)
         out.write(ratio(value.numerator, value.denominator) + "\n")
         return 0
 

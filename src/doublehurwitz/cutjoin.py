@@ -28,7 +28,10 @@ one q-monomial: hurwitz_number_by_series() evolves on the divisors of q_mu,
 and h_lambda_series() on those of q_lam' q_1^(Q - |lam'|), reading
 p_mu q_lam' q_1^e for p_lam' p_1^e q_mu by the p <-> q symmetry of H.
 frobenius_eH() sums the character expansion of e^H, and the two are compared
-through the generic GradedSeries.log().
+through the generic GradedSeries.log().  hurwitz_number_by_series() reads one
+coefficient of H by the character formula without either: _lattice_number()
+sums the characters on the divisors of beta^m p_lam q_mu alone and takes the
+logarithm there, by the p-weight operator, with its own sub-multiset code.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .partitions import (
     zee,
 )
 from .series import BETA_VAR, GradedSeries, P, Truncation, mono_from_vars, pvar, qvar
-from .symgroup import CharTable, central_weight
+from .symgroup import CharTable, central_weight, mn_character
 
 
 def hurwitz_mono(m: int, lam, mu) -> tuple:
@@ -268,17 +271,14 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None, q_cap=None) -> 
     return GradedSeries.from_ints(trunc, H, D)
 
 
-def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> GradedSeries:
+def frobenius_eH(q_weight_bound: int, beta_bound: int) -> GradedSeries:
     """Character expansion of e^H, truncated to the same bounds as evolve():
     the coefficient of beta^m p_rho q_sigma, for rho and sigma partitions of
     the same k, is
 
         sum over lam |- k of chi^lam_rho chi^lam_sigma w(lam)^m / (z_rho z_sigma m!),
 
-    with w(lam) = central_weight(lam), the cut-and-join eigenvalue.
-
-    When cache_dir is given, character tables are loaded from (or written to)
-    their JSON cache there, one file per symmetric-group degree k >= 1."""
+    with w(lam) = central_weight(lam), the cut-and-join eigenvalue."""
     if q_weight_bound < 1 or beta_bound < 0:
         raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
     trunc = Truncation(
@@ -286,8 +286,7 @@ def frobenius_eH(q_weight_bound: int, beta_bound: int, cache_dir=None) -> Graded
     )
     total: dict = {}
     for k in range(q_weight_bound + 1):
-        chi = (CharTable.load_or_build(cache_dir, k) if cache_dir and k
-               else CharTable.build(k)).values
+        chi = CharTable.build(k).values
         parts = partitions_of(k)
         powers = [[central_weight(lam) ** m for lam in parts] for m in range(beta_bound + 1)]
         for rho in parts:
@@ -358,19 +357,86 @@ def h_lambda_series(lams, q_weight_bound: int) -> list:
     return out
 
 
-def hurwitz_number_by_series(g: int, lam, mu, method: str, cache_dir=None) -> Fraction:
+def _lattice_number(lam: tuple, mu: tuple, m: int) -> Fraction:
+    """m! times the coefficient of beta^m p_lam q_mu in H, read off the
+    divisor lattice L of that monomial: the beta^j p_a q_b with j <= m, a and
+    b sub-multisets of lam and mu, and |a| = |b| = d.  L is closed under
+    division, so H on L depends only on E = e^H on L, where
+
+        E_M = sum over rho |- d of chi^rho_a chi^rho_b w(rho)^j / (z_a z_b j!),
+
+    two columns of the character table of S_d.  The p-weight operator
+    sum_i i p_i d/dp_i is a derivation, so d(M) E_M = sum_{M1 M2 = M} d(M1)
+    H_{M1} E_{M2}; E_1 = 1 and E vanishes on beta^j alone, j >= 1, so in
+    increasing p-weight
+
+        d(M) H_M = d(M) E_M - sum d(M1) H_{M1} E_{M/M1}, 1 <= d(M1) < d(M).
+
+    A sub-multiset is numbered by its multiplicity vector in mixed radix, so
+    the cofactor of a divisor is the difference of their numbers.  E_M and
+    H_M are counts of factorizations over d! j!, which divides D = |lam|! m!:
+    both are kept as int numerators over D, and each division is checked."""
+    K = sum(lam)
+    D = factorial(K) * factorial(m)
+    sides = []  # per side: weight -> [(number, sub-multiset, {weight: proper sub-multisets})]
+    for mults in (Counter(lam), Counter(mu)):
+        rows = [((), [0])]  # (sub-multiset, the numbers of its sub-multisets), by number
+        for part, n in mults.items():
+            rows = [(sub + (part,) * k, [(n + 1) * i + l for i in subs for l in range(k + 1)])
+                    for sub, subs in rows for k in range(n + 1)]
+        side: dict = {}
+        for number, (sub, subs) in enumerate(rows):
+            by_weight: dict = {}
+            for s in subs[1:-1]:  # the first is the empty one, the last sub itself
+                by_weight.setdefault(sum(rows[s][0]), []).append(s)
+            side.setdefault(sum(sub), []).append((number, sub, by_weight))
+        sides.append(side)
+    E: dict = {}
+    H: dict = {}  # (a, b) -> [D H at beta^j p_a q_b for j = 0..m]
+    for d in range(1, K + 1):
+        if d not in sides[0] or d not in sides[1]:
+            continue  # no monomial of L has p-weight d
+        # only the rho with chi^rho_a != 0 for some a of weight d need chi^rho_b
+        rhos = [rho for rho in partitions_of(d)
+                if any(mn_character(rho, sub) for _, sub, _ in sides[0][d])]
+        weights = [central_weight(rho) for rho in rhos]
+        powers = [[w ** j for w in weights] for j in range(m + 1)]
+        columns = [{a: [mn_character(rho, sub) for rho in rhos] for a, sub, _ in side[d]}
+                   for side in sides]
+        for a, asub, adivs in sides[0][d]:
+            for b, bsub, bdivs in sides[1][d]:
+                chichi = list(map(mul, columns[0][a], columns[1][b]))
+                z = zee(asub) * zee(bsub)
+                e = [exact.div(D * sum(map(mul, chichi, wj)), z * factorial(j))
+                     for j, wj in enumerate(powers)]
+                acc = [d * D * c for c in e]
+                for d1, a1s in adivs.items():
+                    for a1 in a1s:
+                        for b1 in bdivs.get(d1, ()):
+                            e2 = E[a - a1, b - b1]
+                            for j1, h in enumerate(H[a1, b1]):
+                                if h:
+                                    h *= d1
+                                    for j2 in range(m + 1 - j1):
+                                        acc[j1 + j2] -= h * e2[j2]
+                E[a, b] = e
+                H[a, b] = [exact.div(c, d * D) for c in acc]
+    top = sides[0][K][0][0], sides[1][K][0][0]  # lam and mu, the one sub-multiset of weight K
+    return Fraction(H[top][m] * factorial(m), D)
+
+
+def hurwitz_number_by_series(g: int, lam, mu, method: str) -> Fraction:
     """Literal double Hurwitz number h_{g; lam, mu} read off the generating
     function: H-coefficient of beta^m p_lam q_mu times m!.
 
-    method is "cutjoin" (evolution by W, up to genus g) or "frobenius"
-    (character formula, then a logarithm).  The profile is validated by
-    check_profile."""
+    method is "cutjoin" (evolution by W, up to genus g and on the divisors of
+    q_mu) or "frobenius" (character formula and its logarithm, both on the
+    divisors of beta^m p_lam q_mu alone: see _lattice_number).  The profile is
+    validated by check_profile."""
     lam, mu, m = check_profile(g, lam, mu)
-    K = sum(lam)
-    if method == "cutjoin":
-        H = evolve(K, m, max_genus=g, q_cap=mu)
-    elif method == "frobenius":
-        H = frobenius_eH(K, m, cache_dir=cache_dir).log()
-    else:
+    if method == "frobenius":
+        return _lattice_number(lam, mu, m)
+    if method != "cutjoin":
         raise ValueError(f"unknown method {method!r}")
+    H = evolve(sum(lam), m, max_genus=g, q_cap=mu)
     return Fraction(H.nums.get(hurwitz_mono(m, lam, mu), 0) * factorial(m), H.den)

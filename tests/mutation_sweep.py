@@ -31,8 +31,14 @@ Three cover the code that each job of the series ring has in one place:
 ``GradedSeries.map_terms``, the one term-wise linear map, drops the factor
 c of each image pair; and the alphabet table ``_ALPHABETS`` gives t_{i,j}
 the weight i + j.  Two are bugs that only a narrow check kills: the
-Murnaghan-Nakayama rule flips the sign of border strips of height >= 6, and
+Murnaghan-Nakayama rule flips the sign of border strips of height >= 6
+(the frobenius number of ``compute-hurwitz`` reads it on the divisor
+lattice, through the one-part and Hurwitz formulas at degree >= 7), and
 ``recursion._block_product`` skips the factors with t_head >= 7.
+Two cover that divisor lattice, ``cutjoin._lattice_number``: its logarithm
+weighs the subtracted products by the p-weight d(M) of the monomial instead
+of d(M1) of their H factor, and its sub-multisets of lam stop one short of
+each part's multiplicity.
 A module with no test file of its own goes straight to the whole suite.
 
 Run from the repository root:
@@ -40,7 +46,7 @@ Run from the repository root:
     PYTHONPATH=src python tests/mutation_sweep.py
 
 Prints the test that killed each mutant, and exits 1 if any survives (or an
-old text is not found exactly once).  Takes about two minutes.
+old text is not found exactly once).  Takes about three minutes.
 """
 
 import os
@@ -115,6 +121,11 @@ MUTANTS = [
      "total += (-1) ** jumped * _mn(", "total += (-1) ** (jumped + (jumped >= 6)) * _mn("),
     ("_block_product skips t_head >= 7", "recursion.py",
      "for t_head in range(1, t - j + 2):", "for t_head in range(1, min(t - j + 2, 7)):"),
+    ("the lattice's subtracted sum weighs by d(M), not d(M1)", "cutjoin.py",
+     "h *= d1\n", "h *= d\n"),
+    ("the sub-multisets of lam stop one short of each multiplicity", "cutjoin.py",
+     "for mults in (Counter(lam), Counter(mu)):",
+     "for mults in (Counter(lam) - Counter(set(lam)), Counter(mu)):"),
 ]
 
 

@@ -55,17 +55,16 @@ def test_compute_hurwitz_mixed_profile(tmp_path):
         assert out == "1/1\n"
 
 
-def test_cache_dir_defaults_to_the_working_directory(tmp_path, monkeypatch):
-    # --cache-dir alone names the cache: no environment variable redirects it
+def test_frobenius_writes_no_cache_file(tmp_path, monkeypatch):
+    # no command reads or writes a cache: not under the default --cache-dir
+    # in the working directory, nor where the old environment variable points
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("DOUBLEHURWITZ_CACHE_DIR", str(tmp_path / "from-env"))
     code, out, _ = run_cli(
         "compute-hurwitz", "--genus", "0", "--lambda", "2", "--mu", "1,1", "--method", "frobenius"
     )
     assert (code, out) == (0, "1/2\n")
-    assert sorted(p.name for p in (tmp_path / ".doublehurwitz_cache").iterdir()) == [
-        "chartable_K1.json", "chartable_K2.json"]
-    assert not (tmp_path / "from-env").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_h_series_pretty_format():
@@ -232,14 +231,15 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 def test_unusable_paths_exit_2(tmp_path):
+    # --cache-dir is read by no command, so a regular file there is no error
     a_file = tmp_path / "file"
-    a_file.write_text("")
+    a_file.write_text("kept")
     code, out, err = run_cli(
         "--cache-dir", str(a_file),
         "compute-hurwitz", "--genus", "0", "--lambda", "2,1", "--mu", "3", "--method", "frobenius",
     )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert (code, out, err) == (0, "1/1\n", "")
+    assert a_file.read_text() == "kept"
     code, out, err = run_cli(
         "x-table", "--max-lambda-weight", "2", "--max-r", "2", "--out", str(tmp_path)
     )

@@ -1,5 +1,6 @@
 """Hurwitz's closed formula for genus-0 covers with mu = 1^K, as a check of
-the oracle within its budget and of the two series methods beyond it.
+the oracle within its budget and of the two series methods beyond it, and of
+the frobenius number (hurwitz_number_by_series) at K = 9..12.
 
 Pinned against oracle_count on every lam of degree K <= 6 within the budget:
 
@@ -15,7 +16,7 @@ from math import factorial, prod
 
 import pytest
 
-from doublehurwitz.cutjoin import BETA_VAR, evolve, frobenius_eH
+from doublehurwitz.cutjoin import BETA_VAR, evolve, frobenius_eH, hurwitz_number_by_series
 from doublehurwitz.oracle import MAX_DEGREE, MAX_TRANSPOSITIONS, oracle_count
 from doublehurwitz.partitions import partitions_of
 from doublehurwitz.series import mono_from_vars, pvar, qvar
@@ -64,3 +65,10 @@ def test_formula_matches_series_methods_beyond_oracle(K, m):
         expected = hurwitz_formula(lam)
         assert literal_from_H(by_cutjoin, lam) == expected, ("cutjoin", lam)
         assert literal_from_H(by_frobenius, lam) == expected, ("frobenius", lam)
+
+
+@pytest.mark.parametrize("K", range(9, 13))
+def test_formula_matches_frobenius_number(K):
+    # every lam of K, up to (1^K) with m = 2K - 2 branch points
+    for lam in partitions_of(K):
+        assert hurwitz_number_by_series(0, lam, (1,) * K, "frobenius") == hurwitz_formula(lam), lam

@@ -180,13 +180,17 @@ def test_char_table_unreadable_cache_is_rebuilt(tmp_path):
 
 
 def test_corrupt_cache_never_reaches_frobenius(tmp_path, capsys):
+    # frobenius reads no cached table: a corrupt one is neither read nor rewritten
+    CharTable.build(3).save(tmp_path)
+    _edit_cache(tmp_path, 3, _perturb_entry)
+    planted = CharTable.cache_path(tmp_path, 3).read_bytes()
     args = ["--cache-dir", str(tmp_path),
             "compute-hurwitz", "--genus", "0", "--method", "frobenius", "--lambda", "3",
             "--mu", "1,1,1"]
     assert run(args) == 0
-    _edit_cache(tmp_path, 3, _perturb_entry)
     assert run(args) == 0
     assert capsys.readouterr().out == "1/1\n1/1\n"
+    assert CharTable.cache_path(tmp_path, 3).read_bytes() == planted
 
 
 def test_schur_examples():

@@ -32,7 +32,7 @@ from .reduced import ReducedRecursion
 from .series import GradedSeries, Truncation, TruncationMismatch
 from .symgroup import CharTable, central_weight, mn_character, schur_in_power_sums
 from .verify import SUITES, run_suite
-from .zseries import ZPoly, psi_intersection, psi_series, z_series, zpoly_eval
+from .zseries import ZPoly, psi_series, z_series, zpoly_eval
 
 __all__ = [
     "CharTable",
@@ -66,7 +66,6 @@ __all__ = [
     "oracle_raw_count",
     "partitions_of",
     "populate_table",
-    "psi_intersection",
     "psi_series",
     "r_series",
     "run_suite",

@@ -221,20 +221,21 @@ def _dispatch(args, out, err) -> int:
         return 1
 
     if args.command == "verify":
-        report = run_suite(args.suite)
-        doc = report.to_json_dict()
+        rows = run_suite(args.suite)
+        checks = [{"name": name, "status": "pass" if ok else "fail", "detail": detail}
+                  for name, ok, detail in rows]
         if args.format == "json":
-            out.write(json.dumps(doc))
+            out.write(json.dumps({"suite": args.suite, "checks": checks}))
             out.write("\n")
         else:
-            for check in doc["checks"]:
+            for check in checks:
                 line = f"{check['status']:4s}  {check['name']}"
                 if check["detail"]:
                     line += f"  [{check['detail']}]"
                 out.write(line + "\n")
-            passed = sum(ok for _, ok, _ in report.checks)
-            out.write(f"{report.suite}: {passed}/{len(report.checks)} checks passed\n")
-        return 0 if report.ok else 1
+            passed = sum(ok for _, ok, _ in rows)
+            out.write(f"{args.suite}: {passed}/{len(rows)} checks passed\n")
+        return 0 if all(ok for _, ok, _ in rows) else 1
 
     if args.command == "oracle":
         raw = oracle_raw_count(args.genus, args.lam, args.mu)

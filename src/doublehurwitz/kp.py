@@ -34,6 +34,7 @@ from .series import (
     Truncation,
     mono_from_vars,
     mono_weights,
+    partition_mono,
     svar,
 )
 
@@ -42,11 +43,8 @@ def scaled_schur(k: int, trunc: Truncation) -> GradedSeries:
     """h~_k = s~_k(psi t): sum over partitions mu of k of (-1)^len(mu) t_mu / |Aut mu|."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    terms: dict = {}
-    if k == 0:
-        return GradedSeries.one(trunc)
-    for mu in partitions_of(k):
-        terms[mono_from_vars([(svar(i), 1) for i in mu])] = Fraction((-1) ** len(mu), aut_order(mu))
+    terms = {partition_mono(svar, mu): Fraction((-1) ** len(mu), aut_order(mu))
+             for mu in partitions_of(k)}
     return GradedSeries(trunc, terms)
 
 

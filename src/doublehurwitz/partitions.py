@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Optional
 
 Partition = tuple
@@ -87,10 +87,7 @@ def aut_order(lam: Partition) -> int:
 
 def zee(lam: Partition) -> int:
     """Centralizer order z_lam = prod_i i^{m_i} m_i! of a permutation of cycle type lam."""
-    out = 1
-    for v, m in Counter(lam).items():
-        out *= v**m * factorial(m)
-    return out
+    return aut_order(lam) * prod(lam)
 
 
 def class_size(lam: Partition) -> int:

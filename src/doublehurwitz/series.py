@@ -33,8 +33,9 @@ tuples.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from operator import add
 from typing import Iterable, Optional
@@ -107,6 +108,15 @@ def mono_from_vars(vars_with_exp: Iterable) -> tuple:
         if e < 0:
             raise ValueError(f"negative exponent {var}^{e}")
     return tuple(sorted((v, e) for v, e in acc.items() if e != 0))
+
+
+@lru_cache(maxsize=None)
+def partition_mono(var, parts: tuple) -> tuple:
+    """The canonical monomial of the product of var(i) over the parts i, a
+    tuple in any order: the letters var(i)^e, e the multiplicity of i, by
+    index.  var is a one-index alphabet such as pvar or qvar.  Memoised, so
+    the monomials that share a partition share its pairs too."""
+    return tuple((var(i), e) for i, e in sorted(Counter(parts).items()))
 
 
 def mono_str(mono: tuple) -> str:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .partitions import check_int, check_partition, partitions_of, zee
-from .series import GradedSeries, Truncation, mono_from_vars, pvar
+from .series import GradedSeries, Truncation, partition_mono, pvar
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +186,7 @@ def schur_in_power_sums(lam: tuple, trunc: Truncation) -> GradedSeries:
     """
     lam = check_partition(lam)
     terms = {
-        mono_from_vars([(pvar(part), 1) for part in mu]): Fraction(mn_character(lam, mu), zee(mu))
+        partition_mono(pvar, mu): Fraction(mn_character(lam, mu), zee(mu))
         for mu in partitions_of(sum(lam))
     }
     return GradedSeries(trunc, terms)  # drops the zero characters

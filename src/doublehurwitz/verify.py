@@ -1,5 +1,6 @@
 """Verification suites: every structural identity in the package, bundled
-into named, deterministic pass/fail reports.
+into named, deterministic checks.  Each suite returns its checks as a list
+of (name, ok, detail) rows; the CLI renders them.
 
 Suite ids (fixed, consumed by the CLI):
 
@@ -46,30 +47,6 @@ from .symgroup import central_weight, schur_in_power_sums
 from .zseries import check_eqzred, check_psi_string_dilaton, zpoly_eval, zpoly_values_equal
 
 
-class SuiteReport:
-    """A suite's checks, each a (name, ok, detail) row."""
-
-    def __init__(self, suite: str):
-        self.suite = suite
-        self.checks: list = []
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.checks.append((name, ok, detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "checks": [
-                {"name": name, "status": "pass" if ok else "fail", "detail": detail}
-                for name, ok, detail in self.checks
-            ],
-        }
-
-
 # ---------------------------------------------------------------------------
 # Suite ranges.  run_suite calls every suite without arguments, so these are
 # the one place to widen a check.  Each *_Q_WEIGHT is the q-weight up to which
@@ -103,9 +80,9 @@ BRIDGE_MAX_LEN = 3
 BRIDGE_Q_WEIGHT = 8
 
 
-def suite_paper_examples() -> SuiteReport:
+def suite_paper_examples() -> list:
     """The seven golden h-polynomials, plus the 1/k special-degree values."""
-    report = SuiteReport("paper-examples")
+    rows = []
     table = XTable()
     for lam in sorted(GOLDEN_H_POLYS, key=lambda t: (sum(t), t)):
         computed = h_poly(lam, table)
@@ -116,29 +93,29 @@ def suite_paper_examples() -> SuiteReport:
             "forms differ but q-series agree" if series_match else
             f"MISMATCH: computed {computed.pretty()} vs expected {expected.pretty()}"
         )
-        report.add(f"h_{lam}", series_match, detail)
+        rows.append((f"h_{lam}", series_match, detail))
     for k in range(1, PAPER_MAX_DEGREE + 1):
         coeff = zpoly_eval(h_poly((k,), table), k).coefficient(hurwitz_mono(0, (), (k,)))
-        report.add(
+        rows.append((
             f"degree-coefficient q_{k} of h_({k},) equals 1/{k}",
             coeff == Fraction(1, k),
             f"got {coeff}",
-        )
-    return report
+        ))
+    return rows
 
 
-def suite_triple_agreement() -> SuiteReport:
+def suite_triple_agreement() -> list:
     """Calibrated oracle vs generating-function coefficients, the sentinel,
     the two-formula identity, and the eigenbasis property."""
-    report = SuiteReport("triple-agreement")
+    rows = []
 
     sentinel_lit = oracle_count(0, (2,), (1, 1))
     sentinel_cal = oracle_count_calibrated(0, (2,), (1, 1))
-    report.add(
+    rows.append((
         "sentinel ((2),(1,1)): literal 1/2, calibrated 1",
         sentinel_lit == Fraction(1, 2) and sentinel_cal == 1,
         f"literal={sentinel_lit}, calibrated={sentinel_cal}",
-    )
+    ))
 
     H = evolve(TRIPLE_MAX_K, TRIPLE_MAX_M)
     mismatches = []
@@ -156,19 +133,20 @@ def suite_triple_agreement() -> SuiteReport:
                     checked += 1
                     if lhs != rhs:
                         mismatches.append((g, lam, mu, lhs, rhs))
-    report.add(
+    rows.append((
         f"H-coefficients match calibrated oracle (K<={TRIPLE_MAX_K}, m<={TRIPLE_MAX_M})",
         not mismatches,
         f"{checked} coefficients checked" if not mismatches else f"mismatches: {mismatches}",
-    )
+    ))
 
     same = (evolve(TRIPLE_EVOLVE_Q_WEIGHT, TRIPLE_EVOLVE_BETA)
             == frobenius_eH(TRIPLE_EVOLVE_Q_WEIGHT, TRIPLE_EVOLVE_BETA).log())
-    report.add(
+    rows.append((
         "evolution and character formula agree "
         f"(q<={TRIPLE_EVOLVE_Q_WEIGHT}, beta<={TRIPLE_EVOLVE_BETA})",
         same,
-    )
+        "",
+    ))
 
     bad = []
     for k in range(1, TRIPLE_SCHUR_MAX_WEIGHT + 1):
@@ -177,19 +155,18 @@ def suite_triple_agreement() -> SuiteReport:
             s = schur_in_power_sums(lam, trunc)
             if cut_join_apply(s) != s.scalar_mul(central_weight(lam)):
                 bad.append(lam)
-    report.add(
+    rows.append((
         f"Schur polynomials are cut-and-join eigenvectors (|lam|<={TRIPLE_SCHUR_MAX_WEIGHT})",
         not bad,
         str(bad) if bad else "",
-    )
-    return report
+    ))
+    return rows
 
 
-def suite_string_dilaton() -> SuiteReport:
+def suite_string_dilaton() -> list:
     """The string and dilaton identities on every key in the STRING_DILATON_*
     ranges, the two sides compared as q-series up to
     STRING_DILATON_EVAL_Q_WEIGHT; each check lists the keys that fail."""
-    report = SuiteReport("string-dilaton")
     table = XTable()
     strings, dilatons = [], []
     for rest in keys_up_to(
@@ -199,43 +176,40 @@ def suite_string_dilaton() -> SuiteReport:
             lhs, rhs = sides(rest, table)
             if not zpoly_values_equal(lhs, rhs, STRING_DILATON_EVAL_Q_WEIGHT):
                 failed.append(rest)
-    report.add(
-        f"string equation on keys (sum lam<={STRING_DILATON_MAX_LAM_WEIGHT}, "
-        f"sum nu<={STRING_DILATON_MAX_NU_WEIGHT}, r<={STRING_DILATON_MAX_R})",
-        not strings,
-        str(strings) if strings else "",
-    )
-    report.add("dilaton equation on same keys", not dilatons, str(dilatons) if dilatons else "")
-    return report
+    return [
+        (f"string equation on keys (sum lam<={STRING_DILATON_MAX_LAM_WEIGHT}, "
+         f"sum nu<={STRING_DILATON_MAX_NU_WEIGHT}, r<={STRING_DILATON_MAX_R})",
+         not strings,
+         str(strings) if strings else ""),
+        ("dilaton equation on same keys", not dilatons, str(dilatons) if dilatons else ""),
+    ]
 
 
-def suite_psi_string_dilaton() -> SuiteReport:
-    report = SuiteReport("psi-string-dilaton")
+def suite_psi_string_dilaton() -> list:
+    rows = []
     for a in range(PSI_MAX_A + 1):
         for ell in range(1, PSI_MAX_ELL + 1):
             ok, detail = check_psi_string_dilaton(a, ell, a + ell + PSI_T_WEIGHT_MARGIN)
-            report.add(f"Psi_({a},{ell})", ok, detail)
-    return report
+            rows.append((f"Psi_({a},{ell})", ok, detail))
+    return rows
 
 
-def suite_eqzred() -> SuiteReport:
-    report = SuiteReport("eqzred")
+def suite_eqzred() -> list:
+    rows = []
     for d in range(EQZRED_MAX_D + 1):
         for r in range(1, EQZRED_MAX_R + 1):
             ok, detail = check_eqzred(d, r, EQZRED_Q_WEIGHT)
-            report.add(f"z_({d},{r})", ok, detail)
-    return report
+            rows.append((f"z_({d},{r})", ok, detail))
+    return rows
 
 
-def suite_kp() -> SuiteReport:
-    report = SuiteReport("kp")
+def suite_kp() -> list:
     polynomial = f"R is polynomial in psi and xi up to t-weight {KP_R_T_WEIGHT}"
     try:
         r = r_series(KP_R_T_WEIGHT)
     except ValueError as exc:
-        report.add(polynomial, False, str(exc))
-        return report
-    report.add(polynomial, True)
+        return [(polynomial, False, str(exc))]
+    rows = [(polynomial, True, "")]
 
     trunc = r.truncation
     t1 = GradedSeries.var(trunc, svar(1))
@@ -251,20 +225,20 @@ def suite_kp() -> SuiteReport:
     }
     for d, series in expected.items():
         got = homogeneous_part(r, d)
-        report.add(f"R degree-{d} part", got == series, got.pretty() if got != series else "")
+        rows.append((f"R degree-{d} part", got == series, got.pretty() if got != series else ""))
 
     residual = kp_residual(KP_RESIDUAL_T_WEIGHT)
-    report.add(
+    rows.append((
         f"first scaled KP equation holds up to t-weight {KP_RESIDUAL_T_WEIGHT}",
         residual.is_zero(),
         "" if residual.is_zero() else f"first offender: {residual.terms()[0]}",
-    )
-    return report
+    ))
+    return rows
 
 
-def suite_pivot_independence() -> SuiteReport:
+def suite_pivot_independence() -> list:
     """Pivot freedom of the recursion and agreement with the reduced engine."""
-    report = SuiteReport("pivot-independence")
+    rows = []
     table = XTable()
     keys = keys_up_to(PIVOT_MAX_LAM_WEIGHT, PIVOT_MAX_R, PIVOT_MAX_NU_WEIGHT)
 
@@ -277,11 +251,11 @@ def suite_pivot_independence() -> SuiteReport:
             alt = compute_x(key, table, pivot_index=i)
             if not zpoly_values_equal(alt, base, PIVOT_EVAL_Q_WEIGHT):
                 pivot_bad.append((key, key[i]))
-    report.add(
+    rows.append((
         f"pivot independence on {len(keys)} keys (sum lam<={PIVOT_MAX_LAM_WEIGHT}, r<={PIVOT_MAX_R})",
         not pivot_bad,
         str(pivot_bad) if pivot_bad else "",
-    )
+    ))
 
     reduced = ReducedRecursion()
     red_bad = []
@@ -297,17 +271,17 @@ def suite_pivot_independence() -> SuiteReport:
             exact_matches += 1
         if not zpoly_values_equal(red, full, PIVOT_EVAL_Q_WEIGHT):
             red_bad.append(key)
-    report.add(
+    rows.append((
         f"reduced-vs-full agreement on {compared} representable keys",
         not red_bad,
         f"{exact_matches}/{compared} agree in exact polynomial form" if not red_bad else str(red_bad),
-    )
-    return report
+    ))
+    return rows
 
 
-def suite_bridge() -> SuiteReport:
+def suite_bridge() -> list:
     """Recursion values evaluated as q-series equal the classical computation."""
-    report = SuiteReport("bridge")
+    rows = []
     table = XTable()
     lams = [lam for k in range(1, BRIDGE_MAX_WEIGHT + 1) for lam in partitions_of(k)
             if len(lam) <= BRIDGE_MAX_LEN]
@@ -318,8 +292,8 @@ def suite_bridge() -> SuiteReport:
         if not ok:
             diff = (classical - recursive).terms()
             detail = f"first differing coefficient: {diff[0]}"
-        report.add(f"h_{lam}", ok, detail)
-    return report
+        rows.append((f"h_{lam}", ok, detail))
+    return rows
 
 
 SUITES = {
@@ -334,7 +308,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str) -> SuiteReport:
+def run_suite(name: str) -> list:
+    """The named suite's checks, each a (name, ok, detail) row."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name]()

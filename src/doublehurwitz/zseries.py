@@ -1,5 +1,5 @@
-"""The generator series z_{d,r}(q), the polynomial ring they span, genus-0
-psi-class intersection numbers, and the correction series Psi_{a,l}.
+"""The generator series z_{d,r}(q), the polynomial ring they span, and the
+correction series Psi_{a,l}.
 
 The closed form implemented by :func:`z_series` is
 
@@ -40,7 +40,7 @@ from .partitions import (
     multinomial,
     partitions_of,
 )
-from .series import GradedSeries, T, Truncation, mono_from_vars, mono_weights, qvar, tvar
+from .series import GradedSeries, T, Truncation, mono_from_vars, mono_weights, partition_mono, qvar, tvar
 
 
 def check_gen(d, r) -> "ZGen":
@@ -93,7 +93,7 @@ def z_series(
             for part in mu:
                 num *= part**part
                 den *= factorial(part)
-            terms[mono_from_vars([(qvar(part), 1) for part in mu])] = num, den
+            terms[partition_mono(qvar, mu)] = num, den
     return GradedSeries.from_ints(Truncation(q_weight=q_weight_bound), *exact.over_lcm(terms))
 
 
@@ -426,23 +426,8 @@ def check_eqzred(d: int, r: int, q_weight_bound: int):
 
 
 # ---------------------------------------------------------------------------
-# psi-intersections and the correction series Psi_{a,l}
+# the correction series Psi_{a,l}
 # ---------------------------------------------------------------------------
-
-
-def psi_intersection(nu, n: int) -> Fraction:
-    """Genus-0 intersection number of psi-classes on the space of n-pointed
-    stable curves: multinomial (n-3; nu) when sum(nu) = n - 3, else 0."""
-    if n < 3:
-        raise ValueError("moduli space needs at least 3 points")
-    nu = tuple(check_int(v) for v in nu)
-    if any(v < 0 for v in nu):
-        raise ValueError("exponents must be nonnegative")
-    if len(nu) > n:
-        raise ValueError("more exponents than points")
-    if sum(nu) != n - 3:
-        return Fraction(0)
-    return Fraction(multinomial(nu))
 
 
 def _pair_multisets(k: int, lam_sum: int, nu_sum: int, max_pair=None) -> Iterator[tuple]:

@@ -39,6 +39,9 @@ Two cover that divisor lattice, ``cutjoin._lattice_number``: its logarithm
 weighs the subtracted products by the p-weight d(M) of the monomial instead
 of d(M1) of their H factor, and its sub-multisets of lam stop one short of
 each part's multiplicity.
+Two cover a job that one place does for every caller: the partition-monomial
+writer ``series.partition_mono`` gives every letter exponent 1, and the CLI
+renders every ``verify`` row as pass.
 A module with no test file of its own goes straight to the whole suite.
 
 Run from the repository root:
@@ -126,6 +129,11 @@ MUTANTS = [
     ("the sub-multisets of lam stop one short of each multiplicity", "cutjoin.py",
      "for mults in (Counter(lam), Counter(mu)):",
      "for mults in (Counter(lam) - Counter(set(lam)), Counter(mu)):"),
+    ("the partition-monomial writer gives every letter exponent 1", "series.py",
+     "(var(i), e) for i, e in sorted(Counter(parts).items())",
+     "(var(i), 1) for i, e in sorted(Counter(parts).items())"),
+    ("the CLI renders every verify row as pass", "cli.py",
+     '"status": "pass" if ok else "fail"', '"status": "pass"'),
 ]
 
 

@@ -2,10 +2,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from doublehurwitz import cutjoin
 from doublehurwitz.cli import run
+from doublehurwitz.cutjoin import FROBENIUS_MAX_DEGREE
 from doublehurwitz.recursion import XTable, populate_table
 
 
@@ -253,6 +256,30 @@ def test_budget_error_exit_3():
     )
     assert code == 3
     assert "resource-budget" in err
+
+
+def test_frobenius_refuses_a_degree_above_its_cap_before_any_work():
+    # (200)/(200) has a two-point lattice, but the character sums run over
+    # every rho |- 200: the process ran out of memory before the cap
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        "compute-hurwitz", "--genus", "0", "--lambda", "200", "--mu", "200", "--method", "frobenius"
+    )
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (3, "")
+    assert err == (f"resource-budget: frobenius budget exceeded: K=200 (max {FROBENIUS_MAX_DEGREE}); "
+                   "try --method cutjoin\n")
+    assert run_cli("compute-hurwitz", "--genus", "0", "--lambda", "200", "--mu", "200") == (0, "1/200\n", "")
+
+
+def test_frobenius_cap_is_the_largest_degree_it_takes(monkeypatch):
+    monkeypatch.setattr(cutjoin, "FROBENIUS_MAX_DEGREE", 5)
+    assert run_cli("compute-hurwitz", "--genus", "0", "--lambda", "5", "--mu", "5",
+                   "--method", "frobenius") == (0, "1/5\n", "")
+    code, out, err = run_cli("compute-hurwitz", "--genus", "0", "--lambda", "3,3", "--mu", "6",
+                             "--method", "frobenius")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource-budget: frobenius budget exceeded: K=6 (max 5)")
 
 
 def test_oracle_prints_rational_and_raw_count():

@@ -1,16 +1,18 @@
-"""No module of the package imports a name it never uses, no private
-definition goes unread, and the CLI starts without the slow-to-import
-standard modules.
+"""No module of the package imports a name it never uses, no definition
+goes unread, and the CLI starts without the slow-to-import standard modules.
 
 A deletion that leaves its imports behind shows up here.  A name counts as
 used if it is read anywhere in the module (quoted annotations included) or
 listed in the module's ``__all__``.  A private (``_``-prefixed) module- or
 class-level definition counts as read if some module of the package reads its
 name, bare or as an attribute, outside the definition itself; a helper left
-behind by a refactor shows up here.
+behind by a refactor shows up here.  A public module-level function or class
+must be read the same way, or be named in a benchmark file
+(``perfbench/*.py``): one that only the tests call shows up here.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -21,6 +23,7 @@ import pytest
 import doublehurwitz
 
 MODULES = sorted(Path(doublehurwitz.__file__).parent.glob("*.py"))
+BENCHMARK_FILES = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -109,6 +112,20 @@ def test_every_private_definition_is_read():
     unread = [name for tree in trees for name, node in _definitions(tree)
               if reads[name] - _reads(node)[name] <= 0]
     assert not unread, f"private definitions nothing in the package reads: {unread}"
+
+
+def test_every_public_function_and_class_is_read_outside_the_tests():
+    # __init__.py only re-exports: its imports and __all__ read nothing, so a
+    # name read nowhere else is one that only the tests call
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    benchmark = "\n".join(path.read_text() for path in BENCHMARK_FILES)
+    unread = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and reads[node.name] - _reads(node)[node.name] <= 0
+              and not re.search(rf"\b{node.name}\b", benchmark)]
+    assert not unread, f"public definitions only the tests read: {unread}"
 
 
 def test_cli_imports_without_dataclasses_or_inspect():

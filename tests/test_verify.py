@@ -1,6 +1,9 @@
+import io
+import json
+
 import pytest
 
-from doublehurwitz import verify
+from doublehurwitz import cli, verify
 from doublehurwitz.zseries import ZPoly
 
 
@@ -21,9 +24,19 @@ def test_string_dilaton_suite_reports_planted_unequal_sides(monkeypatch, failing
 
     for name in ("string_identity_sides", "dilaton_identity_sides"):
         monkeypatch.setattr(verify, name, sides_of(name))
-    report = verify.suite_string_dilaton()
-    assert not report.ok
-    assert [ok for _, ok, _ in report.checks] == [i != failing for i in range(2)]
-    assert [detail for _, _, detail in report.checks] == [
+    rows = verify.suite_string_dilaton()
+    assert [ok for _, ok, _ in rows] == [i != failing for i in range(2)]
+    assert [detail for _, _, detail in rows] == [
         str([bad]) if i == failing else "" for i in range(2)]
-    assert report.to_json_dict()["checks"][failing]["status"] == "fail"
+    # the CLI prints the failing row as fail, in both formats, and exits 1
+    statuses = ["fail" if i == failing else "pass" for i in range(2)]
+    out = io.StringIO()
+    assert cli.run(["verify", "--suite", "string-dilaton"], out, io.StringIO()) == 1
+    lines = out.getvalue().splitlines()
+    assert [line[:4] for line in lines[:2]] == statuses
+    assert lines[2] == "string-dilaton: 1/2 checks passed"
+    out = io.StringIO()
+    assert cli.run(["verify", "--suite", "string-dilaton", "--format", "json"], out, io.StringIO()) == 1
+    doc = json.loads(out.getvalue())
+    assert doc["suite"] == "string-dilaton"
+    assert [check["status"] for check in doc["checks"]] == statuses

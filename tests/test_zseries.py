@@ -15,7 +15,6 @@ from doublehurwitz.zseries import (
     ZPoly,
     check_eqzred,
     check_psi_string_dilaton,
-    psi_intersection,
     psi_series,
     z_series,
     zgen_euler,
@@ -615,20 +614,6 @@ def independent_psi_value(nu, n):
     return total
 
 
-def test_psi_intersection_examples():
-    assert psi_intersection((0, 0, 0), 3) == 1
-    assert psi_intersection((1, 0, 0, 0), 4) == 1
-    assert psi_intersection((2, 0, 0), 3) == 0
-    with pytest.raises(ValueError):
-        psi_intersection((0,), 2)
-    with pytest.raises(ValueError):
-        psi_intersection((0, 0, 0, 0), 3)
-    # int() would truncate (1.7, 0.2) to (1, 0) and answer 1
-    for nu in ((1.7, 0.2), (True, 0, 0)):
-        with pytest.raises(TypeError, match="expected an int"):
-            psi_intersection(nu, 4)
-
-
 @pytest.mark.parametrize("d, r", [(True, 1), (1, True), (1.5, 1), (0, 1.0), ("0", 1)])
 def test_gen_rejects_non_ints(d, r):
     # ZPoly.gen(True, 1) was z_{1,1}, and ZPoly.gen(1.5, 1) printed as z_{1.5,1}
@@ -648,14 +633,6 @@ def test_constructor_checks_every_generator(key, error):
     # the constructor printed z_{1.5,1} and z_{True,2} before
     with pytest.raises(error):
         ZPoly({key: 1})
-
-
-def test_psi_intersection_against_string_recursion():
-    for n in range(3, 8):
-        for a in range(0, n - 2):
-            for b in range(0, n - 2 - a):
-                nu = (a, b)
-                assert psi_intersection(nu, n) == independent_psi_value(nu, n), (nu, n)
 
 
 def test_psi_series_examples():
@@ -680,7 +657,7 @@ def test_psi_series_coefficients_are_intersection_numbers():
             k = len(nus)
             if ell + k < 3 or ell + k > 7:
                 continue
-            assert coeff == psi_intersection(tuple(nus), ell + k), (a, ell, mono)
+            assert coeff == independent_psi_value(nus, ell + k), (a, ell, mono)
 
 
 def test_psi_string_dilaton_identities():

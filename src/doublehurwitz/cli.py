@@ -19,7 +19,7 @@ import sys
 from contextlib import redirect_stdout
 from math import factorial
 
-from .cutjoin import h_lambda_series, hurwitz_number_by_series
+from .cutjoin import FROBENIUS_MAX_DEGREE, h_lambda_series, hurwitz_number_by_series
 from .exact import ratio
 from .kp import kp_residual
 from .oracle import ResourceBudgetError, oracle_count, oracle_raw_count
@@ -107,8 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--method", choices=("oracle", "frobenius", "cutjoin"), default="cutjoin",
                     help="cutjoin (default) evolves only the terms whose q-part divides q_mu, so "
                          "its cost follows the divisors of mu; frobenius takes the logarithm of "
-                         "the character sum on the divisors of p_lam q_mu alone, so its cost "
-                         "follows the divisors of lam and mu; oracle counts factorizations")
+                         "the character sum on the divisors of p_lam q_mu alone, but each weight "
+                         "d of that lattice sums over every partition of d, so its cost grows "
+                         "with the partition count p(K) of the degree K, and it refuses K above "
+                         f"FROBENIUS_MAX_DEGREE ({FROBENIUS_MAX_DEGREE}); oracle counts "
+                         "factorizations")
 
     hs = sub.add_parser("h-series", help="q-expansion of h_lambda by the classical pipeline")
     hs.add_argument("--lambda", dest="lam", type=_partition, required=True)

@@ -19,26 +19,39 @@ terminates at the initial conditions.  Results are memoized in an
 :class:`XTable` that can be persisted to JSON.  A key determines how its
 entry was made (the closed form when every lam_i = 0, else the rewrite of
 the key's first, largest entry), so the table stores only key -> polynomial.
+:func:`compute_x` checks its key and makes it canonical once, with
+:func:`make_xkey`; the recursion below it runs on canonical tuples, which
+stay canonical by sorting, so no inner call checks a key again.
 
 The block sum is evaluated as a coefficient extraction rather than term by
 term.  With O = R - A written as a vector of multiplicities over its distinct
 entries, and c! = prod_i c_i!,
 
-    sum over blocks and compositions = O! * [u^a y^O] F^l,
+    sum over blocks and compositions = G~_l(O, a) = O! * [u^a y^O] F^l,
     F = sum over t >= 1 and c <= O of  t x_{(t,0) u c} u^t y^c / c!,
 
 and the labelled sub-multisets A are grouped by their type counts k, each
-standing for prod_i C(n_i, k_i) labelled choices.  The powers of F are built
-one block at a time over (type-count vector, u-degree) states, so a single
-correction costs O(l a^2 prod_i (O_i + 1)^2) polynomial products instead of
+standing for prod_i C(n_i, k_i) labelled choices.  The scaled powers
+G~_j(c, t) = c! [u^t y^c] F^j are built one block at a time over
+(type-count vector, u-degree) states,
+
+    G~_1(c, t) = t x_{(t,0) u c},
+    G~_j(c, t) = sum over head + tail = c, t_head of
+                 C(c, head) G~_1(head, t_head) G~_{j-1}(tail, t - t_head),
+
+with C(c, head) = prod_i C(c_i, head_i), so every scalar of a block product
+is an int and a correction term divides only by l!.  A single correction
+costs O(l a^2 prod_i (O_i + 1)^2) polynomial products instead of
 2^|R| * l^|O| * C(a-1, l-1) terms, and the partial powers are shared across
 keys through the table.  The reduced engine (:mod:`.reduced`) keeps the
 term-by-term sum, so the two engines stay independent.
 
-Each correction and each partial power is one fused sum
-(:meth:`.ZPoly.combine`): its terms are accumulated once, as int numerators
-over a running denominator, with the scalars t / c! and the weights riding
-along as coefficients, so no term or partial sum is built as a ZPoly.  The
+Each table entry is x_{(s,m) u R} plus one fused sum
+(:meth:`.ZPoly.combine`) over (s, x_{(s,m+1) u R}) and the negated
+correction triples, and each partial power is one fused sum: its terms are
+accumulated once, as int numerators over a running denominator, with the
+scalars riding along as coefficients, so no term or partial sum is built as
+a ZPoly.  The
 correction's bookkeeping per type-count vector (nu(A), |A|, lam(A), the
 factorials and the others' types) depends on rest alone and is computed
 once per rest; per (s, m) only l, a and the weight are left.
@@ -51,7 +64,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 from typing import Optional
 
@@ -76,8 +89,12 @@ def make_xkey(pairs) -> XKey:
         key.append((a, b))
     if not key:
         raise ValueError("a key needs at least one pair")
-    key.sort(reverse=True)
-    return tuple(key)
+    return _canonical(key)
+
+
+def _canonical(pairs) -> XKey:
+    """The pairs as a key, sorted descending by (lam, nu), unchecked."""
+    return tuple(sorted(pairs, reverse=True))
 
 
 def initial_x(nu) -> ZPoly:
@@ -106,7 +123,7 @@ class XTable:
 
     def to_json_dict(self) -> dict:
         items = [
-            {"key": [list(p) for p in key], "poly": self.entries[key].to_json_list()}
+            {"key": key, "poly": self.entries[key].to_json_list()}
             for key in sorted(self.entries)
         ]
         return {"version": XTABLE_VERSION, "entries": items}
@@ -165,9 +182,8 @@ def _consumed_types(rest: tuple) -> tuple:
 
     Consumed sub-multisets A are enumerated by type counts k <= n (n the
     multiplicities of rest's distinct entries).  One row per k holds nu(A),
-    |A|, lam(A), prod_{j in A} nu_j!, the labelled count
-    prod n! / k! = prod C(n, k) * O! (O = n - k, the others' counts, whose
-    O! the block sum needs), and the others' types and counts."""
+    |A|, lam(A), prod_{j in A} nu_j!, the labelled count prod C(n, k), and
+    the others' types and counts O = n - k."""
     multiplicity = Counter(rest)
     types, counts = tuple(multiplicity), tuple(multiplicity.values())
     rows = []
@@ -179,53 +195,50 @@ def _consumed_types(rest: tuple) -> tuple:
             sum(k),
             sum(lam * k_i for (lam, _), k_i in zip(types, k)),
             prod(factorial(nu) for nu in consumed_nu),
-            prod(factorial(n_i) // factorial(k_i) for n_i, k_i in zip(counts, k)),
+            prod(comb(n_i, k_i) for n_i, k_i in zip(counts, k)),
             tuple(types[i] for i in present),
             tuple(counts[i] - k[i] for i in present),
         ))
     return tuple(rows)
 
 
-def _correction(s: int, m: int, rest: tuple, table: XTable) -> ZPoly:
-    """The subtracted sum in the recursion for pivot (s+1, m) over rest.
+def _correction(s: int, m: int, rest: tuple, table: XTable):
+    """The subtracted sum in the rewrite of pivot (s+1, m) over rest, as
+    (scalar, polynomial, None) triples for :meth:`.ZPoly.combine`.
 
     Each consumed type-count vector k of :func:`_consumed_types` stands for
     prod C(n, k) labelled choices of A, with l = m + nu(A) - |A| + 2 blocks
     and a = s + lam(A).  The labelled block sum over the others O = n - k is
-
-        O! * [u^a y^O] (sum_{t >= 1, c} t x_{(t,0) u c} u^t y^c / c!)^l,
-
-    with O! and c! products of factorials over types, and is read off
-    :func:`_block_product`.  Its weight multinomial(m + nu(A); m, nu_A) / l!
-    times the labelled count is (m + nu(A))! * labelled / (m! prod nu_j! l!).
+    G~_l(O, a), read off :func:`_block_product`, and its weight
+    multinomial(m + nu(A); m, nu_A) / l! times the labelled count is
+    (m + nu(A))! prod C(n, k) / (m! prod nu_j! l!): an int over l!.
     """
-
-    def terms():
-        for nu_a, size_a, lam_a, nu_fact, labelled, others_types, others in _consumed_types(rest):
-            ell = m + nu_a - size_a + 2
-            if ell < 1:
-                continue
-            a = s + lam_a
-            if a < ell:
-                continue
-            weight = Fraction(factorial(m + nu_a) * labelled, factorial(m) * nu_fact * factorial(ell))
-            scalar, poly = _block_product(others_types, others, ell, a, table)
-            yield weight * scalar, poly, None
-
-    return ZPoly.combine(terms())
+    for nu_a, size_a, lam_a, nu_fact, labelled, others_types, others in _consumed_types(rest):
+        ell = m + nu_a - size_a + 2
+        if ell < 1:
+            continue
+        a = s + lam_a
+        if a < ell:
+            continue
+        scalar, poly = _block_product(others_types, others, ell, a, table)
+        weight = factorial(m + nu_a) // (factorial(m) * nu_fact) * labelled * scalar
+        yield Fraction(weight, factorial(ell)), poly, None
 
 
 def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable) -> tuple:
-    """G_ell(others, a) as (scalar, polynomial): the coefficient of u^a y^others
-    in the ell-th power of sum_{t >= 1, c} t x_{(t,0) u c} u^t y^c / c!, for
-    the multiset with the given distinct entries and counts, built as
-    G_j = G_1 * G_{j-1}.  G_1(c, t) is the table entry with the scalar t / c!,
-    and each G_j for j >= 2 is one fused sum with scalar 1.
+    """G~_ell(others, a) as (int scalar, polynomial): others! times the
+    coefficient of u^a y^others in the ell-th power of
+    sum_{t >= 1, c} t x_{(t,0) u c} u^t y^c / c!, for the multiset with the
+    given distinct entries and counts.  With G~_1(c, t) = t x_{(t,0) u c} it
+    is built as G~_j(c, t) = sum over head + tail = c and t_head of
+    C(c, head) G~_1(head, t_head) G~_{j-1}(tail, t - t_head), C(c, head) a
+    product of binomials over types, so every scalar is an int; each G~_j
+    for j >= 2 is one fused sum with scalar 1.
 
     Every factor of the term-by-term sum is evaluated, even where its
     partners vanish: all t in 1..a-ell+1 and all c <= others when ell >= 2,
     only (a, others) when ell == 1.  So the keys stored in the table do not
-    depend on how the sum is organized.  The partial products G_j(c, t) are
+    depend on how the sum is organized.  The partial products G~_j(c, t) are
     memoized on the table per type tuple, for reuse across keys and block
     counts; they are never persisted.
     """
@@ -236,25 +249,23 @@ def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable)
         x = xs.get((c, t))
         if x is None:
             group = [pair for pair, c_i in zip(types, c) for _ in range(c_i)]
-            x = xs[(c, t)] = compute_x(group + [(t, 0)], table)
+            x = xs[(c, t)] = _x(_canonical(group + [(t, 0)]), table)
         return x
 
     def terms(j, c, t):
-        # G_j(c, t) = sum over head + tail = c, t_head of G_1(head, t_head)
-        # G_{j-1}(tail, t - t_head); a vanishing head skips its tail unread
+        # a vanishing head skips its tail unread
         for head in _sub_vectors(c):
             tail = tuple(c_i - h_i for c_i, h_i in zip(c, head))
-            head_fact = prod(factorial(h_i) for h_i in head)
-            tail_fact = prod(factorial(c_i) for c_i in tail)
+            choose = prod(comb(c_i, h_i) for c_i, h_i in zip(c, head))
             for t_head in range(1, t - j + 2):
                 x = entry(head, t_head)
                 if not x:
                     continue
                 if j == 2:
                     t_tail = t - t_head
-                    yield Fraction(t_head * t_tail, head_fact * tail_fact), x, entry(tail, t_tail)
+                    yield choose * t_head * t_tail, x, entry(tail, t_tail)
                 else:
-                    yield Fraction(t_head, head_fact), x, product(j - 1, tail, t - t_head)
+                    yield choose * t_head, x, product(j - 1, tail, t - t_head)
 
     def product(j, c, t):
         value = products.get((j, c, t))
@@ -263,55 +274,65 @@ def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable)
         return value
 
     if ell == 1:
-        return Fraction(a, prod(factorial(c_i) for c_i in others)), entry(others, a)
+        return a, entry(others, a)
     if (ell, others, a) not in products:
         # the top level of product() touches exactly these factors; taking
-        # them first keeps compute_x's recursion out of the nested frames.
-        # A memoized product touched them when it was built.
+        # them first keeps the recursion out of the nested frames.  A
+        # memoized product touched them when it was built.
         for c in _sub_vectors(others):
             for t in range(1, a - ell + 2):
                 entry(c, t)
     return 1, product(ell, others, a)
 
 
+def _rewrite(key: XKey, i: int, table: XTable) -> ZPoly:
+    """x for a canonical key by the rewrite of its entry i = (s+1, m), s >= 0:
+    x_{(s,m) u R} plus one fused sum of s x_{(s,m+1) u R} and the negated
+    correction triples, R the key without entry i."""
+    lam, m = key[i]
+    s = lam - 1
+    rest = key[:i] + key[i + 1 :]
+    lower = _x(_canonical(rest + ((s, m),)), table)
+    terms = [(s, _x(_canonical(rest + ((s, m + 1),)), table), None)] if s else []
+    terms += [(-c, x, y) for c, x, y in _correction(s, m, rest, table)]
+    return lower + ZPoly.combine(terms)
+
+
+def _x(key: XKey, table: XTable) -> ZPoly:
+    """x for a canonical key, memoized in the table: the closed form when
+    every lam_i = 0, else the rewrite of the first, largest entry.  The
+    recursion runs here on canonical keys, which compute_x checked once."""
+    value = table.entries.get(key)
+    if value is None:
+        if key[0][0]:
+            value = _rewrite(key, 0, table)
+        else:
+            value = initial_x(nu for _, nu in key)
+        table.entries[key] = value
+    return value
+
+
 def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = None) -> ZPoly:
     """The polynomial x for a key, memoized in the given table.
 
-    ``pivot_index`` forces which entry of the canonical key gets rewritten:
-    it must satisfy 0 <= pivot_index < len(key) (ValueError otherwise) and
-    the entry must have lam >= 1.  By default the largest (lam, nu) entry is
-    used.  Any valid pivot yields the same value as a q-series, which is
-    checked by the property suites.
+    The key is checked and made canonical by :func:`make_xkey` here, once;
+    the recursion below runs on canonical keys.  ``pivot_index`` forces
+    which entry of the canonical key gets rewritten: it must satisfy
+    0 <= pivot_index < len(key) (ValueError otherwise) and the entry must
+    have lam >= 1.  By default the largest (lam, nu) entry is used.  Any
+    valid pivot yields the same value as a q-series, which is checked by
+    the property suites; a forced rewrite is not stored in the table.
     """
     key = make_xkey(key)
     if pivot_index is not None and not 0 <= pivot_index < len(key):
         raise ValueError(f"pivot index {pivot_index} is outside 0..{len(key) - 1} for {key}")
     if table is None:
         table = XTable()
-    cached = table.entries.get(key)
-    if cached is not None and pivot_index is None:
-        return cached
-
-    if all(a == 0 for a, _ in key):
-        value = initial_x(tuple(b for _, b in key))
-        table.entries[key] = value
-        return value
-
-    pivot_i = 0 if pivot_index is None else pivot_index  # canonical: entry 0 is max
-    lam_p, m = key[pivot_i]
-    if lam_p < 1:
-        raise ValueError(f"pivot {key[pivot_i]} must have lam >= 1")
-    s = lam_p - 1
-    rest = key[:pivot_i] + key[pivot_i + 1 :]
-
-    value = compute_x(rest + ((s, m),), table)
-    if s:
-        value = value + compute_x(rest + ((s, m + 1),), table) * s
-    value = value - _correction(s, m, rest, table)
-
-    if pivot_index is None:
-        table.entries[key] = value
-    return value
+    if pivot_index is None or not key[0][0]:
+        return _x(key, table)
+    if key[pivot_index][0] < 1:
+        raise ValueError(f"pivot {key[pivot_index]} must have lam >= 1")
+    return _rewrite(key, pivot_index, table)
 
 
 def h_poly(lam, table: Optional[XTable] = None) -> ZPoly:

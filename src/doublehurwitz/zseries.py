@@ -275,9 +275,10 @@ class ZPoly:
     # -- JSON ----------------------------------------------------------------
 
     def to_json_list(self) -> list:
-        """One {"gens": [[d, r], ...], "coeff": "num/den"} per term, sorted by
-        key, each coefficient in lowest terms."""
-        return [{"gens": [list(gen) for gen in _unpack(key)], "coeff": exact.ratio(self.nums[key], self.den)}
+        """One {"gens": ((d, r), ...), "coeff": "num/den"} per term, sorted by
+        key, each coefficient in lowest terms; JSON writes the tuple of
+        generators as [[d, r], ...]."""
+        return [{"gens": _unpack(key), "coeff": exact.ratio(self.nums[key], self.den)}
                 for key in sorted(self.nums, key=_unpack)]
 
     @staticmethod

@@ -42,6 +42,9 @@ each part's multiplicity.
 Two cover a job that one place does for every caller: the partition-monomial
 writer ``series.partition_mono`` gives every letter exponent 1, and the CLI
 renders every ``verify`` row as pass.
+Three cover the recursion's table entry and its int block products: the
+entry drops the factor s of x_{(s,m+1) u R}, the block product's binomial
+C(c, head) becomes 1, and the correction divides by (l-1)! instead of l!.
 A module with no test file of its own goes straight to the whole suite.
 
 Run from the repository root:
@@ -134,6 +137,12 @@ MUTANTS = [
      "(var(i), 1) for i, e in sorted(Counter(parts).items())"),
     ("the CLI renders every verify row as pass", "cli.py",
      '"status": "pass" if ok else "fail"', '"status": "pass"'),
+    ("the table entry drops the factor s", "recursion.py",
+     "terms = [(s, _x(", "terms = [(1, _x("),
+    ("the block product's C(c, head) becomes 1", "recursion.py",
+     "choose = prod(comb(c_i, h_i) for c_i, h_i in zip(c, head))", "choose = 1"),
+    ("the correction divides by (l-1)! instead of l!", "recursion.py",
+     "factorial(ell)", "factorial(ell - 1)"),
 ]
 
 

@@ -282,6 +282,15 @@ def test_frobenius_cap_is_the_largest_degree_it_takes(monkeypatch):
     assert err.startswith("resource-budget: frobenius budget exceeded: K=6 (max 5)")
 
 
+def test_help_names_the_frobenius_partition_count_and_cap():
+    code, out, _ = run_cli("compute-hurwitz", "--help")
+    text = " ".join(out.split())  # argparse wraps the help at the terminal width
+    assert code == 0
+    assert "p(K)" in text
+    assert f"FROBENIUS_MAX_DEGREE ({FROBENIUS_MAX_DEGREE})" in text
+    assert "follows the divisors of lam and mu" not in text
+
+
 def test_oracle_prints_rational_and_raw_count():
     code, out, _ = run_cli("oracle", "--genus", "0", "--lambda", "2", "--mu", "1,1")
     assert code == 0

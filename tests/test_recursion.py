@@ -3,8 +3,9 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -14,6 +15,8 @@ from doublehurwitz.partitions import compositions, multinomial
 from doublehurwitz.recursion import (
     XTABLE_VERSION,
     XTable,
+    _block_product,
+    _consumed_types,
     _correction,
     compute_x,
     dilaton_identity_sides,
@@ -144,6 +147,22 @@ def test_keys_up_to_deterministic_and_bounded():
     assert all(sum(b for _, b in k) <= 1 for k in keys)
     assert all(1 <= len(k) <= 2 for k in keys)
     assert keys == keys_up_to(3, 2, 1)
+
+
+def test_xtable_file_is_the_documented_list_of_lists(tmp_path):
+    table = populate_table(3, 2, 1)
+    entries = [
+        {
+            "key": [[lam, nu] for lam, nu in key],
+            "poly": [
+                {"gens": [[d, r] for d, r in gens], "coeff": f"{c.numerator}/{c.denominator}"}
+                for gens, c in sorted(table.entries[key].terms.items())
+            ],
+        }
+        for key in sorted(table.entries)
+    ]
+    path = table.save(tmp_path / "cache.json")
+    assert path.read_text() == json.dumps({"version": XTABLE_VERSION, "entries": entries})
 
 
 def test_xtable_json_round_trip(tmp_path):
@@ -300,31 +319,93 @@ def _naive_correction(s, m, rest, table):
     return total
 
 
-@pytest.mark.parametrize(
-    "rest",
-    [
-        ((2, 0), (2, 0), (1, 1), (0, 2)),
-        ((1, 0), (1, 0), (1, 0)),
-        ((1, 1), (0, 1), (0, 1), (0, 0)),
-        ((3, 1), (0, 0), (0, 0)),
-        (),
-    ],
-)
+CORRECTION_RESTS = [
+    ((2, 0), (2, 0), (1, 1), (0, 2)),
+    ((1, 0), (1, 0), (1, 0)),
+    ((1, 1), (0, 1), (0, 1), (0, 0)),
+    ((3, 1), (0, 0), (0, 0)),
+    (),
+]
+
+
+@pytest.mark.parametrize("rest", CORRECTION_RESTS)
 def test_correction_matches_term_by_term_sum(rest):
     table = XTable()
     for s in (0, 1, 2):
         for m in (0, 1, 2):
-            assert _correction(s, m, rest, table) == _naive_correction(s, m, rest, table), (s, m)
+            fast = ZPoly.combine(_correction(s, m, rest, table))
+            assert fast == _naive_correction(s, m, rest, table), (s, m)
 
 
 def test_term_by_term_sum_builds_the_same_table(monkeypatch):
     fast = XTable()
     h_poly((4, 2, 2), fast)
-    monkeypatch.setattr(recursion, "_correction", _naive_correction)
+    naive_calls = []
+
+    def naive_terms(s, m, rest, table):
+        naive_calls.append((s, m, rest))
+        return [(1, _naive_correction(s, m, rest, table), None)]
+
+    monkeypatch.setattr(recursion, "_correction", naive_terms)
     slow = XTable()
     h_poly((4, 2, 2), slow)
+    assert naive_calls  # every rewrite took its correction from the naive sum
     assert slow.entries.keys() == fast.entries.keys()
     assert slow.entries == fast.entries
+
+
+@pytest.mark.parametrize("rest", CORRECTION_RESTS + [((3, 1), (2, 0), (2, 0), (1, 1), (0, 2), (0, 2))])
+def test_consumed_types_rows_count_the_labelled_sub_multisets(rest):
+    # every labelled sub-multiset A of rest, by the row it belongs to
+    want = Counter()
+    for size in range(len(rest) + 1):
+        for chosen in itertools.combinations(range(len(rest)), size):
+            consumed = [rest[i] for i in chosen]
+            left = Counter(rest) - Counter(consumed)
+            others_types = tuple(pair for pair in Counter(rest) if left[pair])
+            want[(
+                sum(nu for _, nu in consumed),
+                size,
+                sum(lam for lam, _ in consumed),
+                prod(factorial(nu) for _, nu in consumed),
+                others_types,
+                tuple(left[pair] for pair in others_types),
+            )] += 1
+    rows = _consumed_types(rest)
+    assert len(rows) == prod(n + 1 for n in Counter(rest).values())
+    got = Counter()
+    for nu_a, size_a, lam_a, nu_fact, labelled, others_types, others in rows:
+        got[(nu_a, size_a, lam_a, nu_fact, others_types, others)] += labelled
+    assert got == want
+
+
+def _fraction_block_product(types, c, j, t, table):
+    """G_j(c, t) = [u^t y^c] F^j, F = sum over t' >= 1 and c' of
+    t' x_{(t',0) u c'} u^t' y^c' / c'!, by the ring's own + and *."""
+    def g1(c, t):
+        group = [pair for pair, c_i in zip(types, c) for _ in range(c_i)]
+        return compute_x(group + [(t, 0)], table) * Fraction(t, prod(map(factorial, c)))
+
+    if j == 1:
+        return g1(c, t)
+    total = ZPoly()
+    for head in itertools.product(*(range(n + 1) for n in c)):
+        tail = tuple(c_i - h_i for c_i, h_i in zip(c, head))
+        for t_head in range(1, t - j + 2):
+            total = total + g1(head, t_head) * _fraction_block_product(types, tail, j - 1, t - t_head, table)
+    return total
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_integer_block_product_is_c_factorial_times_the_fraction_form(j):
+    types = ((1, 0), (0, 1))
+    table = XTable()
+    for others in ((2, 1), (1, 2), (0, 3)):
+        for a in range(j, j + 3):
+            scalar, poly = _block_product(types, others, j, a, table)
+            assert type(scalar) is int
+            want = _fraction_block_product(types, others, j, a, table) * prod(map(factorial, others))
+            assert poly * scalar == want, (others, a)
 
 
 def test_block_memo_stays_out_of_the_table(tmp_path):

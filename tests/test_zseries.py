@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -291,7 +292,8 @@ def test_int_zpoly_matches_fraction_reference():
         for name in want:
             assert got[name].terms == want[name].terms, (name, ta, tb, c)
             assert got[name].pretty() == want[name].pretty(), name
-            assert got[name].to_json_list() == want[name].to_json_list(), name
+            # the ring writes its generators as tuples, the reference as lists
+            assert json.dumps(got[name].to_json_list()) == json.dumps(want[name].to_json_list()), name
 
 
 def _assert_lowest_terms(p):

@@ -6,7 +6,8 @@ parts, once on ``ZPoly`` and once on ``_FractionZPoly`` from
 every h_lam and every table entry to have the same coefficients.  Then builds
 ``recursion.populate_table(7, 3, 2)`` (the keys of ``x-table
 --max-lambda-weight 7 --max-r 3``, with nu-weight <= 2) on both rings and
-requires the same keys and every entry to have the same coefficients.  Too
+requires the same keys, every entry to have the same coefficients and the
+two tables' x-table JSON text to be equal.  Too
 slow for the tier-1 suite (the reference side takes about 20 s), and named
 without a ``test_`` prefix so pytest does not collect it.
 
@@ -17,6 +18,7 @@ Run from the repository root:
 Exits 1 on any mismatch.
 """
 
+import json
 import sys
 import time
 
@@ -84,6 +86,9 @@ def main() -> int:
         lambda: recursion.populate_table(7, 3, 2)
     )
     mismatches += table_mismatches("populate_table(7, 3, 2)", populated, ref_populated)
+    if json.dumps(populated.to_json_dict()) != json.dumps(ref_populated.to_json_dict()):
+        print("mismatch: the x-table JSON text of populate_table(7, 3, 2)")
+        mismatches.append("populate_table(7, 3, 2) JSON")
     print(
         f"populate_table(7, 3, 2): {len(populated)} table entries; "
         f"ZPoly {int_seconds:.1f} s, Fraction reference {ref_seconds:.1f} s"

@@ -324,14 +324,15 @@ def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = 
     the property suites; a forced rewrite is not stored in the table.
     """
     key = make_xkey(key)
-    if pivot_index is not None and not 0 <= pivot_index < len(key):
-        raise ValueError(f"pivot index {pivot_index} is outside 0..{len(key) - 1} for {key}")
+    if pivot_index is not None:
+        if not 0 <= pivot_index < len(key):
+            raise ValueError(f"pivot index {pivot_index} is outside 0..{len(key) - 1} for {key}")
+        if key[pivot_index][0] < 1:
+            raise ValueError(f"pivot {key[pivot_index]} must have lam >= 1")
     if table is None:
         table = XTable()
-    if pivot_index is None or not key[0][0]:
+    if pivot_index is None:
         return _x(key, table)
-    if key[pivot_index][0] < 1:
-        raise ValueError(f"pivot {key[pivot_index]} must have lam >= 1")
     return _rewrite(key, pivot_index, table)
 
 

@@ -201,13 +201,13 @@ class GradedSeries:
     lowest-terms form of :mod:`.exact`: ``nums`` maps each monomial to a
     nonzero int over the positive int ``den``, and the zero series has den 1.
     The form is unique, so equality is equality of (truncation, nums, den).
-    ``items``, ``terms``, ``term_dict``, ``coefficient`` and
-    ``constant_term`` read the coefficients as Fractions.
+    ``items``, ``terms``, ``term_dict`` and ``coefficient`` read the
+    coefficients as Fractions.
 
     A series is built by the constructor, from a {monomial: int or Fraction}
     dict whose monomials it checks against the truncation; by ``from_ints``,
-    from int numerators already within it; or as ``zero``, ``one`` or
-    ``var``.
+    from int numerators already within it (``{}`` for zero); or as ``one``
+    or ``var``.
     """
 
     __slots__ = ("truncation", "nums", "den", "_bucketed")
@@ -245,10 +245,6 @@ class GradedSeries:
         return result
 
     @staticmethod
-    def zero(trunc: Truncation) -> "GradedSeries":
-        return GradedSeries.from_ints(trunc, {})
-
-    @staticmethod
     def one(trunc: Truncation) -> "GradedSeries":
         return GradedSeries.from_ints(trunc, {(): 1})
 
@@ -280,9 +276,6 @@ class GradedSeries:
     def coefficient(self, mono: tuple) -> Fraction:
         """Exact coefficient of a canonical monomial (0 if absent)."""
         return Fraction(self.nums.get(mono, 0), self.den)
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient(())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):

@@ -45,6 +45,7 @@ renders every ``verify`` row as pass.
 Three cover the recursion's table entry and its int block products: the
 entry drops the factor s of x_{(s,m+1) u R}, the block product's binomial
 C(c, head) becomes 1, and the correction divides by (l-1)! instead of l!.
+One drops ``compute_x``'s refusal of a forced pivot with lam = 0.
 A module with no test file of its own goes straight to the whole suite.
 
 Run from the repository root:
@@ -143,6 +144,8 @@ MUTANTS = [
      "choose = prod(comb(c_i, h_i) for c_i, h_i in zip(c, head))", "choose = 1"),
     ("the correction divides by (l-1)! instead of l!", "recursion.py",
      "factorial(ell)", "factorial(ell - 1)"),
+    ("compute_x rewrites a pivot with lam = 0", "recursion.py",
+     "        if key[pivot_index][0] < 1:\n", "        if False:\n"),
 ]
 
 

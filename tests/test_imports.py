@@ -8,10 +8,14 @@ class-level definition counts as read if some module of the package reads its
 name, bare or as an attribute, outside the definition itself; a helper left
 behind by a refactor shows up here.  A public module-level function or class
 must be read the same way, or be named in a benchmark file
-(``perfbench/*.py``): one that only the tests call shows up here.
+(``perfbench/*.py``): one that only the tests call shows up here.  So must a
+public method of a module-level class: read as an attribute somewhere in the
+package, named as ``.method`` in a benchmark file, or an override of a base
+class's method (``_Parser.error``), which the base class calls.
 """
 
 import ast
+import importlib.util
 import re
 import subprocess
 import sys
@@ -23,7 +27,8 @@ import pytest
 import doublehurwitz
 
 MODULES = sorted(Path(doublehurwitz.__file__).parent.glob("*.py"))
-BENCHMARK_FILES = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCHMARK_FILES = sorted(PERFBENCH.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -104,6 +109,12 @@ def _reads(node: ast.AST) -> Counter:
     return reads
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each name is read under node as an attribute."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
 def test_every_private_definition_is_read():
     # By name across the package: a read inside the definition itself (a
     # function that only calls itself) does not count.
@@ -126,6 +137,56 @@ def test_every_public_function_and_class_is_read_outside_the_tests():
               and reads[node.name] - _reads(node)[node.name] <= 0
               and not re.search(rf"\b{node.name}\b", benchmark)]
     assert not unread, f"public definitions only the tests read: {unread}"
+
+
+def _overrides(path: Path, cls: str, name: str) -> bool:
+    """Whether method name of class cls in module path overrides a base's."""
+    module = importlib.import_module(f"doublehurwitz.{path.stem}")
+    return any(name in vars(base) for base in getattr(module, cls).__mro__[1:])
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    # read by attribute in the package outside its own body, named as
+    # .name in a benchmark file, or an override that the base class calls
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    benchmark = "\n".join(path.read_text() for path in BENCHMARK_FILES)
+    unread = [f"{cls.name}.{node.name}" for path, tree in trees.items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")
+              and reads[node.name] - _attribute_reads(node)[node.name] <= 0
+              and not re.search(rf"\.{node.name}\b", benchmark)
+              and not _overrides(path, cls.name, node.name)]
+    assert not unread, f"public methods only the tests read: {unread}"
+
+
+def _benchmark_tracer():
+    """perfbench/tracer.py as a module; importing it patches nothing."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_name_the_benchmark_tracer_binds_exists():
+    # the tracer resolves these "module:attribute" names when a traced job
+    # starts; a deleted one would fail only there
+    tracer = _benchmark_tracer()
+    specs = [target[1] for target in tracer.TARGETS] + [spec for _, spec in tracer.CACHED]
+    for spec in specs:
+        importlib.import_module(f"doublehurwitz.{spec.partition(':')[0]}")
+    resolved = {}
+    for spec in specs:
+        try:
+            resolved[spec] = tracer._resolve(spec)
+        except (AttributeError, KeyError):
+            pytest.fail(f"the benchmark tracer binds {spec}, which the package lacks")
+    assert all(callable(value) for value in resolved.values())
+    assert all(hasattr(resolved[spec], "cache_info") for _, spec in tracer.CACHED)
+    # two names for one function leave the second rebind no site to wrap
+    assert len({id(value) for value in resolved.values()}) == len(resolved)
 
 
 def test_cli_imports_without_dataclasses_or_inspect():

@@ -36,7 +36,7 @@ def test_scaled_schur_low_orders():
 def test_scaled_schur_sums_to_exponential():
     # the h~_k are the homogeneous slices of exp(-(t_1+...+t_n))
     tr = Truncation(s_weight=4)
-    total = GradedSeries.zero(tr)
+    total = GradedSeries.from_ints(tr, {})
     for k in range(5):
         total = total + scaled_schur(k, tr)
     seed = GradedSeries(tr, {mono_from_vars([(svar(i), 1)]): Fraction(-1) for i in range(1, 5)})

@@ -93,6 +93,14 @@ def test_invalid_pivot_rejected():
         compute_x(make_xkey([(1, 0), (0, 2)]), pivot_index=1)
 
 
+@pytest.mark.parametrize("key, pivot_index", [([(0, 1), (0, 0)], 0), ([(0, 1), (0, 0)], 1),
+                                               ([(1, 0), (0, 0)], 1)])
+def test_pivot_with_lam_zero_rejected(key, pivot_index):
+    # no entry with lam = 0 is a pivot, in the all-zero key too
+    with pytest.raises(ValueError, match="must have lam >= 1"):
+        compute_x(key, pivot_index=pivot_index)
+
+
 @pytest.mark.parametrize("pivot_index", [-1, -3, 3, 7])
 def test_pivot_index_outside_the_key_rejected(pivot_index):
     # -1 used to rewrite with rest = key[:-1] + key, and len(key) raised a

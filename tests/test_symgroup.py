@@ -1,19 +1,14 @@
 import json
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
 
 from doublehurwitz.cli import run
 from doublehurwitz.partitions import partitions_of, zee
 from doublehurwitz.series import Truncation, mono_from_vars, pvar
-from doublehurwitz.symgroup import (
-    CHARTABLE_VERSION,
-    CharTable,
-    central_weight,
-    mn_character,
-    schur_in_power_sums,
-)
+from doublehurwitz.symgroup import CharTable, central_weight, mn_character, schur_in_power_sums
 
 
 def hook_length_dimension(lam):
@@ -58,139 +53,104 @@ def test_dimensions_match_hook_length_formula():
             assert mn_character(lam, ones) == hook_length_dimension(lam)
 
 
+def rows_orthogonal(table):
+    """Row orthogonality of a CharTable, in integers:
+    sum_mu chi^lam_mu chi^rho_mu K!/z_mu = K! delta_{lam rho}.
+
+    For the square table X this reads X D X^T = K! I with D the diagonal of
+    class sizes, so X^{-1} = D X^T / K! and X^T X = K! D^{-1}: column
+    orthogonality, sum_lam chi^lam_mu chi^lam_nu = z_mu delta_{mu nu},
+    follows and needs no second check.  A single wrong entry always fails
+    it (it changes its column's norm by a nonzero integer)."""
+    parts = partitions_of(table.K)
+    rows = [[table.values[(lam, mu)] for mu in parts] for lam in parts]
+    order = factorial(table.K)
+    sizes = [order // zee(mu) for mu in parts]
+    for i, row in enumerate(rows):
+        weighted = list(map(mul, row, sizes))
+        for j in range(i, len(rows)):
+            if sum(map(mul, weighted, rows[j])) != (order if i == j else 0):
+                return False
+    return True
+
+
+def dimensions_positive(table):
+    """Each row's dimension chi^lam_(1^K) is positive."""
+    ones = (1,) * table.K
+    return all(table.values[(lam, ones)] > 0 for lam in partitions_of(table.K))
+
+
+def transpositions_match(table):
+    """chi^lam_t K(K-1)/2 = central_weight(lam) dim(lam), t = (2, 1^(K-2))."""
+    K = table.K
+    ones, t = (1,) * K, (2,) + (1,) * (K - 2)
+    return K == 1 or all(
+        table.values[(lam, t)] * K * (K - 1) == 2 * central_weight(lam) * table.values[(lam, ones)]
+        for lam in partitions_of(K)
+    )
+
+
+TABLE_DEGREES = range(1, 9)
+
+
 def test_char_table_orthogonality():
-    for K in range(1, 7):
-        assert CharTable.build(K).check_orthogonality()
+    for K in TABLE_DEGREES:
+        table = CharTable.build(K)
+        parts = partitions_of(K)
+        assert table.K == K
+        assert table.values.keys() == {(lam, mu) for lam in parts for mu in parts}
+        assert rows_orthogonal(table)
 
 
-def test_char_table_cache_round_trip(tmp_path):
-    table = CharTable.load_or_build(tmp_path, 4)
-    assert CharTable.cache_path(tmp_path, 4).exists()
-    again = CharTable.load_or_build(tmp_path, 4)
-    assert again.values == table.values
-    assert again.values[((2, 1, 1), (4,))] == mn_character((2, 1, 1), (4,))
+def test_char_table_dimensions_are_positive():
+    for K in TABLE_DEGREES:
+        assert dimensions_positive(CharTable.build(K))
 
 
-def _edit_cache(cache_dir, K, edit):
-    path = CharTable.cache_path(cache_dir, K)
-    data = json.loads(path.read_text())
-    edit(data)
-    path.write_text(json.dumps(data))
+def test_char_table_transposition_identity():
+    for K in TABLE_DEGREES:
+        assert transpositions_match(CharTable.build(K))
 
 
-def _no_build(K):
-    raise AssertionError("a valid cached table was rebuilt")
-
-
-def test_char_table_valid_cache_is_not_rebuilt(tmp_path, monkeypatch):
-    CharTable.load_or_build(tmp_path, 5)
-    assert json.loads(CharTable.cache_path(tmp_path, 5).read_text())["version"] == CHARTABLE_VERSION
-    assert [p.name for p in tmp_path.iterdir()] == ["chartable_K5.json"]  # no temp file left
-    monkeypatch.setattr(CharTable, "build", staticmethod(_no_build))
-    assert CharTable.load_or_build(tmp_path, 5).values[((3, 2), (5,))] == mn_character((3, 2), (5,))
-
-
-def _perturb_entry(data):
-    # chi^(1^K)_(1^K): read unchecked at K = 3, it turns h_0((3), (1,1,1)) into 7/2
-    data["values"][0]["chi"] += 5
-
-
-def _drop_key(data):
-    del data["values"][-1]
-
-
-def _wrong_K(data):
-    data["K"] = 3
-
-
-def _stale_version(data):
-    del data["version"]
-
-
-def _flip_row(data):
-    for e in data["values"]:
-        if e["lam"] == [2, 1, 1]:
-            e["chi"] = -e["chi"]
-
-
-def _swap_rows(data):
-    # (3,1) and (2,1,1) share dimension 3 but not central weight; read
-    # unchecked, the swap turns h_0((4), (1,1,1,1)) into 5 instead of 4
-    swap = {(3, 1): [2, 1, 1], (2, 1, 1): [3, 1]}
-    for e in data["values"]:
-        e["lam"] = swap.get(tuple(e["lam"]), e["lam"])
-
-
-def _set_first_chi(data, value):
-    # chi^(1^K)_(1^K) = 1, written as another JSON type
-    assert data["values"][0]["chi"] == 1
-    data["values"][0]["chi"] = value
-
-
-def _chi_as_string(data):
-    _set_first_chi(data, "1")
-
-
-def _chi_as_float(data):
-    _set_first_chi(data, 1.0)
-
-
-def _chi_as_bool(data):
-    _set_first_chi(data, True)
-
-
-def _K_as_float(data):
-    data["K"] = 4.0
-
-
-def _parts_as_float(data, key):
-    # every part 4 as 4.0, which hashes like 4
-    for e in data["values"]:
-        e[key] = [float(x) if x == 4 else x for x in e[key]]
-
-
-def _lam_part_as_float(data):
-    _parts_as_float(data, "lam")
-
-
-def _mu_part_as_float(data):
-    _parts_as_float(data, "mu")
-
-
-_NOT_INTS = [_chi_as_string, _chi_as_float, _chi_as_bool, _K_as_float, _lam_part_as_float,
-             _mu_part_as_float]
-
-
-@pytest.mark.parametrize(
-    "edit", [_perturb_entry, _drop_key, _wrong_K, _stale_version, _flip_row, _swap_rows] + _NOT_INTS
-)
-def test_char_table_bad_cache_is_rebuilt(tmp_path, edit):
+def test_each_table_check_sees_what_the_others_miss():
     good = CharTable.build(4)
-    good.save(tmp_path)
-    _edit_cache(tmp_path, 4, edit)
-    assert CharTable.load_valid(CharTable.cache_path(tmp_path, 4), 4) is None
-    assert CharTable.load_or_build(tmp_path, 4).values == good.values
-    # the bad file was overwritten with the rebuilt table
-    assert CharTable.load_valid(CharTable.cache_path(tmp_path, 4), 4).values == good.values
 
+    def edited(edit):
+        return CharTable(4, {(lam, mu): edit(lam, mu, chi) for (lam, mu), chi in good.values.items()})
 
-def test_char_table_unreadable_cache_is_rebuilt(tmp_path):
-    CharTable.cache_path(tmp_path, 3).write_text("{not json")
-    assert CharTable.load_or_build(tmp_path, 3).values == CharTable.build(3).values
+    # one entry off by 5 fails orthogonality
+    perturbed = edited(lambda lam, mu, chi: chi + 5 * (lam == mu == (1, 1, 1, 1)))
+    assert not rows_orthogonal(perturbed)
+    # a row with every sign flipped keeps orthogonality; its dimension is -3
+    flipped = edited(lambda lam, mu, chi: -chi if lam == (2, 1, 1) else chi)
+    assert rows_orthogonal(flipped) and not dimensions_positive(flipped)
+    # (3,1) and (2,1,1) share dimension 3 but not central weight: swapping
+    # their rows keeps both checks above and fails the transposition identity
+    swap = {(3, 1): (2, 1, 1), (2, 1, 1): (3, 1)}
+    swapped = edited(lambda lam, mu, chi: good.values[(swap.get(lam, lam), mu)])
+    assert rows_orthogonal(swapped) and dimensions_positive(swapped)
+    assert not transpositions_match(swapped)
 
 
 def test_corrupt_cache_never_reaches_frobenius(tmp_path, capsys):
-    # frobenius reads no cached table: a corrupt one is neither read nor rewritten
-    CharTable.build(3).save(tmp_path)
-    _edit_cache(tmp_path, 3, _perturb_entry)
-    planted = CharTable.cache_path(tmp_path, 3).read_bytes()
+    # frobenius reads no cached table: a corrupt one is neither read nor
+    # rewritten.  The planted file has the layout the former cache wrote,
+    # with chi^(1^3)_(1^3) = 6; read unchecked, it would turn
+    # h_0((3), (1,1,1)) into 7/2
+    entries = [{"lam": list(lam), "mu": list(mu), "chi": chi}
+               for (lam, mu), chi in sorted(CharTable.build(3).values.items())]
+    entries[0]["chi"] += 5
+    path = tmp_path / "chartable_K3.json"
+    path.write_text(json.dumps({"version": "chartable-v1", "K": 3, "values": entries}))
+    planted = path.read_bytes()
     args = ["--cache-dir", str(tmp_path),
             "compute-hurwitz", "--genus", "0", "--method", "frobenius", "--lambda", "3",
             "--mu", "1,1,1"]
     assert run(args) == 0
     assert run(args) == 0
     assert capsys.readouterr().out == "1/1\n1/1\n"
-    assert CharTable.cache_path(tmp_path, 3).read_bytes() == planted
+    assert path.read_bytes() == planted
+    assert [p.name for p in tmp_path.iterdir()] == ["chartable_K3.json"]
 
 
 def test_schur_examples():

@@ -40,7 +40,9 @@ G~_j(c, t) = c! [u^t y^c] F^j are built one block at a time over
                  C(c, head) G~_1(head, t_head) G~_{j-1}(tail, t - t_head),
 
 with C(c, head) = prod_i C(c_i, head_i), so every scalar of a block product
-is an int and a correction term divides only by l!.  A single correction
+is an int and a correction term divides only by l!.  Each G~_j(c, t) is one
+(int scalar, polynomial) pair in one memo per type tuple: (t, the table's
+own entry) for j = 1 and (1, one fused sum) for j >= 2.  A single correction
 costs O(l a^2 prod_i (O_i + 1)^2) polynomial products instead of
 2^|R| * l^|O| * C(a-1, l-1) terms, and the partial powers are shared across
 keys through the table.  The reduced engine (:mod:`.reduced`) keeps the
@@ -48,13 +50,13 @@ term-by-term sum, so the two engines stay independent.
 
 Each table entry is x_{(s,m) u R} plus one fused sum
 (:meth:`.ZPoly.combine`) over (s, x_{(s,m+1) u R}) and the negated
-correction triples, and each partial power is one fused sum: its terms are
-accumulated once, as int numerators over a running denominator, with the
-scalars riding along as coefficients, so no term or partial sum is built as
-a ZPoly.  The
-correction's bookkeeping per type-count vector (nu(A), |A|, lam(A), the
-factorials and the others' types) depends on rest alone and is computed
-once per rest; per (s, m) only l, a and the weight are left.
+correction triples, and each partial power G~_j, j >= 2, is one fused sum
+whose triples carry the tail's scalar in their int: the terms are
+accumulated once, as int numerators over a running denominator, so no term
+or partial sum is built as a ZPoly.  The correction's bookkeeping per
+type-count vector (nu(A), |A|, lam(A), the factorials and the others'
+types) depends on rest alone and is computed once per rest; per (s, m) only
+l, a and the weight are left.
 """
 
 from __future__ import annotations
@@ -112,8 +114,9 @@ class XTable:
 
     def __init__(self):
         self.entries: dict = {}
-        # entries and partial block products used by _block_product, keyed by
-        # type tuple; derived from entries, so never counted or persisted
+        # type tuple -> {(j, c, t): G~_j(c, t) as (int scalar, polynomial)},
+        # the pairs of _block_product; derived from entries, so never counted
+        # or persisted
         self.block_memo: dict = {}
 
     def __len__(self) -> int:
@@ -229,28 +232,31 @@ def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable)
     """G~_ell(others, a) as (int scalar, polynomial): others! times the
     coefficient of u^a y^others in the ell-th power of
     sum_{t >= 1, c} t x_{(t,0) u c} u^t y^c / c!, for the multiset with the
-    given distinct entries and counts.  With G~_1(c, t) = t x_{(t,0) u c} it
-    is built as G~_j(c, t) = sum over head + tail = c and t_head of
-    C(c, head) G~_1(head, t_head) G~_{j-1}(tail, t - t_head), C(c, head) a
-    product of binomials over types, so every scalar is an int; each G~_j
-    for j >= 2 is one fused sum with scalar 1.
+    given distinct entries and counts.
 
-    Every factor of the term-by-term sum is evaluated, even where its
-    partners vanish: all t in 1..a-ell+1 and all c <= others when ell >= 2,
-    only (a, others) when ell == 1.  So the keys stored in the table do not
-    depend on how the sum is organized.  The partial products G~_j(c, t) are
-    memoized on the table per type tuple, for reuse across keys and block
-    counts; they are never persisted.
+    Every G~_j(c, t) is one (int scalar, polynomial) pair: G~_1(c, t) is
+    (t, the table's own x_{(t,0) u c}), so the memo holds no copies of
+    entries, and G~_j for j >= 2 is (1, one fused sum) over head + tail = c
+    and t_head of C(c, head) t_head G~_{j-1}(tail, t - t_head), C(c, head) a
+    product of binomials over types, the tail's scalar riding in the
+    triple's int.  Every head factor G~_1(head, t_head) is evaluated, even
+    where its tail vanishes, so the keys stored in the table do not depend
+    on how the sum is organized.  The pairs are memoized on the table per
+    type tuple, keyed by (j, c, t), for reuse across keys and block counts;
+    they are never persisted.
     """
-    xs, products = table.block_memo.setdefault(types, ({}, {}))
+    memo = table.block_memo.setdefault(types, {})
 
-    def entry(c, t):
-        # the table's own polynomial, so the memo holds no copies of entries
-        x = xs.get((c, t))
-        if x is None:
-            group = [pair for pair, c_i in zip(types, c) for _ in range(c_i)]
-            x = xs[(c, t)] = _x(_canonical(group + [(t, 0)]), table)
-        return x
+    def power(j, c, t):
+        value = memo.get((j, c, t))
+        if value is None:
+            if j == 1:
+                group = [pair for pair, c_i in zip(types, c) for _ in range(c_i)]
+                value = t, _x(_canonical(group + [(t, 0)]), table)
+            else:
+                value = 1, ZPoly.combine(terms(j, c, t))
+            memo[(j, c, t)] = value
+        return value
 
     def terms(j, c, t):
         # a vanishing head skips its tail unread
@@ -258,31 +264,12 @@ def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable)
             tail = tuple(c_i - h_i for c_i, h_i in zip(c, head))
             choose = prod(comb(c_i, h_i) for c_i, h_i in zip(c, head))
             for t_head in range(1, t - j + 2):
-                x = entry(head, t_head)
-                if not x:
-                    continue
-                if j == 2:
-                    t_tail = t - t_head
-                    yield choose * t_head * t_tail, x, entry(tail, t_tail)
-                else:
-                    yield choose * t_head, x, product(j - 1, tail, t - t_head)
+                x = power(1, head, t_head)[1]
+                if x:
+                    scalar, rest = power(j - 1, tail, t - t_head)
+                    yield choose * t_head * scalar, x, rest
 
-    def product(j, c, t):
-        value = products.get((j, c, t))
-        if value is None:
-            value = products[(j, c, t)] = ZPoly.combine(terms(j, c, t))
-        return value
-
-    if ell == 1:
-        return a, entry(others, a)
-    if (ell, others, a) not in products:
-        # the top level of product() touches exactly these factors; taking
-        # them first keeps the recursion out of the nested frames.  A
-        # memoized product touched them when it was built.
-        for c in _sub_vectors(others):
-            for t in range(1, a - ell + 2):
-                entry(c, t)
-    return 1, product(ell, others, a)
+    return power(ell, others, a)
 
 
 def _rewrite(key: XKey, i: int, table: XTable) -> ZPoly:
@@ -317,15 +304,16 @@ def compute_x(key, table: Optional[XTable] = None, pivot_index: Optional[int] = 
 
     The key is checked and made canonical by :func:`make_xkey` here, once;
     the recursion below runs on canonical keys.  ``pivot_index`` forces
-    which entry of the canonical key gets rewritten: it must satisfy
-    0 <= pivot_index < len(key) (ValueError otherwise) and the entry must
+    which entry of the canonical key gets rewritten: it must be an int
+    (TypeError otherwise, a bool is no int here) with
+    0 <= pivot_index < len(key) (ValueError otherwise), and the entry must
     have lam >= 1.  By default the largest (lam, nu) entry is used.  Any
     valid pivot yields the same value as a q-series, which is checked by
     the property suites; a forced rewrite is not stored in the table.
     """
     key = make_xkey(key)
     if pivot_index is not None:
-        if not 0 <= pivot_index < len(key):
+        if not 0 <= check_int(pivot_index) < len(key):
             raise ValueError(f"pivot index {pivot_index} is outside 0..{len(key) - 1} for {key}")
         if key[pivot_index][0] < 1:
             raise ValueError(f"pivot {key[pivot_index]} must have lam >= 1")
@@ -346,23 +334,19 @@ def h_poly(lam, table: Optional[XTable] = None) -> ZPoly:
 
 def keys_up_to(max_lam_weight: int, max_r: int, max_nu_weight: int) -> list:
     """All canonical keys with sum(lam) <= max_lam_weight, r <= max_r,
-    sum(nu) <= max_nu_weight, in deterministic order."""
+    sum(nu) <= max_nu_weight, sorted.  The bounds must be ints (TypeError
+    otherwise, a bool is no int here).  combinations_with_replacement yields
+    each multiset of pairs once, so no key repeats."""
+    max_lam_weight, max_r, max_nu_weight = map(check_int, (max_lam_weight, max_r, max_nu_weight))
     if max_r < 1 or max_lam_weight < 0 or max_nu_weight < 0:
         raise ValueError("need max_r >= 1 and nonnegative lambda and nu weights")
-    pairs = [
-        (a, b)
-        for a in range(max_lam_weight + 1)
-        for b in range(max_nu_weight + 1)
-    ]
-    seen = set()
-    for r in range(1, max_r + 1):
-        for combo in itertools.combinations_with_replacement(pairs, r):
-            if sum(p[0] for p in combo) > max_lam_weight:
-                continue
-            if sum(p[1] for p in combo) > max_nu_weight:
-                continue
-            seen.add(make_xkey(combo))
-    return sorted(seen)
+    pairs = [(a, b) for a in range(max_lam_weight + 1) for b in range(max_nu_weight + 1)]
+    return sorted(
+        _canonical(combo)
+        for r in range(1, max_r + 1)
+        for combo in itertools.combinations_with_replacement(pairs, r)
+        if sum(a for a, _ in combo) <= max_lam_weight and sum(b for _, b in combo) <= max_nu_weight
+    )
 
 
 def populate_table(max_lam_weight: int, max_r: int, max_nu_weight: int) -> XTable:

@@ -375,27 +375,18 @@ def zgen_euler(d: int, r: int) -> ZPoly:
 def _zpoly_derivation(poly: ZPoly, gen_image) -> ZPoly:
     """Extend a map on generators to a derivation of the polynomial ring.
 
-    Each generator's image is computed once, and every monomial's terms are
-    added as ints into one accumulator over a running denominator, a factor
-    g^e once with weight e.  The rest of a monomial without one factor g is
-    its key minus g's unit, and the sum is checked by PACKER.check once."""
-    images: dict = {}
-    acc: dict = {}
-    get = acc.get
-    den = 1
-    for key, n in poly.nums.items():
-        for g, e in PACKER.unpack(key):
-            image = images.get(g)
-            if image is None:
-                image = images[g] = gen_image(*g)
-            den = exact.widen(acc, den, image.den)
-            scale = den // image.den * n * e
-            rest = key - PACKER.unit(g)
-            for k, c in image.nums.items():
-                out = rest + k
-                acc[out] = get(out, 0) + c * scale
-    PACKER.check(acc)
-    return _poly(*exact.lowest(acc, den * poly.den))
+    The image is one :meth:`ZPoly.combine` over the triples
+    (n e / den, image of g, the monomial without one factor g), one for each
+    term n / den of poly and each factor g^e of its monomial; the monomial
+    without g is its key minus g's unit.  Each generator's image is computed
+    once."""
+    gens = dict.fromkeys(g for key in poly.nums for g, _ in PACKER.unpack(key))
+    images = {g: gen_image(*g) for g in gens}
+    return ZPoly.combine(
+        (Fraction(n * e, poly.den), images[g], _poly({key - PACKER.unit(g): 1}, 1))
+        for key, n in poly.nums.items()
+        for g, e in PACKER.unpack(key)
+    )
 
 
 def zpoly_weighted_euler(poly: ZPoly) -> ZPoly:

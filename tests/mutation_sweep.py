@@ -8,9 +8,10 @@ still passes.  The unmutated copy runs first and must pass, so a kill is the
 mutant's doing.  ``src/`` itself is never edited.
 
 The mutants cover the packed-monomial format of ``packing.py``: each call of
-its width rule, the rule's bound, the lower end of ``pack``'s range test and
-the whole test, the sorted (canonical) order of ``unpack``, and the field
-width of each of the three packers.  Two cover the series kernel: it keeps
+its width rule (ZPoly's derivations sum through ``ZPoly.combine``, so its
+call covers them), the rule's bound, the lower end of ``pack``'s range test
+and the whole test, the sorted (canonical) order of ``unpack``, and the
+field width of each of the three packers.  Two cover the series kernel: it keeps
 cancelled products, so their keys reach the width rule, and it drops the
 truncation test of a bucket pair.  Three more
 cover the layout of beta^m p_lam q_mu in ``cutjoin.py`` and the checked
@@ -42,9 +43,10 @@ each part's multiplicity.
 Two cover a job that one place does for every caller: the partition-monomial
 writer ``series.partition_mono`` gives every letter exponent 1, and the CLI
 renders every ``verify`` row as pass.
-Three cover the recursion's table entry and its int block products: the
-entry drops the factor s of x_{(s,m+1) u R}, the block product's binomial
-C(c, head) becomes 1, and the correction divides by (l-1)! instead of l!.
+Four cover the recursion's table entry and its int block products: the
+entry drops the factor s of x_{(s,m+1) u R}, G~_1(c, t) = t x_{(t,0) u c}
+loses its scalar t, the block product's binomial C(c, head) becomes 1, and
+the correction divides by (l-1)! instead of l!.
 One drops ``compute_x``'s refusal of a forced pivot with lam = 0.
 A module with no test file of its own goes straight to the whole suite.
 
@@ -73,8 +75,6 @@ MUTANTS = [
      "        packer.check(joined)\n", ""),
     ("ZPoly.combine skips the width rule", "zseries.py",
      "        PACKER.check(acc)\n        return _poly", "        return _poly"),
-    ("_zpoly_derivation skips the width rule", "zseries.py",
-     "    PACKER.check(acc)\n    return _poly", "    return _poly"),
     ("exp skips the width rule", "series.py",
      "            PACKER.check([p for b in F[n].values() for p in b])\n", ""),
     ("log skips the width rule", "series.py",
@@ -140,6 +140,8 @@ MUTANTS = [
      '"status": "pass" if ok else "fail"', '"status": "pass"'),
     ("the table entry drops the factor s", "recursion.py",
      "terms = [(s, _x(", "terms = [(1, _x("),
+    ("G~_1(c, t) gets the scalar 1 instead of t", "recursion.py",
+     "value = t, _x(", "value = 1, _x("),
     ("the block product's C(c, head) becomes 1", "recursion.py",
      "choose = prod(comb(c_i, h_i) for c_i, h_i in zip(c, head))", "choose = 1"),
     ("the correction divides by (l-1)! instead of l!", "recursion.py",

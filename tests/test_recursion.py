@@ -3,9 +3,12 @@ import itertools
 import json
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +125,10 @@ def test_pivot_index_outside_the_key_rejected(pivot_index):
         lambda: initial_x((1.0, 2)),
         lambda: initial_x(("1",)),
         lambda: compute_x([(2.0, 0)]),
+        lambda: compute_x([(1, 0), (1, 0)], pivot_index=True),
+        lambda: keys_up_to(True, 1, 0),
+        lambda: keys_up_to(1, 1.0, 0),
+        lambda: keys_up_to(1, 1, False),
     ],
 )
 def test_entry_points_reject_non_ints(call):
@@ -431,6 +438,43 @@ def test_block_memo_stays_out_of_the_table(tmp_path):
     for value in pivoted:
         diff = value - canonical
         assert not diff or zpoly_eval(diff, 10).is_zero()
+
+
+def test_block_memo_holds_the_tables_own_entries():
+    # one dict of (scalar, polynomial) pairs per type tuple; G~_1(c, t) is
+    # t with the table's entry for (t, 0) u c itself, not a copy
+    table = XTable()
+    h_poly((3, 2, 2), table)
+    seen = Counter()
+    for types, memo in table.block_memo.items():
+        assert type(memo) is dict
+        for (j, c, t), (scalar, poly) in memo.items():
+            seen[j == 1] += 1
+            if j == 1:
+                group = [pair for pair, c_i in zip(types, c) for _ in range(c_i)]
+                assert scalar == t
+                assert poly is table.entries[make_xkey(group + [(t, 0)])]
+            else:
+                assert scalar == 1
+    assert seen[True] and seen[False]
+
+
+_DEPTH_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from doublehurwitz.recursion import h_poly
+sys.setrecursionlimit(100)
+h_poly((24,))
+h_poly((2,) * 7)
+"""
+
+
+def test_h_poly_fits_a_recursion_limit_of_100():
+    # each needs a limit under 70 (66 and 68 on CPython 3.11): the block
+    # product must not deepen the recursion
+    src = str(Path(recursion.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", _DEPTH_PROBE, src], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def _key_digest(table: XTable) -> tuple:

@@ -55,8 +55,9 @@ def _partition(text: str) -> tuple:
 def _series_rows(series: GradedSeries):
     """(rendered monomial, rendered coeff) rows ordered by weight, then letter
     count, then monomial order."""
-    monos = sorted(series.nums, key=lambda m: (sum(mono_weights(m)), sum(e for _, e in m), m))
-    return [(mono_str(mono), ratio(series.nums[mono], series.den)) for mono in monos]
+    nums = series.num_dict()
+    monos = sorted(nums, key=lambda m: (sum(mono_weights(m)), sum(e for _, e in m), m))
+    return [(mono_str(mono), ratio(nums[mono], series.den)) for mono in monos]
 
 
 def _emit_series(series: GradedSeries, fmt: str, out) -> None:
@@ -219,8 +220,9 @@ def _dispatch(args, out, err) -> int:
         if residual.is_zero():
             out.write(f"pass: residual vanishes up to t-weight {args.max_t_weight}\n")
             return 0
-        mono = min(residual.nums)
-        out.write(f"fail: residual has {ratio(residual.nums[mono], residual.den)} * {mono_str(mono)}\n")
+        nums = residual.num_dict()
+        mono = min(nums)
+        out.write(f"fail: residual has {ratio(nums[mono], residual.den)} * {mono_str(mono)}\n")
         return 1
 
     if args.command == "verify":

@@ -16,7 +16,9 @@ The same series has the character expansion ("Frobenius formula")
 with w(lam) the cut-and-join eigenvalue.  The connected function H = log e^H
 carries one monomial beta^m p_lam q_mu per factorization type; genus 0 is
 the slice m = len(lam) + len(mu) - 2.  hurwitz_mono() is the one writer of
-that monomial and _blocks() the one reader of its layout.  evolve() builds H
+that monomial as a tuple and _blocks() the one reader of its layout; in a
+series, whose keys are packed, a block is the key masked by the fields of
+its alphabet (series.alphabet_mask).  evolve() builds H
 from its own cut-and-join equation
 
     dH/dbeta = W(H) + (1/2) sum_{i,j >= 1} i j p_{i+j} dH/dp_i dH/dp_j,
@@ -52,7 +54,19 @@ from .partitions import (
     zee,
 )
 from .oracle import ResourceBudgetError
-from .series import BETA_VAR, GradedSeries, P, Truncation, mono_from_vars, partition_mono, pvar, qvar
+from .series import (
+    BETA_VAR,
+    PACKER,
+    GradedSeries,
+    P,
+    Q,
+    Truncation,
+    alphabet_mask,
+    mono_from_vars,
+    partition_mono,
+    pvar,
+    qvar,
+)
 from .symgroup import CharTable, central_weight, mn_character
 
 
@@ -101,15 +115,22 @@ def _w_image(pblock: tuple) -> tuple:
     return tuple((mono, exact.div(c, 2)) for mono, c in out.items())
 
 
+@lru_cache(maxsize=None)
+def _w_moves(pkey: int) -> tuple:
+    """_w_image of the p-monomial packed as pkey, as ((move, int), ...):
+    the image term's packed key is pkey + move."""
+    return tuple((PACKER.pack(mono) - pkey, c) for mono, c in _w_image(PACKER.unpack(pkey)))
+
+
 def cut_join_apply(series: GradedSeries) -> GradedSeries:
     """Apply the cut-and-join operator W exactly (degree 0 in p-weight).
 
-    W acts on the p-variables alone, the p block of each monomial; their
-    image comes from a memo and is spliced back."""
+    W acts on the p-variables alone, the p-part of each packed key; its
+    image moves the key by the moves of a memo."""
+    pmask = alphabet_mask({P})
 
-    def image(mono):
-        pre, pblock, post = _blocks(mono)
-        return [(pre + pimage + post, c) for pimage, c in _w_image(pblock)]
+    def image(key):
+        return [(key + move, c) for move, c in _w_moves(key & pmask)]
 
     return series.map_terms(image)
 
@@ -186,7 +207,8 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None, q_cap=None) -> 
         2 D (m+1) (D H_{m+1}) = 2 D W(D H_m) + sum_{a+b=m} J(D H_a, D H_b),
 
     its division is checked to be exact, and H is handed over as these
-    numerators over D.  W is cut_join_apply on the tuple form of D H_m.
+    numerators over D, packed by the series PACKER.  W is cut_join_apply on
+    D H_m, packed for it and read back as tuples.
     J runs on monomials packed by _packer(Q), so the monomial of a product
     term is the sum of two ints and the field of p_{i+j}.  Every slice term
     has p-weight = q-weight = d <= Q, and J pairs two terms only when
@@ -237,14 +259,24 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None, q_cap=None) -> 
         return ok
 
     derivatives = []  # derivatives[m] = _derivatives of D H_m, for m < B
+    H: dict = {}  # beta^m D H_m for m < B, packed by PACKER
+    beta, unpack = PACKER.unit(BETA_VAR), PACKER.unpack
     for m in range(beta_bound):
         derivatives.append(_derivatives(packer, Hs[m]))
         joined: dict = {}
         for a in range((m + 2) // 2):  # J is symmetric: a < m - a twice, a = m - a once
             _join_into(joined, packer, derivatives[a], derivatives[m - a], 1 if 2 * a == m else 2)
         packer.check(joined)
-        acc = {mono: 2 * D * c  # D H_m has den 1, and so has its W image
-               for mono, c in cut_join_apply(GradedSeries.from_ints(trunc, Hs[m])).nums.items()}
+        slice_m = {PACKER.pack(mono): c for mono, c in Hs[m].items()}
+        # D H_m has den 1, and so has its W image.  A slice has no beta and
+        # its p block comes before its q-letters (see _blocks), so a term's
+        # monomial is its p-part's followed by its q-part's, both read from
+        # PACKER's memo
+        w_image = cut_join_apply(GradedSeries.from_ints(trunc, slice_m)).nums
+        pmask = alphabet_mask({P})  # W may have met a new p-letter
+        acc = {unpack(key & pmask) + unpack(key & ~pmask): 2 * D * c for key, c in w_image.items()}
+        H.update((key + m * beta, c) for key, c in slice_m.items())
+        Hs[m] = slice_m = None  # copied into H: let it go before the next slice grows
         for k, c in joined.items():
             if cap is None or kept(k):
                 mono = packer.unpack(k)
@@ -254,14 +286,8 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None, q_cap=None) -> 
         least_parts = 2 if max_genus is None else m + 3 - 2 * max_genus
         Hs.append({mono: exact.div(c, step) for mono, c in acc.items()
                    if c and (least_parts <= 2 or sum(e for _, e in mono) >= least_parts)})
-    del derivatives  # free the packed lists before H is built
-
-    H: dict = {}
-    for m in range(beta_bound + 1):
-        beta_m = hurwitz_mono(m, (), ())
-        for mono, c in Hs[m].items():
-            H[beta_m + mono] = c
-        Hs[m] = None  # copied: let it go before the next slice grows the dict
+    del derivatives  # free the packed lists before the last slice joins H
+    H.update((PACKER.pack(mono) + beta_bound * beta, c) for mono, c in Hs[beta_bound].items())
     return GradedSeries.from_ints(trunc, H, D)
 
 
@@ -297,10 +323,11 @@ def frobenius_eH(q_weight_bound: int, beta_bound: int) -> GradedSeries:
 def genus0_part(H: GradedSeries) -> GradedSeries:
     """Keep the monomials beta^m p_lam q_mu with m = len(lam) + len(mu) - 2."""
 
-    def image(mono):
-        beta, pblock, rest = _blocks(mono)
-        genus0 = sum(e for _, e in beta) == sum(e for _, e in pblock + rest) - 2
-        return ((mono, 1),) if genus0 else ()
+    def image(key):
+        exps = PACKER.fields(key)
+        beta = sum(e for var, e in exps if var == BETA_VAR)
+        genus0 = beta == sum(e for _, e in exps) - beta - 2
+        return ((key, 1),) if genus0 else ()
 
     return H.map_terms(image)
 
@@ -332,19 +359,24 @@ def h_lambda_series(lams, q_weight_bound: int) -> list:
         rest = [part for part in lam if part != 1]
         cap |= Counter(rest) + Counter({1: q_weight_bound - sum(rest)})  # + drops q_1^(<= 0)
     H = evolve(q_weight_bound, max(0, 2 * q_weight_bound - 2), max_genus=0, q_cap=cap.elements())
-    q1 = qvar(1)
-    split: dict = {}  # q-part without q_1 -> [(power of q_1, read-back q_mu, numerator)]
-    for mono, n in H.nums.items():
-        pblock, qblock = _blocks(mono)[1:]  # q_1 first; every term has q-letters
-        e = qblock[0][1] if qblock[0][0] == q1 else 0
-        mu = hurwitz_mono(0, (), [var[1] for var, k in pblock for _ in range(k)])
-        split.setdefault(qblock[1:] if e else qblock, []).append((e, mu, n))
+    pmask, qmask = alphabet_mask({P}), alphabet_mask({Q})
+    q1_shift = PACKER.shift(qvar(1))
+    mus: dict = {}  # packed p-part -> the packed q-monomial read back from it
+    split: dict = {}  # packed q-part without q_1 -> [(power of q_1, read-back q_mu, numerator)]
+    for key, n in H.nums.items():
+        pkey = key & pmask
+        mu = mus.get(pkey)
+        if mu is None:
+            pblock = PACKER.unpack(pkey)
+            mu = mus[pkey] = PACKER.pack(hurwitz_mono(0, (), [var[1] for var, k in pblock for _ in range(k)]))
+        e = key >> q1_shift & PACKER.mask
+        split.setdefault((key & qmask) - (e << q1_shift), []).append((e, mu, n))
     trunc, out = Truncation(q_weight=q_weight_bound), []
     for lam in lams:
         ones = lam.count(1)
         aut = aut_order(lam)
         h: dict = {}
-        for e, mu, n in split.get(hurwitz_mono(0, (), lam[:len(lam) - ones]), ()):
+        for e, mu, n in split.get(PACKER.pack(hurwitz_mono(0, (), lam[:len(lam) - ones])), ()):
             if e >= ones:
                 h[mu] = h.get(mu, 0) + comb(e, ones) * n * aut
         out.append(GradedSeries.from_ints(trunc, h, H.den))
@@ -447,4 +479,4 @@ def hurwitz_number_by_series(g: int, lam, mu, method: str) -> Fraction:
     if method != "cutjoin":
         raise ValueError(f"unknown method {method!r}")
     H = evolve(sum(lam), m, max_genus=g, q_cap=mu)
-    return Fraction(H.nums.get(hurwitz_mono(m, lam, mu), 0) * factorial(m), H.den)
+    return H.coefficient(hurwitz_mono(m, lam, mu)) * factorial(m)

@@ -27,13 +27,14 @@ from fractions import Fraction
 
 from .partitions import aut_order, partitions_of
 from .series import (
+    PACKER,
     PSI_VAR,
     S,
     XI_VAR,
     GradedSeries,
     Truncation,
+    key_weights,
     mono_from_vars,
-    mono_weights,
     partition_mono,
     svar,
 )
@@ -67,19 +68,21 @@ def r_from_tau(tau: GradedSeries) -> GradedSeries:
     """R = -(psi/xi) log tau, for tau given at t_k -> psi t_k (tau_series).
 
     Each term c psi^a xi^b t_mu of log tau maps to
-    -c psi^(a + 1 - len(mu)) xi^(b - 1) t_mu, a term of R.  Raises ValueError
-    if some term of log tau is not divisible by xi, or if a negative
-    psi-power survives in R; either signals a wrong tau.
+    -c psi^(a + 1 - len(mu)) xi^(b - 1) t_mu, a term of R: its packed key
+    moves by -1 on the xi field and 1 - len(mu) on the psi field.  Raises
+    ValueError if some term of log tau is not divisible by xi, or if a
+    negative psi-power survives in R; either signals a wrong tau.
     """
+    xi, psi = PACKER.unit(XI_VAR), PACKER.unit(PSI_VAR)
 
-    def image(mono):
-        exps = dict(mono)
+    def image(key):
+        exps = dict(PACKER.fields(key))
         if XI_VAR not in exps:
-            raise ValueError(f"log tau term {mono} is not divisible by xi")
-        shift = 1 - sum(e for var, e in mono if var[0] == S)  # psi^(1 - len(mu))
+            raise ValueError(f"log tau term {PACKER.unpack(key)} is not divisible by xi")
+        shift = 1 - sum(e for var, e in exps.items() if var[0] == S)  # psi^(1 - len(mu))
         if exps.get(PSI_VAR, 0) + shift < 0:
-            raise ValueError(f"negative psi power survives in R, from log tau term {mono}")
-        return ((mono_from_vars(mono + ((XI_VAR, -1), (PSI_VAR, shift))), -1),)
+            raise ValueError(f"negative psi power survives in R, from log tau term {PACKER.unpack(key)}")
+        return ((key - xi + shift * psi, -1),)
 
     return tau.log().map_terms(image)
 
@@ -91,29 +94,34 @@ def r_series(t_weight_bound: int) -> GradedSeries:
 
 def homogeneous_part(series: GradedSeries, t_weight: int) -> GradedSeries:
     """Terms of exact total t-weight (the s-alphabet grading)."""
-    return series.map_terms(lambda m: ((m, 1),) if mono_weights(m)[4] == t_weight else ())
+    return series.map_terms(lambda k: ((k, 1),) if key_weights(k)[4] == t_weight else ())
 
 
 def kp_residual_of(r: GradedSeries, t_weight_bound: int) -> GradedSeries:
     """LHS - RHS of the first scaled KP equation, truncated to the bound.
 
     The input r must be exact at least up to t_weight_bound + 4, since the
-    equation involves fourth derivatives in t_1.
+    equation involves fourth derivatives in t_1.  Each derivative is
+    truncated to the bound before any product, so no product forms a weight
+    the result drops; the fourth derivative is taken from the untruncated
+    second, whose weights past the bound it lowers into the window.
     """
     t1, t2, t3 = svar(1), svar(2), svar(3)
-    d2_t2 = r.diff(t2).diff(t2)
-    d2_t1 = r.diff(t1).diff(t1)
-    d_t1_t3 = r.diff(t1).diff(t3)
-    d4_t1 = d2_t1.diff(t1).diff(t1)
-    psi_xi = GradedSeries.var(r.truncation, PSI_VAR) * GradedSeries.var(r.truncation, XI_VAR)
-    psi_sq = GradedSeries.var(r.truncation, PSI_VAR, 2)
-    residual = (
+    window = Truncation(s_weight=t_weight_bound)
+    d_t1 = r.diff(t1)
+    d2_t1 = d_t1.diff(t1)
+    d4_t1 = d2_t1.diff(t1).diff(t1).truncate(window)
+    d2_t1 = d2_t1.truncate(window)
+    d2_t2 = r.diff(t2).diff(t2).truncate(window)
+    d_t1_t3 = d_t1.diff(t3).truncate(window)
+    psi_xi = GradedSeries.var(window, PSI_VAR) * GradedSeries.var(window, XI_VAR)
+    psi_sq = GradedSeries.var(window, PSI_VAR, 2)
+    return (
         d2_t2
         - psi_xi * (d2_t1 * d2_t1) * 2
         - d_t1_t3.scalar_mul(Fraction(4, 3))
         + (psi_sq * d4_t1).scalar_mul(Fraction(1, 3))
     )
-    return residual.truncate(Truncation(s_weight=t_weight_bound))
 
 
 def kp_residual(t_weight_bound: int) -> GradedSeries:

@@ -9,8 +9,10 @@ Every exponent is a natural number, and the width rule is 0 <= e < 2^(W-1)
 in every field: ``pack`` applies it to each exponent and ``check`` to sums
 of keys.  A field of a sum of two keys within the rule lies in [0, 2^W), so
 no field carries into the next, distinct products have distinct ints and
-``unpack`` reads each field with a mask.  Both raise OverflowError (an
-ArithmeticError, so the CLI exits 4) rather than let a field carry.
+``fields`` and ``unpack`` read each field with a mask.  Both raise
+OverflowError (an ArithmeticError, so the CLI exits 4) rather than let a
+field carry.  A key that is stored but not multiplied may hold any field
+below 2^W, which ``pack`` admits when its caller asks for that limit.
 
 ``unpack`` returns the pairs sorted by variable, the canonical monomial,
 whatever order the variables were registered in, so no output depends on
@@ -34,6 +36,7 @@ class Packer:
         """A packer with W = width, the given variables registered in order."""
         self.width = width
         self.limit = 1 << (width - 1)  # every exponent e has 0 <= e < limit
+        self.mask = (1 << width) - 1  # one field, shifted down
         self.variables = []  # index -> variable
         self.shifts = {}  # variable -> width * its index
         self.top = 0  # the top bit of every registered field
@@ -56,11 +59,14 @@ class Packer:
         """The packed key of the monomial var."""
         return 1 << self.shift(var)
 
-    def pack(self, pairs) -> int:
+    def pack(self, pairs, limit=None) -> int:
         """The packed key of the monomial with these (variable, exponent)
-        pairs, each variable once.  An exponent outside the width rule raises
-        OverflowError."""
-        key, limit, shifts = 0, self.limit, self.shifts
+        pairs, each variable once.  An exponent outside [0, limit) raises
+        OverflowError; limit is the width rule's by default, and at most
+        2^W, so that no field carries."""
+        key, shifts = 0, self.shifts
+        if limit is None:
+            limit = self.limit
         for var, e in pairs:
             if not 0 <= e < limit:
                 raise OverflowError(f"exponent {e} of {var} is outside the packed range "
@@ -79,6 +85,23 @@ class Packer:
             raise OverflowError(f"an exponent of {var} in a packed product is outside "
                                 f"the packed range [0, {self.limit})")
 
+    def fields(self, key: int) -> list:
+        """The (variable, exponent) pairs packed in key, in field order and
+        not memoised, for a key whose every field lies in [0, 2^W).  Pairs
+        are shared objects, as in the monomials unpack returns."""
+        out, rest, width, mask = [], key, self.width, self.mask
+        while rest:  # the lowest field in use holds the lowest set bit
+            index = ((rest & -rest).bit_length() - 1) // width
+            shift = width * index
+            e = (rest >> shift) & mask
+            pairs = self.pairs[index]
+            pair = pairs.get(e)
+            if pair is None:
+                pair = pairs[e] = (self.variables[index], e)
+            out.append(pair)
+            rest -= e << shift
+        return out
+
     def unpack(self, key: int) -> tuple:
         """The (variable, exponent) pairs packed in key, sorted by variable,
         memoised.  Every field must lie in [0, 2^W), as a field of a sum of
@@ -89,17 +112,5 @@ class Packer:
             if key < 0:
                 raise OverflowError(f"packed key {key} is negative: an exponent is outside "
                                     f"the packed range [0, {self.limit})")
-            out, rest, width = [], key, self.width
-            mask = (1 << width) - 1
-            while rest:  # the lowest field in use holds the lowest set bit
-                index = ((rest & -rest).bit_length() - 1) // width
-                shift = width * index
-                e = (rest >> shift) & mask
-                pairs = self.pairs[index]
-                pair = pairs.get(e)
-                if pair is None:
-                    pair = pairs[e] = (self.variables[index], e)
-                out.append(pair)
-                rest -= e << shift
-            mono = self.decoded[key] = tuple(sorted(out))
+            mono = self.decoded[key] = tuple(sorted(self.fields(key)))
         return mono

@@ -18,17 +18,25 @@ derivative, exp or log runs on ints and takes one gcd over its result.
 Callers read them as Fractions, or take the int form (``nums``, ``den``)
 where they run hot.
 
-Products (``*``, and the steps of ``exp`` and ``log``) run on monomials
-packed as ints by one :class:`.packing.Packer` with 15-bit fields, so the
-packed product of two monomials is the sum of their ints.  The kernel reads
-and writes one form, {packed key: int coefficient} buckets keyed by weight
-over the bounded alphabets, and ``exp`` and ``log`` feed each grade straight
-back in.  ``*``, ``exp`` and ``log`` decode each output key once, with
-``PACKER.unpack``, which returns the canonical monomial.  A factor's
-exponents, and each grade ``exp`` and ``log`` feed back, must lie in
-[0, 2^14), the packer's width rule; outside it OverflowError is raised
-rather than carry into the next field.  Outside the kernel, monomials stay
-tuples.
+Inside a series a monomial is one int: ``nums`` is keyed by monomials
+packed by one :class:`.packing.Packer` with 15-bit fields, ``PACKER``, 0
+being the empty monomial, so the packed product of two monomials is the sum
+of their ints.  Tuples appear only at the boundary.  The constructor and
+``coefficient`` pack; ``num_dict``, ``term_dict``, ``items``, ``terms``,
+``pretty`` and ``to_json_dict`` decode with ``PACKER.unpack``, which returns
+the canonical monomial, and every output is ordered by that monomial, so it
+does not depend on the order the letters were registered in.  ``*``,
+``exp``, ``log``, ``diff``, ``truncate`` and ``map_terms`` stay on the ints:
+a field read gives an exponent, a unit offset moves a letter, and
+``key_weights`` reads a key's weight vector field by field.
+
+The multiply kernel reads and writes one form, {packed key: int
+coefficient} buckets keyed by weight over the bounded alphabets, and
+``exp`` and ``log`` feed each grade straight back in.  A stored field lies
+in [0, 2^15), as a field of a product does; a factor's fields, and each
+grade ``exp`` and ``log`` feed back, must lie in [0, 2^14), the packer's
+width rule, and outside it OverflowError is raised rather than carry into
+the next field.
 """
 
 from __future__ import annotations
@@ -159,9 +167,57 @@ class Truncation(namedtuple("Truncation", "q_weight p_weight t_weight beta_deg s
 
 # -- the multiply kernel: monomials packed as ints ---------------------------
 
-# The kernel's monomials are packed by one process-wide Packer (see
-# .packing), with 15-bit fields: a packed exponent e has 0 <= e < 2^14.
+# Every series' monomials are packed by one process-wide Packer (see
+# .packing), with 15-bit fields: a factor's exponent e has 0 <= e < 2^14,
+# and a stored one e < 2^15 = _FIELD, as a product's has.
 PACKER = Packer(15)
+_FIELD = 1 << PACKER.width
+_UNITS: dict = {}  # field offset -> (coordinate, weight) of PACKER's letter there
+
+
+def key_weights(key: int) -> tuple:
+    """mono_weights of a packed monomial, read field by field."""
+    if len(_UNITS) < len(PACKER.variables):  # a letter registered since
+        for var, shift in PACKER.shifts.items():
+            coord, bump, _ = _ALPHABETS[var[0]]
+            _UNITS[shift] = coord, sum(var[1:]) + bump
+    w = [0] * len(_ALPHABETS)
+    width, mask = PACKER.width, PACKER.mask
+    while key:  # the lowest field in use holds the lowest set bit
+        shift = ((key & -key).bit_length() - 1) // width * width
+        e = (key >> shift) & mask
+        coord, weight = _UNITS[shift]
+        w[coord] += weight * e
+        key -= e << shift
+    return tuple(w)
+
+
+def alphabet_mask(tags) -> int:
+    """Every bit of the fields of PACKER's letters in the alphabets tags:
+    key & alphabet_mask({P}) is the p-part of a packed key, say."""
+    mask = 0
+    for var, shift in PACKER.shifts.items():
+        if var[0] in tags:
+            mask |= PACKER.mask << shift
+    return mask
+
+
+def _on_bounded_part(trunc: Truncation, f):
+    """key -> f(key_weights(key)) for packed keys, f reading only the
+    weights of trunc's bounded alphabets.  Memoised on the key's fields of
+    those alphabets' letters, which keys that differ in psi and xi share."""
+    mask = alphabet_mask({tag for tag, (coord, _, _) in _ALPHABETS.items()
+                          if coord < len(trunc) and trunc[coord] is not None})
+    memo: dict = {}
+
+    def on(key: int):
+        part = key & mask
+        value = memo.get(part, memo)  # memo itself marks a miss
+        if value is memo:
+            value = memo[part] = f(key_weights(part))
+        return value
+
+    return on
 
 
 def _mul_into(out: dict, left: dict, right: dict, caps: tuple):
@@ -198,27 +254,34 @@ class GradedSeries:
     """A truncated formal power series in canonical form.
 
     The coefficients are int numerators over one common denominator in the
-    lowest-terms form of :mod:`.exact`: ``nums`` maps each monomial to a
-    nonzero int over the positive int ``den``, and the zero series has den 1.
-    The form is unique, so equality is equality of (truncation, nums, den).
-    ``items``, ``terms``, ``term_dict`` and ``coefficient`` read the
-    coefficients as Fractions.
+    lowest-terms form of :mod:`.exact`: ``nums`` maps each monomial, packed
+    by PACKER, to a nonzero int over the positive int ``den``, and the zero
+    series has den 1.  The form is unique, so equality is equality of
+    (truncation, nums, den).  ``items``, ``terms``, ``term_dict`` and
+    ``coefficient`` read the coefficients as Fractions, keyed by monomial
+    tuple, and ``num_dict`` the numerators.
 
     A series is built by the constructor, from a {monomial: int or Fraction}
     dict whose monomials it checks against the truncation; by ``from_ints``,
-    from int numerators already within it (``{}`` for zero); or as ``one``
-    or ``var``.
+    from int numerators keyed by packed monomials already within it (``{}``
+    for zero); or as ``one`` or ``var``.
     """
 
     __slots__ = ("truncation", "nums", "den", "_bucketed")
 
     def __init__(self, truncation: Truncation, terms: Optional[dict] = None):
         """Series from a {monomial: int or Fraction} dict; zeros are dropped
-        and every other monomial must lie within the truncation."""
-        self._store(truncation, *exact.from_terms(terms or {}))
-        for mono in self.nums:
-            if not truncation.admits(mono):
-                raise ValueError(f"monomial {mono_str(mono)} violates truncation {truncation}")
+        and every other monomial must lie within the truncation.  Monomials
+        that pack to one key have their coefficients summed; an exponent of
+        2^15 or more raises OverflowError."""
+        coeffs: dict = {}
+        for mono, c in (terms or {}).items():
+            if exact.check(c):
+                if not truncation.admits(mono):
+                    raise ValueError(f"monomial {mono_str(mono)} violates truncation {truncation}")
+                key = PACKER.pack(mono, _FIELD)
+                coeffs[key] = coeffs[key] + c if key in coeffs else c
+        self._store(truncation, *exact.from_terms(coeffs))
 
     def _store(self, truncation: Truncation, nums: dict, den: int):
         """Set the fields to nums / den, already in lowest terms.  Every
@@ -232,8 +295,9 @@ class GradedSeries:
 
     @staticmethod
     def from_ints(trunc: Truncation, nums: dict, den: int = 1) -> "GradedSeries":
-        """Series nums / den from a fresh {monomial: int} dict over a positive
-        den, whose monomials already lie within trunc (not re-checked).  The
+        """Series nums / den from a fresh {packed monomial: int} dict over a
+        positive den, whose monomials already lie within trunc (not
+        re-checked), each field below 2^15.  The
         dict is kept, uncopied, unless a zero or a common factor must go."""
         return GradedSeries._of(trunc, *exact.lowest(nums, den))
 
@@ -246,7 +310,7 @@ class GradedSeries:
 
     @staticmethod
     def one(trunc: Truncation) -> "GradedSeries":
-        return GradedSeries.from_ints(trunc, {(): 1})
+        return GradedSeries.from_ints(trunc, {0: 1})
 
     @staticmethod
     def var(trunc: Truncation, v: tuple, exp: int = 1) -> "GradedSeries":
@@ -254,10 +318,15 @@ class GradedSeries:
 
     # -- queries ------------------------------------------------------------
 
+    def num_dict(self) -> dict:
+        """A fresh {monomial: int numerator} dict, over den."""
+        unpack = PACKER.unpack
+        return {unpack(key): n for key, n in self.nums.items()}
+
     def term_dict(self) -> dict:
         """A fresh {monomial: Fraction} dict of the coefficients."""
-        den = self.den
-        return {m: Fraction(n, den) for m, n in self.nums.items()}
+        den, unpack = self.den, PACKER.unpack
+        return {unpack(key): Fraction(n, den) for key, n in self.nums.items()}
 
     def items(self):
         """The (monomial, Fraction) pairs, unsorted."""
@@ -275,7 +344,7 @@ class GradedSeries:
 
     def coefficient(self, mono: tuple) -> Fraction:
         """Exact coefficient of a canonical monomial (0 if absent)."""
-        return Fraction(self.nums.get(mono, 0), self.den)
+        return Fraction(self.nums.get(PACKER.pack(mono, _FIELD), 0), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):
@@ -323,42 +392,44 @@ class GradedSeries:
         caps, left = self._buckets()
         out: dict = {}
         _mul_into(out, left, other._buckets()[1], caps)
-        unpack = PACKER.unpack
-        nums = {unpack(p): c for bucket in _render(out).values() for p, c in bucket.items()}
+        nums = {p: c for bucket in _render(out).values() for p, c in bucket.items()}
         return GradedSeries.from_ints(self.truncation, nums, self.den * other.den)
 
     def __rmul__(self, other):
         return self.scalar_mul(other)
 
     def diff(self, var: tuple) -> "GradedSeries":
-        """Formal partial derivative with respect to one variable."""
-
-        def image(mono):
-            for idx, (v, e) in enumerate(mono):
-                if v == var:
-                    head = mono[:idx] + ((v, e - 1),) if e != 1 else mono[:idx]
-                    return ((head + mono[idx + 1 :], e),)
-            return ()
-
-        return self.map_terms(image)
+        """Formal partial derivative with respect to one variable: the term
+        n m with var^e in m, e >= 1, goes to e n (m / var), one unit off its
+        key, and distinct m go to distinct m / var."""
+        shift, mask = PACKER.shift(var), PACKER.mask
+        unit = 1 << shift
+        return GradedSeries.from_ints(
+            self.truncation,
+            {key - unit: n * e for key, n in self.nums.items() if (e := key >> shift & mask)},
+            self.den,
+        )
 
     # -- structure maps -----------------------------------------------------
 
     def truncate(self, new_trunc: Truncation) -> "GradedSeries":
-        """Explicit re-truncation (the only sanctioned way to change bounds)."""
+        """Explicit re-truncation (the only sanctioned way to change bounds);
+        a key's weights are read once per part over the bounded alphabets."""
+        admits = _on_bounded_part(new_trunc, new_trunc.admits_weights)
         return GradedSeries.from_ints(
-            new_trunc, {m: n for m, n in self.nums.items() if new_trunc.admits(m)}, self.den
+            new_trunc, {k: n for k, n in self.nums.items() if admits(k)}, self.den
         )
 
     def map_terms(self, image) -> "GradedSeries":
-        """The linear map sending each monomial m to the sum of c m' over the
-        pairs (m', c) of image(m), c an int: a term n m goes to the sum of
-        n c m'.  Every m' must lie within the truncation (not re-checked);
-        zeros are dropped."""
+        """The linear map sending each packed monomial m to the sum of c m'
+        over the pairs (m', c) of image(m), m' packed and c an int: a term
+        n m goes to the sum of n c m'.  Every m' must lie within the
+        truncation, each field below 2^15 (not re-checked); zeros are
+        dropped."""
         out: dict = {}
         get = out.get
-        for mono, n in self.nums.items():
-            for new, c in image(mono):
+        for key, n in self.nums.items():
+            for new, c in image(key):
                 out[new] = get(new, 0) + n * c
         return GradedSeries.from_ints(self.truncation, out, self.den)
 
@@ -368,14 +439,16 @@ class GradedSeries:
         """(caps, buckets): the bounds of the truncation's bounded alphabets
         and this series' {packed key: numerator} buckets by weight over them,
         built once: a series is immutable, so its repeated products (by a
-        cached z_series, say) share them."""
+        cached z_series, say) share them.  Every key must meet the width
+        rule, as a factor of the kernel (OverflowError otherwise)."""
         if self._bucketed is None:
             trunc = self.truncation
             idx = [i for i, b in enumerate(trunc) if b is not None]
+            PACKER.check(self.nums)
+            weigh = _on_bounded_part(trunc, lambda w: tuple(w[i] for i in idx))
             buckets: dict = {}
-            for mono, n in self.nums.items():
-                w = mono_weights(mono)
-                buckets.setdefault(tuple(w[i] for i in idx), {})[PACKER.pack(mono)] = n
+            for key, n in self.nums.items():
+                buckets.setdefault(weigh(key), {})[key] = n
             self._bucketed = tuple(trunc[i] for i in idx), buckets
         return self._bucketed
 
@@ -385,7 +458,8 @@ class GradedSeries:
         caps, buckets = self._buckets()
         comps: dict = {}
         for key, bucket in buckets.items():
-            if sum(key) <= 0 and (mono := max(map(PACKER.unpack, bucket))):  # () sorts first
+            if sum(key) <= 0 and bucket.keys() - {0}:  # a monomial besides 1 of no positive grade
+                mono = max(map(PACKER.unpack, bucket))
                 raise ValueError(f"exp/log diverges: {mono_str(mono)} has no positive grade")
             comps.setdefault(sum(key), {})[key] = bucket
         return sum(caps), caps, comps
@@ -413,7 +487,7 @@ class GradedSeries:
 
         A non-constant monomial of grade <= 0 raises ValueError.
         """
-        if self.nums.get(()):
+        if self.nums.get(0):
             raise ValueError("series_exp requires zero constant term")
         top, caps, comps = self._components()
         kS = {k: {key: {p: n * k for p, n in b.items()} for key, b in comp.items()}
@@ -426,8 +500,8 @@ class GradedSeries:
                     _mul_into(out, left, F[n - k], caps)
             F[n] = {key: {p: exact.div(c, n) for p, c in b.items()} for key, b in _render(out).items()}
             PACKER.check([p for b in F[n].values() for p in b])
-        D, unpack = self.den, PACKER.unpack
-        nums = {unpack(p): c * D ** (top - n) for n, grade in F.items()
+        D = self.den
+        nums = {p: c * D ** (top - n) for n, grade in F.items()
                 for b in grade.values() for p, c in b.items()}
         return GradedSeries.from_ints(self.truncation, nums, factorial(top) * D**top)
 
@@ -440,7 +514,7 @@ class GradedSeries:
         A_n = n U_n - sum_{k<n} A_k U_{n-k}.
         T - 1 must meet the grade conditions of exp().
         """
-        if self.nums.get(()) != self.den:
+        if self.nums.get(0) != self.den:
             raise ValueError("series_log requires constant term 1")
         top, caps, comps = self._components()
         U = self._scaled_grades(comps)
@@ -456,17 +530,17 @@ class GradedSeries:
                 PACKER.check([p for b in grade.values() for p in b])
         # L_n = A_n / (n D^n), over the common denominator lcm(n) D^last
         D, last, ns = self.den, max(neg_A, default=0), lcm(*neg_A)
-        nums, unpack = {}, PACKER.unpack
+        nums: dict = {}
         for n, grade in neg_A.items():
             scale = -(ns // n) * D ** (last - n)
-            nums.update((unpack(p), c * scale) for b in grade.values() for p, c in b.items())
+            nums.update((p, c * scale) for b in grade.values() for p, c in b.items())
         return GradedSeries.from_ints(self.truncation, nums, ns * D**last)
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         terms = []
-        for mono in sorted(self.nums):
+        for mono, n in sorted(self.num_dict().items()):
             enc = [[var[0], *var[1:], e] for var, e in mono]
-            terms.append({"monomial": enc, "coeff": exact.ratio(self.nums[mono], self.den)})
+            terms.append({"monomial": enc, "coeff": exact.ratio(n, self.den)})
         return {"truncation": self.truncation.to_json_dict(), "terms": terms}

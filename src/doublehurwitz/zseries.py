@@ -40,7 +40,8 @@ from .partitions import (
     multinomial,
     partitions_of,
 )
-from .series import GradedSeries, T, Truncation, mono_from_vars, mono_weights, partition_mono, qvar, tvar
+from .series import PACKER as SERIES_PACKER
+from .series import GradedSeries, T, Truncation, key_weights, mono_from_vars, partition_mono, qvar, tvar
 
 
 def check_gen(d, r) -> "ZGen":
@@ -93,7 +94,7 @@ def z_series(
             for part in mu:
                 num *= part**part
                 den *= factorial(part)
-            terms[partition_mono(qvar, mu)] = num, den
+            terms[SERIES_PACKER.pack(partition_mono(qvar, mu))] = num, den
     return GradedSeries.from_ints(Truncation(q_weight=q_weight_bound), *exact.over_lcm(terms))
 
 
@@ -332,7 +333,7 @@ def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
         for d, r in key[shared:]:
             z = z_series(d, r, q_weight_bound)
             chain.append(chain[-1] * z if chain else z)
-        nums, prod_den = (chain[-1].nums, chain[-1].den) if chain else ({(): 1}, 1)
+        nums, prod_den = (chain[-1].nums, chain[-1].den) if chain else ({0: 1}, 1)
         den = exact.add_into(acc, den, nums, prod_den, poly.nums[packed])
     return GradedSeries.from_ints(trunc, acc, den * poly.den)
 
@@ -375,15 +376,15 @@ def zgen_euler(d: int, r: int) -> ZPoly:
 def _zpoly_derivation(poly: ZPoly, gen_image) -> ZPoly:
     """Extend a map on generators to a derivation of the polynomial ring.
 
-    The image is one :meth:`ZPoly.combine` over the triples
-    (n e / den, image of g, the monomial without one factor g), one for each
+    The image is one :meth:`ZPoly.combine` over the int triples
+    (n e, image of g / den, the monomial without one factor g), one for each
     term n / den of poly and each factor g^e of its monomial; the monomial
     without g is its key minus g's unit.  Each generator's image is computed
-    once."""
+    and divided by den once, so no triple takes a gcd."""
     gens = dict.fromkeys(g for key in poly.nums for g, _ in PACKER.unpack(key))
-    images = {g: gen_image(*g) for g in gens}
+    images = {g: gen_image(*g) * Fraction(1, poly.den) for g in gens}
     return ZPoly.combine(
-        (Fraction(n * e, poly.den), images[g], _poly({key - PACKER.unit(g): 1}, 1))
+        (n * e, images[g], _poly({key - PACKER.unit(g): 1}, 1))
         for key, n in poly.nums.items()
         for g, e in PACKER.unpack(key)
     )
@@ -406,11 +407,11 @@ def check_eqzred(d: int, r: int, q_weight_bound: int):
     z = z_series(d, r, q_weight_bound)
     # z_{d,r} holds only q-letters, so sum_k k q_k d/dq_k scales q_mu by
     # |mu|, its q-weight, and sum_k q_k d/dq_k by len(mu), its letter count
-    lhs1 = z.map_terms(lambda m: ((m, mono_weights(m)[0]),))
+    lhs1 = z.map_terms(lambda k: ((k, key_weights(k)[0]),))
     rhs1 = zpoly_eval(zgen_weighted_euler(d, r), q_weight_bound)
     if lhs1 != rhs1:
         return False, f"weighted Euler identity fails for z_{{{d},{r}}}"
-    lhs2 = z.map_terms(lambda m: ((m, sum(e for _, e in m)),))
+    lhs2 = z.map_terms(lambda k: ((k, sum(e for _, e in SERIES_PACKER.fields(k))),))
     rhs2 = zpoly_eval(zgen_euler(d, r), q_weight_bound)
     if lhs2 != rhs2:
         return False, f"Euler identity fails for z_{{{d},{r}}}"
@@ -467,21 +468,23 @@ def psi_series(a: int, ell: int, t_weight_bound: int) -> GradedSeries:
 
 
 def _t_raise(series: GradedSeries) -> GradedSeries:
-    """sum_{i,j >= 0} t_{i,j+1} d/dt_{i,j} (raises t-weight by one)."""
+    """sum_{i,j >= 0} t_{i,j+1} d/dt_{i,j} (raises t-weight by one): on a
+    packed key, one unit of t_{i,j} becomes one of t_{i,j+1}.  Every image
+    term of a key has the weights of the key times t_{0,0}."""
+    unit, admits, t00 = SERIES_PACKER.unit, series.truncation.admits_weights, SERIES_PACKER.unit(tvar(0, 0))
 
-    def image(mono):
-        for var, e in mono:
-            if var[0] == T:
-                new = mono_from_vars(mono + ((var, -1), (tvar(var[1], var[2] + 1), 1)))
-                if series.truncation.admits(new):
-                    yield new, e
+    def image(key):
+        if admits(key_weights(key + t00)):
+            for var, e in SERIES_PACKER.fields(key):
+                if var[0] == T:
+                    yield key - unit(var) + unit(tvar(var[1], var[2] + 1)), e
 
     return series.map_terms(image)
 
 
 def _t_count(series: GradedSeries) -> GradedSeries:
     """sum_{i,j >= 0} t_{i,j} d/dt_{i,j}: scale each term by its t-letter count."""
-    return series.map_terms(lambda m: ((m, sum(e for v, e in m if v[0] == T)),))
+    return series.map_terms(lambda k: ((k, sum(e for v, e in SERIES_PACKER.fields(k) if v[0] == T)),))
 
 
 def psi_string_base(a: int, ell: int, trunc: Truncation) -> GradedSeries:

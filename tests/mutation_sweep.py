@@ -13,7 +13,11 @@ call covers them), the rule's bound, the lower end of ``pack``'s range test
 and the whole test, the sorted (canonical) order of ``unpack``, and the
 field width of each of the three packers.  Two cover the series kernel: it keeps
 cancelled products, so their keys reach the width rule, and it drops the
-truncation test of a bucket pair.  Three more
+truncation test of a bucket pair.  Three cover series keyed by packed ints:
+a factor of the kernel skips the width rule, the packed ``diff`` drops its
+exponent factor, and ``kp_residual_of`` takes the fourth t_1-derivative of R
+from the window-truncated second, which has lost the weights it lowers into
+the window.  Three more
 cover the layout of beta^m p_lam q_mu in ``cutjoin.py`` and the checked
 division of ``exact.py``: the reader ``_blocks`` no longer skips beta, the
 writer ``hurwitz_mono`` writes beta^0 as a letter, and ``exact.div`` drops
@@ -86,11 +90,19 @@ MUTANTS = [
     ("pack without its range test", "packing.py",
      "if not 0 <= e < limit:", "if False:"),
     ("unpack returns field order", "packing.py",
-     "mono = self.decoded[key] = tuple(sorted(out))", "mono = self.decoded[key] = tuple(out)"),
+     "mono = self.decoded[key] = tuple(sorted(self.fields(key)))",
+     "mono = self.decoded[key] = tuple(self.fields(key))"),
     ("the series kernel keeps cancelled products", "series.py",
      "bucket = {p: c for p, c in acc.items() if c}", "bucket = dict(acc)"),
     ("_mul_into without its caps test", "series.py",
      "            if any(w > cap for w, cap in zip(key, caps)):\n                continue\n", ""),
+    ("a factor skips the width rule", "series.py",
+     "            PACKER.check(self.nums)\n", ""),
+    ("the packed diff drops its exponent factor", "series.py",
+     "{key - unit: n * e for key, n", "{key - unit: n for key, n"),
+    ("the fourth t_1-derivative of R is taken from the window-truncated second", "kp.py",
+     "    d4_t1 = d2_t1.diff(t1).diff(t1).truncate(window)\n    d2_t1 = d2_t1.truncate(window)\n",
+     "    d2_t1 = d2_t1.truncate(window)\n    d4_t1 = d2_t1.diff(t1).diff(t1).truncate(window)\n"),
     ("evolve's fields one bit short", "cutjoin.py",
      "Packer(q_bound.bit_length() + 1,", "Packer(q_bound.bit_length() + 0,"),
     ("ZPoly's fields one bit short", "zseries.py",

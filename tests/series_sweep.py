@@ -22,7 +22,12 @@ and requires the same coefficients, as exact dicts:
 * products, squares, exps and logs of seeded random series over one
   truncation that bounds q, p, t, beta and s at once, each term also
   carrying psi (up to psi^6) and xi, so that one product meets all seven
-  alphabets.
+  alphabets;
+* ``kp.kp_residual_of(r_series(b + 4), b)`` for b = 6, 8 and 10, which
+  truncates each derivative before its products, against the residual
+  formed on the reference R at full weight and truncated at the end: for R
+  itself, where both are zero, and for R plus three terms, where they are
+  not.
 
 Too slow for the tier-1 suite, and named without a ``test_`` prefix so pytest
 does not collect it.
@@ -43,7 +48,7 @@ from test_cutjoin import _loop_cut_join_apply
 from test_series import _FractionSeries, reference_r_series
 
 from doublehurwitz.cutjoin import evolve, frobenius_eH
-from doublehurwitz.kp import r_series
+from doublehurwitz.kp import kp_residual_of, r_series
 from doublehurwitz.partitions import partitions_of
 from doublehurwitz.recursion import XTable, h_poly
 from doublehurwitz.series import (
@@ -87,6 +92,33 @@ def genus0_slices(q: int) -> list:
     for mono, coeff in evolve(q, max(0, 2 * q - 2), max_genus=0).items():
         slices[dict(mono).get(BETA_VAR, 0)][tuple(pair for pair in mono if pair[0] != BETA_VAR)] = coeff
     return slices
+
+
+def reference_kp_residual(r: _FractionSeries, b: int) -> _FractionSeries:
+    """The first scaled KP residual of r, every product formed at the full
+    weight of r and the sum truncated to t-weight b at the end."""
+    t1, t2, t3 = svar(1), svar(2), svar(3)
+    trunc = r.truncation
+    psi_xi = _FractionSeries(trunc, {mono_from_vars([(PSI_VAR, 1), (XI_VAR, 1)]): 1})
+    psi_sq = _FractionSeries(trunc, {mono_from_vars([(PSI_VAR, 2)]): 1})
+    d2_t1 = r.diff(t1).diff(t1)
+    residual = (r.diff(t2).diff(t2) - (psi_xi * (d2_t1 * d2_t1)).scalar_mul(2)
+                - r.diff(t1).diff(t3).scalar_mul(Fraction(4, 3))
+                + (psi_sq * d2_t1.diff(t1).diff(t1)).scalar_mul(Fraction(1, 3)))
+    return residual.truncate(Truncation(s_weight=b))
+
+
+def kp_residual_pairs(b: int) -> list:
+    """(kp_residual_of, reference residual) for R = r_series(b + 4), and
+    for R plus terms at t-weights 4 and b + 4, whose residual is not 0."""
+    r = r_series(b + 4)
+    ref = _FractionSeries.from_terms(r.truncation, reference_r_series(b + 4))
+    bump = {mono_from_vars([(svar(1), b + 4), (XI_VAR, 1)]): Fraction(1, 3),
+            mono_from_vars([(svar(1), 2), (svar(2), 1), (PSI_VAR, 1)]): Fraction(2),
+            mono_from_vars([(svar(2), (b + 4) // 2)]): Fraction(-1, 5)}
+    return [(kp_residual_of(r, b), reference_kp_residual(ref, b)),
+            (kp_residual_of(r + GradedSeries(r.truncation, bump), b),
+             reference_kp_residual(ref + _FractionSeries(r.truncation, bump), b))]
 
 
 def reference_zpoly_eval(poly, q: int) -> dict:
@@ -171,6 +203,14 @@ def main() -> int:
         bad = [name for name, got, ref in mixed_cases(seed) if got.term_dict() != ref.term_dict()]
         report(f"mixed-alphabet series, seed {seed}" + (f", at {bad}" if bad else ""),
                not bad, time.perf_counter() - start)
+    for b in (6, 8, 10):
+        start = time.perf_counter()
+        (zero, ref_zero), (bumped, ref_bumped) = kp_residual_pairs(b)
+        # the bumped residual must be nonzero, or comparing it shows nothing
+        same = (zero.term_dict() == ref_zero.term_dict() == {}
+                and bumped.term_dict() == ref_bumped.term_dict() != {})
+        report(f"kp_residual_of(r_series({b + 4}), {b}), as is and bumped", same,
+               time.perf_counter() - start)
     print(f"{failures} mismatches")
     return 1 if failures else 0
 

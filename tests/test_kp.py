@@ -11,6 +11,7 @@ from doublehurwitz.kp import (
     tau_series,
 )
 from doublehurwitz.series import (
+    PACKER,
     PSI_VAR,
     XI_VAR,
     GradedSeries,
@@ -104,12 +105,15 @@ def _scaled_kp_residual(f: GradedSeries, t_weight_bound: int) -> GradedSeries:
 
 
 def _scaled_r(tau: GradedSeries) -> GradedSeries:
-    """F = -(psi/xi) log tau, for tau given at t -> psi t, unmapped."""
+    """F = -(psi/xi) log tau, for tau given at t -> psi t, unmapped: each
+    packed key of log tau, every one divisible by xi, moves one unit from
+    the xi field to the psi field."""
     log_tau = tau.log()
+    xi_shift = PACKER.shift(XI_VAR)
+    assert all(key >> xi_shift & PACKER.mask for key in log_tau.nums)
+    move = PACKER.unit(PSI_VAR) - PACKER.unit(XI_VAR)
     return GradedSeries.from_ints(
-        tau.truncation,
-        {mono_from_vars(m + ((XI_VAR, -1), (PSI_VAR, 1))): -n for m, n in log_tau.nums.items()},
-        log_tau.den,
+        tau.truncation, {key + move: -n for key, n in log_tau.nums.items()}, log_tau.den
     )
 
 

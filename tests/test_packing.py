@@ -108,3 +108,19 @@ def test_unpack_refuses_a_negative_key(width):
         with pytest.raises(OverflowError, match="negative"):
             packer.unpack(key)
     assert key not in packer.decoded
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_fields_reads_field_order_and_pack_takes_a_wider_limit(width):
+    packer = Packer(width, ["b", "a"])  # field order is not variable order
+    field = 1 << width  # a stored key may hold any field below this
+    key = packer.pack([("a", field - 1), ("b", 2)], field)
+    assert packer.fields(key) == [("b", 2), ("a", field - 1)]
+    assert packer.unpack(key) == (("a", field - 1), ("b", 2))
+    assert packer.fields(0) == []
+    assert (key >> packer.shift("a")) & packer.mask == field - 1
+    for e in (-1, field):
+        with pytest.raises(OverflowError):
+            packer.pack([("a", e)], field)
+    with pytest.raises(OverflowError):  # the width rule stays the default
+        packer.pack([("a", packer.limit)])

@@ -526,13 +526,15 @@ def test_mono_weights_and_str():
 def test_map_terms_is_the_linear_map_of_its_image():
     x, y = mono_from_vars([(qvar(1), 1)]), mono_from_vars([(qvar(2), 1)])
     s = GradedSeries(TR, {(): Fraction(1, 2), x: Fraction(1, 3), y: 2})
-    # x -> 3 y - x, y -> 2 x, 1 -> nothing: (1/3)(3y - x) + 2 (2x) = y + (11/3) x
-    image = {(): (), x: ((y, 3), (x, -1)), y: ((x, 2),)}
+    # on packed keys, 0 the constant: x -> 3 y - x, y -> 2 x, 1 -> nothing,
+    # so (1/3)(3y - x) + 2 (2x) = y + (11/3) x
+    kx, ky = _pack(x), _pack(y)
+    image = {0: (), kx: ((ky, 3), (kx, -1)), ky: ((kx, 2),)}
     assert s.map_terms(image.__getitem__) == GradedSeries(TR, {x: Fraction(11, 3), y: 1})
     # images that cancel leave the zero series in lowest terms
-    cancel = s.map_terms(lambda m: ((x, 1), (x, -1)))
+    cancel = s.map_terms(lambda k: ((kx, 1), (kx, -1)))
     assert cancel.is_zero() and cancel.den == 1
-    assert s.map_terms(lambda m: ((m, 1),)) == s
+    assert s.map_terms(lambda k: ((k, 1),)) == s
 
 
 def naive_mul(a, b):
@@ -583,12 +585,13 @@ def _assert_lowest_terms(s: GradedSeries):
 
 def test_views_read_the_int_form_as_fractions():
     s = GradedSeries(TR, {(): Fraction(3, 4), q(1): Fraction(-1, 6), q(2): 2})
-    assert (s.nums, s.den) == ({(): 9, q(1): -2, q(2): 24}, 12)
+    assert (s.nums, s.den) == ({0: 9, _pack(q(1)): -2, _pack(q(2)): 24}, 12)
+    assert s.num_dict() == {(): 9, q(1): -2, q(2): 24}
     assert s.term_dict() == {(): Fraction(3, 4), q(1): Fraction(-1, 6), q(2): 2}
     assert all(type(c) is Fraction for _, c in s.items())
     assert s.coefficient(q(1)) == Fraction(-1, 6) and s.coefficient(q(3)) == 0
     assert s.coefficient(()) == Fraction(3, 4)
-    assert GradedSeries.from_ints(TR, {q(1): 6, q(2): 4, q(3): 0}, 8) == GradedSeries(
+    assert GradedSeries.from_ints(TR, {_pack(q(1)): 6, _pack(q(2)): 4, _pack(q(3)): 0}, 8) == GradedSeries(
         TR, {q(1): Fraction(3, 4), q(2): Fraction(1, 2)}
     )
     zero = s - s
@@ -641,7 +644,7 @@ def test_int_kernels_match_the_fraction_reference():
             (a.scalar_mul(c), ra.scalar_mul(c)), (a.diff(var), ra.diff(var)),
             (a.truncate(small), ra.truncate(small)),
         ]
-        s = a - GradedSeries.from_ints(trunc, {(): a.nums.get((), 0)}, a.den)  # no constant
+        s = a - GradedSeries.from_ints(trunc, {0: a.nums.get(0, 0)}, a.den)  # no constant
         rs = _FractionSeries.of(s)
         pairs += [(s.exp(), rs.exp()), ((s + GradedSeries.one(trunc)).log(),
                                          (rs + _FractionSeries.one(trunc)).log())]
@@ -691,7 +694,7 @@ def test_packing_refuses_an_exponent_at_the_limit():
     one = GradedSeries.one(tr)
     for e in (1, LIMIT - 1):
         mono = mono_from_vars([(PSI_VAR, e)])
-        assert (GradedSeries(tr, {mono: 1}) * one).nums == {mono: 1}
+        assert (GradedSeries(tr, {mono: 1}) * one).nums == {_pack(mono): 1}
     for mono in ([(PSI_VAR, LIMIT)], [(qvar(1), 1), (qvar(2), LIMIT)]):
         with pytest.raises(OverflowError):
             GradedSeries(tr, {mono_from_vars(mono): 1}) * one
@@ -707,24 +710,28 @@ def test_series_product_refuses_an_exponent_at_the_limit():
     # a product of two in-range exponents is exact, and packs no further
     top = GradedSeries(tr, {mono_from_vars([(qvar(1), LIMIT - 1)]): 2})
     square = top * top
-    assert square.nums == {mono_from_vars([(qvar(1), 2 * LIMIT - 2)]): 4}
+    assert square.nums == {(2 * LIMIT - 2) << series.PACKER.shift(qvar(1)): 4}
+    assert square.term_dict() == {mono_from_vars([(qvar(1), 2 * LIMIT - 2)]): 4}
     with pytest.raises(OverflowError):
         square * top
 
 
 def test_exp_and_log_pack_each_input_term_once(monkeypatch):
-    # the kernel's products come out in the form it reads, so exp and log
-    # feed each grade back in without packing a product again
+    # the constructor packs each input term once; the kernel's products
+    # come out in the form it reads, so exp and log pack nothing again
     packed = []
-    monkeypatch.setattr(series.PACKER, "pack", lambda mono: packed.append(mono) or _pack(mono))
+    monkeypatch.setattr(series.PACKER, "pack",
+                        lambda mono, limit=None: packed.append(mono) or _pack(mono, limit))
     rng = random.Random(21)
     for _ in range(20):
+        packed.clear()
         S = random_series(TR, rng, max_terms=8, zero_constant=True)
+        assert sorted(packed) == sorted(S.num_dict())
         T = GradedSeries.one(TR) + S
         for arg, op in ((S, GradedSeries.exp), (T, GradedSeries.log)):
             packed.clear()
             assert len(op(arg)) > len(arg)  # products were taken
-            assert sorted(packed) == sorted(arg.nums)
+            assert packed == []
 
 
 def test_exp_and_log_drop_cancelled_products_before_the_width_rule():
@@ -782,7 +789,7 @@ results = [frobenius_eH(5, 3).log(), kp_residual(6), r_series(6), mixed * mixed 
 for s in results:
     print(json.dumps(s.to_json_dict()))
     print(s.pretty())
-print([sorted(series.PACKER.pack(m) for m in s.nums) for s in results])
+print([sorted(s.nums) for s in results])
 """
 
 
@@ -821,3 +828,41 @@ def test_outputs_do_not_depend_on_term_insertion_order():
     forward = outputs(terms)
     assert forward == outputs(dict(reversed(terms.items())))
     assert all(len(r) > len(terms) for r, *_ in forward)
+
+
+def test_key_weights_and_alphabet_mask_read_packed_keys():
+    rng = random.Random(3141)
+    for _ in range(500):
+        mono = _random_mono(rng)
+        key = _pack(mono)
+        assert series.key_weights(key) == mono_weights(mono)
+        p_part = tuple((var, e) for var, e in mono if var[0] == "p")
+        assert key & series.alphabet_mask({"p"}) == _pack(p_part)
+        assert series.PACKER.unpack(key & ~series.alphabet_mask({"p"})) == tuple(
+            (var, e) for var, e in mono if var[0] != "p")
+    assert series.key_weights(0) == (0,) * 7
+
+
+def test_pipelines_decode_no_key_until_an_output_method_runs(monkeypatch):
+    # inside a series every monomial stays a packed int: kp's R and residual,
+    # zpoly_eval and a chain of products never decode a key, and only an
+    # output method (term_dict here) does
+    from doublehurwitz.kp import kp_residual
+    from doublehurwitz.recursion import h_poly
+    from doublehurwitz.zseries import zpoly_eval
+
+    tr = Truncation(q_weight=4, p_weight=4, beta_deg=3)
+    letters = [pvar(1), pvar(2), qvar(1), qvar(2), BETA_VAR, PSI_VAR]
+    a, b, c = (GradedSeries(tr, {mono_from_vars([(rng.choice(letters), 1) for _ in range(2)]):
+                                 Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(6)})
+               for rng in (random.Random(seed) for seed in (1, 2, 3)))
+    decoded = []
+    unpack = series.PACKER.unpack
+    monkeypatch.setattr(series.PACKER, "unpack", lambda key: decoded.append(key) or unpack(key))
+    r, residual, z, chain = results = [r_series(6), kp_residual(6), zpoly_eval(h_poly((3, 2)), 8), a * b * c]
+    assert decoded == []
+    assert residual.is_zero() and len(r) and len(z) and len(chain)
+    for s in results:
+        assert all(type(key) is int for key in s.nums)
+    chain.term_dict()
+    assert sorted(decoded) == sorted(chain.nums)

@@ -11,7 +11,7 @@ import pytest
 
 from doublehurwitz import zseries
 from doublehurwitz.recursion import h_poly, populate_table
-from doublehurwitz.series import GradedSeries, Truncation, mono_from_vars, mono_weights, qvar, tvar
+from doublehurwitz.series import GradedSeries, Truncation, key_weights, mono_from_vars, qvar, tvar
 from doublehurwitz.zseries import (
     ZPoly,
     check_eqzred,
@@ -519,7 +519,7 @@ def test_eqzred_detector_catches_perturbation():
     z = z_series(0, 1, 6)
     perturbed = z + z_series(0, 2, 6).scalar_mul(Fraction(1, 7))
     rhs = zpoly_eval(zgen_weighted_euler(0, 1), 6)
-    assert perturbed.map_terms(lambda m: ((m, mono_weights(m)[0]),)) != rhs
+    assert perturbed.map_terms(lambda k: ((k, key_weights(k)[0]),)) != rhs
 
 
 def test_zpoly_derivations_are_derivations():

@@ -87,7 +87,8 @@ class Packer:
 
     def fields(self, key: int) -> list:
         """The (variable, exponent) pairs packed in key, in field order and
-        not memoised, for a key whose every field lies in [0, 2^W).  Pairs
+        not memoised, for a key whose every field lies in [0, 2^W); the walk
+        would not end on a negative key, which unpack refuses first.  Pairs
         are shared objects, as in the monomials unpack returns."""
         out, rest, width, mask = [], key, self.width, self.mask
         while rest:  # the lowest field in use holds the lowest set bit

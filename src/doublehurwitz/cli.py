@@ -192,7 +192,7 @@ def _dispatch(args, out, err) -> int:
     if args.command == "h-poly":
         poly = h_poly(args.lam)
         if args.format == "json":
-            out.write(json.dumps(poly.to_json_list()))
+            out.write(poly.json_text())
             out.write("\n")
         else:
             out.write(poly.pretty() + "\n")

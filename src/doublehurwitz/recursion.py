@@ -53,10 +53,12 @@ Each table entry is x_{(s,m) u R} plus one fused sum
 correction triples, and each partial power G~_j, j >= 2, is one fused sum
 whose triples carry the tail's scalar in their int: the terms are
 accumulated once, as int numerators over a running denominator, so no term
-or partial sum is built as a ZPoly.  The correction's bookkeeping per
-type-count vector (nu(A), |A|, lam(A), the factorials and the others'
-types) depends on rest alone and is computed once per rest; per (s, m) only
-l, a and the weight are left.
+or partial sum is built as a ZPoly.  The bookkeeping is memoised per count
+vector: the correction's row per type-count vector of rest (nu(A),
+|A|, lam(A), the factorials, the labelled count and the others' types),
+summed from per-type tables, and the block product's splits
+(head, tail, C(c, head)) of each c.  Per (s, m) only l, a and the weight
+are left.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import sub
 from pathlib import Path
 from typing import Optional
 
@@ -124,16 +127,9 @@ class XTable:
 
     # -- persistence ---------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        items = [
-            {"key": key, "poly": self.entries[key].to_json_list()}
-            for key in sorted(self.entries)
-        ]
-        return {"version": XTABLE_VERSION, "entries": items}
-
     @staticmethod
     def from_json_dict(data: dict) -> "XTable":
-        """The table to_json_dict wrote.  Each entry needs a key of [int, int]
+        """The table of the parsed save text.  Each entry needs a key of [int, int]
         pairs (a bool is no int here) and a polynomial, and no key may
         repeat; otherwise ValueError names the entry."""
         if not isinstance(data, dict):
@@ -164,9 +160,16 @@ class XTable:
         return table
 
     def save(self, path) -> Path:
+        """Write the table as the text json.dumps writes for {"version": ...,
+        "entries": [{"key": [[lam, nu], ...], "poly": ...}, ...]} sorted by
+        key, joined from per-entry strings around each poly's json_text."""
+        entries = ", ".join(
+            f'{{"key": {json.dumps(key)}, "poly": {self.entries[key].json_text()}}}'
+            for key in sorted(self.entries)
+        )
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_json_dict()))
+        path.write_text(f'{{"version": "{XTABLE_VERSION}", "entries": [{entries}]}}')
         return path
 
     @staticmethod
@@ -188,21 +191,22 @@ def _consumed_types(rest: tuple) -> tuple:
     |A|, lam(A), prod_{j in A} nu_j!, the labelled count prod C(n, k), and
     the others' types and counts O = n - k."""
     multiplicity = Counter(rest)
-    types, counts = tuple(multiplicity), tuple(multiplicity.values())
+    types = tuple(multiplicity)
+    # per type, one (nu k, k, lam k, nu!^k, C(n, k), n - k) for each k <= n
+    per_type = [[(nu * k, k, lam * k, factorial(nu) ** k, comb(n, k), n - k) for k in range(n + 1)]
+                for (lam, nu), n in multiplicity.items()]
     rows = []
-    for k in _sub_vectors(counts):
-        consumed_nu = [nu for (_, nu), k_i in zip(types, k) for _ in range(k_i)]
-        present = [i for i, (n_i, k_i) in enumerate(zip(counts, k)) if n_i > k_i]
-        rows.append((
-            sum(consumed_nu),
-            sum(k),
-            sum(lam * k_i for (lam, _), k_i in zip(types, k)),
-            prod(factorial(nu) for nu in consumed_nu),
-            prod(comb(n_i, k_i) for n_i, k_i in zip(counts, k)),
-            tuple(types[i] for i in present),
-            tuple(counts[i] - k[i] for i in present),
-        ))
+    for picks in itertools.product(*per_type):
+        nu_a, size_a, lam_a, nu_fact, labelled, left = list(zip(*picks)) or [()] * 6
+        rows.append((sum(nu_a), sum(size_a), sum(lam_a), prod(nu_fact), prod(labelled),
+                     tuple(itertools.compress(types, left)), tuple(filter(None, left))))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _splits(c: tuple) -> tuple:
+    """Every split head + tail = c of a count vector, as (head, tail, C(c, head))."""
+    return tuple((head, tuple(map(sub, c, head)), prod(map(comb, c, head))) for head in _sub_vectors(c))
 
 
 def _correction(s: int, m: int, rest: tuple, table: XTable):
@@ -260,9 +264,7 @@ def _block_product(types: tuple, others: tuple, ell: int, a: int, table: XTable)
 
     def terms(j, c, t):
         # a vanishing head skips its tail unread
-        for head in _sub_vectors(c):
-            tail = tuple(c_i - h_i for c_i, h_i in zip(c, head))
-            choose = prod(comb(c_i, h_i) for c_i, h_i in zip(c, head))
+        for head, tail, choose in _splits(c):
             for t_head in range(1, t - j + 2):
                 x = power(1, head, t_head)[1]
                 if x:

@@ -123,6 +123,12 @@ def _unpack(key: int) -> ZKey:
     return tuple(g for g, e in PACKER.unpack(key) for _ in range(e))
 
 
+@lru_cache(maxsize=None)
+def _gens_text(key: int) -> str:
+    """The packed key's generators as JSON text, [[d, r], ...]."""
+    return f"[{', '.join(f'[{d}, {r}]' for d, r in _unpack(key))}]"
+
+
 def _poly(nums: dict, den: int) -> "ZPoly":
     """Wrap nonzero int numerators over a positive den, already in lowest terms."""
     poly = object.__new__(ZPoly)
@@ -275,19 +281,24 @@ class ZPoly:
 
     # -- JSON ----------------------------------------------------------------
 
-    def to_json_list(self) -> list:
-        """One {"gens": ((d, r), ...), "coeff": "num/den"} per term, sorted by
-        key, each coefficient in lowest terms; JSON writes the tuple of
-        generators as [[d, r], ...]."""
-        return [{"gens": _unpack(key), "coeff": exact.ratio(self.nums[key], self.den)}
-                for key in sorted(self.nums, key=_unpack)]
+    def json_text(self) -> str:
+        """The text json.dumps writes for one {"gens": [[d, r], ...], "coeff":
+        "num/den"} per term, sorted by monomial tuple, each coefficient in
+        lowest terms by one gcd ([] is 0), built from memoised monomial text."""
+        nums, den = self.nums, self.den
+        terms = []
+        for key in sorted(nums, key=_unpack):
+            n = nums[key]
+            g = gcd(n, den)
+            terms.append(f'{{"gens": {_gens_text(key)}, "coeff": "{n // g}/{den // g}"}}')
+        return f"[{', '.join(terms)}]"
 
     @staticmethod
     def from_json_list(data) -> "ZPoly":
-        """Inverse of :meth:`to_json_list`, accepting only what it writes.
+        """Inverse of :meth:`json_text` after json.loads, accepting only what it writes.
         Anything but a list ([] is 0) raises ValueError, and so does an entry
         whose generators are not pairs (d, r) of ints with d >= 0 and r >= 1,
-        whose coefficient is not the string exact.ratio writes for a nonzero
+        whose coefficient is not the string json_text writes for a nonzero
         value ("num/den" in lowest terms with den > 0, so not a bare "num",
         "2/4", "0/1", "+1/2" or " 1/2"), or whose generators repeat an
         earlier entry's; the message names the entry.  A generator whose

@@ -47,11 +47,15 @@ each part's multiplicity.
 Two cover a job that one place does for every caller: the partition-monomial
 writer ``series.partition_mono`` gives every letter exponent 1, and the CLI
 renders every ``verify`` row as pass.
-Four cover the recursion's table entry and its int block products: the
+Five cover the recursion's table entry and its int block products: the
 entry drops the factor s of x_{(s,m+1) u R}, G~_1(c, t) = t x_{(t,0) u c}
-loses its scalar t, the block product's binomial C(c, head) becomes 1, and
-the correction divides by (l-1)! instead of l!.
-One drops ``compute_x``'s refusal of a forced pivot with lam = 0.
+loses its scalar t, the block product's binomial C(c, head) becomes 1, a
+row of the correction's bookkeeping takes nu! where k consumed copies of a
+pair need nu!^k, and the correction divides by (l-1)! instead of l!.
+One drops ``compute_x``'s refusal of a forced pivot with lam = 0, and one
+lets the ZPoly JSON writer skip its per-term gcd, so a coefficient such as
+2/4 is written unreduced when the common denominator is above 1.
+Forty-two mutants in all.
 A module with no test file of its own goes straight to the whole suite.
 
 Run from the repository root:
@@ -155,11 +159,15 @@ MUTANTS = [
     ("G~_1(c, t) gets the scalar 1 instead of t", "recursion.py",
      "value = t, _x(", "value = 1, _x("),
     ("the block product's C(c, head) becomes 1", "recursion.py",
-     "choose = prod(comb(c_i, h_i) for c_i, h_i in zip(c, head))", "choose = 1"),
+     "prod(map(comb, c, head))", "1"),
+    ("a correction row takes nu! for nu!^k", "recursion.py",
+     "factorial(nu) ** k", "factorial(nu)"),
     ("the correction divides by (l-1)! instead of l!", "recursion.py",
      "factorial(ell)", "factorial(ell - 1)"),
     ("compute_x rewrites a pivot with lam = 0", "recursion.py",
      "        if key[pivot_index][0] < 1:\n", "        if False:\n"),
+    ("the JSON writer skips the per-term gcd", "zseries.py",
+     "            g = gcd(n, den)\n", "            g = 1\n"),
 ]
 
 

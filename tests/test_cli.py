@@ -9,7 +9,8 @@ import pytest
 from doublehurwitz import cutjoin
 from doublehurwitz.cli import run
 from doublehurwitz.cutjoin import FROBENIUS_MAX_DEGREE
-from doublehurwitz.recursion import XTable, populate_table
+from doublehurwitz.recursion import XTable, h_poly, populate_table
+from test_zseries import reference_json_list, reference_table_text
 
 
 def run_cli(*argv):
@@ -109,6 +110,15 @@ def test_h_poly_json():
     ]
 
 
+@pytest.mark.parametrize("lam", ["5", "3,2", "2,2,2"])
+def test_h_poly_json_is_the_reference_encoding_byte_for_byte(lam):
+    # h_5 has coefficients with den > 1 and negative ones
+    code, out, err = run_cli("h-poly", "--lambda", lam, "--format", "json")
+    poly = h_poly(tuple(map(int, lam.split(","))))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(reference_json_list(poly)) + "\n"
+
+
 def test_z_series_output():
     code, out, _ = run_cli(
         "z-series", "--d", "1", "--r", "1", "--max-q-weight", "2", "--format", "csv"
@@ -149,7 +159,7 @@ def test_x_table_does_not_read_back_its_file(tmp_path, monkeypatch):
     )
     table = populate_table(3, 2, 1)
     assert (code, out, err) == (0, f"wrote {len(table)} entries to {path}\n", "")
-    assert path.read_text() == json.dumps(table.to_json_dict())
+    assert path.read_text() == reference_table_text(table)
 
 
 def test_x_table_deterministic_bytes(tmp_path):

@@ -32,7 +32,7 @@ from doublehurwitz.recursion import (
 )
 from doublehurwitz.verify import suite_string_dilaton
 from doublehurwitz.zseries import ZPoly, zpoly_eval
-from test_zseries import _FractionZPoly
+from test_zseries import _FractionZPoly, reference_table_text
 
 
 def test_make_xkey_canonical():
@@ -166,18 +166,23 @@ def test_keys_up_to_deterministic_and_bounded():
 
 def test_xtable_file_is_the_documented_list_of_lists(tmp_path):
     table = populate_table(3, 2, 1)
-    entries = [
-        {
-            "key": [[lam, nu] for lam, nu in key],
-            "poly": [
-                {"gens": [[d, r] for d, r in gens], "coeff": f"{c.numerator}/{c.denominator}"}
-                for gens, c in sorted(table.entries[key].terms.items())
-            ],
-        }
-        for key in sorted(table.entries)
-    ]
+    polys = table.entries.values()
+    assert any(p.den > 1 for p in polys) and any(n < 0 for p in polys for n in p.nums.values())
     path = table.save(tmp_path / "cache.json")
-    assert path.read_text() == json.dumps({"version": XTABLE_VERSION, "entries": entries})
+    assert path.read_text() == reference_table_text(table)
+
+
+def test_xtable_save_writes_the_reference_text_for_any_entry(tmp_path):
+    # a zero polynomial is [], and a den > 1 shared by numerators with
+    # common factors still writes each coefficient in lowest terms
+    table = XTable()
+    table.entries[make_xkey([(1, 0)])] = ZPoly()
+    table.entries[make_xkey([(2, 1), (0, 0)])] = ZPoly({((0, 1),): Fraction(-1, 2), ((1, 2),): Fraction(3, 4)})
+    table.entries[make_xkey([(0, 3)])] = ZPoly.constant(-5)
+    text = table.save(tmp_path / "cache.json").read_text()
+    assert '"poly": []' in text and '"coeff": "-1/2"' in text
+    assert text == reference_table_text(table)
+    assert XTable.load(tmp_path / "cache.json").entries == table.entries
 
 
 def test_xtable_json_round_trip(tmp_path):
@@ -187,9 +192,9 @@ def test_xtable_json_round_trip(tmp_path):
     assert again.entries == table.entries
 
 
-def test_xtable_json_holds_only_key_and_poly():
+def test_xtable_json_holds_only_key_and_poly(tmp_path):
     # how an entry was made follows from its key, so the file does not say
-    blob = populate_table(3, 2, 1).to_json_dict()
+    blob = json.loads(populate_table(3, 2, 1).save(tmp_path / "cache.json").read_text())
     assert blob["version"] == "xtable-v2"
     assert all(set(entry) == {"key", "poly"} for entry in blob["entries"])
     blob["version"] = "xtable-v1"
@@ -430,9 +435,11 @@ def test_block_memo_stays_out_of_the_table(tmp_path):
     pivoted = [compute_x(key, table, pivot_index=i) for i in range(3)]
     canonical = compute_x(key, table)
     assert table.block_memo  # the memo was used
-    assert set(table.to_json_dict()) == {"version", "entries"}
+    path = table.save(tmp_path / "cache.json")
+    assert set(json.loads(path.read_text())) == {"version", "entries"}
+    assert path.read_text() == reference_table_text(table)
     assert len(table) == len(table.entries)
-    again = XTable.load(table.save(tmp_path / "cache.json"))
+    again = XTable.load(path)
     assert again.entries == table.entries
     assert not again.block_memo
     for value in pivoted:

@@ -10,7 +10,7 @@ from typing import Optional
 import pytest
 
 from doublehurwitz import zseries
-from doublehurwitz.recursion import h_poly, populate_table
+from doublehurwitz.recursion import XTABLE_VERSION, h_poly, populate_table
 from doublehurwitz.series import GradedSeries, Truncation, key_weights, mono_from_vars, qvar, tvar
 from doublehurwitz.zseries import (
     ZPoly,
@@ -163,14 +163,24 @@ class _FractionZPoly:
                 chunks.append(f"{cs}*{body}")
         return " + ".join(chunks).replace("+ -", "- ")
 
-    # -- JSON ----------------------------------------------------------------
 
-    def to_json_list(self) -> list:
-        out = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            out.append({"gens": [list(g) for g in key], "coeff": f"{c.numerator}/{c.denominator}"})
-        return out
+def reference_json_list(poly) -> list:
+    """Reference encoder: the dict tree that json.dumps turns into a
+    polynomial's JSON, one {"gens": [[d, r], ...], "coeff": "num/den"} per
+    term, sorted by monomial tuple, each coefficient a lowest-terms
+    Fraction.  It reads only ``terms``, so it encodes a ZPoly and a
+    _FractionZPoly alike."""
+    return [{"gens": [list(g) for g in gens], "coeff": f"{c.numerator}/{c.denominator}"}
+            for gens, c in sorted(poly.terms.items())]
+
+
+def reference_table_text(table) -> str:
+    """Reference encoder of a table file: json.dumps of {"version": ...,
+    "entries": [{"key": [[lam, nu], ...], "poly": ...}, ...]}, sorted by key."""
+    return json.dumps({"version": XTABLE_VERSION, "entries": [
+        {"key": [list(pair) for pair in key], "poly": reference_json_list(table.entries[key])}
+        for key in sorted(table.entries)
+    ]})
 
 
 def Qm(*pairs):
@@ -292,8 +302,7 @@ def test_int_zpoly_matches_fraction_reference():
         for name in want:
             assert got[name].terms == want[name].terms, (name, ta, tb, c)
             assert got[name].pretty() == want[name].pretty(), name
-            # the ring writes its generators as tuples, the reference as lists
-            assert json.dumps(got[name].to_json_list()) == json.dumps(want[name].to_json_list()), name
+            assert got[name].json_text() == json.dumps(reference_json_list(want[name])), name
 
 
 def _assert_lowest_terms(p):
@@ -308,7 +317,7 @@ def test_zpoly_results_are_in_lowest_terms():
         _assert_lowest_terms(a)
         for name, p in _ring_results(a, b, c).items():
             _assert_lowest_terms(p)
-            _assert_lowest_terms(ZPoly.from_json_list(p.to_json_list()))
+            _assert_lowest_terms(ZPoly.from_json_list(json.loads(p.json_text())))
     assert ZPoly().den == 1 and (ZPoly.gen(0, 1) * Fraction(1, 3) * 0).den == 1
     for unreduced in ({"gens": [[0, 1]], "coeff": "2/4"}, {"gens": [], "coeff": "6/4"}, {"gens": [[1, 1]], "coeff": "0/5"}):
         with pytest.raises(ValueError, match="lowest terms"):
@@ -323,7 +332,7 @@ def test_equal_values_built_differently_are_equal_with_equal_hashes():
         p * Fraction(2, 3) * Fraction(3, 2),
         (p + q) - q,
         q + p - q,
-        ZPoly.from_json_list(p.to_json_list()),
+        ZPoly.from_json_list(json.loads(p.json_text())),
         ZPoly(dict(p.terms)),
         -(-p),
     ]
@@ -457,9 +466,17 @@ def test_from_json_list_rejects_malformed_entries(entry):
 
 
 def test_zpoly_json_round_trip():
-    p = ZPoly.gen(0, 1) * ZPoly.gen(1, 2) * 3 - ZPoly.constant(Fraction(5, 2))
-    assert ZPoly.from_json_list(p.to_json_list()) == p
-    assert ZPoly().to_json_list() == [] and ZPoly.from_json_list([]) == ZPoly()
+    # den 12 over numerators sharing factors with it: each term's coefficient
+    # needs its own gcd, so 6/12 must come out as 1/2 and -4/12 as -1/3
+    shared = ZPoly({((0, 1),): Fraction(1, 2), ((1, 1), (0, 2)): Fraction(-1, 3),
+                    ((2, 1),) * 3: Fraction(5, 4), (): -7})
+    assert shared.den == 12
+    assert '"coeff": "1/2"' in shared.json_text() and '"coeff": "-1/3"' in shared.json_text()
+    assert ZPoly().json_text() == "[]" and ZPoly.from_json_list([]) == ZPoly()
+    product = ZPoly.gen(0, 1) * ZPoly.gen(1, 2) * 3 - ZPoly.constant(Fraction(5, 2))
+    for p in (shared, product, ZPoly(), h_poly((5,))):
+        assert p.json_text() == json.dumps(reference_json_list(p)), p
+        assert ZPoly.from_json_list(json.loads(p.json_text())) == p
 
 
 def test_keys_sorting_to_one_monomial_are_summed():
@@ -474,7 +491,7 @@ def test_keys_sorting_to_one_monomial_are_summed():
     "first, second", [([[0, 1]], [[0, 1]]), ([[0, 1], [1, 1]], [[1, 1], [0, 1]])]
 )
 def test_from_json_list_rejects_repeated_keys(first, second):
-    # to_json_list writes each monomial once, so a repeat is a corrupt cache
+    # json_text writes each monomial once, so a repeat is a corrupt cache
     data = [{"gens": first, "coeff": "1/1"}, {"gens": second, "coeff": "2/1"}]
     with pytest.raises(ValueError, match="repeats the key"):
         ZPoly.from_json_list(data)
@@ -535,7 +552,7 @@ def test_largest_packed_exponent_round_trips():
     top = ((1, 1),) * 127
     p = ZPoly({top + ((0, 2),): 3, ((1, 1),): 1})
     assert p.terms == {((0, 2),) + top: 3, ((1, 1),): 1}
-    assert ZPoly.from_json_list(p.to_json_list()) == p
+    assert ZPoly.from_json_list(json.loads(p.json_text())) == p
     z = ZPoly.gen(1, 1)
     low = ZPoly({((1, 1),) * 63: 1})
     assert ZPoly.combine([(1, low, low * z)]) == ZPoly({top: 1})
@@ -573,7 +590,7 @@ gens = [(d, r) for d in range(10) for r in range(1, 8)]
 for d, r in (gens if sys.argv[2] == "forward" else gens[::-1]):
     ZPoly.gen(d, r)
 p = h_poly((4, 2))
-print(json.dumps(p.to_json_list()))
+print(p.json_text())
 print(p.pretty())
 print(sorted(p.terms.items()))
 print(sorted(p.nums))

@@ -7,7 +7,8 @@ every h_lam and every table entry to have the same coefficients.  Then builds
 ``recursion.populate_table(7, 3, 2)`` (the keys of ``x-table
 --max-lambda-weight 7 --max-r 3``, with nu-weight <= 2) on both rings and
 requires the same keys, every entry to have the same coefficients and the
-two tables' x-table JSON text to be equal.  Too
+file ``XTable.save`` writes to be the reference encoder's text of the
+Fraction table, byte for byte.  Too
 slow for the tier-1 suite (the reference side takes about 20 s), and named
 without a ``test_`` prefix so pytest does not collect it.
 
@@ -18,11 +19,12 @@ Run from the repository root:
 Exits 1 on any mismatch.
 """
 
-import json
 import sys
+import tempfile
 import time
+from pathlib import Path
 
-from test_zseries import _FractionZPoly
+from test_zseries import _FractionZPoly, reference_table_text
 
 from doublehurwitz import recursion
 from doublehurwitz.partitions import partitions_of
@@ -86,8 +88,10 @@ def main() -> int:
         lambda: recursion.populate_table(7, 3, 2)
     )
     mismatches += table_mismatches("populate_table(7, 3, 2)", populated, ref_populated)
-    if json.dumps(populated.to_json_dict()) != json.dumps(ref_populated.to_json_dict()):
-        print("mismatch: the x-table JSON text of populate_table(7, 3, 2)")
+    with tempfile.TemporaryDirectory(prefix="zpoly-sweep-") as tmp:
+        saved = populated.save(Path(tmp) / "x.json").read_text()
+    if saved != reference_table_text(ref_populated):
+        print("mismatch: the x-table file of populate_table(7, 3, 2)")
         mismatches.append("populate_table(7, 3, 2) JSON")
     print(
         f"populate_table(7, 3, 2): {len(populated)} table entries; "

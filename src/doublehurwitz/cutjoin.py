@@ -16,19 +16,19 @@ The same series has the character expansion ("Frobenius formula")
 with w(lam) the cut-and-join eigenvalue.  The connected function H = log e^H
 carries one monomial beta^m p_lam q_mu per factorization type; genus 0 is
 the slice m = len(lam) + len(mu) - 2.  hurwitz_mono() is the one writer of
-that monomial as a tuple and _blocks() the one reader of its layout; in a
-series, whose keys are packed, a block is the key masked by the fields of
-its alphabet (series.alphabet_mask).  evolve() builds H
-from its own cut-and-join equation
+that monomial as a tuple; in a series, whose keys are packed, a block is the
+key masked by the fields of its alphabet (series.alphabet_mask).  evolve()
+builds H from its own cut-and-join equation
 
     dH/dbeta = W(H) + (1/2) sum_{i,j >= 1} i j p_{i+j} dH/dp_i dH/dp_j,
 
-never forming e^H; its J term runs on monomials packed by a
-:class:`.packing.Packer` of each call's own.  W keeps the q-part of a term and
-J multiplies q-parts, so evolve() can keep only the terms whose q-part divides
-one q-monomial: hurwitz_number_by_series() evolves on the divisors of q_mu,
-and h_lambda_series() on those of q_lam' q_1^(Q - |lam'|), reading
-p_mu q_lam' q_1^e for p_lam' p_1^e q_mu by the p <-> q symmetry of H.
+never forming e^H; its slices, W and J all run on keys packed by
+series.PACKER, so a move of a letter is a sum of unit keys.  W keeps the
+q-part of a term and J multiplies q-parts, so evolve() can keep only the
+terms whose q-part divides one q-monomial: hurwitz_number_by_series()
+evolves on the divisors of q_mu, and h_lambda_series() on those of
+q_lam' q_1^(Q - |lam'|), reading p_mu q_lam' q_1^e for p_lam' p_1^e q_mu by
+the p <-> q symmetry of H.
 frobenius_eH() sums the character expansion of e^H, and the two are compared
 through the generic GradedSeries.log().  hurwitz_number_by_series() reads one
 coefficient of H by the character formula without either: _lattice_number()
@@ -45,7 +45,6 @@ from math import comb, factorial
 from operator import mul
 
 from . import exact
-from .packing import Packer
 from .partitions import (
     aut_order,
     check_partition,
@@ -62,7 +61,6 @@ from .series import (
     Q,
     Truncation,
     alphabet_mask,
-    mono_from_vars,
     partition_mono,
     pvar,
     qvar,
@@ -78,48 +76,45 @@ def hurwitz_mono(m: int, lam, mu) -> tuple:
             + partition_mono(pvar, tuple(lam)) + partition_mono(qvar, tuple(mu)))
 
 
-def _blocks(mono: tuple) -> tuple:
-    """(beta block, p block, rest) of a canonical monomial, each a slice of
-    it: beta sorts before every other letter, and the p-letters sort in one
-    run before psi and the q-letters."""
-    lo = hi = 1 if mono and mono[0][0] == BETA_VAR else 0
-    for var, _ in mono[lo:]:
-        if var[0] != P:
-            break
-        hi += 1
-    return mono[:lo], mono[lo:hi], mono[hi:]
+@lru_cache(maxsize=None)
+def _p_units(top: int) -> tuple:
+    """(0, p_1, ..., p_top), each p-letter as its PACKER unit key."""
+    return (0,) + tuple(PACKER.unit(pvar(i)) for i in range(1, top + 1))
 
 
 @lru_cache(maxsize=None)
-def _w_image(pblock: tuple) -> tuple:
-    """W applied to one canonical p-monomial, as ((p-monomial, int), ...).
+def _p_part(pkey: int) -> tuple:
+    """(p-weight d, number of parts, ((i, e), ...)) of the p-monomial packed
+    as pkey, one pair per p_i^e in it."""
+    letters = tuple((var[1], e) for var, e in PACKER.fields(pkey))
+    return sum(i * e for i, e in letters), sum(e for _, e in letters), letters
+
+
+@lru_cache(maxsize=None)
+def _w_moves(pkey: int) -> tuple:
+    """W applied to the p-monomial packed as pkey, as ((move, int), ...):
+    the image term's packed key is pkey + move, a sum of p-letter units.
 
     2W is summed over ordered pairs, then halved exactly: for i != j the
     ordered pairs (i, j) and (j, i) give the same monomial, a cut with i = j
     carries (k/2) e with k even, and a join of p_i with itself carries the
     even factor e (e - 1).  The memo holds one entry per partition met, 97
     up to p-weight 9."""
+    d, _, letters = _p_part(pkey)
+    unit = _p_units(d)
     out: dict = {}
-    for var, e in pblock:
-        k = var[1]
+    for k, e in letters:
         # cut: (i+j) p_i p_j d/dp_{i+j}, ordered pairs (i, j) with i+j = k
         for i in range(1, k):
-            new = mono_from_vars(pblock + ((var, -1), (pvar(i), 1), (pvar(k - i), 1)))
-            out[new] = out.get(new, 0) + k * e
-        # join: i j p_{i+j} d^2/(dp_i dp_j), ordered pairs of variables
-        for vj, ej in pblock:
-            mult = e * (ej - 1 if vj == var else ej)
+            move = unit[i] + unit[k - i] - unit[k]
+            out[move] = out.get(move, 0) + k * e
+        # join: i j p_{i+j} d^2/(dp_i dp_j), ordered pairs of letters
+        for j, ej in letters:
+            mult = e * (ej - 1 if j == k else ej)
             if mult:
-                new = mono_from_vars(pblock + ((var, -1), (vj, -1), (pvar(k + vj[1]), 1)))
-                out[new] = out.get(new, 0) + k * vj[1] * mult
-    return tuple((mono, exact.div(c, 2)) for mono, c in out.items())
-
-
-@lru_cache(maxsize=None)
-def _w_moves(pkey: int) -> tuple:
-    """_w_image of the p-monomial packed as pkey, as ((move, int), ...):
-    the image term's packed key is pkey + move."""
-    return tuple((PACKER.pack(mono) - pkey, c) for mono, c in _w_image(PACKER.unpack(pkey)))
+                move = unit[k + j] - unit[k] - unit[j]
+                out[move] = out.get(move, 0) + k * j * mult
+    return tuple((move, exact.div(c, 2)) for move, c in out.items())
 
 
 def cut_join_apply(series: GradedSeries) -> GradedSeries:
@@ -135,51 +130,38 @@ def cut_join_apply(series: GradedSeries) -> GradedSeries:
     return series.map_terms(image)
 
 
-def _packer(q_bound: int) -> Packer:
-    """The Packer of one evolve call: p_1..p_Q, q_1..q_Q registered in that
-    order, which is canonical monomial order, each field holding exponents
-    up to 2^w - 1 >= Q, w = Q.bit_length()."""
-    return Packer(q_bound.bit_length() + 1, [pvar(i) for i in range(1, q_bound + 1)]
-                  + [qvar(i) for i in range(1, q_bound + 1)])
-
-
-def _derivatives(packer: Packer, slice_terms: dict) -> list:
+def _derivatives(slice_terms: dict, pmask: int) -> list:
     """i d/dp_i of one slice of integer numerators, as
     [(d, [(i, keys, coefficients), ...]), ...] sorted by weight d: for each
     term c p_lam q_mu of p-weight d and each p_i in it with exponent e, the
-    packed monomial p_lam q_mu / p_i joins keys and i e c joins
-    coefficients."""
+    packed key of p_lam q_mu / p_i joins keys and i e c joins coefficients."""
     by_weight: dict = {}
-    unit = {var: packer.unit(var) for var in packer.variables}
-    for mono, c in slice_terms.items():
-        key = packer.pack(mono)
-        pblock = _blocks(mono)[1]
-        d = 0
-        for var, e in pblock:
-            d += var[1] * e
+    for key, c in slice_terms.items():
+        d, _, letters = _p_part(key & pmask)
+        unit = _p_units(d)
         by_i = by_weight.setdefault(d, {})
-        for var, e in pblock:
-            keys, coefficients = by_i.setdefault(var[1], ([], []))
-            keys.append(key - unit[var])
-            coefficients.append(var[1] * e * c)
+        for i, e in letters:
+            keys, coefficients = by_i.setdefault(i, ([], []))
+            keys.append(key - unit[i])
+            coefficients.append(i * e * c)
     return [(d, [(i, *lists) for i, lists in sorted(by_i.items())])
             for d, by_i in sorted(by_weight.items())]
 
 
-def _join_into(out: dict, packer: Packer, left: list, right: list, scale: int):
+def _join_into(out: dict, left: list, right: list, scale: int, bound: int):
     """out += scale J(A, B), with J(A, B) = sum_{i,j} i j p_{i+j} dA/dp_i dB/dp_j,
     for A and B given by their _derivatives and out keyed by packed monomials.
     Both lists are sorted by weight, so the pair loop stops at the first
-    d_l + d_r past the bound."""
-    get, top = out.get, len(packer.variables) // 2  # it holds p_1..p_Q, q_1..q_Q
-    unit = [packer.unit(var) for var in packer.variables[:top]]  # unit[i - 1]: p_i
+    d_l + d_r past the bound on the p-weight."""
+    get = out.get
+    unit = _p_units(bound)
     for dl, lbuckets in left:
         for dr, rbuckets in right:
-            if dl + dr > top:
+            if dl + dr > bound:
                 break
             for i, lkeys, lcoefficients in lbuckets:
                 for j, rkeys, rcoefficients in rbuckets:
-                    add = unit[i + j - 1]
+                    add = unit[i + j]
                     for kl, cl in zip(lkeys, lcoefficients):
                         kl += add
                         cl *= scale
@@ -207,19 +189,22 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None, q_cap=None) -> 
         2 D (m+1) (D H_{m+1}) = 2 D W(D H_m) + sum_{a+b=m} J(D H_a, D H_b),
 
     its division is checked to be exact, and H is handed over as these
-    numerators over D, packed by the series PACKER.  W is cut_join_apply on
-    D H_m, packed for it and read back as tuples.
-    J runs on monomials packed by _packer(Q), so the monomial of a product
-    term is the sum of two ints and the field of p_{i+j}.  Every slice term
-    has p-weight = q-weight = d <= Q, and J pairs two terms only when
-    d_l + d_r <= Q, so every exponent of a product is at most Q; each slice's
-    J is still checked against the packer's width rule.
+    numerators over D.  Every slice is keyed by series.PACKER, from the
+    seeds to H, whatever order its letters were registered in: p_1..p_Q and
+    q_1..q_Q are registered first, so the p- and q-parts of a key are the key
+    masked by alphabet_mask, and beta^m joins a term as m beta units.  W is
+    cut_join_apply on D H_m.  The monomial of a J product term is the sum of
+    two keys and the unit of p_{i+j}.  Every slice term has p-weight =
+    q-weight = d <= Q, and J pairs two terms only when d_l + d_r <= Q, so
+    every exponent of a product is at most Q; each slice's J is still
+    checked against PACKER's width rule.
 
     With max_genus = G, only the terms beta^m p_lam q_mu of genus <= G are
     kept, those with len(lam) + len(mu) >= m + 2 - 2G.  The cap is exact, as
     no part of the step lowers the genus: W's cut keeps it, W's join raises it
     by one, and J(H_a, H_b) has genus g_a + g_b.  So the genus <= G terms of
-    H_{m+1} depend only on the genus <= G terms of H_0..H_m.  None keeps all.
+    H_{m+1} depend only on the genus <= G terms of H_0..H_m.  A term's number
+    of parts is read from memos of its p-part and its q-part.  None keeps all.
 
     With q_cap = c, a partition, only the terms whose q-part divides q_c are
     kept.  The cap is exact as well, as no part of the step enlarges a q-part
@@ -230,9 +215,7 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None, q_cap=None) -> 
     so the terms of H_{m+1} whose q-part divides q_c depend only on those of
     H_0..H_m.  H_0 keeps p_n q_n / n for the n in c, and after each step the
     J terms whose q-part does not divide q_c are dropped; W needs no filter.
-    The q-letters hold the top fields of a packed key and no packed field is
-    negative, so key >> (the offset of q_1) is its q-part, and the
-    divisor test runs once per q-part met.  None keeps all.
+    The divisor test runs once per q-part met.  None keeps all.
     """
     if q_weight_bound < 1 or beta_bound < 0:
         raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
@@ -243,51 +226,51 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None, q_cap=None) -> 
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
     D = factorial(q_weight_bound) * factorial(beta_bound)
-    packer = _packer(q_weight_bound)
+    for n in range(1, q_weight_bound + 1):
+        PACKER.shift(pvar(n))
+        PACKER.shift(qvar(n))
+    pmask, qmask = alphabet_mask({P}), alphabet_mask({Q})
 
-    Hs = [{hurwitz_mono(0, (n,), (n,)): exact.div(D, n)
+    Hs = [{PACKER.pack(hurwitz_mono(0, (n,), (n,))): exact.div(D, n)
            for n in range(1, q_weight_bound + 1)
            if cap is None or qvar(n) in cap}]  # Hs[m] = D H_m
-    qshift = packer.shift(qvar(1))
-    divides: dict = {}  # q-part of a packed key, shifted down -> whether it divides q_c
+    q_parts: dict = {}  # q-part of a key -> (its number of parts, whether it divides q_c)
 
-    def kept(key: int) -> bool:
-        q = key >> qshift
-        ok = divides.get(q)
-        if ok is None:
-            ok = divides[q] = not any(cap.get(var, 0) < e for var, e in packer.unpack(q << qshift))
-        return ok
+    def q_part(key: int) -> tuple:
+        qkey = key & qmask
+        part = q_parts.get(qkey)
+        if part is None:
+            letters = PACKER.fields(qkey)
+            part = q_parts[qkey] = (sum(e for _, e in letters),
+                                    cap is None or not any(cap.get(var, 0) < e for var, e in letters))
+        return part
 
     derivatives = []  # derivatives[m] = _derivatives of D H_m, for m < B
-    H: dict = {}  # beta^m D H_m for m < B, packed by PACKER
-    beta, unpack = PACKER.unit(BETA_VAR), PACKER.unpack
+    H: dict = {}  # beta^m D H_m for m < B
+    beta = PACKER.unit(BETA_VAR)
     for m in range(beta_bound):
-        derivatives.append(_derivatives(packer, Hs[m]))
+        derivatives.append(_derivatives(Hs[m], pmask))
         joined: dict = {}
         for a in range((m + 2) // 2):  # J is symmetric: a < m - a twice, a = m - a once
-            _join_into(joined, packer, derivatives[a], derivatives[m - a], 1 if 2 * a == m else 2)
-        packer.check(joined)
-        slice_m = {PACKER.pack(mono): c for mono, c in Hs[m].items()}
-        # D H_m has den 1, and so has its W image.  A slice has no beta and
-        # its p block comes before its q-letters (see _blocks), so a term's
-        # monomial is its p-part's followed by its q-part's, both read from
-        # PACKER's memo
-        w_image = cut_join_apply(GradedSeries.from_ints(trunc, slice_m)).nums
-        pmask = alphabet_mask({P})  # W may have met a new p-letter
-        acc = {unpack(key & pmask) + unpack(key & ~pmask): 2 * D * c for key, c in w_image.items()}
-        H.update((key + m * beta, c) for key, c in slice_m.items())
-        Hs[m] = slice_m = None  # copied into H: let it go before the next slice grows
+            _join_into(joined, derivatives[a], derivatives[m - a], 1 if 2 * a == m else 2,
+                       q_weight_bound)
+        PACKER.check(joined)
+        # D H_m has den 1, and so has its W image
+        acc = {key: 2 * D * c
+               for key, c in cut_join_apply(GradedSeries.from_ints(trunc, Hs[m])).nums.items()}
+        H.update((key + m * beta, c) for key, c in Hs[m].items())
+        Hs[m] = None  # copied into H: let it go before the next slice grows
         for k, c in joined.items():
-            if cap is None or kept(k):
-                mono = packer.unpack(k)
-                acc[mono] = acc.get(mono, 0) + c
+            if cap is None or q_part(k)[1]:
+                acc[k] = acc.get(k, 0) + c
         step = 2 * D * (m + 1)
         # genus <= G in slice m + 1 takes >= m + 3 - 2G parts; every term has >= 2
         least_parts = 2 if max_genus is None else m + 3 - 2 * max_genus
-        Hs.append({mono: exact.div(c, step) for mono, c in acc.items()
-                   if c and (least_parts <= 2 or sum(e for _, e in mono) >= least_parts)})
+        Hs.append({key: exact.div(c, step) for key, c in acc.items()
+                   if c and (least_parts <= 2
+                             or _p_part(key & pmask)[1] + q_part(key)[0] >= least_parts)})
     del derivatives  # free the packed lists before the last slice joins H
-    H.update((PACKER.pack(mono) + beta_bound * beta, c) for mono, c in Hs[beta_bound].items())
+    H.update((key + beta_bound * beta, c) for key, c in Hs[beta_bound].items())
     return GradedSeries.from_ints(trunc, H, D)
 
 
@@ -361,14 +344,9 @@ def h_lambda_series(lams, q_weight_bound: int) -> list:
     H = evolve(q_weight_bound, max(0, 2 * q_weight_bound - 2), max_genus=0, q_cap=cap.elements())
     pmask, qmask = alphabet_mask({P}), alphabet_mask({Q})
     q1_shift = PACKER.shift(qvar(1))
-    mus: dict = {}  # packed p-part -> the packed q-monomial read back from it
     split: dict = {}  # packed q-part without q_1 -> [(power of q_1, read-back q_mu, numerator)]
     for key, n in H.nums.items():
-        pkey = key & pmask
-        mu = mus.get(pkey)
-        if mu is None:
-            pblock = PACKER.unpack(pkey)
-            mu = mus[pkey] = PACKER.pack(hurwitz_mono(0, (), [var[1] for var, k in pblock for _ in range(k)]))
+        mu = sum(e << PACKER.shift(qvar(var[1])) for var, e in PACKER.fields(key & pmask))
         e = key >> q1_shift & PACKER.mask
         split.setdefault((key & qmask) - (e << q1_shift), []).append((e, mu, n))
     trunc, out = Truncation(q_weight=q_weight_bound), []

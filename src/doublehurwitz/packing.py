@@ -18,9 +18,9 @@ below 2^W, which ``pack`` admits when its caller asks for that limit.
 whatever order the variables were registered in, so no output depends on
 that order.
 
-One Packer serves each use: the GradedSeries kernel (W = 15), ZPoly (W = 8,
-so exponents up to 127) and each :func:`.cutjoin.evolve` call
-(W = Q.bit_length() + 1).
+Two packers serve the package: the GradedSeries kernel's (W = 15), whose
+keys :func:`.cutjoin.evolve` steps as well, and ZPoly's (W = 8, so exponents
+up to 127).
 """
 
 from __future__ import annotations

@@ -23,12 +23,17 @@ For every K <= 8 it requires ``evolve(K, 9, q_cap=mu)`` to equal the terms of
 ``hurwitz_number_by_series(g, lam, mu, "cutjoin")``, which evolves on the
 divisors of q_mu, to equal m! times the coefficient of beta^m p_lam q_mu in
 ``evolve(K, 9)`` on every profile with g <= 2 and m <= 9.
-Last, it runs ``compute-hurwitz --genus 0 --lambda 16 --mu 1^16 --method
-cutjoin`` through the CLI and requires 16^13 (under 0.1 s): at Q = 16 the
-q_1-exponent reaches 16 = 2^4, so an evolve packer (``cutjoin._packer``)
-whose width rule stops below Q shows here.  Too slow for the tier-1 suite
-(about 25 s in all), and named without a ``test_`` prefix so pytest does not
-collect it.
+Last, it runs ``compute-hurwitz --genus 0 --lambda K --mu 1^K --method
+cutjoin`` through the CLI at K = 16 and 24 and requires K^(K-3), the
+one-part count (each under 1 s).  At K = 16 the q_1-exponent of the top J
+products reaches 16 = 2^4, the first exponent to need a fifth bit, and at
+K = 24 the slices run to p-weight 24 and q_1^24; every product must pass
+series.PACKER's width rule and decode whole.  It also requires the cutjoin
+and frobenius numbers of (6,5,4,3,2,1)/(6,5,4,3,2,1) to agree (K = 21,
+m = 10, under 2 s): the one cross check of the two methods above degree 20
+on a profile of many parts, where J makes most of the products.  Too slow
+for the tier-1 suite (about 25 s in all), and named without a ``test_``
+prefix so pytest does not collect it.
 
 Run from the repository root:
 
@@ -176,17 +181,31 @@ def q_cap_mismatches(K: int) -> tuple:
     return checks, bad
 
 
-def one_part_k16_mismatch() -> bool:
-    """Whether compute-hurwitz at genus 0, lam = (16), mu = 1^16 by cutjoin
-    misses 16^13, the one-part count K^(K-3) at K = 16."""
+def one_part_mismatch(K: int) -> bool:
+    """Whether compute-hurwitz at genus 0, lam = (K), mu = 1^K by cutjoin
+    misses K^(K-3), the one-part count."""
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as cache_dir:
-        code = run(["--cache-dir", cache_dir, "compute-hurwitz", "--genus", "0", "--lambda", "16",
-                    "--mu", ",".join(["1"] * 16), "--method", "cutjoin"], out=out, err=err)
+        code = run(["--cache-dir", cache_dir, "compute-hurwitz", "--genus", "0", "--lambda", str(K),
+                    "--mu", ",".join(["1"] * K), "--method", "cutjoin"], out=out, err=err)
     got = out.getvalue().strip() if code == 0 else f"exit {code}: {err.getvalue().strip()}"
-    bad = got != f"{16**13}/1"
-    print(f"compute-hurwitz --lambda 16 --mu 1^16 --method cutjoin: {got}"
-          f" ({'MISMATCH' if bad else 'equal'} to 16^13)")
+    bad = got != f"{K ** (K - 3)}/1"
+    print(f"compute-hurwitz --lambda {K} --mu 1^{K} --method cutjoin: {got}"
+          f" ({'MISMATCH' if bad else 'equal'} to {K}^{K - 3};"
+          f" {time.perf_counter() - start:.2f} s)")
+    return bad
+
+
+def many_part_methods_mismatch() -> bool:
+    """Whether the cutjoin and frobenius numbers of (6,5,4,3,2,1)/(6,5,4,3,2,1)
+    at genus 0 differ."""
+    lam = (6, 5, 4, 3, 2, 1)
+    start = time.perf_counter()
+    numbers = [hurwitz_number_by_series(0, lam, lam, method) for method in ("cutjoin", "frobenius")]
+    bad = numbers[0] != numbers[1]
+    print(f"(6,5,4,3,2,1)/(6,5,4,3,2,1): cutjoin {numbers[0]}, frobenius {numbers[1]}"
+          f" ({'MISMATCH' if bad else 'equal'}; {time.perf_counter() - start:.2f} s)")
     return bad
 
 
@@ -215,8 +234,9 @@ def main() -> int:
         print(f"q-cap at K = {K}: {checks} checks, "
               + (f"MISMATCH at {bad}" if bad else "all equal")
               + f" ({time.perf_counter() - start:.2f} s)")
-    failures += one_part_k16_mismatch()
-    print(f"{len(BOUNDS)} bounds, 8 degrees of q-caps and one CLI check, {failures} mismatches")
+    failures += one_part_mismatch(16) + one_part_mismatch(24) + many_part_methods_mismatch()
+    print(f"{len(BOUNDS)} bounds, 8 degrees of q-caps, two CLI checks and one cross-method check,"
+          f" {failures} mismatches")
     return 1 if failures else 0
 
 

@@ -11,17 +11,16 @@ The mutants cover the packed-monomial format of ``packing.py``: each call of
 its width rule (ZPoly's derivations sum through ``ZPoly.combine``, so its
 call covers them), the rule's bound, the lower end of ``pack``'s range test
 and the whole test, the sorted (canonical) order of ``unpack``, and the
-field width of each of the three packers.  Two cover the series kernel: it keeps
+field width of each of the two packers.  Two cover the series kernel: it keeps
 cancelled products, so their keys reach the width rule, and it drops the
 truncation test of a bucket pair.  Three cover series keyed by packed ints:
 a factor of the kernel skips the width rule, the packed ``diff`` drops its
 exponent factor, and ``kp_residual_of`` takes the fourth t_1-derivative of R
 from the window-truncated second, which has lost the weights it lowers into
-the window.  Three more
+the window.  Two more
 cover the layout of beta^m p_lam q_mu in ``cutjoin.py`` and the checked
-division of ``exact.py``: the reader ``_blocks`` no longer skips beta, the
-writer ``hurwitz_mono`` writes beta^0 as a letter, and ``exact.div`` drops
-its remainder test.  Three cover helpers that other modules share
+division of ``exact.py``: the writer ``hurwitz_mono`` writes beta^0 as a
+letter, and ``exact.div`` drops its remainder test.  Three cover helpers that other modules share
 instead of keeping a copy of their own: ``mono_from_vars`` keeps the last
 exponent of a repeated letter instead of their sum, ``aut_order`` multiplies
 by m instead of m!, and the string-dilaton suite drops its dilaton failures.
@@ -30,7 +29,11 @@ negative again, and ``r_from_tau`` gives t_mu psi^-len(mu) instead of
 psi^(1 - len(mu)) when it maps log tau(psi t) back to R.
 Two cover the q-cap of ``evolve``: its divisor test drops the terms whose
 exponent equals the cap, and ``h_lambda_series`` evolves on the intersection
-of its lams' caps instead of their union.
+of its lams' caps instead of their union.  Four cover the steps of
+``evolve`` on series.PACKER keys: its genus cap counts the p-letters of a
+term and not its q-letters, W's join of p_k with itself takes e e_k where
+e (e_k - 1) is due, W's cut of p_k gives p_i p_(k-i-1), and the i d/dp_i
+of ``_derivatives`` drops its factor i.
 Three cover the code that each job of the series ring has in one place:
 ``exact.add_into``, the one running sum, ignores its ``mult``;
 ``GradedSeries.map_terms``, the one term-wise linear map, drops the factor
@@ -55,7 +58,7 @@ pair need nu!^k, and the correction divides by (l-1)! instead of l!.
 One drops ``compute_x``'s refusal of a forced pivot with lam = 0, and one
 lets the ZPoly JSON writer skip its per-term gcd, so a coefficient such as
 2/4 is written unreduced when the common denominator is above 1.
-Forty-two mutants in all.
+Forty-four mutants in all.
 A module with no test file of its own goes straight to the whole suite.
 
 Run from the repository root:
@@ -80,7 +83,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # (name, module, old text, new text): the old text occurs once in the module
 MUTANTS = [
     ("evolve skips the width rule", "cutjoin.py",
-     "        packer.check(joined)\n", ""),
+     "        PACKER.check(joined)\n", ""),
     ("ZPoly.combine skips the width rule", "zseries.py",
      "        PACKER.check(acc)\n        return _poly", "        return _poly"),
     ("exp skips the width rule", "series.py",
@@ -107,14 +110,10 @@ MUTANTS = [
     ("the fourth t_1-derivative of R is taken from the window-truncated second", "kp.py",
      "    d4_t1 = d2_t1.diff(t1).diff(t1).truncate(window)\n    d2_t1 = d2_t1.truncate(window)\n",
      "    d2_t1 = d2_t1.truncate(window)\n    d4_t1 = d2_t1.diff(t1).diff(t1).truncate(window)\n"),
-    ("evolve's fields one bit short", "cutjoin.py",
-     "Packer(q_bound.bit_length() + 1,", "Packer(q_bound.bit_length() + 0,"),
     ("ZPoly's fields one bit short", "zseries.py",
      "PACKER = Packer(8)", "PACKER = Packer(7)"),
     ("the series kernel's fields one bit short", "series.py",
      "PACKER = Packer(15)", "PACKER = Packer(14)"),
-    ("_blocks does not skip beta", "cutjoin.py",
-     "lo = hi = 1 if mono and mono[0][0] == BETA_VAR else 0", "lo = hi = 0"),
     ("hurwitz_mono writes beta^0", "cutjoin.py",
      "(((BETA_VAR, m),) if m else ())", "((BETA_VAR, m),)"),
     ("exact.div drops its remainder test", "exact.py",
@@ -134,6 +133,15 @@ MUTANTS = [
      "cap.get(var, 0) < e", "cap.get(var, 0) <= e"),
     ("h_lambda_series intersects its caps", "cutjoin.py",
      "cap |= Counter(rest)", "cap &= Counter(rest)"),
+    ("the genus cap counts only p-letters", "cutjoin.py",
+     "_p_part(key & pmask)[1] + q_part(key)[0] >= least_parts",
+     "_p_part(key & pmask)[1] >= least_parts"),
+    ("W's join of a letter with itself takes e e_j, not e (e_j - 1)", "cutjoin.py",
+     "mult = e * (ej - 1 if j == k else ej)", "mult = e * ej"),
+    ("W's cut of p_k gives p_i p_(k-i-1)", "cutjoin.py",
+     "move = unit[i] + unit[k - i] - unit[k]", "move = unit[i] + unit[k - i - 1] - unit[k]"),
+    ("_derivatives drops the factor i from i e c", "cutjoin.py",
+     "coefficients.append(i * e * c)", "coefficients.append(e * c)"),
     ("add_into ignores mult", "exact.py",
      "    scale = den // part_den * mult\n", "    scale = den // part_den\n"),
     ("map_terms drops the image's factor c", "series.py",

@@ -1,16 +1,17 @@
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
 from doublehurwitz import cutjoin
 from doublehurwitz.cutjoin import (
-    _blocks,
     _derivatives,
     _join_into,
-    _packer,
-    _w_image,
+    _w_moves,
     cut_join_apply,
     evolve,
     frobenius_eH,
@@ -20,12 +21,13 @@ from doublehurwitz.cutjoin import (
     hurwitz_number_by_series,
 )
 from doublehurwitz.exact import div
-from doublehurwitz.packing import Packer
 from doublehurwitz.partitions import aut_order, partitions_of, zee
 from doublehurwitz.series import (
     BETA_VAR,
+    PACKER,
     GradedSeries,
     Truncation,
+    alphabet_mask,
     mono_from_vars,
     pvar,
     qvar,
@@ -190,51 +192,39 @@ def test_evolve_solves_connected_cut_and_join(bounds):
         assert slices[m + 1].scalar_mul(m + 1) == rhs, m
 
 
-def test_packer_round_trip():
-    packer = _packer(8)
-    seen = set()
-    for d in range(9):
-        for lam in partitions_of(d):
-            for mu in partitions_of(d):
-                mono = mono_from_vars([(pvar(i), 1) for i in lam] + [(qvar(i), 1) for i in mu])
-                key = packer.pack(mono)
-                assert packer.unpack(key) == mono
-                assert packer.unpack(key) is packer.unpack(key)  # memoised
-                seen.add(key)
-    assert len(seen) == sum(len(partitions_of(d)) ** 2 for d in range(9))
-
-
 @pytest.mark.parametrize("q_bound", [8, 16])
 def test_packer_fields_hold_exponent_q(q_bound):
-    """At Q = 2^k an exponent Q needs every bit of w = Q.bit_length(): the
-    extreme monomials round-trip, a join whose q_1-exponent reaches Q comes
-    out whole, and an exponent 2^w is refused."""
-    packer = _packer(q_bound)
+    """J on series.PACKER keys: J(p_i q_1^i, p_j q_1^j) = ij p_Q q_1^Q for
+    every i + j = Q, so the q_1-exponent reaches Q, a power of two; the
+    product passes the width rule and decodes whole."""
     joined = mono_from_vars([(pvar(q_bound), 1), (qvar(1), q_bound)])
     for mono in (joined, mono_from_vars([(pvar(1), q_bound), (qvar(q_bound), 1)])):
-        assert packer.unpack(packer.pack(mono)) == mono
+        assert PACKER.unpack(PACKER.pack(mono)) == mono
     for i in range(1, q_bound):
         j = q_bound - i
-        left = _derivatives(packer, {mono_from_vars([(pvar(i), 1), (qvar(1), i)]): 1})
-        right = _derivatives(packer, {mono_from_vars([(pvar(j), 1), (qvar(1), j)]): 1})
+        slices = [{PACKER.pack(mono_from_vars([(pvar(k), 1), (qvar(1), k)])): 1} for k in (i, j)]
+        left, right = (_derivatives(terms, alphabet_mask({"p"})) for terms in slices)
         out: dict = {}
-        _join_into(out, packer, left, right, 1)  # J(p_i q_1^i, p_j q_1^j) = ij p_Q q_1^Q
-        packer.check(out)
-        assert {packer.unpack(k): c for k, c in out.items()} == {joined: i * j}
-    with pytest.raises(OverflowError):
-        packer.pack(mono_from_vars([(qvar(1), 2 * q_bound)]))
+        _join_into(out, left, right, 1, q_bound)
+        PACKER.check(out)
+        assert {PACKER.unpack(k): c for k, c in out.items()} == {joined: i * j}
 
 
 def test_evolve_checks_each_slice_against_its_packer(monkeypatch):
-    # J(H_0, H_0) puts q_1^2 into slice 1: a packer whose fields hold
-    # exponents below 2 must refuse it, though the field still decodes
-    wide = cutjoin._packer
-    monkeypatch.setattr(cutjoin, "_packer", lambda q: Packer(2, wide(q).variables))
+    # plant one J product whose q_1 field holds 2^14, the width rule's limit:
+    # evolve must refuse it, though the field still decodes
+    real = cutjoin._join_into
+
+    def planted(out, *args):
+        real(out, *args)
+        out[PACKER.unit(qvar(1)) << PACKER.width - 1] = 1
+
+    monkeypatch.setattr(cutjoin, "_join_into", planted)
     with pytest.raises(OverflowError):
         evolve(4, 1)
 
 
-def test_hurwitz_mono_is_the_canonical_monomial_and_blocks_reads_it_back():
+def test_hurwitz_mono_is_the_canonical_monomial():
     for K in range(1, 6):
         for lam in partitions_of(K):
             for mu in partitions_of(K):
@@ -244,15 +234,36 @@ def test_hurwitz_mono_is_the_canonical_monomial_and_blocks_reads_it_back():
                         [(pvar(i), 1) for i in lam] + [(qvar(i), 1) for i in mu]
                         + ([(BETA_VAR, m)] if m else []))
                     assert hurwitz_mono(m, lam[::-1], mu[::-1]) == mono
-                    assert _blocks(mono) == (hurwitz_mono(m, (), ()), hurwitz_mono(0, lam, ()),
-                                             hurwitz_mono(0, (), mu))
-    assert hurwitz_mono(0, (), ()) == () and _blocks(()) == ((), (), ())
-    assert _blocks(hurwitz_mono(0, (3, 1, 1), (2, 2, 1))) == (
-        (), ((pvar(1), 2), (pvar(3), 1)), ((qvar(1), 1), (qvar(2), 2)))
-    assert _blocks(hurwitz_mono(2, (3, 1, 1), ())) == (
-        ((BETA_VAR, 2),), ((pvar(1), 2), (pvar(3), 1)), ())
-    # no p-letters: the rest starts right after beta
-    assert _blocks(hurwitz_mono(1, (), (2,))) == (((BETA_VAR, 1),), (), ((qvar(2), 1),))
+    assert hurwitz_mono(0, (), ()) == ()
+
+
+_FIELD_ORDER_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from doublehurwitz.cutjoin import evolve, h_lambda_series, hurwitz_number_by_series
+from doublehurwitz.series import BETA_VAR, PACKER, qvar
+if sys.argv[2] == "q-first":
+    for var in [qvar(k) for k in range(6, 0, -1)] + [BETA_VAR]:
+        PACKER.shift(var)
+print(sorted(evolve(6, 6).items()))
+print(sorted(h_lambda_series([(3, 2, 1)], 9)[0].items()))
+print(hurwitz_number_by_series(0, (4, 3, 2, 1), (4, 3, 2, 1), "cutjoin"))
+print(PACKER.variables[:7])
+"""
+
+
+def test_evolve_does_not_depend_on_field_order():
+    # q_6..q_1 and beta registered before any p-letter: the p- and q-parts
+    # of a key are read by masks, whatever the layout
+    src = str(Path(cutjoin.__file__).parents[1])
+    runs = [subprocess.run([sys.executable, "-c", _FIELD_ORDER_PROBE, src, order],
+                           capture_output=True, text=True) for order in ("fresh", "q-first")]
+    assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+    fresh, q_first = (run.stdout.splitlines() for run in runs)
+    assert len(fresh) == len(q_first) == 4
+    assert fresh[:3] == q_first[:3]
+    assert q_first[3] == repr([qvar(k) for k in range(6, 0, -1)] + [BETA_VAR])
+    assert fresh[3] != q_first[3]
 
 
 def test_cut_join_apply_matches_loop():
@@ -278,11 +289,12 @@ def test_w_images_are_integral():
     tr = Truncation(p_weight=10)
     for K in range(1, 11):
         for lam in partitions_of(K):
-            pblock = mono_from_vars([(pvar(part), 1) for part in lam])
-            image = _w_image(pblock)
-            assert all(type(c) is int for _, c in image)
+            pblock = hurwitz_mono(0, lam, ())
+            pkey = PACKER.pack(pblock)
+            moves = _w_moves(pkey)
+            assert all(type(c) is int for _, c in moves)
             ref = _loop_cut_join_apply(GradedSeries(tr, {pblock: Fraction(1)}))
-            assert dict(image) == ref.term_dict()
+            assert {PACKER.unpack(pkey + move): c for move, c in moves} == ref.term_dict()
 
 
 def test_exact_div_raises_on_remainder():

@@ -32,8 +32,8 @@ from operator import or_
 class Packer:
     """A registry of variables, each with a W-bit field of a packed int."""
 
-    def __init__(self, width: int, variables=()):
-        """A packer with W = width, the given variables registered in order."""
+    def __init__(self, width: int):
+        """A packer with W = width and no variables registered yet."""
         self.width = width
         self.limit = 1 << (width - 1)  # every exponent e has 0 <= e < limit
         self.mask = (1 << width) - 1  # one field, shifted down
@@ -42,8 +42,6 @@ class Packer:
         self.top = 0  # the top bit of every registered field
         self.decoded = {}  # packed key -> monomial, memoised by unpack
         self.pairs = []  # index -> {e: (variable, e)}, shared by decoded monomials
-        for var in variables:
-            self.shift(var)
 
     def shift(self, var) -> int:
         """The offset of var's field, registering var if it is new."""

@@ -50,6 +50,7 @@ from typing import Iterable, Optional
 
 from . import exact
 from .packing import Packer
+from .partitions import check_int
 
 Q, P, T, BETA, S, PSI, XI = "q", "p", "t", "b", "s", "psi", "xi"
 
@@ -139,10 +140,18 @@ class TruncationMismatch(ValueError):
 
 class Truncation(namedtuple("Truncation", "q_weight p_weight t_weight beta_deg s_weight", defaults=(None,) * 5)):
     """Optional per-alphabet degree bounds, in weight-vector order (psi and
-    xi are never bounded); ``None`` leaves an alphabet unbounded.  An
-    immutable value that equals only another Truncation."""
+    xi are never bounded); ``None`` leaves an alphabet unbounded, and any
+    other bound must be an int (TypeError otherwise, a bool is no int here).
+    An immutable value that equals only another Truncation."""
 
     __slots__ = ()
+
+    def __new__(cls, *bounds, **named):
+        self = super().__new__(cls, *bounds, **named)
+        for bound in self:
+            if bound is not None:
+                check_int(bound)
+        return self
 
     def __eq__(self, other) -> bool:
         return type(other) is Truncation and tuple.__eq__(self, other)
@@ -394,9 +403,6 @@ class GradedSeries:
         _mul_into(out, left, other._buckets()[1], caps)
         nums = {p: c for bucket in _render(out).values() for p, c in bucket.items()}
         return GradedSeries.from_ints(self.truncation, nums, self.den * other.den)
-
-    def __rmul__(self, other):
-        return self.scalar_mul(other)
 
     def diff(self, var: tuple) -> "GradedSeries":
         """Formal partial derivative with respect to one variable: the term

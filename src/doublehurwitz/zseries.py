@@ -19,7 +19,9 @@ above 127 raises OverflowError.  The sorted tuple of generators stays the
 read-out form (``terms``, the JSON and the order of :func:`zpoly_eval`),
 decoded once per key.  ``PACKER.unpack`` returns a key's (generator,
 exponent) pairs sorted by generator, and ``pretty`` reads those pairs, so no
-output depends on the order the generators were registered in.
+output depends on the order the generators were registered in.  A number is
+no ZPoly: scale by ``poly * c``.  Psi_{a,l} is built by one pass over ordered
+tuples of t-letters on series.PACKER keys (see :func:`psi_series`).
 """
 
 from __future__ import annotations
@@ -27,19 +29,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from types import MappingProxyType
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import exact
 from .packing import Packer
-from .partitions import (
-    aut_order,
-    check_int,
-    gen_binomial,
-    multinomial,
-    partitions_of,
-)
+from .partitions import aut_order, check_int, gen_binomial, partitions_of
 from .series import PACKER as SERIES_PACKER
 from .series import GradedSeries, T, Truncation, key_weights, mono_from_vars, partition_mono, qvar, tvar
 
@@ -188,39 +184,25 @@ class ZPoly:
         return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        if type(other) is int or type(other) is Fraction:
-            other = ZPoly.constant(other)
         if isinstance(other, ZPoly):
             return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
-    def __hash__(self):
-        # a constant hashes as its value, since it compares equal to it
-        if not self.nums.keys() - {0}:
-            return hash(Fraction(self.nums.get(0, 0), self.den))
-        return hash((self.den, frozenset(self.nums.items())))
-
-    def __add__(self, other) -> "ZPoly":
-        if isinstance(other, (int, Fraction)):
-            other = ZPoly.constant(other)
+    def __add__(self, other: "ZPoly") -> "ZPoly":
         if not isinstance(other, ZPoly):
             return NotImplemented
         return _poly(*exact.add(self.nums, self.den, other.nums, other.den))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "ZPoly":
         return _poly({k: -n for k, n in self.nums.items()}, self.den)
 
-    def __sub__(self, other) -> "ZPoly":
-        return self + -(other if isinstance(other, ZPoly) else ZPoly.constant(other))
+    def __sub__(self, other: "ZPoly") -> "ZPoly":
+        return self + -other
 
     def __mul__(self, other) -> "ZPoly":
         if isinstance(other, ZPoly):
             return ZPoly.combine(((1, self, other),))
         return _poly(*exact.scale(self.nums, self.den, other))
-
-    __rmul__ = __mul__
 
     @staticmethod
     def combine(triples) -> "ZPoly":
@@ -284,13 +266,11 @@ class ZPoly:
     def json_text(self) -> str:
         """The text json.dumps writes for one {"gens": [[d, r], ...], "coeff":
         "num/den"} per term, sorted by monomial tuple, each coefficient in
-        lowest terms by one gcd ([] is 0), built from memoised monomial text."""
+        lowest terms by :func:`.exact.ratio` ([] is 0), built from memoised
+        monomial text."""
         nums, den = self.nums, self.den
-        terms = []
-        for key in sorted(nums, key=_unpack):
-            n = nums[key]
-            g = gcd(n, den)
-            terms.append(f'{{"gens": {_gens_text(key)}, "coeff": "{n // g}/{den // g}"}}')
+        terms = [f'{{"gens": {_gens_text(key)}, "coeff": "{exact.ratio(nums[key], den)}"}}'
+                 for key in sorted(nums, key=_unpack)]
         return f"[{', '.join(terms)}]"
 
     @staticmethod
@@ -434,48 +414,41 @@ def check_eqzred(d: int, r: int, q_weight_bound: int):
 # ---------------------------------------------------------------------------
 
 
-def _pair_multisets(k: int, lam_sum: int, nu_sum: int, max_pair=None) -> Iterator[tuple]:
-    """Multisets of k pairs (lam_i, nu_i) >= (0, 0), in non-increasing order,
-    with prescribed coordinate sums."""
-    if k == 0:
-        if lam_sum == 0 and nu_sum == 0:
-            yield ()
-        return
-    top = (lam_sum, nu_sum) if max_pair is None else min(max_pair, (lam_sum, nu_sum))
-    first_lam = top[0]
-    while first_lam >= 0:
-        start_nu = top[1] if first_lam == top[0] else nu_sum
-        for first_nu in range(min(start_nu, nu_sum), -1, -1):
-            head = (first_lam, first_nu)
-            for rest in _pair_multisets(k - 1, lam_sum - first_lam, nu_sum - first_nu, head):
-                yield (head,) + rest
-        first_lam -= 1
-
-
 def psi_series(a: int, ell: int, t_weight_bound: int) -> GradedSeries:
-    """The series Psi_{a,ell} in the t_{i,j} variables, truncated by t-weight.
+    """The series Psi_{a,ell} in the t_{i,j} variables, truncated by t-weight:
+    a and ell ints (TypeError otherwise), a >= 0, ell >= 1, the bound >= 0.
 
     Psi_{a,ell} = sum_k (1/k!) sum over ordered k-tuples of pairs with
     sum(nu) = ell + k - 3 and sum(lam) = a of multinomial(|nu|; nu) prod t.
     Every k-slice is homogeneous of t-weight a + ell + 2k - 3, so truncation
-    by t-weight keeps exact slices.
+    by t-weight keeps exact slices.  The tuples grow one letter at a time:
+    layer k maps (sum lam, sum nu) to {packed key: int}, each int the sum of
+    multinomial(|nu|; nu) over the ordered tuples that reach the key, and
+    appending t_{i,j} adds its unit key and multiplies by C(sum nu + j, j).
+    Slice k is layer k at (a, ell + k - 3) over k!.
     """
-    if ell < 1 or a < 0:
+    if check_int(a) < 0 or check_int(ell) < 1:
         raise ValueError("need a >= 0, ell >= 1")
     trunc = Truncation(t_weight=t_weight_bound)
-    terms: dict = {}
-    if a == 0 and ell == 3:
-        terms[()] = Fraction(1)  # empty-product slice k = 0
-    k = 1
-    while a + ell + 2 * k - 3 <= t_weight_bound:
-        nu_sum = ell + k - 3
-        if nu_sum >= 0:
-            for ms in _pair_multisets(k, a, nu_sum):
-                coeff = Fraction(multinomial([p[1] for p in ms]), aut_order(ms))
-                mono = mono_from_vars([(tvar(i, j), 1) for i, j in ms])
-                terms[mono] = terms.get(mono, 0) + coeff
-        k += 1
-    return GradedSeries(trunc, terms)
+    if t_weight_bound < 0:
+        raise ValueError("need t_weight_bound >= 0")
+    top = (t_weight_bound - a - ell + 3) // 2  # the last slice within the bound
+    nu_top = ell + top - 3
+    letters = [(i, j, SERIES_PACKER.unit(tvar(i, j))) for i in range(a + 1) for j in range(nu_top + 1)]
+    layer, terms = {(0, 0): {0: 1}}, {}
+    for k in range(top + 1):
+        if k:
+            prev, layer = layer, {}
+            for (lam, nu), keys in prev.items():
+                for i, j, unit in letters:
+                    if lam + i <= a and nu + j <= nu_top:
+                        c = comb(nu + j, j)
+                        out = layer.setdefault((lam + i, nu + j), {})
+                        for key, n in keys.items():
+                            out[key + unit] = out.get(key + unit, 0) + n * c
+        for key, n in layer.get((a, ell + k - 3), {}).items():
+            terms[key] = n, factorial(k)
+    return GradedSeries.from_ints(trunc, *exact.over_lcm(terms))
 
 
 def _t_raise(series: GradedSeries) -> GradedSeries:

@@ -56,9 +56,13 @@ loses its scalar t, the block product's binomial C(c, head) becomes 1, a
 row of the correction's bookkeeping takes nu! where k consumed copies of a
 pair need nu!^k, and the correction divides by (l-1)! instead of l!.
 One drops ``compute_x``'s refusal of a forced pivot with lam = 0, and one
-lets the ZPoly JSON writer skip its per-term gcd, so a coefficient such as
-2/4 is written unreduced when the common denominator is above 1.
-Forty-four mutants in all.
+lets ``exact.ratio``, the one renderer of num/den that the ZPoly JSON writer
+shares, skip its gcd, so a coefficient such as 2/4 is written unreduced when
+the common denominator is above 1.
+Two cover the letter pass of ``psi_series``: appending t_{i,j} multiplies by 1
+instead of C(sum nu + j, j), and its last slice (W - a - l + 3) // 2 loses
+its + 3.
+Forty-six mutants in all.
 A module with no test file of its own goes straight to the whole suite.
 
 Run from the repository root:
@@ -174,8 +178,12 @@ MUTANTS = [
      "factorial(ell)", "factorial(ell - 1)"),
     ("compute_x rewrites a pivot with lam = 0", "recursion.py",
      "        if key[pivot_index][0] < 1:\n", "        if False:\n"),
-    ("the JSON writer skips the per-term gcd", "zseries.py",
-     "            g = gcd(n, den)\n", "            g = 1\n"),
+    ("ratio, the JSON writer's renderer, skips its gcd", "exact.py",
+     "    g = gcd(n, den)\n", "    g = 1\n"),
+    ("psi_series' letter factor C(sum nu + j, j) becomes 1", "zseries.py",
+     "c = comb(nu + j, j)", "c = 1"),
+    ("psi_series' last slice loses its + 3", "zseries.py",
+     "top = (t_weight_bound - a - ell + 3) // 2", "top = (t_weight_bound - a - ell) // 2"),
 ]
 
 

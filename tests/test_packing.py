@@ -21,6 +21,14 @@ def _random_mono(rng, limit):
     return {var: e for var in chosen if (e := rng.randrange(limit))}
 
 
+def _packer(width, *variables):
+    """A packer with W = width and the variables registered in order."""
+    packer = Packer(width)
+    for var in variables:
+        packer.shift(var)
+    return packer
+
+
 def _mono_sum(a, b):
     out = dict(a)
     for var, e in b.items():
@@ -51,7 +59,7 @@ def test_pack_is_linear_injective_and_inverted_by_unpack(width):
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_unpack_returns_the_canonical_order_and_shares_pairs(width):
-    packer = Packer(width, ["b", "a"])  # field order is not variable order
+    packer = _packer(width, "b", "a")  # field order is not variable order
     high = packer.limit - 1
     key = packer.pack([("a", 1), ("b", high)])
     assert packer.unpack(key) == (("a", 1), ("b", high))
@@ -103,7 +111,7 @@ def test_check_is_exact_at_both_ends_of_the_rule(width):
 def test_unpack_refuses_a_negative_key(width):
     # every field of an unsigned key is read with a mask, so a negative key,
     # whose bits never run out, would be read forever
-    packer = Packer(width, ["x", "y"])
+    packer = _packer(width, "x", "y")
     for key in (-1, -packer.unit("y"), packer.unit("x") - packer.unit("y")):
         with pytest.raises(OverflowError, match="negative"):
             packer.unpack(key)
@@ -112,7 +120,7 @@ def test_unpack_refuses_a_negative_key(width):
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_fields_reads_field_order_and_pack_takes_a_wider_limit(width):
-    packer = Packer(width, ["b", "a"])  # field order is not variable order
+    packer = _packer(width, "b", "a")  # field order is not variable order
     field = 1 << width  # a stored key may hold any field below this
     key = packer.pack([("a", field - 1), ("b", 2)], field)
     assert packer.fields(key) == [("b", 2), ("a", field - 1)]

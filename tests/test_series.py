@@ -10,7 +10,8 @@ from typing import Optional
 import pytest
 
 from doublehurwitz import series
-from doublehurwitz.kp import r_series
+from doublehurwitz.cutjoin import evolve, h_lambda_series
+from doublehurwitz.kp import kp_residual, r_series
 from doublehurwitz.partitions import aut_order, partitions_of
 from doublehurwitz.series import (
     BETA_VAR,
@@ -27,6 +28,7 @@ from doublehurwitz.series import (
     svar,
     tvar,
 )
+from doublehurwitz.zseries import psi_series, z_series
 
 
 def _laurent(pairs) -> tuple:
@@ -318,6 +320,21 @@ def test_truncation_is_an_immutable_value():
     with pytest.raises(AttributeError):
         t.q_weight = 3
     assert t.to_json_dict() == {"q_weight": 9, "s_weight": 2}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: z_series(0, 1, True),
+    lambda: evolve(True, 2),
+    lambda: h_lambda_series([(2,)], True),
+    lambda: kp_residual(True),
+    lambda: psi_series(1, 2, 2.5),
+    lambda: Truncation(q_weight=True),
+    lambda: Truncation(2, 1.0),
+], ids=["z_series", "evolve", "h_lambda_series", "kp_residual", "psi_series", "bool", "float"])
+def test_a_truncation_bound_is_none_or_an_int(build):
+    # each builder stored its bool or float bound in its truncation before
+    with pytest.raises(TypeError, match="expected an int"):
+        build()
 
 
 def test_mul_prunes_beyond_truncation():

@@ -332,7 +332,9 @@ def test_equal_values_built_differently_are_equal():
     for other in built:
         assert other == p
         assert (other.nums, other.den) == (p.nums, p.den)
-    # the same polynomial, its products and sums taken in other orders
+
+
+def test_equal_polynomials_built_in_different_orders_are_equal():
     a, b, c = ZPoly.gen(3, 4), ZPoly.gen(0, 6), ZPoly.gen(2, 5) * Fraction(1, 3)
     assert a * b * c + b - c * a == b + c * (b * a) - a * c
     assert ZPoly({((0, 6), (3, 4)): 2}) == ZPoly({((3, 4), (0, 6)): 2}) == a * b * 2

@@ -47,6 +47,7 @@ from operator import mul
 from . import exact
 from .partitions import (
     aut_order,
+    check_bound,
     check_partition,
     check_profile,
     partitions_of,
@@ -217,10 +218,10 @@ def evolve(q_weight_bound: int, beta_bound: int, max_genus=None, q_cap=None) -> 
     J terms whose q-part does not divide q_c are dropped; W needs no filter.
     The divisor test runs once per q-part met.  None keeps all.
     """
-    if q_weight_bound < 1 or beta_bound < 0:
-        raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
-    if max_genus is not None and max_genus < 0:
-        raise ValueError(f"need max_genus >= 0, not {max_genus}")
+    check_bound(q_weight_bound, 1, "q_weight_bound")
+    check_bound(beta_bound, 0, "beta_bound")
+    if max_genus is not None:
+        check_bound(max_genus, 0, "max_genus")
     cap = None if q_cap is None else dict(hurwitz_mono(0, (), check_partition(q_cap)))
     trunc = Truncation(
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
@@ -282,8 +283,8 @@ def frobenius_eH(q_weight_bound: int, beta_bound: int) -> GradedSeries:
         sum over lam |- k of chi^lam_rho chi^lam_sigma w(lam)^m / (z_rho z_sigma m!),
 
     with w(lam) = central_weight(lam), the cut-and-join eigenvalue."""
-    if q_weight_bound < 1 or beta_bound < 0:
-        raise ValueError("need q_weight_bound >= 1 and beta_bound >= 0")
+    check_bound(q_weight_bound, 1, "q_weight_bound")
+    check_bound(beta_bound, 0, "beta_bound")
     trunc = Truncation(
         q_weight=q_weight_bound, p_weight=q_weight_bound, beta_deg=beta_bound
     )
@@ -335,8 +336,7 @@ def h_lambda_series(lams, q_weight_bound: int) -> list:
     lams = [check_partition(lam) for lam in lams]
     if not all(lams):
         raise ValueError("lam must be a nonempty partition")
-    if q_weight_bound < 1:
-        raise ValueError("need q_weight_bound >= 1")
+    check_bound(q_weight_bound, 1, "q_weight_bound")
     cap: Counter = Counter()
     for lam in lams:
         rest = [part for part in lam if part != 1]

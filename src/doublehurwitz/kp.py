@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import aut_order, partitions_of
+from .partitions import aut_order, check_bound, partitions_of
 from .series import (
     PACKER,
     PSI_VAR,
@@ -42,8 +42,7 @@ from .series import (
 
 def scaled_schur(k: int, trunc: Truncation) -> GradedSeries:
     """h~_k = s~_k(psi t): sum over partitions mu of k of (-1)^len(mu) t_mu / |Aut mu|."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    check_bound(k, 0, "k")
     terms = {partition_mono(svar, mu): Fraction((-1) ** len(mu), aut_order(mu))
              for mu in partitions_of(k)}
     return GradedSeries(trunc, terms)
@@ -51,9 +50,7 @@ def scaled_schur(k: int, trunc: Truncation) -> GradedSeries:
 
 def tau_series(t_weight_bound: int) -> GradedSeries:
     """tau(psi t), truncated at total t-weight t_weight_bound."""
-    if t_weight_bound < 1:
-        raise ValueError("bound must be >= 1")
-    trunc = Truncation(s_weight=t_weight_bound)
+    trunc = Truncation(s_weight=check_bound(t_weight_bound, 1, "t_weight_bound"))
     total = GradedSeries.one(trunc)
     xi = mono_from_vars([(XI_VAR, 1)])
     psi = mono_from_vars([(PSI_VAR, 1)])
@@ -93,7 +90,8 @@ def r_series(t_weight_bound: int) -> GradedSeries:
 
 
 def homogeneous_part(series: GradedSeries, t_weight: int) -> GradedSeries:
-    """Terms of exact total t-weight (the s-alphabet grading)."""
+    """Terms of exact total t-weight t_weight >= 0 (the s-alphabet grading)."""
+    check_bound(t_weight, 0, "t_weight")
     return series.map_terms(lambda k: ((k, 1),) if key_weights(k)[4] == t_weight else ())
 
 
@@ -107,7 +105,7 @@ def kp_residual_of(r: GradedSeries, t_weight_bound: int) -> GradedSeries:
     second, whose weights past the bound it lowers into the window.
     """
     t1, t2, t3 = svar(1), svar(2), svar(3)
-    window = Truncation(s_weight=t_weight_bound)
+    window = Truncation(s_weight=check_bound(t_weight_bound, 0, "t_weight_bound"))
     d_t1 = r.diff(t1)
     d2_t1 = d_t1.diff(t1)
     d4_t1 = d2_t1.diff(t1).diff(t1).truncate(window)
@@ -119,15 +117,14 @@ def kp_residual_of(r: GradedSeries, t_weight_bound: int) -> GradedSeries:
     return (
         d2_t2
         - psi_xi * (d2_t1 * d2_t1) * 2
-        - d_t1_t3.scalar_mul(Fraction(4, 3))
-        + (psi_sq * d4_t1).scalar_mul(Fraction(1, 3))
+        - d_t1_t3 * Fraction(4, 3)
+        + psi_sq * d4_t1 * Fraction(1, 3)
     )
 
 
 def kp_residual(t_weight_bound: int) -> GradedSeries:
     """Residual of the first scaled KP equation; identically zero when the
     tau-function formula is right."""
-    if t_weight_bound < 0:
-        raise ValueError("bound must be nonnegative")
+    check_bound(t_weight_bound, 0, "t_weight_bound")
     r = r_series(t_weight_bound + 4)
     return kp_residual_of(r, t_weight_bound)

@@ -1,17 +1,18 @@
 """Integer partitions, compositions, and exact combinatorial coefficients.
 
 Partitions are plain tuples of positive integers in weakly decreasing order.
-All values returned here are exact (``int`` or ``fractions.Fraction``); every
-function is pure and safe for concurrent use.
+All values returned here are exact ``int``s; every function is pure and safe
+for concurrent use.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, Optional
+
+from . import exact
 
 Partition = tuple
 
@@ -21,6 +22,15 @@ def check_int(v) -> int:
     TypeError, so no float, string or bool is truncated into an index."""
     if type(v) is not int:
         raise TypeError(f"expected an int, not {v!r}")
+    return v
+
+
+def check_bound(v, least: int, name: str) -> int:
+    """v itself if it is an int (through check_int: None, a bool or a float
+    raises TypeError) and v >= least; a smaller int raises ValueError, worded
+    the same for every count the package takes."""
+    if check_int(v) < least:
+        raise ValueError(f"need {name} >= {least}")
     return v
 
 
@@ -44,12 +54,11 @@ def check_profile(g, lam, mu) -> tuple:
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu) or not lam:
         raise ValueError("lam and mu must partition the same positive integer")
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, not {g}")
+    check_bound(g, 0, "genus")
     return lam, mu, len(lam) + len(mu) + 2 * g - 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so True does not hit the cached 1
 def partitions_of(n: int, max_part: Optional[int] = None) -> tuple:
     """All partitions of n, in reverse-lexicographic order.
 
@@ -60,9 +69,7 @@ def partitions_of(n: int, max_part: Optional[int] = None) -> tuple:
     >>> partitions_of(3)
     ((3,), (2, 1), (1, 1, 1))
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
+    if check_bound(n, 0, "n") == 0:
         return ((),)
     top = n if max_part is None else min(n, max_part)
     out = []
@@ -97,18 +104,19 @@ def class_size(lam: Partition) -> int:
     return factorial(sum(lam)) // zee(lam)
 
 
-def gen_binomial(a: int, d: int) -> Fraction:
+def gen_binomial(a: int, d: int) -> int:
     """Generalized binomial coefficient a(a-1)...(a-d+1)/d! for any integer a.
 
     Defined by the falling factorial, so the top argument may be negative:
-    gen_binomial(-1, 2) == 1, and gen_binomial(a, 0) == 1 for every a.
+    gen_binomial(-1, 2) == 1, and gen_binomial(a, 0) == 1 for every int a.
+    An int, as d! divides a product of d consecutive integers (checked).
     """
-    if d < 0:
-        raise ValueError("lower index must be nonnegative")
+    check_int(a)
+    check_bound(d, 0, "d")
     num = 1
     for i in range(d):
         num *= a - i
-    return Fraction(num, factorial(d))
+    return exact.div(num, factorial(d))
 
 
 def multinomial(nu) -> int:
@@ -118,9 +126,7 @@ def multinomial(nu) -> int:
     >>> multinomial((2, 1))
     3
     """
-    nu = tuple(check_int(v) for v in nu)
-    if any(v < 0 for v in nu):
-        raise ValueError("multinomial entries must be nonnegative")
+    nu = tuple(check_bound(v, 0, "nu_i") for v in nu)
     out = factorial(sum(nu))
     for v in nu:
         out //= factorial(v)

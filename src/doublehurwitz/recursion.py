@@ -73,7 +73,7 @@ from operator import sub
 from pathlib import Path
 from typing import Optional
 
-from .partitions import check_int, check_partition, multinomial
+from .partitions import check_bound, check_int, check_partition, multinomial
 from .zseries import ZPoly, zpoly_euler, zpoly_weighted_euler
 
 # Stamp covering the layout and the normalization conventions baked into the
@@ -85,13 +85,8 @@ XKey = tuple  # sorted-descending tuple of (lam_i, nu_i) pairs
 
 def make_xkey(pairs) -> XKey:
     """Canonical key: pairs of ints (TypeError otherwise, a bool is no int
-    here) sorted descending by (lam, nu)."""
-    key = []
-    for pair in pairs:
-        a, b = map(check_int, pair)
-        if a < 0 or b < 0:
-            raise ValueError(f"pair entries must be nonnegative: {pair!r}")
-        key.append((a, b))
+    here) >= 0 (ValueError otherwise) sorted descending by (lam, nu)."""
+    key = [(check_bound(lam, 0, "lam_i"), check_bound(nu, 0, "nu_i")) for lam, nu in pairs]
     if not key:
         raise ValueError("a key needs at least one pair")
     return _canonical(key)
@@ -336,12 +331,12 @@ def h_poly(lam, table: Optional[XTable] = None) -> ZPoly:
 
 def keys_up_to(max_lam_weight: int, max_r: int, max_nu_weight: int) -> list:
     """All canonical keys with sum(lam) <= max_lam_weight, r <= max_r,
-    sum(nu) <= max_nu_weight, sorted.  The bounds must be ints (TypeError
-    otherwise, a bool is no int here).  combinations_with_replacement yields
-    each multiset of pairs once, so no key repeats."""
-    max_lam_weight, max_r, max_nu_weight = map(check_int, (max_lam_weight, max_r, max_nu_weight))
-    if max_r < 1 or max_lam_weight < 0 or max_nu_weight < 0:
-        raise ValueError("need max_r >= 1 and nonnegative lambda and nu weights")
+    sum(nu) <= max_nu_weight, sorted, each bound read by check_bound.
+    combinations_with_replacement yields each multiset of pairs once, so no
+    key repeats."""
+    check_bound(max_lam_weight, 0, "max_lam_weight")
+    check_bound(max_r, 1, "max_r")
+    check_bound(max_nu_weight, 0, "max_nu_weight")
     pairs = [(a, b) for a in range(max_lam_weight + 1) for b in range(max_nu_weight + 1)]
     return sorted(
         _canonical(combo)

@@ -50,7 +50,7 @@ from typing import Iterable, Optional
 
 from . import exact
 from .packing import Packer
-from .partitions import check_int
+from .partitions import check_bound, check_int
 
 Q, P, T, BETA, S, PSI, XI = "q", "p", "t", "b", "s", "psi", "xi"
 
@@ -60,27 +60,19 @@ XI_VAR = (XI,)
 
 
 def qvar(k: int) -> tuple:
-    if k < 1:
-        raise ValueError("q-index must be >= 1")
-    return (Q, k)
+    return (Q, check_bound(k, 1, "k"))
 
 
 def pvar(i: int) -> tuple:
-    if i < 1:
-        raise ValueError("p-index must be >= 1")
-    return (P, i)
+    return (P, check_bound(i, 1, "i"))
 
 
 def tvar(i: int, j: int) -> tuple:
-    if i < 0 or j < 0:
-        raise ValueError("t-indices must be >= 0")
-    return (T, i, j)
+    return (T, check_bound(i, 0, "i"), check_bound(j, 0, "j"))
 
 
 def svar(k: int) -> tuple:
-    if k < 1:
-        raise ValueError("s-index must be >= 1")
-    return (S, k)
+    return (S, check_bound(k, 1, "k"))
 
 
 # The alphabets, by tag: (coordinate in the weight vector, bump, name).  A
@@ -390,13 +382,10 @@ class GradedSeries:
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + (-other)
 
-    def scalar_mul(self, c) -> "GradedSeries":
-        """The series times an int or Fraction c; anything else raises TypeError."""
-        return GradedSeries._of(self.truncation, *exact.scale(self.nums, self.den, c))
-
     def __mul__(self, other):
+        """Times a series, or an int or Fraction (another scalar: TypeError)."""
         if not isinstance(other, GradedSeries):
-            return self.scalar_mul(other)
+            return GradedSeries._of(self.truncation, *exact.scale(self.nums, self.den, other))
         self._require_compatible(other)
         caps, left = self._buckets()
         out: dict = {}

@@ -35,7 +35,7 @@ from typing import Optional
 
 from . import exact
 from .packing import Packer
-from .partitions import aut_order, check_int, gen_binomial, partitions_of
+from .partitions import aut_order, check_bound, gen_binomial, partitions_of
 from .series import PACKER as SERIES_PACKER
 from .series import GradedSeries, T, Truncation, key_weights, mono_from_vars, partition_mono, qvar, tvar
 
@@ -44,9 +44,7 @@ def check_gen(d, r) -> "ZGen":
     """The generator z_{d,r} as the pair (d, r): d and r must be ints
     (TypeError otherwise, a bool is no int here), d >= 0 and r >= 1
     (ValueError otherwise)."""
-    if check_int(d) < 0 or check_int(r) < 1:
-        raise ValueError(f"a generator z_{{d,r}} needs d >= 0, r >= 1, not ({d}, {r})")
-    return (d, r)
+    return (check_bound(d, 0, "d"), check_bound(r, 1, "r"))
 
 
 @lru_cache(maxsize=None, typed=True)  # so True does not hit the cached 1
@@ -66,10 +64,9 @@ def z_series(
     ones among them for diagnostic comparison.
     """
     check_gen(d, r)
-    if q_weight_bound < 1:
-        raise ValueError("need q_weight_bound >= 1")
-    if n_bound is not None and n_bound < 1:
-        raise ValueError("need n_bound >= 1")
+    check_bound(q_weight_bound, 1, "q_weight_bound")
+    if n_bound is not None:
+        check_bound(n_bound, 1, "n_bound")
     terms: dict = {}  # monomial -> (num, den) of its coefficient
     for K in range(1, q_weight_bound + 1):
         for mu in partitions_of(K):
@@ -82,7 +79,7 @@ def z_series(
             binom = gen_binomial(e, d)
             if binom == 0:
                 continue
-            num, den = binom.numerator, binom.denominator * aut_order(mu)
+            num, den = binom, aut_order(mu)
             if e >= d:
                 num *= K ** (e - d)
             else:
@@ -309,7 +306,7 @@ def zpoly_eval(poly: ZPoly, q_weight_bound: int) -> GradedSeries:
     The monomials are taken in sorted tuple order, and each one's product of
     generator series extends the longest prefix it shares with the one
     before.  The sum runs on int numerators over one running denominator."""
-    trunc = Truncation(q_weight=q_weight_bound)
+    trunc = Truncation(q_weight=check_bound(q_weight_bound, 0, "q_weight_bound"))
     acc: dict = {}
     den = 1
     chain: list = []  # chain[i]: the product of the first i + 1 series of key
@@ -427,11 +424,9 @@ def psi_series(a: int, ell: int, t_weight_bound: int) -> GradedSeries:
     appending t_{i,j} adds its unit key and multiplies by C(sum nu + j, j).
     Slice k is layer k at (a, ell + k - 3) over k!.
     """
-    if check_int(a) < 0 or check_int(ell) < 1:
-        raise ValueError("need a >= 0, ell >= 1")
-    trunc = Truncation(t_weight=t_weight_bound)
-    if t_weight_bound < 0:
-        raise ValueError("need t_weight_bound >= 0")
+    check_bound(a, 0, "a")
+    check_bound(ell, 1, "ell")
+    trunc = Truncation(t_weight=check_bound(t_weight_bound, 0, "t_weight_bound"))
     top = (t_weight_bound - a - ell + 3) // 2  # the last slice within the bound
     nu_top = ell + top - 3
     letters = [(i, j, SERIES_PACKER.unit(tvar(i, j))) for i in range(a + 1) for j in range(nu_top + 1)]
@@ -518,7 +513,7 @@ def check_psi_string_dilaton(a: int, ell: int, t_weight_bound: int):
 
     window2 = Truncation(t_weight=t_weight_bound - 2)
     lhs_d = psi.diff(tvar(0, 1)).truncate(window2)
-    rhs_d = (_t_count(psi) + psi.scalar_mul(ell - 2)).truncate(window2)
+    rhs_d = (_t_count(psi) + psi * (ell - 2)).truncate(window2)
     if lhs_d != rhs_d:
         return False, f"dilaton identity fails for Psi_{{{a},{ell}}}"
     return True, f"string and dilaton identities hold for Psi_{{{a},{ell}}}"

@@ -62,7 +62,10 @@ the common denominator is above 1.
 Two cover the letter pass of ``psi_series``: appending t_{i,j} multiplies by 1
 instead of C(sum nu + j, j), and its last slice (W - a - l + 3) // 2 loses
 its + 3.
-Forty-six mutants in all.
+Two cover ``partitions.check_bound``, the one range check of every int
+argument: it compares with <= and so refuses its least value, and it skips
+``check_int``, so a bool passes as an int and None fails with a bare '<'.
+Forty-eight mutants in all.
 A module with no test file of its own goes straight to the whole suite.
 
 Run from the repository root:
@@ -184,6 +187,10 @@ MUTANTS = [
      "c = comb(nu + j, j)", "c = 1"),
     ("psi_series' last slice loses its + 3", "zseries.py",
      "top = (t_weight_bound - a - ell + 3) // 2", "top = (t_weight_bound - a - ell) // 2"),
+    ("check_bound compares with <=", "partitions.py",
+     "    if check_int(v) < least:\n", "    if check_int(v) <= least:\n"),
+    ("check_bound skips check_int", "partitions.py",
+     "    if check_int(v) < least:\n", "    if v < least:\n"),
 ]
 
 

@@ -131,13 +131,13 @@ def _fraction_evolve(q_weight_bound: int, beta_bound: int) -> tuple:
 
     E = [e0]
     for m in range(1, beta_bound + 1):
-        E.append(_loop_cut_join_apply(E[m - 1]).scalar_mul(Fraction(1, m)))
+        E.append(_loop_cut_join_apply(E[m - 1]) * Fraction(1, m))
 
     Hs = [h0]
     for m in range(1, beta_bound + 1):
         acc = E[m]
         for b in range(1, m):
-            acc = acc - (Hs[b] * E[m - b]).scalar_mul(Fraction(b, m))
+            acc = acc - Hs[b] * E[m - b] * Fraction(b, m)
         Hs.append(acc * e0_inv)
 
     eH = GradedSeries.from_ints(trunc, {})
@@ -179,7 +179,7 @@ def test_evolve_solves_connected_cut_and_join(bounds):
     slices = [GradedSeries(trunc, terms) for terms in slices]
     assert slices[0] == _diagonal_seed(trunc, q_bound)
     # i dH_m/dp_i, for i <= Q
-    derivatives = [{i: s.diff(pvar(i)).scalar_mul(i) for i in range(1, q_bound + 1)}
+    derivatives = [{i: s.diff(pvar(i)) * i for i in range(1, q_bound + 1)}
                    for s in slices]
     half = Fraction(1, 2)
     for m in range(beta_bound):
@@ -188,8 +188,8 @@ def test_evolve_solves_connected_cut_and_join(bounds):
             for i, da in derivatives[a].items():
                 for j in range(1, q_bound + 1 - i):
                     p_ij = GradedSeries.var(trunc, pvar(i + j))
-                    rhs = rhs + (p_ij * da * derivatives[m - a][j]).scalar_mul(half)
-        assert slices[m + 1].scalar_mul(m + 1) == rhs, m
+                    rhs = rhs + p_ij * da * derivatives[m - a][j] * half
+        assert slices[m + 1] * (m + 1) == rhs, m
 
 
 @pytest.mark.parametrize("q_bound", [8, 16])
@@ -310,7 +310,7 @@ def test_schur_eigenvectors():
     for K in range(1, 7):
         for lam in partitions_of(K):
             s = schur_in_power_sums(lam, tr)
-            assert cut_join_apply(s) == s.scalar_mul(central_weight(lam))
+            assert cut_join_apply(s) == s * central_weight(lam)
 
 
 def test_evolve_beta_zero_slice_is_diagonal():

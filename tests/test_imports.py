@@ -12,6 +12,10 @@ must be read the same way, or be named in a benchmark file
 public method of a module-level class: read as an attribute somewhere in the
 package, named as ``.method`` in a benchmark file, or an override of a base
 class's method (``_Parser.error``), which the base class calls.
+
+A range refusal on an int argument has one writer, ``partitions.check_bound``:
+outside ``partitions.py`` no ``if`` that compares a parameter of its
+function with an int literal raises ``ValueError``.
 """
 
 import ast
@@ -199,3 +203,73 @@ def test_cli_imports_without_dataclasses_or_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", probe, src], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _is_int_literal(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _raises_value_error(body: list) -> bool:
+    for node in (sub for stmt in body for sub in ast.walk(stmt)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                return True
+    return False
+
+
+def _range_refusals(tree: ast.Module):
+    """(enclosing function, line) of each if that compares a parameter of
+    that function with an int literal and raises ValueError in its body."""
+
+    def compares_a_parameter(test, params) -> bool:
+        for node in ast.walk(test):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                for x, y in zip(operands, operands[1:]):
+                    for name, literal in ((x, y), (y, x)):
+                        if isinstance(name, ast.Name) and name.id in params and _is_int_literal(literal):
+                            return True
+        return False
+
+    def walk(node, scope, params):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                names = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+                yield from walk(child, child.name, names)
+                continue
+            if (isinstance(child, ast.If) and compares_a_parameter(child.test, params)
+                    and _raises_value_error(child.body)):
+                yield scope, child.lineno
+            yield from walk(child, scope, params)
+
+    yield from walk(tree, "", set())
+
+
+def test_only_check_bound_writes_a_range_refusal():
+    # one wording and one type check for every count: a hand-written
+    # "if n < 1: raise ValueError" let None, a bool or a float through
+    found = [(path.name, scope, line) for path in MODULES if path.name != "partitions.py"
+             for scope, line in _range_refusals(ast.parse(path.read_text()))]
+    assert not found, f"range refusals outside partitions.check_bound: {found}"
+
+
+def test_range_refusal_rule_sees_a_hand_written_refusal():
+    source = (
+        "def f(n, bound=None):\n"
+        "    if bound is not None and bound < -1:\n"
+        "        raise ValueError('need bound >= -1')\n"
+        "    if 0 > n:\n"
+        "        raise TypeError('not this one')\n"
+        "    def g(k):\n"
+        "        if n < 1:\n"  # n is no parameter of g
+        "            raise ValueError('n')\n"
+        "        if k < len(n):\n"  # no int literal
+        "            raise ValueError('k')\n"
+        "        if 1 <= k:\n"
+        "            raise ValueError(f'need k < 1, not {k}')\n"
+    )
+    assert list(_range_refusals(ast.parse(source))) == [("f", 2), ("g", 11)]

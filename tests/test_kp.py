@@ -98,8 +98,8 @@ def _scaled_kp_residual(f: GradedSeries, t_weight_bound: int) -> GradedSeries:
     psi, xi = GradedSeries.var(tr, PSI_VAR), GradedSeries.var(tr, XI_VAR)
     f11 = f.diff(t1).diff(t1)
     residual = psi * (
-        f.diff(t2).diff(t2) - f.diff(t1).diff(t3).scalar_mul(Fraction(4, 3))
-        + f11.diff(t1).diff(t1).scalar_mul(Fraction(1, 3))
+        f.diff(t2).diff(t2) - f.diff(t1).diff(t3) * Fraction(4, 3)
+        + f11.diff(t1).diff(t1) * Fraction(1, 3)
     ) - xi * f11 * f11 * 2
     return residual.truncate(Truncation(s_weight=t_weight_bound))
 
